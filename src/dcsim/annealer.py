@@ -95,7 +95,8 @@ class _Objective:
 
         chain_set = set(vm_ids)
         for h in state.hosts:
-            fixed = [state.vms[v] for v in h.vms if v not in chain_set]
+            # sorted: set order varies with the hash seed, and so would the sums
+            fixed = [state.vms[v] for v in sorted(h.vms) if v not in chain_set]
             self.count[h.id] = len(fixed)
             for vm in fixed:
                 self.cpu[h.id] += vm.cpu_demand

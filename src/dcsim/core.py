@@ -7,7 +7,7 @@ recomputes the derived part after any mutation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import models
 from .models import ModelParams
@@ -124,10 +124,13 @@ class HostState:
     p_it: float = 0.0          # W, includes disk power; 0 when off
 
     def copy(self) -> "HostState":
-        h = replace(self)
-        h.vms = set(self.vms)
-        h.util_history = list(self.util_history)
-        return h
+        # the constructor is about twice as fast as dataclasses.replace
+        return HostState(
+            self.id, self.spec, self.powered_on, self.t_inlet, self.fan_speed,
+            set(self.vms), self.cpu_sum, self.ram_sum, self.bw_sum,
+            self.disk_read, self.disk_write, list(self.util_history),
+            self.u_cpu, self.u_mem, self.mode, self.t_mem, self.t_cpu,
+            self.p_it)
 
 
 class CapacityError(Exception):
@@ -202,7 +205,10 @@ class DataCenterState:
     def copy(self) -> "DataCenterState":
         new = object.__new__(DataCenterState)
         new.hosts = [h.copy() for h in self.hosts]
-        new.vms = {vid: replace(vm) for vid, vm in self.vms.items()}
+        new.vms = {vid: VmState(vm.id, vm.cores, vm.cpu_demand, vm.ram_used,
+                                vm.disk_read, vm.disk_write, vm.net_bw,
+                                vm.assigned_host)
+                   for vid, vm in self.vms.items()}
         new.params = self.params
         new.setpoint = self.setpoint
         return new

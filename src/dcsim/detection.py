@@ -76,7 +76,7 @@ def _fits_elsewhere(host: HostState, state: DataCenterState,
     cpu = {h.id: h.cpu_sum for h in targets}
     ram = {h.id: h.ram_sum for h in targets}
     bw = {h.id: h.bw_sum for h in targets}
-    vms = sorted(host.vms, key=lambda vid: -state.vms[vid].cpu_demand)
+    vms = sorted(host.vms, key=lambda vid: (-state.vms[vid].cpu_demand, vid))
     for vid in vms:
         vm = state.vms[vid]
         placed = False
@@ -96,12 +96,22 @@ def _fits_elsewhere(host: HostState, state: DataCenterState,
 
 
 def find_underloaded(state: DataCenterState, exclude: set[int] | None = None,
-                     thresholds: dict[int, float] | None = None) -> list[int]:
+                     thresholds: dict[int, float] | None = None,
+                     cut: float | None = None,
+                     limit: int | None = None) -> list[int]:
     """Powered-on hosts whose whole VM set could be absorbed elsewhere.
 
-    Candidates are returned in ascending utilization order.  A host only
-    qualifies if a greedy fit test places all of its VMs on other powered-on
-    hosts without pushing any of them past its overload threshold.
+    A host only qualifies if a greedy fit test places all of its VMs on other
+    powered-on hosts without pushing any of them past its overload threshold.
+    Candidates are walked, and returned, in ascending ``(u_cpu, id)`` order,
+    so the two bounds cut the walk short without changing its prefix:
+
+    - ``cut``: only hosts with ``u_cpu < cut`` qualify; the walk stops at the
+      first host at or above it.
+    - ``limit``: the walk stops after that many qualifying hosts.
+
+    The result therefore equals the unbounded list filtered on ``u_cpu < cut``
+    and truncated to ``limit`` entries, at a fraction of the fit tests.
     """
     exclude = exclude or set()
     thresholds = thresholds or {}
@@ -109,6 +119,10 @@ def find_underloaded(state: DataCenterState, exclude: set[int] | None = None,
     candidates = sorted((h for h in state.hosts if h.powered_on and h.id not in exclude),
                         key=lambda h: (h.u_cpu, h.id))
     for h in candidates:
+        if limit is not None and len(out) >= limit:
+            break
+        if cut is not None and h.u_cpu >= cut:
+            break
         if not h.vms:
             continue
         if _fits_elsewhere(h, state, thresholds, exclude):

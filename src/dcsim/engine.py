@@ -48,7 +48,8 @@ class SimConfig:
     # repeat pass from folding a deliberately spread fleet onto itself
     underload_fraction: float = 0.65
     # the repeat pass is time-boxed like the rest of the slot optimization:
-    # only the lightest few hosts are drained per slot
+    # only the lightest few hosts are drained per slot; 0 turns the pass off,
+    # in the engine and in dynso's drain-aware evaluator alike
     max_drains_per_slot: int = 1
 
     def __post_init__(self):
@@ -56,6 +57,8 @@ class SimConfig:
             raise ValueError("slot_seconds must be positive")
         if self.policy not in POLICY_NAMES:
             raise ValueError(f"unknown policy {self.policy!r}")
+        if self.max_drains_per_slot < 0:
+            raise ValueError("max_drains_per_slot must be >= 0")
 
 
 @dataclass
@@ -98,31 +101,23 @@ class RunReport:
 def _drain_aware_evaluator(cfg: SimConfig, thresholds: dict[int, float]):
     """Global-power evaluator for the dynamic selector that looks one step
     ahead: hosts the underload pass could free do not count against a
-    tentative placement."""
+    tentative placement.  It follows :func:`policies.dynso_place`'s evaluator
+    contract and mutates the placed state it is given."""
 
-    def evaluate(state, placement, fallback=None):
-        scratch = state.copy()
-        for vm_id, host_id in placement.items():
-            scratch.attach(scratch.vms[vm_id], host_id)
-        if fallback:
-            for vm_id, host_id in fallback.items():
-                if vm_id not in placement and host_id is not None:
-                    scratch.attach(scratch.vms[vm_id], host_id)
-        on = [h for h in scratch.hosts if h.powered_on and h.vms]
+    def evaluate(placed, placement, fallback=None):
+        policies.attach_fallback(placed, placement, fallback)
+        on = [h for h in placed.hosts if h.powered_on and h.vms]
         power = sum(h.p_it for h in on)
-        if on and cfg.max_drains_per_slot != 0:
+        if on and cfg.max_drains_per_slot > 0:
             mean_u = sum(h.u_cpu for h in on) / len(on)
-            cut = cfg.underload_fraction * mean_u
             drainable = find_underloaded(
-                scratch, thresholds=thresholds,
-                exclude={h.id for h in scratch.hosts
-                         if h.powered_on and h.cpu_sum >= thresholds.get(h.id, 1.0)})
-            drainable = [hid for hid in drainable
-                         if scratch.hosts[hid].u_cpu < cut]
-            if cfg.max_drains_per_slot > 0:
-                drainable = drainable[:cfg.max_drains_per_slot]
-            power -= sum(scratch.hosts[hid].p_it for hid in drainable)
-        cool = models.cop(scratch.setpoint, scratch.params.cooling)
+                placed, thresholds=thresholds,
+                exclude={h.id for h in placed.hosts
+                         if h.powered_on and h.cpu_sum >= thresholds.get(h.id, 1.0)},
+                cut=cfg.underload_fraction * mean_u,
+                limit=cfg.max_drains_per_slot)
+            power -= sum(placed.hosts[hid].p_it for hid in drainable)
+        cool = models.cop(placed.setpoint, placed.params.cooling)
         return power * (1.0 + 1.0 / cool)
 
     return evaluate
@@ -298,13 +293,14 @@ def run(workload: Workload, cfg: SimConfig) -> RunReport:
         # underloaded host, with those hosts excluded as targets (a host
         # slated for power-off cannot receive).  Only hosts whose entire VM
         # set found a new home are actually drained and powered off.
-        on_utils = [h.u_cpu for h in state.hosts if h.powered_on]
-        under_cut = cfg.underload_fraction * (sum(on_utils) / len(on_utils)
-                                              if on_utils else 0.0)
-        under = [hid for hid in find_underloaded(state, overloaded, thresholds)
-                 if state.hosts[hid].u_cpu < under_cut]
+        under = []
         if cfg.max_drains_per_slot > 0:
-            under = under[:cfg.max_drains_per_slot]
+            on_utils = [h.u_cpu for h in state.hosts if h.powered_on]
+            under_cut = cfg.underload_fraction * (sum(on_utils) / len(on_utils)
+                                                  if on_utils else 0.0)
+            under = find_underloaded(state, overloaded, thresholds,
+                                     cut=under_cut,
+                                     limit=cfg.max_drains_per_slot)
         if under:
             under_set = set(under)
             candidates = [x.id for x in state.hosts

@@ -211,6 +211,9 @@ class PlacementResult:
     # mean-normalized consolidation value of the chosen candidates, used for
     # calibration logging (1.5 when the kind has no per-candidate scalar)
     chosen_norm_values: dict[str, float] = field(default_factory=dict)
+    # the placer's scratch copy of the input state with the placed VMs
+    # attached in placement order; the unplaced ones stay detached
+    state: DataCenterState | None = field(default=None, repr=False)
 
 
 class _Fleet:
@@ -396,9 +399,9 @@ def so_place(kind: SoKind, vm_list, host_list, state: DataCenterState,
     """Best-fit-decreasing placement under one SO consolidation value.
 
     ``state`` must hold the VMs of ``vm_list`` detached from any host; the
-    placement is accumulated on a scratch copy so successive VMs see the
-    effect of earlier assignments.  VMs with no feasible host are reported
-    unplaced.
+    placement is accumulated on a scratch copy, returned as ``result.state``,
+    so successive VMs see the effect of earlier assignments.  VMs with no
+    feasible host are reported unplaced.
     """
     if kind == SoKind.SWFDVP:
         return swfdvp_place(vm_list, host_list, state, thresholds,
@@ -407,7 +410,7 @@ def so_place(kind: SoKind, vm_list, host_list, state: DataCenterState,
     fleet = _Fleet(scratch, list(host_list), thresholds or {}, default_threshold)
     sosa = sosa or SoSaModel()
     forbidden = forbidden or {}
-    result = PlacementResult()
+    result = PlacementResult(state=scratch)
     for vm in _sorted_vms(vm_list, scratch):
         tab = fleet.table(vm, forbidden.get(vm.id))
         values, valid = _values_for_kind(kind, tab, fleet, vm, sosa, slot_seconds)
@@ -470,7 +473,7 @@ def mo_place(kind: str, vm_list, host_list, state: DataCenterState,
     scratch = state.copy()
     fleet = _Fleet(scratch, list(host_list), thresholds or {}, default_threshold)
     forbidden = forbidden or {}
-    result = PlacementResult()
+    result = PlacementResult(state=scratch)
     for vm in _sorted_vms(vm_list, scratch):
         tab = fleet.table(vm, forbidden.get(vm.id))
         denom3 = tab["u_after"] - tab["dfreq"]
@@ -517,7 +520,7 @@ def swfdvp_place(vm_list, host_list, state: DataCenterState,
     scratch = state.copy()
     fleet = _Fleet(scratch, list(host_list), thresholds or {}, default_threshold)
     forbidden = forbidden or {}
-    result = PlacementResult()
+    result = PlacementResult(state=scratch)
     for vm in _sorted_vms(vm_list, scratch):
         tab = fleet.table(vm, forbidden.get(vm.id))
         valid = tab["feasible"]
@@ -550,22 +553,27 @@ def effective_it_power(state: DataCenterState) -> float:
     return sum(h.p_it for h in state.hosts if h.powered_on and h.vms)
 
 
-def evaluate_global_power(state: DataCenterState, placement: dict[str, int],
+def evaluate_global_power(placed: DataCenterState, placement: dict[str, int],
                           fallback: dict[str, int | None] | None = None) -> float:
     """IT + cooling power (W) of the state resulting from a placement.
 
-    Unplaced VMs are restored to their fallback host when one is given, which
-    mirrors how the engine treats them (they stay put).
+    ``placed`` is the placer's scratch state, which already holds
+    ``placement``; it is mutated.  Unplaced VMs are restored to their fallback
+    host when one is given, which mirrors how the engine treats them (they
+    stay put).
     """
-    scratch = state.copy()
-    for vm_id, host_id in placement.items():
-        scratch.attach(scratch.vms[vm_id], host_id)
-    if fallback:
-        for vm_id, host_id in fallback.items():
-            if vm_id not in placement and host_id is not None:
-                scratch.attach(scratch.vms[vm_id], host_id)
-    cool = models.cop(scratch.setpoint, scratch.params.cooling)
-    return effective_it_power(scratch) * (1.0 + 1.0 / cool)
+    attach_fallback(placed, placement, fallback)
+    cool = models.cop(placed.setpoint, placed.params.cooling)
+    return effective_it_power(placed) * (1.0 + 1.0 / cool)
+
+
+def attach_fallback(placed: DataCenterState, placement: dict[str, int],
+                    fallback: dict[str, int | None] | None) -> None:
+    """Attach every VM of ``fallback`` that ``placement`` left unplaced to
+    its fallback host."""
+    for vm_id, host_id in (fallback or {}).items():
+        if vm_id not in placement and host_id is not None:
+            placed.attach(placed.vms[vm_id], host_id)
 
 
 def dynso_place(vm_list, host_list, state: DataCenterState,
@@ -579,19 +587,30 @@ def dynso_place(vm_list, host_list, state: DataCenterState,
                 evaluator=None) -> DynSoResult:
     """Run every SO policy and keep the one with the lowest global power.
 
-    ``evaluator`` computes the power of the resulting state and defaults to
+    ``evaluator(placed, placement, fallback)`` returns the power of the
+    state resulting from a placement and defaults to
     :func:`evaluate_global_power`; the engine passes one that also accounts
-    for the hosts its underload pass would free.  Ties go to the earlier
-    kind in ``so_list``.
+    for the hosts its underload pass would free.  ``placed`` is the scratch
+    state :func:`so_place` left with ``placement`` attached (unplaced VMs
+    detached); it is not used afterwards, so the evaluator may mutate it.
+    The evaluator runs once per distinct placement: a kind that repeats an
+    earlier kind's placement could only tie, and ties go to the earlier kind
+    in ``so_list``.
     """
     if not so_list:
         raise ValueError("so_list must not be empty")
     evaluator = evaluator or evaluate_global_power
     best = None
+    seen = set()
     for kind in so_list:
+        # a module-level call, so wrappers of so_place see every kind
         r = so_place(kind, vm_list, host_list, state, thresholds,
                      default_threshold, forbidden, sosa, slot_seconds)
-        power = evaluator(state, r.placement, fallback)
+        key = frozenset(r.placement.items())
+        if key in seen:
+            continue
+        seen.add(key)
+        power = evaluator(r.state, r.placement, fallback)
         if best is None or power < best.global_power:
             best = DynSoResult(placement=r.placement, unplaced=r.unplaced,
                                kind=kind, global_power=power,

@@ -1,7 +1,12 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dcsim
 from dcsim import models
 from dcsim.annealer import SaConfig, sa_objective, sa_place, sa_solve
 from dcsim.core import DataCenterState, VmState
@@ -121,3 +126,36 @@ def test_sa_place_mapping():
 def test_config_validation():
     with pytest.raises(ValueError):
         SaConfig(k=0.0)
+
+
+SA_RUN = """
+import math
+from dcsim.annealer import SaConfig
+from dcsim.engine import SimConfig, run
+from dcsim.workload import Workload, synth_workload
+w = synth_workload(vms=120, slots=48, variability=280.0 * 48 / 288, seed=3)
+cut = slice(0, 31)
+w = Workload(w.vm_ids, w.cpu[:, cut], w.ram[:, cut], w.disk_read[:, cut],
+             w.disk_write[:, cut], w.net_bw[:, cut], w.cores,
+             w.ram_provisioned)
+cfg = SimConfig(hosts=50, policy="sa",
+                sa=SaConfig(iterations=20_000, wall_time_cap=math.inf))
+t = run(w, cfg).totals
+print(repr((t.e_it, t.e_cooling, t.e_boot, t.power_on_events, t.migrations)))
+"""
+
+
+def test_sa_totals_do_not_depend_on_hash_seed():
+    # with the host VM sets summed in iteration order, these two hash seeds
+    # made slot 30 of this run migrate 3 VMs under one and 5 under the other
+    src = str(Path(dcsim.__file__).resolve().parents[1])
+    procs = [subprocess.Popen(
+        [sys.executable, "-c", SA_RUN], stdout=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed})
+        for seed in ("0", "2")]
+    outs = []
+    for p in procs:
+        out, _ = p.communicate(timeout=300)
+        assert p.returncode == 0
+        outs.append(out)
+    assert outs[0] == outs[1]

@@ -119,3 +119,27 @@ def test_default_spec_invariants():
     assert all(m.v_dd > 0 for m in spec.dvfs_table)
     assert spec.t_cpu_max > spec.t_inlet_max
     assert spec.e_boot == pytest.approx(13.514e-3)
+
+
+def test_state_copy_is_equal_and_independent():
+    vms = {"a": VmState(id="a", cores=2, cpu_demand=0.4, ram_used=1024.0,
+                        disk_read=3.0, disk_write=4.0, net_bw=2.0),
+           "b": VmState(id="b", cpu_demand=0.2, ram_used=512.0)}
+    state = make_state(3, vms)
+    state.attach(state.vms["a"], 0)
+    state.attach(state.vms["b"], 2)
+    state.hosts[0].util_history.extend([0.3, 0.4])
+    new = state.copy()
+    assert new.hosts == state.hosts
+    assert new.vms == state.vms
+    assert (new.params, new.setpoint) == (state.params, state.setpoint)
+    for old_h, new_h in zip(state.hosts, new.hosts):
+        assert new_h is not old_h
+        assert new_h.vms is not old_h.vms
+        assert new_h.util_history is not old_h.util_history
+    assert all(new.vms[vid] is not state.vms[vid] for vid in vms)
+    new.detach(new.vms["a"])
+    new.hosts[2].util_history.append(0.9)
+    assert state.hosts[0].vms == {"a"}
+    assert state.vms["a"].assigned_host == 0
+    assert state.hosts[2].util_history == []

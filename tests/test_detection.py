@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -131,3 +133,49 @@ def test_mad_config_validation():
         MadConfig(safety=0.0)
     with pytest.raises(ValueError):
         MadConfig(history_window=0)
+
+
+def random_underload_case(rng):
+    """A small random fleet with thresholds, an exclude set and bounds."""
+    n = rng.randint(1, 8)
+    state = DataCenterState.build(n, setpoint=291.0)
+    for i in range(n):
+        for j in range(rng.choice([0, 0, 1, 2, 3])):
+            vm = VmState(id=f"h{i}v{j}", cpu_demand=rng.uniform(0.01, 0.4),
+                         ram_used=rng.uniform(64.0, 6000.0))
+            state.vms[vm.id] = vm
+            state.attach(vm, i)
+    thresholds = {h.id: rng.uniform(0.5, 1.0) for h in state.hosts}
+    exclude = {i for i in range(n) if rng.random() < 0.2}
+    cut = rng.choice([None, rng.uniform(0.0, 1.0)])
+    limit = rng.choice([None, 0, 1, 2, 3])
+    return state, exclude, thresholds, cut, limit
+
+
+def test_bounded_underload_search_equals_filter_then_truncate():
+    rng = random.Random(20231)
+    for _ in range(400):
+        state, exclude, thresholds, cut, limit = random_underload_case(rng)
+        full = find_underloaded(state, exclude, thresholds)
+        expected = [hid for hid in full
+                    if cut is None or state.hosts[hid].u_cpu < cut]
+        if limit is not None:
+            expected = expected[:limit]
+        assert find_underloaded(state, exclude, thresholds, cut, limit) == expected
+
+
+def test_fit_test_breaks_demand_ties_by_vm_id():
+    # "a" and "b" tie on demand.  Taking "a" first fills host 1 so that "b"
+    # fits nowhere, while "b" first would succeed; the order must not come
+    # from the iteration order of the host's VM set.
+    state = DataCenterState.build(3, setpoint=291.0)
+    cap = state.hosts[0].spec.ram_capacity
+    for vid, ram, host in (("a", 900.0, 0), ("b", 2500.0, 0),
+                           ("fill1", cap - 2600.0, 1),
+                           ("fill2", cap - 1000.0, 2)):
+        vm = VmState(id=vid, cpu_demand=0.1 if host == 0 else 0.3,
+                     ram_used=ram)
+        state.vms[vid] = vm
+        state.attach(vm, host)
+    thresholds = {h.id: 0.9 for h in state.hosts}
+    assert find_underloaded(state, thresholds=thresholds) == []

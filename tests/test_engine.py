@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dcsim import models
+from dcsim import engine, models
 from dcsim.cooling import FixedCooling, VarInletCooling
 from dcsim.core import DataCenterState, VmState, default_server_spec
 from dcsim.engine import MigrationEvent, SimConfig, migration_cost, run
@@ -164,3 +164,45 @@ def test_bad_policy_rejected():
         SimConfig(policy="nope")
     with pytest.raises(ValueError):
         SimConfig(slot_seconds=0)
+
+
+def test_negative_max_drains_rejected():
+    with pytest.raises(ValueError):
+        SimConfig(max_drains_per_slot=-1)
+    SimConfig(max_drains_per_slot=0)
+
+
+def test_zero_max_drains_turns_the_drain_pass_off(monkeypatch):
+    calls = []
+    real = engine.find_underloaded
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "find_underloaded", counting)
+    w = synth_workload(vms=72, slots=12, variability=120.0, seed=4)
+    for policy in ("pabfd", "dynso"):
+        run(w, SimConfig(hosts=30, policy=policy, max_drains_per_slot=0))
+    assert calls == []
+    # the same run with the default limit does drain
+    run(w, SimConfig(hosts=30, policy="dynso"))
+    assert calls
+
+
+def test_zero_max_drains_counts_no_drains_in_dynso_evaluator():
+    # host 0 is nearly idle and its VM fits on host 1: the default evaluator
+    # credits its power as drainable, the disabled pass does not
+    vms = {"light": VmState(id="light", cpu_demand=0.05, ram_used=256.0),
+           "heavy": VmState(id="heavy", cpu_demand=0.5, ram_used=256.0)}
+    state = DataCenterState.build(2, vms)
+    state.attach(vms["light"], 0)
+    state.attach(vms["heavy"], 1)
+    thresholds = {0: 0.9, 1: 0.9}
+    full = (state.total_it_power()
+            * (1.0 + 1.0 / models.cop(state.setpoint)))
+    off = engine._drain_aware_evaluator(
+        SimConfig(max_drains_per_slot=0), thresholds)(state.copy(), {})
+    on = engine._drain_aware_evaluator(SimConfig(), thresholds)(state.copy(), {})
+    assert off == full
+    assert on < full

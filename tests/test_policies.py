@@ -4,9 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from dcsim import models
 from dcsim.core import DataCenterState, VmState, apply_placement
-from dcsim.policies import (CandidateView, GuardError, SoKind, SoSaModel,
-                            candidate_evaluations, dynso_place,
-                            evaluate_candidate, mo_place, normalize_band,
+from dcsim.engine import SimConfig, _drain_aware_evaluator
+from dcsim.policies import (DEFAULT_DYNSO_LIST, CandidateView, GuardError,
+                            SoKind, SoSaModel, candidate_evaluations,
+                            dynso_place, effective_it_power,
+                            evaluate_candidate, evaluate_global_power,
+                            mo_place, normalize_band,
                             objective_vector, pareto_front, so_place,
                             so_sa_combine, so_sa_value, so_value,
                             so_value_from_view, swfdvp_place)
@@ -433,3 +436,81 @@ def test_candidate_evaluations_surface():
             assert all(v == 1.5 for v in col)
     front = pareto_front([e.so_values.as_tuple() for e in evals])
     assert front == brute_force_front([e.so_values.as_tuple() for e in evals])
+
+
+def dynso_instance(seed):
+    """Six hosts with background load, nine detached VMs (one too big for
+    any host) and a fallback host for each of them."""
+    rng = np.random.default_rng(seed)
+    specs = {f"bg{i}": (float(rng.uniform(0.05, 0.6)),
+                        float(rng.uniform(256, 4096)), i) for i in range(5)}
+    for i in range(8):
+        specs[f"v{i}"] = (float(rng.uniform(0.02, 0.5)),
+                          float(rng.uniform(128, 4096)), None)
+    specs["huge"] = (0.95, 512.0, None)
+    state = make_state(6, specs)
+    vm_ids = [v for v in specs if not v.startswith("bg")]
+    fallback = {v: int(rng.integers(0, 6)) for v in vm_ids}
+    thresholds = {h: float(rng.uniform(0.7, 0.95)) for h in range(6)}
+    return state, vm_ids, fallback, thresholds
+
+
+def reattach_oracle(vm_ids, state, thresholds, fallback, evaluate):
+    """dynso by copy and re-attach: every kind's placement is applied to a
+    fresh copy of the input state and evaluated there."""
+    best = None
+    for kind in DEFAULT_DYNSO_LIST:
+        r = so_place(kind, vm_ids, range(6), state, thresholds)
+        scratch = state.copy()
+        for vm_id, host_id in r.placement.items():
+            scratch.attach(scratch.vms[vm_id], host_id)
+        power = evaluate(scratch, r.placement, fallback)
+        if best is None or power < best[2]:
+            best = (kind, r.placement, power)
+    return best
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_dynso_matches_reattach_oracle(seed):
+    state, vm_ids, fallback, thresholds = dynso_instance(seed)
+    evaluators = (lambda: evaluate_global_power,
+                  lambda: _drain_aware_evaluator(SimConfig(), thresholds))
+    for make in evaluators:
+        r = dynso_place(vm_ids, range(6), state, thresholds=thresholds,
+                        fallback=fallback, evaluator=make())
+        assert "huge" in r.unplaced
+        assert (r.kind, r.placement, r.global_power) == reattach_oracle(
+            vm_ids, state, thresholds, fallback, make())
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_dynso_evaluates_each_distinct_placement_once(seed):
+    state, vm_ids, fallback, thresholds = dynso_instance(seed)
+    seen = []
+
+    def counting(placed, placement, fb):
+        seen.append(dict(placement))
+        return evaluate_global_power(placed, placement, fb)
+
+    dynso_place(vm_ids, range(6), state, thresholds=thresholds,
+                fallback=fallback, evaluator=counting)
+    distinct = []
+    for kind in DEFAULT_DYNSO_LIST:
+        p = so_place(kind, vm_ids, range(6), state, thresholds).placement
+        if p not in distinct:
+            distinct.append(p)
+    assert seen == distinct
+
+
+def test_evaluator_receives_the_placed_state():
+    state, vm_ids, fallback, thresholds = dynso_instance(3)
+    r = so_place(SoKind.SO1, vm_ids, range(6), state, thresholds)
+    assert r.state is not state
+    for vm_id, host_id in r.placement.items():
+        assert r.state.vms[vm_id].assigned_host == host_id
+        assert state.vms[vm_id].assigned_host is None
+    assert r.state.vms["huge"].assigned_host is None
+    power = evaluate_global_power(r.state, r.placement, fallback)
+    assert r.state.vms["huge"].assigned_host == fallback["huge"]
+    cool = models.cop(state.setpoint)
+    assert power == effective_it_power(r.state) * (1.0 + 1.0 / cool)
