@@ -55,8 +55,6 @@ def _build_config(args) -> SimConfig:
         cfg = replace(cfg, policy=args.policy)
     if args.cooling:
         cfg = replace(cfg, cooling=cooling_from_name(args.cooling))
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     sa = cfg.sa
     if args.sa_iterations is not None:
         sa = replace(sa, iterations=args.sa_iterations)
@@ -81,7 +79,6 @@ def _add_run_args(p: argparse.ArgumentParser, policy_required: bool = True):
                    help="gap policy for loaded traces")
     p.add_argument("--hosts", type=int, default=1200)
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--sa-iterations", type=int, default=None)
     p.add_argument("--sa-k", type=float, default=None)

@@ -76,8 +76,6 @@ def apply_config(cfg: SimConfig, values: dict[str, str]) -> SimConfig:
             cfg = replace(cfg, policy=value)
         elif key == "run.cooling":
             cfg = replace(cfg, cooling=cooling_from_name(value))
-        elif key == "run.seed":
-            cfg = replace(cfg, seed=int(value))
         elif key == "run.oversubscription":
             cfg = replace(cfg, oversubscription=value.lower() in ("1", "true", "yes", "on"))
         elif key == "run.migration_double_power":

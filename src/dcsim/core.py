@@ -10,13 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import models
-from .models import ModelParams
+from .models import U_MEM_FLOOR, ModelParams
 
 DEFAULT_FREQS_GHZ = (1.73, 1.86, 2.13, 2.26, 2.39, 2.40)
-
-# Idle hosts still hold OS pages; the memory-load floor keeps the log term of
-# the memory temperature model defined (1 % maps to exactly k1 * t_inlet).
-U_MEM_FLOOR = 1.0
 
 
 @dataclass(frozen=True)
@@ -213,9 +209,6 @@ class DataCenterState:
         new.setpoint = self.setpoint
         return new
 
-    def host(self, host_id: int) -> HostState:
-        return self.hosts[host_id]
-
     def refresh(self, h: HostState) -> None:
         """Recompute the derived fields of one host from its aggregates."""
         if not h.powered_on:
@@ -227,16 +220,11 @@ class DataCenterState:
             h.t_cpu = 0.0
             h.p_it = 0.0
             return
-        p = self.params
-        h.u_cpu = min(1.0, max(0.0, h.cpu_sum))  # sums carry float dust
-        h.u_mem = min(100.0, max(U_MEM_FLOOR, 100.0 * h.ram_sum / h.spec.ram_capacity))
-        h.mode = models.governor_frequency(h.u_cpu, h.spec.dvfs_table)
-        h.fan_speed = p.fan_speed(h.u_cpu, h.spec.fan_speed_default)
-        h.t_mem = models.mem_temperature(h.t_inlet, h.u_mem, p.thermal)
-        h.t_cpu = models.cpu_temperature(h.t_inlet, h.u_cpu, p.thermal)
-        h.p_it = (models.host_power_terms(h.mode.v_dd, h.mode.f_op, h.u_cpu,
-                                          h.t_mem, h.fan_speed, p.power)
-                  + models.disk_power(h.disk_read, h.disk_write, p.disk))
+        (h.u_cpu, h.u_mem, h.mode, h.fan_speed, h.t_mem,
+         h.p_it) = models.host_operating_point(
+            h.cpu_sum, h.ram_sum, h.disk_read, h.disk_write, h.t_inlet, h.spec,
+            self.params)
+        h.t_cpu = models.cpu_temperature(h.t_inlet, h.u_cpu, self.params.thermal)
 
     def set_setpoint(self, t_inlet_k: float) -> None:
         self.setpoint = t_inlet_k
@@ -272,9 +260,6 @@ class DataCenterState:
 
     def total_it_power(self) -> float:
         return sum(h.p_it for h in self.hosts if h.powered_on)
-
-    def powered_on_ids(self) -> list[int]:
-        return [h.id for h in self.hosts if h.powered_on]
 
 
 @dataclass

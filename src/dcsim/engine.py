@@ -35,7 +35,6 @@ class SimConfig:
     policy: str = "pabfd"
     cooling: CoolingStrategy = field(default_factory=lambda: FixedCooling(291.0))
     oversubscription: bool = True
-    seed: int = 0
     mad: MadConfig = field(default_factory=MadConfig)
     server: ServerSpec | None = None
     models: ModelParams = field(default_factory=ModelParams)
@@ -102,10 +101,9 @@ def _drain_aware_evaluator(cfg: SimConfig, thresholds: dict[int, float]):
     """Global-power evaluator for the dynamic selector that looks one step
     ahead: hosts the underload pass could free do not count against a
     tentative placement.  It follows :func:`policies.dynso_place`'s evaluator
-    contract and mutates the placed state it is given."""
+    contract and reads the placed state it is given."""
 
-    def evaluate(placed, placement, fallback=None):
-        policies.attach_fallback(placed, placement, fallback)
+    def evaluate(placed):
         on = [h for h in placed.hosts if h.powered_on and h.vms]
         power = sum(h.p_it for h in on)
         if on and cfg.max_drains_per_slot > 0:
@@ -123,57 +121,66 @@ def _drain_aware_evaluator(cfg: SimConfig, thresholds: dict[int, float]):
     return evaluate
 
 
-class _Placer:
+def _place(cfg: SimConfig, plan: DataCenterState, vm_ids: list[str],
+           host_ids: list[int], thresholds: dict[int, float],
+           forbidden: dict[str, int], fallback: dict[str, int | None],
+           slot: int) -> policies.PlacementResult:
     """Dispatch one slot's VM batch to the configured policy."""
+    name = cfg.policy
+    if name in _SO_BY_NAME:
+        return policies.so_place(
+            _SO_BY_NAME[name], vm_ids, host_ids, plan, thresholds,
+            cfg.mad.fallback_threshold, forbidden, cfg.sosa, cfg.slot_seconds)
+    if name in ("mo1", "mo2"):
+        on_u = [h.u_cpu for h in plan.hosts if h.powered_on and h.vms]
+        cut = cfg.underload_fraction * (sum(on_u) / len(on_u) if on_u else 0.0)
+        return policies.mo_place(name, vm_ids, host_ids, plan, thresholds,
+                                 cfg.mad.fallback_threshold, forbidden,
+                                 cfg.slot_seconds, prefer_utilization=cut)
+    if name == "dynso":
+        r = policies.dynso_place(vm_ids, host_ids, plan, DEFAULT_DYNSO_LIST,
+                                 thresholds, cfg.mad.fallback_threshold,
+                                 forbidden, cfg.sosa, cfg.slot_seconds,
+                                 fallback,
+                                 evaluator=_drain_aware_evaluator(
+                                     cfg, thresholds))
+        return policies.PlacementResult(placement=r.placement,
+                                        unplaced=r.unplaced,
+                                        chosen_norm_values=r.chosen_norm_values)
+    if name == "sa":
+        seed = policies.dynso_place(
+            vm_ids, host_ids, plan, policies.PLAIN_KINDS + (SoKind.SO8,),
+            thresholds, cfg.mad.fallback_threshold, forbidden, cfg.sosa,
+            cfg.slot_seconds, fallback)
+        sa_vms = [v for v in vm_ids if v in seed.placement]
+        out = policies.PlacementResult(
+            unplaced=[v for v in vm_ids if v not in seed.placement])
+        if sa_vms:
+            # per-slot seed derived from the annealer seed keeps whole runs
+            # deterministic without reusing one chain across slots
+            sa_cfg = replace(cfg.sa, seed=cfg.sa.seed + 1009 * slot)
+            mapping, _ = annealer.sa_place(sa_vms, host_ids, plan,
+                                           seed.placement, sa_cfg)
+            out.placement = mapping
+        return out
+    raise ValueError(f"unknown policy {name!r}")
 
-    def __init__(self, cfg: SimConfig):
-        self.cfg = cfg
 
-    def __call__(self, plan: DataCenterState, vm_ids: list[str],
-                 host_ids: list[int], thresholds: dict[int, float],
-                 forbidden: dict[str, int], fallback: dict[str, int | None],
-                 slot: int) -> policies.PlacementResult:
-        cfg = self.cfg
-        name = cfg.policy
-        if name in _SO_BY_NAME:
-            return policies.so_place(
-                _SO_BY_NAME[name], vm_ids, host_ids, plan, thresholds,
-                cfg.mad.fallback_threshold, forbidden, cfg.sosa,
-                cfg.slot_seconds)
-        if name in ("mo1", "mo2"):
-            on_u = [h.u_cpu for h in plan.hosts if h.powered_on and h.vms]
-            cut = cfg.underload_fraction * (sum(on_u) / len(on_u) if on_u else 0.0)
-            return policies.mo_place(name, vm_ids, host_ids, plan, thresholds,
-                                     cfg.mad.fallback_threshold, forbidden,
-                                     cfg.slot_seconds, prefer_utilization=cut)
-        if name == "dynso":
-            r = policies.dynso_place(vm_ids, host_ids, plan, DEFAULT_DYNSO_LIST,
-                                     thresholds, cfg.mad.fallback_threshold,
-                                     forbidden, cfg.sosa, cfg.slot_seconds,
-                                     fallback,
-                                     evaluator=_drain_aware_evaluator(
-                                         cfg, thresholds))
-            out = policies.PlacementResult(placement=r.placement,
-                                           unplaced=r.unplaced,
-                                           chosen_norm_values=r.chosen_norm_values)
-            return out
-        if name == "sa":
-            seed = policies.dynso_place(
-                vm_ids, host_ids, plan, policies.PLAIN_KINDS + (SoKind.SO8,),
-                thresholds, cfg.mad.fallback_threshold, forbidden, cfg.sosa,
-                cfg.slot_seconds, fallback)
-            sa_vms = [v for v in vm_ids if v in seed.placement]
-            out = policies.PlacementResult(
-                unplaced=[v for v in vm_ids if v not in seed.placement])
-            if sa_vms:
-                # per-slot seed derived from the config seed keeps whole runs
-                # deterministic without reusing one chain across slots
-                sa_cfg = replace(cfg.sa, seed=cfg.sa.seed + 1009 * slot)
-                mapping, _ = annealer.sa_place(sa_vms, host_ids, plan,
-                                               seed.placement, sa_cfg)
-                out.placement = mapping
-            return out
-        raise ValueError(f"unknown policy {name!r}")
+def _migration_events(moved, state: DataCenterState, cfg: SimConfig,
+                      slot: int) -> list[MigrationEvent]:
+    """Migration events of the applied moves; a VM placed for the first time
+    (no source host) does not migrate."""
+    events = []
+    for vm_id, src, dst in moved:
+        if src is None:
+            continue
+        vm = state.vms[vm_id]
+        bw = migration_bandwidth(state.hosts[src], cfg.migration_reserve)
+        duration = min(vm.ram_used / bw if bw > 0 else cfg.slot_seconds,
+                       cfg.slot_seconds)
+        events.append(MigrationEvent(vm_id, src, dst, duration, slot,
+                                     vm.cpu_demand))
+    return events
 
 
 def run(workload: Workload, cfg: SimConfig) -> RunReport:
@@ -194,7 +201,6 @@ def run(workload: Workload, cfg: SimConfig) -> RunReport:
     initial_sp = (cfg.cooling.setpoint if isinstance(cfg.cooling, FixedCooling)
                   else cfg.cooling.ceiling)
     state = DataCenterState.build(cfg.hosts, vms, spec, params, initial_sp)
-    placer = _Placer(cfg)
 
     slots: list[SlotMetrics] = []
     totals = RunTotals()
@@ -262,8 +268,8 @@ def run(workload: Workload, cfg: SimConfig) -> RunReport:
             for vid in to_move:
                 plan.detach(plan.vms[vid])
             all_hosts = [h.id for h in state.hosts]
-            result = placer(plan, to_move, all_hosts, thresholds, forbidden,
-                            fallback, t)
+            result = _place(cfg, plan, to_move, all_hosts, thresholds,
+                            forbidden, fallback, t)
             if result.chosen_norm_values:
                 calib_values.append(sum(result.chosen_norm_values.values())
                                     / len(result.chosen_norm_values))
@@ -277,15 +283,7 @@ def run(workload: Workload, cfg: SimConfig) -> RunReport:
                 applied = apply_placement(state, {})
             state = applied.state
             power_on_events += applied.power_on_events
-            for vm_id, src, dst in applied.moved:
-                if src is None:
-                    continue
-                vm = state.vms[vm_id]
-                bw = migration_bandwidth(state.hosts[src], cfg.migration_reserve)
-                duration = min(vm.ram_used / bw if bw > 0 else cfg.slot_seconds,
-                               cfg.slot_seconds)
-                migrations.append(MigrationEvent(vm_id, src, dst, duration, t,
-                                                 vm.cpu_demand))
+            migrations += _migration_events(applied.moved, state, cfg, t)
         else:
             calib_values.append(1.5)
 
@@ -315,7 +313,7 @@ def run(workload: Workload, cfg: SimConfig) -> RunReport:
                 plan = state.copy()
                 for vid in drain_vms:
                     plan.detach(plan.vms[vid])
-                res = placer(plan, drain_vms, candidates, thresholds,
+                res = _place(cfg, plan, drain_vms, candidates, thresholds,
                              source, dict(source), t)
                 placed_by_host: dict[int, list[str]] = {}
                 for vid in res.placement:
@@ -334,15 +332,8 @@ def run(workload: Workload, cfg: SimConfig) -> RunReport:
                     if applied is not None:
                         state = applied.state
                         power_on_events += applied.power_on_events
-                        for vm_id, src, dst in applied.moved:
-                            vm = state.vms[vm_id]
-                            bw = migration_bandwidth(state.hosts[src],
-                                                     cfg.migration_reserve)
-                            duration = min(
-                                vm.ram_used / bw if bw > 0 else cfg.slot_seconds,
-                                cfg.slot_seconds)
-                            migrations.append(MigrationEvent(
-                                vm_id, src, dst, duration, t, vm.cpu_demand))
+                        migrations += _migration_events(applied.moved, state,
+                                                        cfg, t)
 
         # cooling setpoint for the slot, then energy accounting
         sp = cooling_setpoint(state, cfg.cooling)
@@ -425,7 +416,3 @@ def migration_cost(events: list[MigrationEvent], state: DataCenterState,
     pdm = deg / requested if requested > 0 else 0.0
     return extra_ws * KWH_PER_WS, pdm
 
-
-def sla_metric(report: RunReport) -> float:
-    """Run-level SLA violation (already the product OTF x PDM)."""
-    return report.avg_sla

@@ -12,6 +12,10 @@ from dataclasses import dataclass, field
 
 KWH_PER_WS = 1.0 / 3.6e6  # watt-seconds to kWh
 
+# Idle hosts still hold OS pages; the memory-load floor keeps the log term of
+# the memory temperature model defined (1 % maps to exactly k1 * t_inlet).
+U_MEM_FLOOR = 1.0
+
 
 @dataclass(frozen=True)
 class PowerModelParams:
@@ -103,16 +107,26 @@ def host_power_terms(v_dd: float, f_op: float, u_cpu: float, t_mem: float,
             + p.c_fan * fan_speed ** 3)
 
 
-def host_power(host, p: PowerModelParams = PowerModelParams()) -> float:
-    """Power draw of a host snapshot; 0 W when powered off.
+def host_operating_point(cpu_sum: float, ram_sum: float, disk_read: float,
+                         disk_write: float, t_inlet: float, spec,
+                         p: ModelParams):
+    """Operating point of a powered-on server from its resource aggregates.
 
-    Expects ``host.t_mem`` to be current for the host's inlet temperature and
-    memory load (see :func:`mem_temperature`).
+    ``spec`` supplies ``dvfs_table``, ``ram_capacity`` and
+    ``fan_speed_default``.  Returns ``(u_cpu, u_mem, mode, fan_speed, t_mem,
+    p_it)``: utilization clamped to [0, 1] (sums carry float dust), memory
+    load in percent, governor DVFS mode, fan RPM, memory temperature (K) and
+    IT power including disk (W).  Pass Python floats, so every operation is
+    Python's: numpy's ``log`` and array ``**`` can differ in the last bit.
     """
-    if not host.powered_on:
-        return 0.0
-    return host_power_terms(host.mode.v_dd, host.mode.f_op, host.u_cpu,
-                            host.t_mem, host.fan_speed, p)
+    u_cpu = min(1.0, max(0.0, cpu_sum))
+    u_mem = min(100.0, max(U_MEM_FLOOR, 100.0 * ram_sum / spec.ram_capacity))
+    mode = governor_frequency(u_cpu, spec.dvfs_table)
+    fan = p.fan_speed(u_cpu, spec.fan_speed_default)
+    t_mem = mem_temperature(t_inlet, u_mem, p.thermal)
+    p_it = (host_power_terms(mode.v_dd, mode.f_op, u_cpu, t_mem, fan, p.power)
+            + disk_power(disk_read, disk_write, p.disk))
+    return u_cpu, u_mem, mode, fan, t_mem, p_it
 
 
 def mem_temperature(t_inlet: float, u_mem: float,
@@ -152,16 +166,3 @@ def cop(t_inlet: float, p: CoolingModelParams = CoolingModelParams()) -> float:
             f"[{COP_T_MIN_K}, {COP_T_MAX_K}] K")
     t_c = t_inlet - p.cop_t_offset
     return p.cop_a * t_c * t_c + p.cop_b * t_c + p.cop_c
-
-
-def slot_energy(p_it: float, t_inlet: float, t_seconds: float,
-                p: CoolingModelParams = CoolingModelParams()) -> tuple[float, float]:
-    """IT and cooling energy (kWh) of a slot at constant IT power.
-
-    Cooling energy is the IT energy divided by the COP at the slot's inlet
-    temperature.
-    """
-    if t_seconds <= 0:
-        raise ValueError("slot duration must be positive")
-    e_it = p_it * t_seconds * KWH_PER_WS
-    return e_it, e_it / cop(t_inlet, p)

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from . import models
-from .core import U_MEM_FLOOR, DataCenterState, HostState, ObjectiveVector, VmState
+from .core import DataCenterState, HostState, ObjectiveVector, VmState
 from .models import KWH_PER_WS
 
 
@@ -70,24 +70,17 @@ class CandidateView:
 
 def evaluate_candidate(vm: VmState, host: HostState, state: DataCenterState) -> CandidateView:
     """Predict the post-allocation view of one host for one VM."""
-    p = state.params
     spec = host.spec
-    u_after = min(1.0, host.cpu_sum + vm.cpu_demand)
-    mode_after = models.governor_frequency(u_after, spec.dvfs_table)
+    u_after, _, mode_after, _, t_mem_after, p_after = models.host_operating_point(
+        host.cpu_sum + vm.cpu_demand, host.ram_sum + vm.ram_used,
+        host.disk_read + vm.disk_read, host.disk_write + vm.disk_write,
+        host.t_inlet, spec, state.params)
     f_before = host.mode.f_op if host.mode else spec.dvfs_table[0].f_op
     # frequency increment normalized by the top frequency, so it shares the
     # [0,1] scale of the utilization it is traded against
     dfreq = (mode_after.f_op - f_before) / spec.dvfs_table[-1].f_op
-    u_mem_after = min(100.0, max(U_MEM_FLOOR, 100.0 * (host.ram_sum + vm.ram_used)
-                                 / spec.ram_capacity))
-    t_mem_after = models.mem_temperature(host.t_inlet, u_mem_after, p.thermal)
-    fan = p.fan_speed(u_after, spec.fan_speed_default)
-    p_after = (models.host_power_terms(mode_after.v_dd, mode_after.f_op, u_after,
-                                       t_mem_after, fan, p.power)
-               + models.disk_power(host.disk_read + vm.disk_read,
-                                   host.disk_write + vm.disk_write, p.disk))
     p_before = host.p_it if (host.powered_on and host.vms) else 0.0
-    p_cooling = p_after / models.cop(host.t_inlet, p.cooling)
+    p_cooling = p_after / models.cop(host.t_inlet, state.params.cooling)
     return CandidateView(host_id=host.id, u_after=u_after, dfreq=dfreq,
                          p_before=p_before, p_after=p_after,
                          t_mem_after=t_mem_after, p_cooling_after=p_cooling)
@@ -211,78 +204,66 @@ class PlacementResult:
     # mean-normalized consolidation value of the chosen candidates, used for
     # calibration logging (1.5 when the kind has no per-candidate scalar)
     chosen_norm_values: dict[str, float] = field(default_factory=dict)
-    # the placer's scratch copy of the input state with the placed VMs
-    # attached in placement order; the unplaced ones stay detached
-    state: DataCenterState | None = field(default=None, repr=False)
 
 
 class _Fleet:
-    """Vectorized candidate evaluation over a fixed host-id set.
+    """Tentative placement state over a fixed host-id set.
 
-    Mirrors the scratch state's host aggregates as numpy arrays so one VM's
-    candidates are costed in a handful of vector operations, and keeps the
-    fleet-wide IT power total for global-energy predictions.
+    Holds the host aggregates of the input state as numpy arrays, so one VM's
+    candidates are costed in a handful of vector operations, and the
+    fleet-wide IT power total for global-energy predictions.  :meth:`place`
+    updates the arrays only; the input state is never touched.
     """
 
     def __init__(self, state: DataCenterState, host_ids: list[int],
                  thresholds: dict[int, float], default_threshold: float):
-        self.state = state
         self.ids = np.array(sorted(host_ids), dtype=int)
-        p = state.params
-        spec0 = state.hosts[self.ids[0]].spec if len(self.ids) else None
+        self.row = {int(hid): j for j, hid in enumerate(self.ids)}
+        hosts = [state.hosts[hid] for hid in self.ids]
+        self.specs = [h.spec for h in hosts]
+        spec0 = self.specs[0] if hosts else None
         self.freqs = np.array([m.f_op for m in spec0.dvfs_table]) if spec0 else None
         self.volts = np.array([m.v_dd for m in spec0.dvfs_table]) if spec0 else None
-        n = len(self.ids)
-        self.cpu_sum = np.zeros(n)
-        self.ram_sum = np.zeros(n)
-        self.bw_sum = np.zeros(n)
-        self.disk_r = np.zeros(n)
-        self.disk_w = np.zeros(n)
-        self.p_before = np.zeros(n)
-        self.f_before = np.zeros(n)
-        self.ram_cap = np.zeros(n)
-        self.bw_cap = np.zeros(n)
-        self.fan_default = np.zeros(n)
-        self.thr = np.zeros(n)
-        self.active = np.zeros(n, dtype=bool)
-        self.row = {}
-        for j, hid in enumerate(self.ids):
-            self.row[int(hid)] = j
-            self._load(j, state.hosts[hid], thresholds, default_threshold)
-        self.t_inlet = state.setpoint
-        self.cop = models.cop(self.t_inlet, p.cooling)
-        self.total_p = effective_it_power(state)
-        self.params = p
 
-    def _load(self, j, h, thresholds, default_threshold):
-        self.cpu_sum[j] = h.cpu_sum
-        self.ram_sum[j] = h.ram_sum
-        self.bw_sum[j] = h.bw_sum
-        self.disk_r[j] = h.disk_read
-        self.disk_w[j] = h.disk_write
+        def column(values):
+            return np.array(values, dtype=float)
+
+        self.cpu_sum = column([h.cpu_sum for h in hosts])
+        self.ram_sum = column([h.ram_sum for h in hosts])
+        self.bw_sum = column([h.bw_sum for h in hosts])
+        self.disk_r = column([h.disk_read for h in hosts])
+        self.disk_w = column([h.disk_write for h in hosts])
         # an empty host is costed like a cold one: the engine powers it off
-        self.p_before[j] = h.p_it if (h.powered_on and h.vms) else 0.0
-        self.f_before[j] = h.mode.f_op if h.mode else h.spec.dvfs_table[0].f_op
-        self.active[j] = bool(h.powered_on and h.vms)
-        self.ram_cap[j] = h.spec.ram_capacity
-        self.bw_cap[j] = h.spec.bw_capacity
-        self.fan_default[j] = h.spec.fan_speed_default
-        self.thr[j] = thresholds.get(h.id, default_threshold)
+        self.active = np.array([h.powered_on and bool(h.vms) for h in hosts],
+                               dtype=bool)
+        self.p_before = np.where(self.active, column([h.p_it for h in hosts]), 0.0)
+        self.f_before = column([h.mode.f_op if h.mode else h.spec.dvfs_table[0].f_op
+                                for h in hosts])
+        self.ram_cap = column([h.spec.ram_capacity for h in hosts])
+        self.bw_cap = column([h.spec.bw_capacity for h in hosts])
+        self.fan_default = column([h.spec.fan_speed_default for h in hosts])
+        self.thr = column([thresholds.get(h.id, default_threshold) for h in hosts])
+        self.params = state.params
+        self.t_inlet = state.setpoint
+        self.cop = models.cop(self.t_inlet, self.params.cooling)
+        self.total_p = effective_it_power(state)
 
-    def place(self, vm: VmState, host_id: int) -> None:
-        self.state.attach(vm, host_id)
-        h = self.state.hosts[host_id]
-        j = self.row[host_id]
-        old_p = self.p_before[j]
-        self.cpu_sum[j] = h.cpu_sum
-        self.ram_sum[j] = h.ram_sum
-        self.bw_sum[j] = h.bw_sum
-        self.disk_r[j] = h.disk_read
-        self.disk_w[j] = h.disk_write
-        self.p_before[j] = h.p_it
-        self.f_before[j] = h.mode.f_op
+    def place(self, vm: VmState, j: int) -> None:
+        """Add ``vm`` to the host in row ``j`` and re-cost that host."""
+        self.cpu_sum[j] += vm.cpu_demand
+        self.ram_sum[j] += vm.ram_used
+        self.bw_sum[j] += vm.net_bw
+        self.disk_r[j] += vm.disk_read
+        self.disk_w[j] += vm.disk_write
+        # Python floats, so the host costs what DataCenterState.refresh says
+        _, _, mode, _, _, p_it = models.host_operating_point(
+            float(self.cpu_sum[j]), float(self.ram_sum[j]),
+            float(self.disk_r[j]), float(self.disk_w[j]), self.t_inlet,
+            self.specs[j], self.params)
+        self.total_p += p_it - self.p_before[j]
+        self.p_before[j] = p_it
+        self.f_before[j] = mode.f_op
         self.active[j] = True
-        self.total_p += h.p_it - old_p
 
     def table(self, vm: VmState, forbidden_host: int | None = None) -> dict:
         """Candidate arrays for one VM over the fleet's host ids."""
@@ -301,7 +282,7 @@ class _Fleet:
         v_after = self.volts[idx]
         dfreq = (f_after - self.f_before) / f_max
         u_mem = np.minimum(100.0, np.maximum(
-            U_MEM_FLOOR, 100.0 * (self.ram_sum + vm.ram_used) / self.ram_cap))
+            models.U_MEM_FLOOR, 100.0 * (self.ram_sum + vm.ram_used) / self.ram_cap))
         t_mem = p.thermal.mem_k1 * self.t_inlet + 2.0 * p.thermal.mem_k2 * np.log(u_mem)
         if p.fan_map == "linear":
             fan = self.fan_default + (p.fan_linear_max - self.fan_default) * u_after
@@ -331,8 +312,8 @@ class _Fleet:
         return self.global_power(tab) * slot_seconds * KWH_PER_WS
 
 
-def _values_for_kind(kind: SoKind, tab: dict, fleet: _Fleet, vm: VmState,
-                     sosa: SoSaModel, slot_seconds: float):
+def _values_for_kind(kind: SoKind, tab: dict, fleet: _Fleet, sosa: SoSaModel,
+                     slot_seconds: float):
     """(values, valid_mask) over the fleet for one VM; NaN where invalid."""
     feas = tab["feasible"]
     if kind == SoKind.SO1:
@@ -377,17 +358,35 @@ def _values_for_kind(kind: SoKind, tab: dict, fleet: _Fleet, vm: VmState,
     raise ValueError(f"unsupported kind {kind}")
 
 
-def _argmin_host(values: np.ndarray, valid: np.ndarray, ids: np.ndarray):
-    if not valid.any():
-        return None
-    masked = np.where(valid, values, np.inf)
-    j = int(np.argmin(masked))  # ids ascending, so first minimum = lowest id
-    return j
-
-
 def _sorted_vms(vm_list, state) -> list[VmState]:
     vms = [state.vms[v] if isinstance(v, str) else v for v in vm_list]
     return sorted(vms, key=lambda vm: (-vm.cpu_demand, vm.id))
+
+
+def _bfd(vm_list, host_list, state: DataCenterState,
+         thresholds: dict[int, float] | None, default_threshold: float,
+         forbidden: dict[str, int] | None, pick) -> PlacementResult:
+    """The best-fit-decreasing walk every placer shares.
+
+    VMs go in decreasing demand order, ties by id.  ``pick(fleet, table)``
+    returns the fleet row of the chosen host and the choice's normalized
+    value, or None when the VM has no feasible host (it is reported
+    unplaced).  Placements accumulate on a :class:`_Fleet`, so later VMs
+    see earlier assignments; ``state`` is not modified.
+    """
+    fleet = _Fleet(state, list(host_list), thresholds or {}, default_threshold)
+    forbidden = forbidden or {}
+    result = PlacementResult()
+    for vm in _sorted_vms(vm_list, state):
+        chosen = pick(fleet, fleet.table(vm, forbidden.get(vm.id)))
+        if chosen is None:
+            result.unplaced.append(vm.id)
+            continue
+        j, norm_value = chosen
+        result.placement[vm.id] = int(fleet.ids[j])
+        result.chosen_norm_values[vm.id] = norm_value
+        fleet.place(vm, j)
+    return result
 
 
 def so_place(kind: SoKind, vm_list, host_list, state: DataCenterState,
@@ -398,33 +397,26 @@ def so_place(kind: SoKind, vm_list, host_list, state: DataCenterState,
              slot_seconds: float = 300.0) -> PlacementResult:
     """Best-fit-decreasing placement under one SO consolidation value.
 
-    ``state`` must hold the VMs of ``vm_list`` detached from any host; the
-    placement is accumulated on a scratch copy, returned as ``result.state``,
-    so successive VMs see the effect of earlier assignments.  VMs with no
-    feasible host are reported unplaced.
+    ``state`` must hold the VMs of ``vm_list`` detached from any host and is
+    not modified.  Each VM goes to the feasible host of lowest value, ties to
+    the lowest host id; VMs with no feasible host are reported unplaced.
     """
     if kind == SoKind.SWFDVP:
         return swfdvp_place(vm_list, host_list, state, thresholds,
                             default_threshold, forbidden)
-    scratch = state.copy()
-    fleet = _Fleet(scratch, list(host_list), thresholds or {}, default_threshold)
     sosa = sosa or SoSaModel()
-    forbidden = forbidden or {}
-    result = PlacementResult(state=scratch)
-    for vm in _sorted_vms(vm_list, scratch):
-        tab = fleet.table(vm, forbidden.get(vm.id))
-        values, valid = _values_for_kind(kind, tab, fleet, vm, sosa, slot_seconds)
-        j = _argmin_host(values, valid, fleet.ids)
-        if j is None:
-            result.unplaced.append(vm.id)
-            continue
-        host_id = int(fleet.ids[j])
-        result.placement[vm.id] = host_id
+
+    def pick(fleet, tab):
+        values, valid = _values_for_kind(kind, tab, fleet, sosa, slot_seconds)
+        if not valid.any():
+            return None
+        # ids ascend, so the first minimum is the lowest host id
+        j = int(np.argmin(np.where(valid, values, np.inf)))
         norm = normalize_band(values[valid])
-        result.chosen_norm_values[vm.id] = float(
-            norm[int(np.nonzero(valid)[0].tolist().index(j))]) if valid.any() else 1.5
-        fleet.place(vm, host_id)
-    return result
+        return j, float(norm[np.count_nonzero(valid[:j])])
+
+    return _bfd(vm_list, host_list, state, thresholds, default_threshold,
+                forbidden, pick)
 
 
 def so_sa_value(vm: VmState, host: HostState, state: DataCenterState,
@@ -470,12 +462,8 @@ def mo_place(kind: str, vm_list, host_list, state: DataCenterState,
     """
     if kind not in ("mo1", "mo2"):
         raise ValueError(f"unknown MO kind {kind}")
-    scratch = state.copy()
-    fleet = _Fleet(scratch, list(host_list), thresholds or {}, default_threshold)
-    forbidden = forbidden or {}
-    result = PlacementResult(state=scratch)
-    for vm in _sorted_vms(vm_list, scratch):
-        tab = fleet.table(vm, forbidden.get(vm.id))
+
+    def pick(fleet, tab):
         denom3 = tab["u_after"] - tab["dfreq"]
         valid = tab["feasible"] & (denom3 > 0.0) & (tab["u_after"] > 0.0)
         if (valid & fleet.active).any():
@@ -485,8 +473,7 @@ def mo_place(kind: str, vm_list, host_list, state: DataCenterState,
                 if keep.any():
                     valid = keep
         if not valid.any():
-            result.unplaced.append(vm.id)
-            continue
+            return None
         raw = np.column_stack([
             (tab["p_after"] - tab["p_before"])[valid],
             tab["p_after"][valid],
@@ -496,18 +483,17 @@ def mo_place(kind: str, vm_list, host_list, state: DataCenterState,
             1.0 / tab["u_after"][valid],
             (tab["p_after"] + tab["p_cool"])[valid],
         ])
-        normalized = np.column_stack([normalize_band(raw[:, c]) for c in range(7)])
         front = pareto_front(raw)
         if kind == "mo1":
             score = fleet.global_power(tab)[valid][front]
         else:
+            normalized = np.column_stack([normalize_band(raw[:, c])
+                                          for c in range(7)])
             score = np.sqrt((normalized[front] ** 2).sum(axis=1))
-        pick = front[int(np.argmin(score))]
-        host_id = int(fleet.ids[np.nonzero(valid)[0][pick]])
-        result.placement[vm.id] = host_id
-        result.chosen_norm_values[vm.id] = 1.5
-        fleet.place(vm, host_id)
-    return result
+        return int(np.nonzero(valid)[0][front[int(np.argmin(score))]]), 1.5
+
+    return _bfd(vm_list, host_list, state, thresholds, default_threshold,
+                forbidden, pick)
 
 
 def swfdvp_place(vm_list, host_list, state: DataCenterState,
@@ -517,25 +503,18 @@ def swfdvp_place(vm_list, host_list, state: DataCenterState,
     """Second-worst-fit baseline: rank feasible hosts by decreasing power
     increment and take the second one (the only one when the set is a
     singleton)."""
-    scratch = state.copy()
-    fleet = _Fleet(scratch, list(host_list), thresholds or {}, default_threshold)
-    forbidden = forbidden or {}
-    result = PlacementResult(state=scratch)
-    for vm in _sorted_vms(vm_list, scratch):
-        tab = fleet.table(vm, forbidden.get(vm.id))
-        valid = tab["feasible"]
-        if not valid.any():
-            result.unplaced.append(vm.id)
-            continue
-        dp = (tab["p_after"] - tab["p_before"])[valid]
-        ids = fleet.ids[valid]
-        order = sorted(range(len(ids)), key=lambda i: (-dp[i], ids[i]))
-        pick = order[1] if len(order) >= 2 else order[0]
-        host_id = int(ids[pick])
-        result.placement[vm.id] = host_id
-        result.chosen_norm_values[vm.id] = 1.5
-        fleet.place(vm, host_id)
-    return result
+
+    def pick(fleet, tab):
+        rows = np.nonzero(tab["feasible"])[0]
+        if not len(rows):
+            return None
+        dp = (tab["p_after"] - tab["p_before"])[rows]
+        # rows ascend with host ids, so the row breaks ties by lowest id
+        order = sorted(range(len(rows)), key=lambda i: (-dp[i], i))
+        return int(rows[order[1] if len(order) >= 2 else order[0]]), 1.5
+
+    return _bfd(vm_list, host_list, state, thresholds, default_threshold,
+                forbidden, pick)
 
 
 @dataclass
@@ -553,27 +532,10 @@ def effective_it_power(state: DataCenterState) -> float:
     return sum(h.p_it for h in state.hosts if h.powered_on and h.vms)
 
 
-def evaluate_global_power(placed: DataCenterState, placement: dict[str, int],
-                          fallback: dict[str, int | None] | None = None) -> float:
-    """IT + cooling power (W) of the state resulting from a placement.
-
-    ``placed`` is the placer's scratch state, which already holds
-    ``placement``; it is mutated.  Unplaced VMs are restored to their fallback
-    host when one is given, which mirrors how the engine treats them (they
-    stay put).
-    """
-    attach_fallback(placed, placement, fallback)
+def evaluate_global_power(placed: DataCenterState) -> float:
+    """IT + cooling power (W) of a state a placement has been applied to."""
     cool = models.cop(placed.setpoint, placed.params.cooling)
     return effective_it_power(placed) * (1.0 + 1.0 / cool)
-
-
-def attach_fallback(placed: DataCenterState, placement: dict[str, int],
-                    fallback: dict[str, int | None] | None) -> None:
-    """Attach every VM of ``fallback`` that ``placement`` left unplaced to
-    its fallback host."""
-    for vm_id, host_id in (fallback or {}).items():
-        if vm_id not in placement and host_id is not None:
-            placed.attach(placed.vms[vm_id], host_id)
 
 
 def dynso_place(vm_list, host_list, state: DataCenterState,
@@ -587,15 +549,15 @@ def dynso_place(vm_list, host_list, state: DataCenterState,
                 evaluator=None) -> DynSoResult:
     """Run every SO policy and keep the one with the lowest global power.
 
-    ``evaluator(placed, placement, fallback)`` returns the power of the
-    state resulting from a placement and defaults to
-    :func:`evaluate_global_power`; the engine passes one that also accounts
-    for the hosts its underload pass would free.  ``placed`` is the scratch
-    state :func:`so_place` left with ``placement`` attached (unplaced VMs
-    detached); it is not used afterwards, so the evaluator may mutate it.
-    The evaluator runs once per distinct placement: a kind that repeats an
-    earlier kind's placement could only tie, and ties go to the earlier kind
-    in ``so_list``.
+    ``evaluator(placed)`` returns the power of the state resulting from a
+    placement and defaults to :func:`evaluate_global_power`; the engine
+    passes one that also accounts for the hosts its underload pass would
+    free.  ``placed`` is a copy of ``state`` with the placement attached in
+    placement order, then every unplaced VM attached to its ``fallback``
+    host when it has one, which mirrors how the engine treats them (they
+    stay put).  The evaluator may mutate it.  It runs once per distinct
+    placement: a kind that repeats an earlier kind's placement could only
+    tie, and ties go to the earlier kind in ``so_list``.
     """
     if not so_list:
         raise ValueError("so_list must not be empty")
@@ -610,7 +572,13 @@ def dynso_place(vm_list, host_list, state: DataCenterState,
         if key in seen:
             continue
         seen.add(key)
-        power = evaluator(r.state, r.placement, fallback)
+        placed = state.copy()
+        for vm_id, host_id in r.placement.items():
+            placed.attach(placed.vms[vm_id], host_id)
+        for vm_id, host_id in (fallback or {}).items():
+            if vm_id not in r.placement and host_id is not None:
+                placed.attach(placed.vms[vm_id], host_id)
+        power = evaluator(placed)
         if best is None or power < best.global_power:
             best = DynSoResult(placement=r.placement, unplaced=r.unplaced,
                                kind=kind, global_power=power,

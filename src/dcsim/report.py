@@ -40,25 +40,8 @@ def workload_fingerprint(w: Workload) -> str:
 
 
 def config_fingerprint(cfg: SimConfig) -> str:
-    blob = json.dumps(_config_dict(cfg), sort_keys=True).encode()
+    blob = json.dumps(asdict(cfg), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
-
-
-def _config_dict(cfg: SimConfig) -> dict:
-    return {
-        "slot_seconds": cfg.slot_seconds,
-        "hosts": cfg.hosts,
-        "policy": cfg.policy,
-        "cooling": cooling_name(cfg.cooling),
-        "oversubscription": cfg.oversubscription,
-        "seed": cfg.seed,
-        "mad": asdict(cfg.mad),
-        "models": asdict(cfg.models),
-        "sosa": asdict(cfg.sosa),
-        "sa": asdict(cfg.sa),
-        "migration_double_power": cfg.migration_double_power,
-        "migration_reserve": cfg.migration_reserve,
-    }
 
 
 def slots_csv(report: RunReport) -> str:
@@ -96,7 +79,6 @@ def manifest_dict(report: RunReport, cfg: SimConfig, workload_hash: str) -> dict
         "version": __version__,
         "policy": cfg.policy,
         "cooling": cooling_name(cfg.cooling),
-        "seed": cfg.seed,
         "config_hash": config_fingerprint(cfg),
         "workload_hash": workload_hash,
         "slots": len(report.slots),

@@ -167,7 +167,7 @@ def _scenario_run(job):
     seed, policy, cooling_name = job
     cooling = dict(SCEN_COOLINGS)[cooling_name]
     w = synth_workload(vms=120, slots=288, variability=280.0, seed=seed)
-    cfg = SimConfig(hosts=50, policy=policy, cooling=cooling, seed=1)
+    cfg = SimConfig(hosts=50, policy=policy, cooling=cooling)
     r = run(w, cfg)
     return seed, policy, cooling_name, r.totals.energy, r.avg_sla
 
@@ -264,7 +264,7 @@ def test_criterion_8_calibration_self_consistency():
 
 def test_criterion_9_determinism_and_conservation():
     w = synth_workload(vms=30, slots=40, variability=200.0, seed=17)
-    cfg = SimConfig(hosts=15, policy="dynso", cooling=VarInletCooling(), seed=5)
+    cfg = SimConfig(hosts=15, policy="dynso", cooling=VarInletCooling())
     a = run(w, cfg)
     b = run(w, cfg)
     assert slots_csv(a) == slots_csv(b)

@@ -112,7 +112,7 @@ def test_collect_training_rejects_misaligned_logs():
 
 def test_collect_from_workload_runs_end_to_end():
     w = synth_workload(vms=12, slots=40, variability=200.0, seed=5)
-    cfg = SimConfig(hosts=6, policy="pabfd", seed=0)
+    cfg = SimConfig(hosts=6, policy="pabfd")
     records = collect_from_workload(w, cfg, sa_iterations=4000)
     assert 0 < len(records) <= 40
     for r in records:

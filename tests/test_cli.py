@@ -153,3 +153,18 @@ def test_calibrate_pipeline(tmp_path, monkeypatch):
     rc = run_cli("run", "--policy", "sosa", "--sosa-model", str(model_file),
                  "--synth", synth, "--hosts", "6", "--out", str(tmp_path / "sosa"))
     assert rc == 0
+
+
+def test_config_fingerprint_covers_the_whole_config():
+    from dataclasses import replace
+
+    from dcsim.cooling import VarInletCooling
+    from dcsim.engine import SimConfig
+    from dcsim.report import config_fingerprint
+
+    base = SimConfig(cooling=VarInletCooling())
+    variants = [base, replace(base, max_drains_per_slot=2),
+                replace(base, cooling=VarInletCooling(floor=292.0))]
+    assert len({config_fingerprint(c) for c in variants}) == 3
+    assert config_fingerprint(SimConfig(cooling=VarInletCooling())) == \
+        config_fingerprint(base)

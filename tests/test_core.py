@@ -73,6 +73,7 @@ def test_emptied_host_powers_off():
     res = apply_placement(state, {"only": 1})
     assert not res.state.hosts[0].powered_on
     assert res.state.hosts[0].u_cpu == 0.0
+    assert res.state.hosts[0].p_it == 0.0
     assert res.state.hosts[1].powered_on
 
 

@@ -102,7 +102,7 @@ def test_varinlet_setpoint_bounds_and_cap():
 
 def test_determinism_byte_identical():
     w = synth_workload(vms=20, slots=25, variability=180.0, seed=11)
-    cfg = SimConfig(hosts=10, policy="dynso", cooling=VarInletCooling(), seed=3)
+    cfg = SimConfig(hosts=10, policy="dynso", cooling=VarInletCooling())
     a = run(w, cfg)
     b = run(w, cfg)
     assert slots_csv(a) == slots_csv(b)
@@ -202,7 +202,7 @@ def test_zero_max_drains_counts_no_drains_in_dynso_evaluator():
     full = (state.total_it_power()
             * (1.0 + 1.0 / models.cop(state.setpoint)))
     off = engine._drain_aware_evaluator(
-        SimConfig(max_drains_per_slot=0), thresholds)(state.copy(), {})
-    on = engine._drain_aware_evaluator(SimConfig(), thresholds)(state.copy(), {})
+        SimConfig(max_drains_per_slot=0), thresholds)(state.copy())
+    on = engine._drain_aware_evaluator(SimConfig(), thresholds)(state.copy())
     assert off == full
     assert on < full

@@ -37,13 +37,6 @@ def test_host_power_worked_values():
     assert total - static == pytest.approx(3.32 * 1.0 * 2.40, rel=1e-12)
 
 
-def test_host_power_zero_when_off():
-    class Off:
-        powered_on = False
-
-    assert models.host_power(Off()) == 0.0
-
-
 def test_host_power_monotone_in_each_input():
     base = models.host_power_terms(1.0, 2.40, 0.5, 310.0, 5000.0)
     assert models.host_power_terms(1.0, 2.40, 0.6, 310.0, 5000.0) > base
@@ -92,6 +85,8 @@ def test_cop_anchors():
     assert models.cop(291.0) == pytest.approx(2.6757, abs=1e-4)
     assert models.cop(297.0) == pytest.approx(4.394, abs=1e-4)
     assert models.cop(273.0 + 29.4) == pytest.approx(6.359168, abs=1e-6)
+    # whole-day published row: 150.20 kWh IT at the 18 C COP
+    assert 150.20 / models.cop(291.0) == pytest.approx(56.14, abs=5e-3)
 
 
 def test_cop_range_errors():
@@ -105,25 +100,3 @@ def test_cop_strictly_increasing_on_range():
     temps = [283.15 + 0.5 * i for i in range(60)]
     values = [models.cop(t) for t in temps]
     assert all(b > a for a, b in zip(values, values[1:]))
-
-
-def test_slot_energy():
-    e_it, e_cool = models.slot_energy(1200.0, 291.0, 3600.0)
-    assert e_it == pytest.approx(1.2, rel=1e-12)
-    assert e_cool == pytest.approx(0.448497533263567, rel=1e-12)
-    assert models.slot_energy(0.0, 291.0, 300.0) == (0.0, 0.0)
-    # whole-day published row: 150.20 kWh IT at the 18 C COP
-    assert 150.20 / models.cop(291.0) == pytest.approx(56.14, abs=5e-3)
-
-
-@given(st.floats(min_value=1.0, max_value=5000.0),
-       st.floats(min_value=284.0, max_value=313.0),
-       st.floats(min_value=1.0, max_value=7200.0))
-def test_slot_energy_identity(p_it, t_inlet, seconds):
-    e_it, e_cool = models.slot_energy(p_it, t_inlet, seconds)
-    assert e_cool * models.cop(t_inlet) == pytest.approx(e_it, rel=1e-12)
-
-
-def test_slot_energy_rejects_nonpositive_duration():
-    with pytest.raises(ValueError):
-        models.slot_energy(100.0, 291.0, 0.0)

@@ -6,7 +6,7 @@ from dcsim import models
 from dcsim.core import DataCenterState, VmState, apply_placement
 from dcsim.engine import SimConfig, _drain_aware_evaluator
 from dcsim.policies import (DEFAULT_DYNSO_LIST, CandidateView, GuardError,
-                            SoKind, SoSaModel, candidate_evaluations,
+                            SoKind, SoSaModel, _Fleet, candidate_evaluations,
                             dynso_place, effective_it_power,
                             evaluate_candidate, evaluate_global_power,
                             mo_place, normalize_band,
@@ -464,7 +464,10 @@ def reattach_oracle(vm_ids, state, thresholds, fallback, evaluate):
         scratch = state.copy()
         for vm_id, host_id in r.placement.items():
             scratch.attach(scratch.vms[vm_id], host_id)
-        power = evaluate(scratch, r.placement, fallback)
+        for vm_id, host_id in fallback.items():
+            if vm_id not in r.placement:
+                scratch.attach(scratch.vms[vm_id], host_id)
+        power = evaluate(scratch)
         if best is None or power < best[2]:
             best = (kind, r.placement, power)
     return best
@@ -488,9 +491,9 @@ def test_dynso_evaluates_each_distinct_placement_once(seed):
     state, vm_ids, fallback, thresholds = dynso_instance(seed)
     seen = []
 
-    def counting(placed, placement, fb):
-        seen.append(dict(placement))
-        return evaluate_global_power(placed, placement, fb)
+    def counting(placed):
+        seen.append({vid: placed.vms[vid].assigned_host for vid in vm_ids})
+        return evaluate_global_power(placed)
 
     dynso_place(vm_ids, range(6), state, thresholds=thresholds,
                 fallback=fallback, evaluator=counting)
@@ -499,18 +502,110 @@ def test_dynso_evaluates_each_distinct_placement_once(seed):
         p = so_place(kind, vm_ids, range(6), state, thresholds).placement
         if p not in distinct:
             distinct.append(p)
-    assert seen == distinct
+    # unplaced VMs sit on their fallback hosts
+    assert seen == [{vid: p.get(vid, fallback[vid]) for vid in vm_ids}
+                    for p in distinct]
 
 
 def test_evaluator_receives_the_placed_state():
     state, vm_ids, fallback, thresholds = dynso_instance(3)
-    r = so_place(SoKind.SO1, vm_ids, range(6), state, thresholds)
-    assert r.state is not state
+    received = []
+
+    def keep(placed):
+        received.append(placed)
+        return evaluate_global_power(placed)
+
+    r = dynso_place(vm_ids, range(6), state, so_list=[SoKind.SO1],
+                    thresholds=thresholds, fallback=fallback, evaluator=keep)
+    [placed] = received
+    assert placed is not state
+    assert "huge" in r.unplaced
+    # the placement in placement order, then the fallback of unplaced VMs
+    expected = state.copy()
     for vm_id, host_id in r.placement.items():
-        assert r.state.vms[vm_id].assigned_host == host_id
+        expected.attach(expected.vms[vm_id], host_id)
+    for vm_id in r.unplaced:
+        expected.attach(expected.vms[vm_id], fallback[vm_id])
+    for vm_id in vm_ids:
         assert state.vms[vm_id].assigned_host is None
-    assert r.state.vms["huge"].assigned_host is None
-    power = evaluate_global_power(r.state, r.placement, fallback)
-    assert r.state.vms["huge"].assigned_host == fallback["huge"]
+        assert placed.vms[vm_id].assigned_host == expected.vms[vm_id].assigned_host
+    for h, e in zip(placed.hosts, expected.hosts):
+        assert (h.vms, h.cpu_sum, h.ram_sum, h.p_it) == (e.vms, e.cpu_sum,
+                                                         e.ram_sum, e.p_it)
     cool = models.cop(state.setpoint)
-    assert power == effective_it_power(r.state) * (1.0 + 1.0 / cool)
+    assert r.global_power == effective_it_power(placed) * (1.0 + 1.0 / cool)
+
+
+def random_fleet(seed, fan_map):
+    """Eight hosts: some cold, some running VMs, one powered on but emptied
+    (as the engine's plan leaves a host whose VMs all move), and twelve
+    detached VMs."""
+    rng = np.random.default_rng(seed)
+
+    def vm(vid):
+        return VmState(id=vid, cpu_demand=float(rng.uniform(0.01, 0.3)),
+                       ram_used=float(rng.uniform(64, 3000)),
+                       disk_read=float(rng.uniform(0, 5e4)),
+                       disk_write=float(rng.uniform(0, 5e4)),
+                       net_bw=float(rng.uniform(0, 5)))
+
+    vms = {f"bg{i}": vm(f"bg{i}") for i in range(10)}
+    vms.update({f"v{i}": vm(f"v{i}") for i in range(12)})
+    params = models.ModelParams(fan_map=fan_map)
+    state = DataCenterState.build(8, vms, params=params,
+                                  setpoint=float(rng.choice([291.0, 297.0])))
+    for i in range(9):
+        state.attach(vms[f"bg{i}"], int(rng.integers(0, 5)))
+    state.attach(vms["bg9"], 7)
+    state.detach(vms["bg9"])
+    return state, rng
+
+
+@pytest.mark.parametrize("fan_map", ["constant", "linear"])
+@pytest.mark.parametrize("seed", range(6))
+def test_fleet_place_equals_attach_and_refresh(fan_map, seed):
+    state, rng = random_fleet(seed, fan_map)
+    fleet = _Fleet(state, list(range(8)), {}, 0.9)
+    assert fleet.total_p == effective_it_power(state)
+    total = fleet.total_p
+    for i in rng.permutation(12):
+        vm = state.vms[f"v{i}"]
+        hid = int(rng.integers(0, 8))
+        h = state.hosts[hid]
+        old = h.p_it if (h.powered_on and h.vms) else 0.0
+        fleet.place(vm, fleet.row[hid])
+        state.attach(vm, hid)
+        total += h.p_it - old
+        assert fleet.total_p == total
+        for j, h in enumerate(state.hosts):
+            assert fleet.p_before[j] == (h.p_it if h.powered_on and h.vms
+                                         else 0.0)
+            assert fleet.f_before[j] == h.mode.f_op
+            assert (fleet.cpu_sum[j], fleet.ram_sum[j], fleet.bw_sum[j],
+                    fleet.disk_r[j], fleet.disk_w[j]) == (
+                h.cpu_sum, h.ram_sum, h.bw_sum, h.disk_read, h.disk_write)
+            assert fleet.active[j] == bool(h.powered_on and h.vms)
+
+
+def test_placers_do_not_copy_or_modify_the_state(monkeypatch):
+    state, vm_ids, fallback, thresholds = dynso_instance(5)
+
+    def snapshot():
+        return ([(h.powered_on, set(h.vms), h.cpu_sum, h.ram_sum, h.bw_sum,
+                  h.disk_read, h.disk_write, h.mode, h.p_it)
+                 for h in state.hosts],
+                {vid: vm.assigned_host for vid, vm in state.vms.items()})
+
+    before = snapshot()
+    copies = []
+    copy = DataCenterState.copy
+    monkeypatch.setattr(DataCenterState, "copy",
+                        lambda self: copies.append(self) or copy(self))
+    for kind in SoKind:
+        so_place(kind, vm_ids, range(6), state, thresholds)
+    for kind in ("mo1", "mo2"):
+        mo_place(kind, vm_ids, range(6), state, thresholds,
+                 prefer_utilization=0.2)
+    swfdvp_place(vm_ids, range(6), state, thresholds)
+    assert copies == []
+    assert snapshot() == before
