@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .cooling import FixedCooling, VarInletCooling
 from .engine import SimConfig
-from .models import ModelParams
+from .models import COP_T_MAX_K, COP_T_MIN_K, ModelParams
 
 
 class ConfigError(ValueError):
@@ -33,14 +33,18 @@ def parse_config(path) -> dict[str, str]:
 
 def cooling_from_name(name: str):
     name = name.lower()
-    if name == "fixed291":
-        return FixedCooling(291.0)
-    if name == "fixed297":
-        return FixedCooling(297.0)
     if name == "varinlet":
         return VarInletCooling()
     if name.startswith("fixed"):
-        return FixedCooling(float(name[5:]))
+        try:
+            setpoint = float(name[5:])
+        except ValueError:
+            raise ConfigError(f"bad fixed setpoint in {name!r}") from None
+        # the COP curve's range, checked here rather than in the first slot
+        if not COP_T_MIN_K <= setpoint <= COP_T_MAX_K:
+            raise ConfigError(f"fixed setpoint {setpoint} K outside "
+                              f"[{COP_T_MIN_K}, {COP_T_MAX_K}] K")
+        return FixedCooling(setpoint)
     raise ConfigError(f"unknown cooling strategy {name!r}")
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import models
 from .models import U_MEM_FLOOR, ModelParams
 
@@ -260,6 +262,58 @@ class DataCenterState:
 
     def total_it_power(self) -> float:
         return sum(h.p_it for h in self.hosts if h.powered_on)
+
+
+@dataclass
+class FleetView:
+    """Per-host arrays of a fleet, indexed by host id: what the global-power
+    evaluators and the underload fit test read.
+
+    ``state`` supplies the VMs: their demands, and the VM set each host
+    starts from; ``added`` maps the VMs a tentative placement put on top to
+    their hosts.
+    """
+
+    state: DataCenterState
+    on: np.ndarray       # powered on
+    busy: np.ndarray     # powered on and running VMs
+    p_it: np.ndarray     # W, 0 where not busy: the engine powers such hosts off
+    cpu_sum: np.ndarray
+    ram_sum: np.ndarray
+    bw_sum: np.ndarray
+    ram_cap: np.ndarray
+    bw_cap: np.ndarray
+    added: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def u_cpu(self) -> np.ndarray:
+        """What DataCenterState.refresh derives for a powered-on host."""
+        return np.minimum(1.0, np.maximum(0.0, self.cpu_sum))
+
+    @classmethod
+    def of(cls, state: DataCenterState) -> "FleetView":
+        hosts = state.hosts
+        busy = np.array([h.powered_on and bool(h.vms) for h in hosts], dtype=bool)
+        return cls(state, on=np.array([h.powered_on for h in hosts], dtype=bool),
+                   busy=busy,
+                   p_it=np.where(busy, [h.p_it for h in hosts], 0.0),
+                   cpu_sum=np.array([h.cpu_sum for h in hosts], dtype=float),
+                   ram_sum=np.array([h.ram_sum for h in hosts], dtype=float),
+                   bw_sum=np.array([h.bw_sum for h in hosts], dtype=float),
+                   ram_cap=np.array([h.spec.ram_capacity for h in hosts], dtype=float),
+                   bw_cap=np.array([h.spec.bw_capacity for h in hosts], dtype=float))
+
+    def vm_ids(self, host_id: int) -> list[str]:
+        return [*self.state.hosts[host_id].vms,
+                *(vid for vid, h in self.added.items() if h == host_id)]
+
+    def it_power(self) -> float:
+        """Fleet IT power (W), summed in host-id order with Python floats."""
+        return sum(self.p_it.tolist())
+
+    @property
+    def cop(self) -> float:
+        return models.cop(self.state.setpoint, self.state.params.cooling)
 
 
 @dataclass

@@ -5,7 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from statistics import median
 
-from .core import DataCenterState, HostState
+import numpy as np
+
+from .core import DataCenterState, FleetView, HostState
 
 
 @dataclass(frozen=True)
@@ -68,34 +70,42 @@ def select_vms_mmt(host: HostState, threshold: float, state: DataCenterState,
     return picked
 
 
-def _fits_elsewhere(host: HostState, state: DataCenterState,
-                    thresholds: dict[int, float], exclude: set[int]) -> bool:
-    # Greedy first-fit feasibility check over the other powered-on hosts.
-    targets = [h for h in state.hosts
-               if h.powered_on and h.id != host.id and h.id not in exclude]
-    cpu = {h.id: h.cpu_sum for h in targets}
-    ram = {h.id: h.ram_sum for h in targets}
-    bw = {h.id: h.bw_sum for h in targets}
-    vms = sorted(host.vms, key=lambda vid: (-state.vms[vid].cpu_demand, vid))
-    for vid in vms:
-        vm = state.vms[vid]
-        placed = False
-        for t in targets:
-            thr = thresholds.get(t.id, 1.0)
-            if (cpu[t.id] + vm.cpu_demand < thr
-                    and ram[t.id] + vm.ram_used <= t.spec.ram_capacity
-                    and bw[t.id] + vm.net_bw <= t.spec.bw_capacity):
-                cpu[t.id] += vm.cpu_demand
-                ram[t.id] += vm.ram_used
-                bw[t.id] += vm.net_bw
-                placed = True
-                break
-        if not placed:
+def threshold_array(thresholds: dict[int, float] | None, n: int) -> np.ndarray:
+    """Overload thresholds of hosts ``0 .. n-1`` as an array; 1.0 for a host
+    that ``thresholds`` does not name."""
+    thr = np.ones(n)
+    if thresholds:
+        k = len(thresholds)
+        thr[np.fromiter(thresholds, np.intp, k)] = np.fromiter(
+            thresholds.values(), float, k)
+    return thr
+
+
+def _fits_elsewhere(host_id: int, fleet: FleetView, thr: np.ndarray,
+                    targets: np.ndarray) -> bool:
+    # Greedy first-fit feasibility check over the other powered-on hosts,
+    # in host-id order.
+    targets = targets.copy()
+    targets[host_id] = False
+    cpu = fleet.cpu_sum.copy()
+    ram = fleet.ram_sum.copy()
+    bw = fleet.bw_sum.copy()
+    vms = sorted((fleet.state.vms[vid] for vid in fleet.vm_ids(host_id)),
+                 key=lambda vm: (-vm.cpu_demand, vm.id))
+    for vm in vms:
+        fits = (targets & (cpu + vm.cpu_demand < thr)
+                & (ram + vm.ram_used <= fleet.ram_cap)
+                & (bw + vm.net_bw <= fleet.bw_cap))
+        if not fits.any():
             return False
+        t = int(fits.argmax())
+        cpu[t] += vm.cpu_demand
+        ram[t] += vm.ram_used
+        bw[t] += vm.net_bw
     return True
 
 
-def find_underloaded(state: DataCenterState, exclude: set[int] | None = None,
+def find_underloaded(fleet: FleetView, exclude: set[int] | None = None,
                      thresholds: dict[int, float] | None = None,
                      cut: float | None = None,
                      limit: int | None = None) -> list[int]:
@@ -114,17 +124,23 @@ def find_underloaded(state: DataCenterState, exclude: set[int] | None = None,
     and truncated to ``limit`` entries, at a fraction of the fit tests.
     """
     exclude = exclude or set()
-    thresholds = thresholds or {}
+    u = fleet.u_cpu
+    on = np.flatnonzero(fleet.on)
+    targets = thr = None
     out = []
-    candidates = sorted((h for h in state.hosts if h.powered_on and h.id not in exclude),
-                        key=lambda h: (h.u_cpu, h.id))
-    for h in candidates:
+    for h in on[np.argsort(u[on], kind="stable")].tolist():
         if limit is not None and len(out) >= limit:
             break
-        if cut is not None and h.u_cpu >= cut:
+        # an excluded host at or above the cut ends the walk too: every
+        # host after it is at or above the cut as well
+        if cut is not None and u[h] >= cut:
             break
-        if not h.vms:
+        if h in exclude or not fleet.busy[h]:
             continue
-        if _fits_elsewhere(h, state, thresholds, exclude):
-            out.append(h.id)
+        if targets is None:
+            targets = fleet.on.copy()
+            targets[list(exclude)] = False
+            thr = threshold_array(thresholds, len(targets))
+        if _fits_elsewhere(h, fleet, thr, targets):
+            out.append(h)
     return out

@@ -7,12 +7,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from . import annealer, models, policies
 from .cooling import CoolingStrategy, FixedCooling, cooling_setpoint
-from .core import (CapacityError, DataCenterState, ServerSpec, SlotMetrics,
-                   VmState, apply_placement, default_server_spec)
+from .core import (CapacityError, DataCenterState, FleetView, ServerSpec,
+                   SlotMetrics, VmState, apply_placement, default_server_spec)
 from .detection import MadConfig, find_underloaded, migration_bandwidth, \
-    overload_threshold, select_vms_mmt
+    overload_threshold, select_vms_mmt, threshold_array
 from .models import KWH_PER_WS, ModelParams
 from .policies import DEFAULT_DYNSO_LIST, SoKind, SoSaModel
 from .workload import Workload
@@ -101,22 +103,20 @@ def _drain_aware_evaluator(cfg: SimConfig, thresholds: dict[int, float]):
     """Global-power evaluator for the dynamic selector that looks one step
     ahead: hosts the underload pass could free do not count against a
     tentative placement.  It follows :func:`policies.dynso_place`'s evaluator
-    contract and reads the placed state it is given."""
+    contract and reads the placed fleet it is given."""
 
-    def evaluate(placed):
-        on = [h for h in placed.hosts if h.powered_on and h.vms]
-        power = sum(h.p_it for h in on)
-        if on and cfg.max_drains_per_slot > 0:
-            mean_u = sum(h.u_cpu for h in on) / len(on)
+    def evaluate(fleet: FleetView) -> float:
+        power = fleet.it_power()
+        on_u = fleet.u_cpu[fleet.busy].tolist()
+        if on_u and cfg.max_drains_per_slot > 0:
+            thr = threshold_array(thresholds, len(fleet.on))
+            overloaded = np.flatnonzero(fleet.on & (fleet.cpu_sum >= thr))
             drainable = find_underloaded(
-                placed, thresholds=thresholds,
-                exclude={h.id for h in placed.hosts
-                         if h.powered_on and h.cpu_sum >= thresholds.get(h.id, 1.0)},
-                cut=cfg.underload_fraction * mean_u,
+                fleet, thresholds=thresholds, exclude=set(overloaded.tolist()),
+                cut=cfg.underload_fraction * (sum(on_u) / len(on_u)),
                 limit=cfg.max_drains_per_slot)
-            power -= sum(placed.hosts[hid].p_it for hid in drainable)
-        cool = models.cop(placed.setpoint, placed.params.cooling)
-        return power * (1.0 + 1.0 / cool)
+            power -= sum(fleet.p_it[drainable].tolist())
+        return power * (1.0 + 1.0 / fleet.cop)
 
     return evaluate
 
@@ -138,15 +138,10 @@ def _place(cfg: SimConfig, plan: DataCenterState, vm_ids: list[str],
                                  cfg.mad.fallback_threshold, forbidden,
                                  cfg.slot_seconds, prefer_utilization=cut)
     if name == "dynso":
-        r = policies.dynso_place(vm_ids, host_ids, plan, DEFAULT_DYNSO_LIST,
-                                 thresholds, cfg.mad.fallback_threshold,
-                                 forbidden, cfg.sosa, cfg.slot_seconds,
-                                 fallback,
-                                 evaluator=_drain_aware_evaluator(
-                                     cfg, thresholds))
-        return policies.PlacementResult(placement=r.placement,
-                                        unplaced=r.unplaced,
-                                        chosen_norm_values=r.chosen_norm_values)
+        return policies.dynso_place(
+            vm_ids, host_ids, plan, DEFAULT_DYNSO_LIST, thresholds,
+            cfg.mad.fallback_threshold, forbidden, cfg.sosa, cfg.slot_seconds,
+            fallback, evaluator=_drain_aware_evaluator(cfg, thresholds))
     if name == "sa":
         seed = policies.dynso_place(
             vm_ids, host_ids, plan, policies.PLAIN_KINDS + (SoKind.SO8,),
@@ -296,8 +291,8 @@ def run(workload: Workload, cfg: SimConfig) -> RunReport:
             on_utils = [h.u_cpu for h in state.hosts if h.powered_on]
             under_cut = cfg.underload_fraction * (sum(on_utils) / len(on_utils)
                                                   if on_utils else 0.0)
-            under = find_underloaded(state, overloaded, thresholds,
-                                     cut=under_cut,
+            under = find_underloaded(FleetView.of(state), overloaded,
+                                     thresholds, cut=under_cut,
                                      limit=cfg.max_drains_per_slot)
         if under:
             under_set = set(under)

@@ -10,13 +10,14 @@ function of the state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
 from . import models
-from .core import DataCenterState, HostState, ObjectiveVector, VmState
+from .core import DataCenterState, FleetView, ObjectiveVector, VmState
 from .models import KWH_PER_WS
 
 
@@ -31,8 +32,6 @@ class SoKind(str, Enum):
     SO8 = "so8"        # min normalized |SO3| + |SO5| + |SO6|
     SO_SA = "sosa"     # regression of the annealer's global energy
     SWFDVP = "swfdvp"  # second-best under max power increment
-
-PABFD = SoKind.SO1
 
 PLAIN_KINDS = (SoKind.SO1, SoKind.SO2, SoKind.SO3, SoKind.SO4, SoKind.SO5,
                SoKind.SO6, SoKind.SO7)
@@ -68,24 +67,6 @@ class CandidateView:
     p_cooling_after: float   # W
 
 
-def evaluate_candidate(vm: VmState, host: HostState, state: DataCenterState) -> CandidateView:
-    """Predict the post-allocation view of one host for one VM."""
-    spec = host.spec
-    u_after, _, mode_after, _, t_mem_after, p_after = models.host_operating_point(
-        host.cpu_sum + vm.cpu_demand, host.ram_sum + vm.ram_used,
-        host.disk_read + vm.disk_read, host.disk_write + vm.disk_write,
-        host.t_inlet, spec, state.params)
-    f_before = host.mode.f_op if host.mode else spec.dvfs_table[0].f_op
-    # frequency increment normalized by the top frequency, so it shares the
-    # [0,1] scale of the utilization it is traded against
-    dfreq = (mode_after.f_op - f_before) / spec.dvfs_table[-1].f_op
-    p_before = host.p_it if (host.powered_on and host.vms) else 0.0
-    p_cooling = p_after / models.cop(host.t_inlet, state.params.cooling)
-    return CandidateView(host_id=host.id, u_after=u_after, dfreq=dfreq,
-                         p_before=p_before, p_after=p_after,
-                         t_mem_after=t_mem_after, p_cooling_after=p_cooling)
-
-
 def so_value_from_view(kind: SoKind, view: CandidateView) -> float:
     """Scalar consolidation value of one candidate for the plain SO kinds."""
     if kind == SoKind.SO1:
@@ -108,11 +89,6 @@ def so_value_from_view(kind: SoKind, view: CandidateView) -> float:
     if kind == SoKind.SO7:
         return view.p_after + view.p_cooling_after
     raise ValueError(f"{kind} has no per-candidate scalar value")
-
-
-def so_value(kind: SoKind, vm: VmState, host: HostState,
-             state: DataCenterState) -> float:
-    return so_value_from_view(kind, evaluate_candidate(vm, host, state))
 
 
 def objective_vector(view: CandidateView) -> ObjectiveVector:
@@ -160,44 +136,6 @@ def pareto_front(vectors) -> list[int]:
 
 
 @dataclass
-class CandidateEvaluation:
-    """One host's evaluation while placing one VM."""
-
-    host_id: int
-    so_values: ObjectiveVector
-    normalized: ObjectiveVector
-    predicted_global_energy: float  # kWh over the slot
-
-
-def candidate_evaluations(vm: VmState, host_ids, state: DataCenterState,
-                          slot_seconds: float = 300.0) -> list[CandidateEvaluation]:
-    """Full per-host evaluations for one VM: raw objective vectors, their
-    [1,2] normalization over the candidate set, and the predicted whole-fleet
-    slot energy.  Hosts tripping a guard are skipped."""
-    views = []
-    for hid in sorted(host_ids):
-        view = evaluate_candidate(vm, state.hosts[hid], state)
-        try:
-            views.append((hid, view, objective_vector(view)))
-        except GuardError:
-            continue
-    if not views:
-        return []
-    raw = np.array([vec.as_tuple() for _, _, vec in views])
-    norm = np.column_stack([normalize_band(raw[:, c]) for c in range(raw.shape[1])])
-    cool = models.cop(state.setpoint, state.params.cooling)
-    total_p = effective_it_power(state)
-    out = []
-    for k, (hid, view, vec) in enumerate(views):
-        power = (total_p - view.p_before + view.p_after) * (1.0 + 1.0 / cool)
-        out.append(CandidateEvaluation(
-            host_id=hid, so_values=vec,
-            normalized=ObjectiveVector(*norm[k]),
-            predicted_global_energy=power * slot_seconds * KWH_PER_WS))
-    return out
-
-
-@dataclass
 class PlacementResult:
     placement: dict[str, int] = field(default_factory=dict)
     unplaced: list[str] = field(default_factory=list)
@@ -207,73 +145,80 @@ class PlacementResult:
 
 
 class _Fleet:
-    """Tentative placement state over a fixed host-id set.
+    """Tentative placement state of every host, one row per placer of a
+    lockstep walk.
 
-    Holds the host aggregates of the input state as numpy arrays, so one VM's
-    candidates are costed in a handful of vector operations, and the
-    fleet-wide IT power total for global-energy predictions.  :meth:`place`
-    updates the arrays only; the input state is never touched.
+    Holds the host aggregates of the input state as (rows, hosts) numpy
+    arrays indexed by host id, so one VM's candidates are costed for every
+    row in a handful of vector operations, and each row's fleet-wide IT
+    power total for global-energy predictions.  The arrays span every host
+    of the state; a host outside ``host_list`` is never feasible.
+    :meth:`place` updates one row of the arrays; the input state is never
+    touched.
     """
 
-    def __init__(self, state: DataCenterState, host_ids: list[int],
+    def __init__(self, state: DataCenterState, rows: int, host_list,
                  thresholds: dict[int, float], default_threshold: float):
-        self.ids = np.array(sorted(host_ids), dtype=int)
-        self.row = {int(hid): j for j, hid in enumerate(self.ids)}
-        hosts = [state.hosts[hid] for hid in self.ids]
+        base = FleetView.of(state)
+        hosts = state.hosts
+        self.state = state
         self.specs = [h.spec for h in hosts]
         spec0 = self.specs[0] if hosts else None
         self.freqs = np.array([m.f_op for m in spec0.dvfs_table]) if spec0 else None
         self.volts = np.array([m.v_dd for m in spec0.dvfs_table]) if spec0 else None
 
-        def column(values):
-            return np.array(values, dtype=float)
+        def per_row(values):
+            return np.array([np.asarray(values)] * rows)
 
-        self.cpu_sum = column([h.cpu_sum for h in hosts])
-        self.ram_sum = column([h.ram_sum for h in hosts])
-        self.bw_sum = column([h.bw_sum for h in hosts])
-        self.disk_r = column([h.disk_read for h in hosts])
-        self.disk_w = column([h.disk_write for h in hosts])
+        self.cpu_sum = per_row(base.cpu_sum)
+        self.ram_sum = per_row(base.ram_sum)
+        self.bw_sum = per_row(base.bw_sum)
+        self.disk_r = per_row([h.disk_read for h in hosts])
+        self.disk_w = per_row([h.disk_write for h in hosts])
         # an empty host is costed like a cold one: the engine powers it off
-        self.active = np.array([h.powered_on and bool(h.vms) for h in hosts],
-                               dtype=bool)
-        self.p_before = np.where(self.active, column([h.p_it for h in hosts]), 0.0)
-        self.f_before = column([h.mode.f_op if h.mode else h.spec.dvfs_table[0].f_op
-                                for h in hosts])
-        self.ram_cap = column([h.spec.ram_capacity for h in hosts])
-        self.bw_cap = column([h.spec.bw_capacity for h in hosts])
-        self.fan_default = column([h.spec.fan_speed_default for h in hosts])
-        self.thr = column([thresholds.get(h.id, default_threshold) for h in hosts])
-        self.params = state.params
+        self.active = per_row(base.busy)
+        self.p_before = per_row(base.p_it)
+        self.f_before = per_row([h.mode.f_op if h.mode else h.spec.dvfs_table[0].f_op
+                                 for h in hosts])
+        self.base = base
+        self.ram_limit = base.ram_cap + 1e-9
+        self.bw_limit = base.bw_cap + 1e-9
+        # a host outside host_list gets a -inf threshold, so no VM fits it
+        candidate = np.zeros(len(hosts), dtype=bool)
+        candidate[list(host_list)] = True
+        self.thr = np.where(candidate, [thresholds.get(h.id, default_threshold)
+                                        for h in hosts], -np.inf)
+        self.params = p = state.params
+        self.fan_default = np.array([h.spec.fan_speed_default for h in hosts])
+        self.fan_p = p.power.c_fan * self.fan_default ** 3
         self.t_inlet = state.setpoint
-        self.cop = models.cop(self.t_inlet, self.params.cooling)
-        self.total_p = effective_it_power(state)
+        self.cop = models.cop(self.t_inlet, p.cooling)
+        self.total_p = np.full(rows, base.it_power())
 
-    def place(self, vm: VmState, j: int) -> None:
-        """Add ``vm`` to the host in row ``j`` and re-cost that host."""
-        self.cpu_sum[j] += vm.cpu_demand
-        self.ram_sum[j] += vm.ram_used
-        self.bw_sum[j] += vm.net_bw
-        self.disk_r[j] += vm.disk_read
-        self.disk_w[j] += vm.disk_write
+    def place(self, vm: VmState, k: int, j: int) -> None:
+        """Add ``vm`` to host ``j`` of row ``k`` and re-cost that host."""
         # Python floats, so the host costs what DataCenterState.refresh says
+        cpu = self.cpu_sum[k, j] = float(self.cpu_sum[k, j]) + vm.cpu_demand
+        ram = self.ram_sum[k, j] = float(self.ram_sum[k, j]) + vm.ram_used
+        self.bw_sum[k, j] += vm.net_bw
+        disk_r = self.disk_r[k, j] = float(self.disk_r[k, j]) + vm.disk_read
+        disk_w = self.disk_w[k, j] = float(self.disk_w[k, j]) + vm.disk_write
         _, _, mode, _, _, p_it = models.host_operating_point(
-            float(self.cpu_sum[j]), float(self.ram_sum[j]),
-            float(self.disk_r[j]), float(self.disk_w[j]), self.t_inlet,
-            self.specs[j], self.params)
-        self.total_p += p_it - self.p_before[j]
-        self.p_before[j] = p_it
-        self.f_before[j] = mode.f_op
-        self.active[j] = True
+            cpu, ram, disk_r, disk_w, self.t_inlet, self.specs[j], self.params)
+        self.total_p[k] += p_it - self.p_before[k, j]
+        self.p_before[k, j] = p_it
+        self.f_before[k, j] = mode.f_op
+        self.active[k, j] = True
 
     def table(self, vm: VmState, forbidden_host: int | None = None) -> dict:
-        """Candidate arrays for one VM over the fleet's host ids."""
+        """Candidate arrays of one VM, shape (rows, hosts)."""
         p = self.params
         u_raw = self.cpu_sum + vm.cpu_demand
-        feasible = ((u_raw < self.thr)
-                    & (self.ram_sum + vm.ram_used <= self.ram_cap + 1e-9)
-                    & (self.bw_sum + vm.net_bw <= self.bw_cap + 1e-9))
-        if forbidden_host is not None and forbidden_host in self.row:
-            feasible[self.row[forbidden_host]] = False
+        ram_after = self.ram_sum + vm.ram_used
+        feasible = ((u_raw < self.thr) & (ram_after <= self.ram_limit)
+                    & (self.bw_sum + vm.net_bw <= self.bw_limit))
+        if forbidden_host is not None:
+            feasible[:, forbidden_host] = False
         u_after = np.minimum(1.0, u_raw)
         f_max = self.freqs[-1]
         idx = np.searchsorted(self.freqs, u_after * f_max - 1e-12, side="left")
@@ -282,111 +227,158 @@ class _Fleet:
         v_after = self.volts[idx]
         dfreq = (f_after - self.f_before) / f_max
         u_mem = np.minimum(100.0, np.maximum(
-            models.U_MEM_FLOOR, 100.0 * (self.ram_sum + vm.ram_used) / self.ram_cap))
+            models.U_MEM_FLOOR, 100.0 * ram_after / self.base.ram_cap))
         t_mem = p.thermal.mem_k1 * self.t_inlet + 2.0 * p.thermal.mem_k2 * np.log(u_mem)
         if p.fan_map == "linear":
             fan = self.fan_default + (p.fan_linear_max - self.fan_default) * u_after
+            fan_p = p.power.c_fan * fan ** 3
         else:
-            fan = self.fan_default
+            fan_p = self.fan_p
         p_after = (p.power.c_dyn * v_after * v_after * f_after * u_after
                    + p.power.c_mem * t_mem * t_mem
-                   + p.power.c_fan * fan ** 3
+                   + fan_p
                    + p.disk.c_read * (self.disk_r + vm.disk_read)
                    + p.disk.c_write * (self.disk_w + vm.disk_write))
-        return {
-            "feasible": feasible,
-            "u_after": u_after,
-            "dfreq": dfreq,
-            "p_before": self.p_before.copy(),
-            "p_after": p_after,
-            "t_mem": t_mem,
-            "p_cool": p_after / self.cop,
-        }
+        return dict(feasible=feasible, u_after=u_after, dfreq=dfreq,
+                    p_before=self.p_before, p_after=p_after, t_mem=t_mem,
+                    p_cool=p_after / self.cop)
 
-    def global_power(self, tab: dict) -> np.ndarray:
-        """Fleet IT+cooling power (W) with the VM on each candidate."""
-        p_it = self.total_p - tab["p_before"] + tab["p_after"]
+    def global_power(self, tab: dict, k: int) -> np.ndarray:
+        """Fleet IT+cooling power (W) of row ``k`` with the VM on each host."""
+        p_it = self.total_p[k] - tab["p_before"][k] + tab["p_after"][k]
         return p_it * (1.0 + 1.0 / self.cop)
 
-    def global_energy_kwh(self, tab: dict, slot_seconds: float) -> np.ndarray:
-        return self.global_power(tab) * slot_seconds * KWH_PER_WS
+    def view(self, k: int, placement: dict[str, int],
+             fallback: dict[str, int | None]) -> FleetView:
+        """Row ``k`` as the fleet its placement leads to: ``placement``, then
+        every unplaced VM on its ``fallback`` host, which mirrors how the
+        engine treats them (they stay put).  Places those VMs on the row."""
+        added = dict(placement)
+        for vm_id, host_id in fallback.items():
+            if vm_id not in placement and host_id is not None:
+                self.place(self.state.vms[vm_id], k, host_id)
+                added[vm_id] = host_id
+        busy = self.active[k]
+        return replace(self.base, on=self.base.on | busy, busy=busy,
+                       p_it=self.p_before[k], cpu_sum=self.cpu_sum[k],
+                       ram_sum=self.ram_sum[k], bw_sum=self.bw_sum[k],
+                       added=added)
 
 
-def _values_for_kind(kind: SoKind, tab: dict, fleet: _Fleet, sosa: SoSaModel,
-                     slot_seconds: float):
-    """(values, valid_mask) over the fleet for one VM; NaN where invalid."""
+def _reciprocals(tab: dict):
+    """SO3 and SO6 values with their valid masks.  An invalid denominator is
+    replaced by 1, so nothing divides by zero; readers mask the value out."""
     feas = tab["feasible"]
-    if kind == SoKind.SO1:
-        return tab["p_after"] - tab["p_before"], feas
-    if kind == SoKind.SO2:
-        return tab["p_after"], feas
-    if kind == SoKind.SO4:
-        return tab["t_mem"], feas
-    if kind == SoKind.SO5:
-        return tab["dfreq"], feas
-    if kind == SoKind.SO7:
-        return tab["p_after"] + tab["p_cool"], feas
-
     denom3 = tab["u_after"] - tab["dfreq"]
     valid3 = feas & (denom3 > 0.0)
     valid6 = feas & (tab["u_after"] > 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        so3 = np.where(valid3, 1.0 / np.where(valid3, denom3, 1.0), np.nan)
-        so6 = np.where(valid6, 1.0 / np.where(valid6, tab["u_after"], 1.0), np.nan)
+    so3 = 1.0 / np.where(valid3, denom3, 1.0)
+    so6 = 1.0 / np.where(valid6, tab["u_after"], 1.0)
+    return so3, valid3, so6, valid6
+
+
+def _values_for_kind(kind: SoKind, k: int, tab: dict, recip, fleet: _Fleet,
+                     sosa: SoSaModel, slot_seconds: float):
+    """(values, valid_mask) of row ``k`` for one VM; ``recip()`` returns
+    :func:`_reciprocals` of the table, computed once per VM on demand."""
+    feas = tab["feasible"][k]
+    if kind == SoKind.SWFDVP:
+        # minus the power increment, with the best host dropped when there
+        # is a second one, ties to the lowest id.  The dropped host's inf
+        # also makes the row's spread count as constant, so the chosen
+        # host's normalized value is 1.5.
+        values = tab["p_before"][k] - tab["p_after"][k]
+        if np.count_nonzero(feas) >= 2:
+            values[np.argmin(np.where(feas, values, np.inf))] = np.inf
+        return values, feas
+    if kind == SoKind.SO1:
+        return tab["p_after"][k] - tab["p_before"][k], feas
+    if kind == SoKind.SO2:
+        return tab["p_after"][k], feas
+    if kind == SoKind.SO4:
+        return tab["t_mem"][k], feas
+    if kind == SoKind.SO5:
+        return tab["dfreq"][k], feas
+    if kind == SoKind.SO7:
+        return tab["p_after"][k] + tab["p_cool"][k], feas
+
+    so3, valid3, so6, valid6 = (a[k] for a in recip())
     if kind == SoKind.SO3:
         return so3, valid3
     if kind == SoKind.SO6:
         return so6, valid6
 
     valid = valid3 & valid6
+    vals = np.full_like(so3, np.nan)
     if not valid.any():
-        return np.full_like(so3, np.nan), valid
+        return vals, valid
+    n3 = normalize_band(so3[valid])
+    n6 = normalize_band(so6[valid])
     if kind == SoKind.SO8:
-        n3 = normalize_band(so3[valid])
-        n5 = normalize_band(tab["dfreq"][valid])
-        n6 = normalize_band(so6[valid])
-        vals = np.full_like(so3, np.nan)
-        vals[valid] = n3 + n5 + n6
-        return vals, valid
-    if kind == SoKind.SO_SA:
-        n3 = normalize_band(so3[valid])
-        n6 = normalize_band(so6[valid])
-        energy = fleet.global_energy_kwh(tab, slot_seconds)[valid]
-        vals = np.full_like(so3, np.nan)
-        vals[valid] = sosa.a3 * n3 * energy + sosa.a6 * n6 * energy + sosa.c
-        return vals, valid
-    raise ValueError(f"unsupported kind {kind}")
+        vals[valid] = n3 + normalize_band(tab["dfreq"][k][valid]) + n6
+    else:  # SO_SA
+        energy = (fleet.global_power(tab, k) * slot_seconds * KWH_PER_WS)[valid]
+        vals[valid] = so_sa_combine(n3, energy, n6, energy, sosa)
+    return vals, valid
 
 
-def _sorted_vms(vm_list, state) -> list[VmState]:
-    vms = [state.vms[v] if isinstance(v, str) else v for v in vm_list]
-    return sorted(vms, key=lambda vm: (-vm.cpu_demand, vm.id))
+def _so_pick(kinds, sosa: SoSaModel, slot_seconds: float):
+    """Pick rule of the SO kinds, one fleet row per kind: each row takes its
+    feasible host of lowest value, ties to the lowest host id."""
+    kinds = [SoKind(kind) for kind in kinds]
+
+    def pick(fleet, tab):
+        shape = tab["feasible"].shape
+        values = np.zeros(shape)
+        valid = np.zeros(shape, dtype=bool)
+        recip = functools.cache(lambda: _reciprocals(tab))
+        for k, kind in enumerate(kinds):
+            values[k], valid[k] = _values_for_kind(kind, k, tab, recip, fleet,
+                                                   sosa, slot_seconds)
+        masked = np.where(valid, values, np.inf)
+        hosts = masked.argmin(axis=1).tolist()
+        lows = masked.min(axis=1).tolist()
+        highs = np.where(valid, values, -np.inf).max(axis=1).tolist()
+        norms = []
+        for k, (lo, hi) in enumerate(zip(lows, highs)):
+            if lo == np.inf:
+                hosts[k] = -1
+            # the chosen value is the row's minimum, so normalize_band maps
+            # it to 1, or to 1.5 when the row's spread counts as constant
+            norms.append(1.5 if hi - lo <= 1e-9 * max(abs(lo), abs(hi), 1e-300)
+                         else 1.0)
+        return hosts, norms
+
+    return pick
 
 
-def _bfd(vm_list, host_list, state: DataCenterState,
+def _bfd(rows: int, vm_list, host_list, state: DataCenterState,
          thresholds: dict[int, float] | None, default_threshold: float,
-         forbidden: dict[str, int] | None, pick) -> PlacementResult:
-    """The best-fit-decreasing walk every placer shares.
+         forbidden: dict[str, int] | None, pick):
+    """The best-fit-decreasing walk every placer shares, for ``rows``
+    placers in lockstep.
 
     VMs go in decreasing demand order, ties by id.  ``pick(fleet, table)``
-    returns the fleet row of the chosen host and the choice's normalized
-    value, or None when the VM has no feasible host (it is reported
-    unplaced).  Placements accumulate on a :class:`_Fleet`, so later VMs
-    see earlier assignments; ``state`` is not modified.
+    returns, per row, the id of the chosen host (-1 when the VM has no
+    feasible host; it is reported unplaced) and the choice's normalized
+    value.  Each row's placements accumulate on its row of a :class:`_Fleet`,
+    so its later VMs see its earlier assignments; ``state`` is not modified.
+    Returns the fleet and one result per row.
     """
-    fleet = _Fleet(state, list(host_list), thresholds or {}, default_threshold)
+    fleet = _Fleet(state, rows, host_list, thresholds or {}, default_threshold)
     forbidden = forbidden or {}
-    result = PlacementResult()
-    for vm in _sorted_vms(vm_list, state):
-        chosen = pick(fleet, fleet.table(vm, forbidden.get(vm.id)))
-        if chosen is None:
-            result.unplaced.append(vm.id)
-            continue
-        j, norm_value = chosen
-        result.placement[vm.id] = int(fleet.ids[j])
-        result.chosen_norm_values[vm.id] = norm_value
-        fleet.place(vm, j)
-    return result
+    results = [PlacementResult() for _ in range(rows)]
+    vms = [state.vms[v] if isinstance(v, str) else v for v in vm_list]
+    for vm in sorted(vms, key=lambda vm: (-vm.cpu_demand, vm.id)):
+        hosts, norms = pick(fleet, fleet.table(vm, forbidden.get(vm.id)))
+        for k, (j, norm, result) in enumerate(zip(hosts, norms, results)):
+            if j < 0:
+                result.unplaced.append(vm.id)
+                continue
+            result.placement[vm.id] = j
+            result.chosen_norm_values[vm.id] = norm
+            fleet.place(vm, k, j)
+    return fleet, results
 
 
 def so_place(kind: SoKind, vm_list, host_list, state: DataCenterState,
@@ -401,48 +393,9 @@ def so_place(kind: SoKind, vm_list, host_list, state: DataCenterState,
     not modified.  Each VM goes to the feasible host of lowest value, ties to
     the lowest host id; VMs with no feasible host are reported unplaced.
     """
-    if kind == SoKind.SWFDVP:
-        return swfdvp_place(vm_list, host_list, state, thresholds,
-                            default_threshold, forbidden)
-    sosa = sosa or SoSaModel()
-
-    def pick(fleet, tab):
-        values, valid = _values_for_kind(kind, tab, fleet, sosa, slot_seconds)
-        if not valid.any():
-            return None
-        # ids ascend, so the first minimum is the lowest host id
-        j = int(np.argmin(np.where(valid, values, np.inf)))
-        norm = normalize_band(values[valid])
-        return j, float(norm[np.count_nonzero(valid[:j])])
-
-    return _bfd(vm_list, host_list, state, thresholds, default_threshold,
-                forbidden, pick)
-
-
-def so_sa_value(vm: VmState, host: HostState, state: DataCenterState,
-                m: SoSaModel = SoSaModel(), candidates=None,
-                slot_seconds: float = 300.0) -> float:
-    """Composite consolidation value of one host within a candidate set.
-
-    Normalization runs over ``candidates`` (host ids, defaulting to just the
-    given host, which degenerates both normalized values to 1.5).
-    """
-    ids = sorted(set(candidates or [host.id]) | {host.id})
-    so3 = []
-    so6 = []
-    energies = []
-    cool = models.cop(state.setpoint, state.params.cooling)
-    total_p = effective_it_power(state)
-    for hid in ids:
-        view = evaluate_candidate(vm, state.hosts[hid], state)
-        so3.append(so_value_from_view(SoKind.SO3, view))
-        so6.append(so_value_from_view(SoKind.SO6, view))
-        p_global = (total_p - view.p_before + view.p_after) * (1.0 + 1.0 / cool)
-        energies.append(p_global * slot_seconds * KWH_PER_WS)
-    n3 = normalize_band(np.array(so3))
-    n6 = normalize_band(np.array(so6))
-    k = ids.index(host.id)
-    return so_sa_combine(float(n3[k]), energies[k], float(n6[k]), energies[k], m)
+    pick = _so_pick([kind], sosa or SoSaModel(), slot_seconds)
+    return _bfd(1, vm_list, host_list, state, thresholds, default_threshold,
+                forbidden, pick)[1][0]
 
 
 def mo_place(kind: str, vm_list, host_list, state: DataCenterState,
@@ -464,36 +417,37 @@ def mo_place(kind: str, vm_list, host_list, state: DataCenterState,
         raise ValueError(f"unknown MO kind {kind}")
 
     def pick(fleet, tab):
-        denom3 = tab["u_after"] - tab["dfreq"]
-        valid = tab["feasible"] & (denom3 > 0.0) & (tab["u_after"] > 0.0)
-        if (valid & fleet.active).any():
-            valid = valid & fleet.active
+        so3, valid3, so6, valid6 = (a[0] for a in _reciprocals(tab))
+        valid = valid3 & valid6
+        if (valid & fleet.active[0]).any():
+            valid = valid & fleet.active[0]
             if prefer_utilization is not None:
-                keep = valid & (fleet.cpu_sum >= prefer_utilization)
+                keep = valid & (fleet.cpu_sum[0] >= prefer_utilization)
                 if keep.any():
                     valid = keep
         if not valid.any():
-            return None
+            return [-1], [1.5]
+        p_after = tab["p_after"][0]
         raw = np.column_stack([
-            (tab["p_after"] - tab["p_before"])[valid],
-            tab["p_after"][valid],
-            1.0 / denom3[valid],
-            tab["t_mem"][valid],
-            tab["dfreq"][valid],
-            1.0 / tab["u_after"][valid],
-            (tab["p_after"] + tab["p_cool"])[valid],
+            (p_after - tab["p_before"][0])[valid],
+            p_after[valid],
+            so3[valid],
+            tab["t_mem"][0][valid],
+            tab["dfreq"][0][valid],
+            so6[valid],
+            (p_after + tab["p_cool"][0])[valid],
         ])
         front = pareto_front(raw)
         if kind == "mo1":
-            score = fleet.global_power(tab)[valid][front]
+            score = fleet.global_power(tab, 0)[valid][front]
         else:
             normalized = np.column_stack([normalize_band(raw[:, c])
                                           for c in range(7)])
             score = np.sqrt((normalized[front] ** 2).sum(axis=1))
-        return int(np.nonzero(valid)[0][front[int(np.argmin(score))]]), 1.5
+        return [int(np.flatnonzero(valid)[front[int(np.argmin(score))]])], [1.5]
 
-    return _bfd(vm_list, host_list, state, thresholds, default_threshold,
-                forbidden, pick)
+    return _bfd(1, vm_list, host_list, state, thresholds, default_threshold,
+                forbidden, pick)[1][0]
 
 
 def swfdvp_place(vm_list, host_list, state: DataCenterState,
@@ -503,39 +457,19 @@ def swfdvp_place(vm_list, host_list, state: DataCenterState,
     """Second-worst-fit baseline: rank feasible hosts by decreasing power
     increment and take the second one (the only one when the set is a
     singleton)."""
-
-    def pick(fleet, tab):
-        rows = np.nonzero(tab["feasible"])[0]
-        if not len(rows):
-            return None
-        dp = (tab["p_after"] - tab["p_before"])[rows]
-        # rows ascend with host ids, so the row breaks ties by lowest id
-        order = sorted(range(len(rows)), key=lambda i: (-dp[i], i))
-        return int(rows[order[1] if len(order) >= 2 else order[0]]), 1.5
-
-    return _bfd(vm_list, host_list, state, thresholds, default_threshold,
-                forbidden, pick)
+    return so_place(SoKind.SWFDVP, vm_list, host_list, state, thresholds,
+                    default_threshold, forbidden)
 
 
-@dataclass
-class DynSoResult:
-    placement: dict[str, int]
-    unplaced: list[str]
+@dataclass(kw_only=True)
+class DynSoResult(PlacementResult):
     kind: SoKind
     global_power: float  # W, IT + cooling of the winning tentative state
-    chosen_norm_values: dict[str, float] = field(default_factory=dict)
 
 
-def effective_it_power(state: DataCenterState) -> float:
-    """Fleet IT power with the power-off sweep applied: an empty host draws
-    nothing because the engine shuts it down at the end of the pass."""
-    return sum(h.p_it for h in state.hosts if h.powered_on and h.vms)
-
-
-def evaluate_global_power(placed: DataCenterState) -> float:
-    """IT + cooling power (W) of a state a placement has been applied to."""
-    cool = models.cop(placed.setpoint, placed.params.cooling)
-    return effective_it_power(placed) * (1.0 + 1.0 / cool)
+def evaluate_global_power(fleet: FleetView) -> float:
+    """IT + cooling power (W) of a placed fleet."""
+    return fleet.it_power() * (1.0 + 1.0 / fleet.cop)
 
 
 def dynso_place(vm_list, host_list, state: DataCenterState,
@@ -547,38 +481,34 @@ def dynso_place(vm_list, host_list, state: DataCenterState,
                 slot_seconds: float = 300.0,
                 fallback: dict[str, int | None] | None = None,
                 evaluator=None) -> DynSoResult:
-    """Run every SO policy and keep the one with the lowest global power.
+    """Place under every SO kind and keep the one with the lowest global power.
 
-    ``evaluator(placed)`` returns the power of the state resulting from a
-    placement and defaults to :func:`evaluate_global_power`; the engine
-    passes one that also accounts for the hosts its underload pass would
-    free.  ``placed`` is a copy of ``state`` with the placement attached in
-    placement order, then every unplaced VM attached to its ``fallback``
-    host when it has one, which mirrors how the engine treats them (they
-    stay put).  The evaluator may mutate it.  It runs once per distinct
-    placement: a kind that repeats an earlier kind's placement could only
-    tie, and ties go to the earlier kind in ``so_list``.
+    The kinds walk the VMs in lockstep, one :class:`_Fleet` row each, so
+    each kind places exactly as :func:`so_place` would.  ``evaluator(fleet)``
+    returns the power of the fleet a placement leads to, given as a
+    :class:`FleetView`, and defaults to :func:`evaluate_global_power`; the
+    engine passes one that also accounts for the hosts its underload pass
+    would free.  The view holds the placement, then every unplaced VM on its
+    ``fallback`` host when it has one (which may lie outside ``host_list``),
+    which mirrors how the engine treats them (they stay put).  The evaluator
+    runs once per distinct placement: a kind that repeats an earlier kind's
+    placement could only tie, and ties go to the earlier kind in ``so_list``.
     """
-    if not so_list:
+    kinds = list(so_list)
+    if not kinds:
         raise ValueError("so_list must not be empty")
+    fleet, results = _bfd(len(kinds), vm_list, host_list, state, thresholds,
+                          default_threshold, forbidden,
+                          _so_pick(kinds, sosa or SoSaModel(), slot_seconds))
     evaluator = evaluator or evaluate_global_power
     best = None
     seen = set()
-    for kind in so_list:
-        # a module-level call, so wrappers of so_place see every kind
-        r = so_place(kind, vm_list, host_list, state, thresholds,
-                     default_threshold, forbidden, sosa, slot_seconds)
+    for k, (kind, r) in enumerate(zip(kinds, results)):
         key = frozenset(r.placement.items())
         if key in seen:
             continue
         seen.add(key)
-        placed = state.copy()
-        for vm_id, host_id in r.placement.items():
-            placed.attach(placed.vms[vm_id], host_id)
-        for vm_id, host_id in (fallback or {}).items():
-            if vm_id not in r.placement and host_id is not None:
-                placed.attach(placed.vms[vm_id], host_id)
-        power = evaluator(placed)
+        power = evaluator(fleet.view(k, r.placement, fallback or {}))
         if best is None or power < best.global_power:
             best = DynSoResult(placement=r.placement, unplaced=r.unplaced,
                                kind=kind, global_power=power,

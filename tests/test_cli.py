@@ -168,3 +168,21 @@ def test_config_fingerprint_covers_the_whole_config():
     assert len({config_fingerprint(c) for c in variants}) == 3
     assert config_fingerprint(SimConfig(cooling=VarInletCooling())) == \
         config_fingerprint(base)
+
+
+@pytest.mark.parametrize("name", ["fixed283.1", "fixed313.2", "fixed400"])
+def test_fixed_cooling_outside_the_cop_range_fails_at_parse_time(name):
+    from dcsim.config import ConfigError, cooling_from_name
+
+    with pytest.raises(ConfigError, match="outside"):
+        cooling_from_name(name)
+    assert cooling_from_name("fixed283.15").setpoint == 283.15
+    assert cooling_from_name("fixed313.15").setpoint == 313.15
+
+
+@pytest.mark.parametrize("name", ["fixedabc", "fixed", "fixed29l"])
+def test_fixed_cooling_with_a_non_numeric_setpoint_fails_at_parse_time(name):
+    from dcsim.config import ConfigError, cooling_from_name
+
+    with pytest.raises(ConfigError, match="bad fixed setpoint"):
+        cooling_from_name(name)

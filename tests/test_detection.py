@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from dcsim.core import DataCenterState, VmState
+from dcsim.core import DataCenterState, FleetView, VmState
 from dcsim.detection import (MadConfig, find_underloaded, mad,
                              overload_threshold, select_vms_mmt)
 
@@ -105,27 +105,28 @@ def underload_state(utils, vms_per_host=2):
 def test_no_spare_capacity_means_no_underload():
     state = underload_state([0.85, 0.85, 0.85])
     thresholds = {h.id: 0.9 for h in state.hosts}
-    assert find_underloaded(state, thresholds=thresholds) == []
+    assert find_underloaded(FleetView.of(state), thresholds=thresholds) == []
 
 
 def test_lightly_loaded_host_is_drainable():
     state = underload_state([0.05, 0.3, 0.3])
     thresholds = {h.id: 0.9 for h in state.hosts}
-    assert 0 in find_underloaded(state, thresholds=thresholds)
+    assert 0 in find_underloaded(FleetView.of(state), thresholds=thresholds)
 
 
 def test_empty_data_center():
     state = DataCenterState.build(0)
-    assert find_underloaded(state) == []
+    assert find_underloaded(FleetView.of(state)) == []
 
 
 def test_underloaded_sorted_ascending_and_respects_exclude():
     state = underload_state([0.3, 0.1, 0.2])
     thresholds = {h.id: 0.95 for h in state.hosts}
-    found = find_underloaded(state, thresholds=thresholds)
+    found = find_underloaded(FleetView.of(state), thresholds=thresholds)
     utils = [state.hosts[i].u_cpu for i in found]
     assert utils == sorted(utils)
-    assert 1 not in find_underloaded(state, exclude={1}, thresholds=thresholds)
+    assert 1 not in find_underloaded(FleetView.of(state), exclude={1},
+                                     thresholds=thresholds)
 
 
 def test_mad_config_validation():
@@ -156,12 +157,49 @@ def test_bounded_underload_search_equals_filter_then_truncate():
     rng = random.Random(20231)
     for _ in range(400):
         state, exclude, thresholds, cut, limit = random_underload_case(rng)
-        full = find_underloaded(state, exclude, thresholds)
+        fleet = FleetView.of(state)
+        full = find_underloaded(fleet, exclude, thresholds)
         expected = [hid for hid in full
                     if cut is None or state.hosts[hid].u_cpu < cut]
         if limit is not None:
             expected = expected[:limit]
-        assert find_underloaded(state, exclude, thresholds, cut, limit) == expected
+        assert find_underloaded(fleet, exclude, thresholds, cut, limit) == expected
+
+
+def scalar_underloaded(state, exclude, thresholds):
+    """Unbounded underload search, one host object at a time."""
+    out = []
+    for h in sorted((h for h in state.hosts
+                     if h.powered_on and h.id not in exclude and h.vms),
+                    key=lambda h: (h.u_cpu, h.id)):
+        targets = [t for t in state.hosts
+                   if t.powered_on and t.id != h.id and t.id not in exclude]
+        load = {t.id: [t.cpu_sum, t.ram_sum, t.bw_sum] for t in targets}
+        fits = True
+        for vid in sorted(h.vms, key=lambda v: (-state.vms[v].cpu_demand, v)):
+            vm = state.vms[vid]
+            for t in targets:
+                cpu, ram, bw = load[t.id]
+                if (cpu + vm.cpu_demand < thresholds.get(t.id, 1.0)
+                        and ram + vm.ram_used <= t.spec.ram_capacity
+                        and bw + vm.net_bw <= t.spec.bw_capacity):
+                    load[t.id] = [cpu + vm.cpu_demand, ram + vm.ram_used,
+                                  bw + vm.net_bw]
+                    break
+            else:
+                fits = False
+                break
+        if fits:
+            out.append(h.id)
+    return out
+
+
+def test_underload_search_matches_scalar_reference():
+    rng = random.Random(4242)
+    for _ in range(400):
+        state, exclude, thresholds, _, _ = random_underload_case(rng)
+        assert find_underloaded(FleetView.of(state), exclude, thresholds) == \
+            scalar_underloaded(state, exclude, thresholds)
 
 
 def test_fit_test_breaks_demand_ties_by_vm_id():
@@ -178,4 +216,4 @@ def test_fit_test_breaks_demand_ties_by_vm_id():
         state.vms[vid] = vm
         state.attach(vm, host)
     thresholds = {h.id: 0.9 for h in state.hosts}
-    assert find_underloaded(state, thresholds=thresholds) == []
+    assert find_underloaded(FleetView.of(state), thresholds=thresholds) == []

@@ -3,7 +3,7 @@ import pytest
 
 from dcsim import engine, models
 from dcsim.cooling import FixedCooling, VarInletCooling
-from dcsim.core import DataCenterState, VmState, default_server_spec
+from dcsim.core import DataCenterState, FleetView, VmState, default_server_spec
 from dcsim.engine import MigrationEvent, SimConfig, migration_cost, run
 from dcsim.report import slots_csv, summary_csv
 from dcsim.workload import Workload, synth_workload
@@ -201,8 +201,9 @@ def test_zero_max_drains_counts_no_drains_in_dynso_evaluator():
     thresholds = {0: 0.9, 1: 0.9}
     full = (state.total_it_power()
             * (1.0 + 1.0 / models.cop(state.setpoint)))
+    fleet = FleetView.of(state)
     off = engine._drain_aware_evaluator(
-        SimConfig(max_drains_per_slot=0), thresholds)(state.copy())
-    on = engine._drain_aware_evaluator(SimConfig(), thresholds)(state.copy())
+        SimConfig(max_drains_per_slot=0), thresholds)(fleet)
+    on = engine._drain_aware_evaluator(SimConfig(), thresholds)(fleet)
     assert off == full
     assert on < full

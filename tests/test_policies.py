@@ -3,16 +3,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dcsim import models
-from dcsim.core import DataCenterState, VmState, apply_placement
+from dcsim.core import DataCenterState, FleetView, VmState, apply_placement
 from dcsim.engine import SimConfig, _drain_aware_evaluator
 from dcsim.policies import (DEFAULT_DYNSO_LIST, CandidateView, GuardError,
-                            SoKind, SoSaModel, _Fleet, candidate_evaluations,
-                            dynso_place, effective_it_power,
-                            evaluate_candidate, evaluate_global_power,
-                            mo_place, normalize_band,
-                            objective_vector, pareto_front, so_place,
-                            so_sa_combine, so_sa_value, so_value,
-                            so_value_from_view, swfdvp_place)
+                            SoKind, SoSaModel, _bfd, _Fleet, _so_pick,
+                            dynso_place, evaluate_global_power, mo_place,
+                            normalize_band, objective_vector, pareto_front,
+                            so_place, so_sa_combine, so_value_from_view,
+                            swfdvp_place)
+from oracles import (candidate_evaluations, effective_it_power,
+                     evaluate_candidate, so_sa_value, so_value)
 
 # Candidate hosts of the allocation case of use: C and D after placing the
 # VM (B is excluded by the 0.9 rule and never reaches the value function).
@@ -369,11 +369,13 @@ def test_swfdvp_second_best_rule():
         dps[hid] = view.p_after - view.p_before
     ranked = sorted(dps, key=lambda h: (-dps[h], h))
     assert res.placement["v"] == ranked[1]
+    assert res.chosen_norm_values == {"v": 1.5}
 
 
 def test_swfdvp_fallbacks():
     state = make_state(1, {"v": (0.4, 128.0, None)})
-    assert swfdvp_place(["v"], [0], state).placement == {"v": 0}
+    res = swfdvp_place(["v"], [0], state)
+    assert (res.placement, res.chosen_norm_values) == ({"v": 0}, {"v": 1.5})
     state2 = make_state(1, {"v": (0.95, 128.0, None)})
     res = swfdvp_place(["v"], [0], state2)
     assert res.unplaced == ["v"]
@@ -438,36 +440,39 @@ def test_candidate_evaluations_surface():
     assert front == brute_force_front([e.so_values.as_tuple() for e in evals])
 
 
-def dynso_instance(seed):
-    """Six hosts with background load, nine detached VMs (one too big for
-    any host) and a fallback host for each of them."""
+def dynso_instance(seed, hosts=6, vms=8):
+    """``hosts`` hosts, all but the last with background load, ``vms`` + 1
+    detached VMs (one too big for any host) and a fallback host for each of
+    them."""
     rng = np.random.default_rng(seed)
     specs = {f"bg{i}": (float(rng.uniform(0.05, 0.6)),
-                        float(rng.uniform(256, 4096)), i) for i in range(5)}
-    for i in range(8):
+                        float(rng.uniform(256, 4096)), i)
+             for i in range(hosts - 1)}
+    for i in range(vms):
         specs[f"v{i}"] = (float(rng.uniform(0.02, 0.5)),
                           float(rng.uniform(128, 4096)), None)
     specs["huge"] = (0.95, 512.0, None)
-    state = make_state(6, specs)
+    state = make_state(hosts, specs)
     vm_ids = [v for v in specs if not v.startswith("bg")]
-    fallback = {v: int(rng.integers(0, 6)) for v in vm_ids}
-    thresholds = {h: float(rng.uniform(0.7, 0.95)) for h in range(6)}
+    fallback = {v: int(rng.integers(0, hosts)) for v in vm_ids}
+    thresholds = {h: float(rng.uniform(0.7, 0.95)) for h in range(hosts)}
     return state, vm_ids, fallback, thresholds
 
 
-def reattach_oracle(vm_ids, state, thresholds, fallback, evaluate):
+def reattach_oracle(vm_ids, state, thresholds, fallback, evaluate,
+                    host_list=range(6)):
     """dynso by copy and re-attach: every kind's placement is applied to a
-    fresh copy of the input state and evaluated there."""
+    fresh copy of the input state, which is evaluated through its view."""
     best = None
     for kind in DEFAULT_DYNSO_LIST:
-        r = so_place(kind, vm_ids, range(6), state, thresholds)
+        r = so_place(kind, vm_ids, host_list, state, thresholds)
         scratch = state.copy()
         for vm_id, host_id in r.placement.items():
             scratch.attach(scratch.vms[vm_id], host_id)
         for vm_id, host_id in fallback.items():
             if vm_id not in r.placement:
                 scratch.attach(scratch.vms[vm_id], host_id)
-        power = evaluate(scratch)
+        power = evaluate(FleetView.of(scratch))
         if best is None or power < best[2]:
             best = (kind, r.placement, power)
     return best
@@ -487,13 +492,35 @@ def test_dynso_matches_reattach_oracle(seed):
 
 
 @pytest.mark.parametrize("seed", range(8))
+def test_dynso_matches_reattach_oracle_with_fallback_outside_host_list(seed):
+    # the drain pass's shape: the VMs' source hosts are not candidates, and
+    # an unplaced VM stays on its source
+    state, vm_ids, _, thresholds = dynso_instance(seed)
+    fallback = {v: 4 + i % 2 for i, v in enumerate(vm_ids)}
+    evaluators = (lambda: evaluate_global_power,
+                  lambda: _drain_aware_evaluator(SimConfig(), thresholds))
+    for make in evaluators:
+        r = dynso_place(vm_ids, range(4), state, thresholds=thresholds,
+                        fallback=fallback, evaluator=make())
+        assert "huge" in r.unplaced
+        assert (r.kind, r.placement, r.global_power) == reattach_oracle(
+            vm_ids, state, thresholds, fallback, make(), host_list=range(4))
+
+
+def assignment(fleet, vm_ids):
+    """VM -> host of the given VMs in a fleet view."""
+    return {vid: h for h in range(len(fleet.on)) for vid in fleet.vm_ids(h)
+            if vid in vm_ids}
+
+
+@pytest.mark.parametrize("seed", range(8))
 def test_dynso_evaluates_each_distinct_placement_once(seed):
     state, vm_ids, fallback, thresholds = dynso_instance(seed)
     seen = []
 
-    def counting(placed):
-        seen.append({vid: placed.vms[vid].assigned_host for vid in vm_ids})
-        return evaluate_global_power(placed)
+    def counting(fleet):
+        seen.append(assignment(fleet, vm_ids))
+        return evaluate_global_power(fleet)
 
     dynso_place(vm_ids, range(6), state, thresholds=thresholds,
                 fallback=fallback, evaluator=counting)
@@ -511,14 +538,14 @@ def test_evaluator_receives_the_placed_state():
     state, vm_ids, fallback, thresholds = dynso_instance(3)
     received = []
 
-    def keep(placed):
-        received.append(placed)
-        return evaluate_global_power(placed)
+    def keep(fleet):
+        received.append(fleet)
+        return evaluate_global_power(fleet)
 
     r = dynso_place(vm_ids, range(6), state, so_list=[SoKind.SO1],
                     thresholds=thresholds, fallback=fallback, evaluator=keep)
-    [placed] = received
-    assert placed is not state
+    [fleet] = received
+    assert fleet.state is state
     assert "huge" in r.unplaced
     # the placement in placement order, then the fallback of unplaced VMs
     expected = state.copy()
@@ -526,14 +553,42 @@ def test_evaluator_receives_the_placed_state():
         expected.attach(expected.vms[vm_id], host_id)
     for vm_id in r.unplaced:
         expected.attach(expected.vms[vm_id], fallback[vm_id])
+    view = FleetView.of(expected)
     for vm_id in vm_ids:
         assert state.vms[vm_id].assigned_host is None
-        assert placed.vms[vm_id].assigned_host == expected.vms[vm_id].assigned_host
-    for h, e in zip(placed.hosts, expected.hosts):
-        assert (h.vms, h.cpu_sum, h.ram_sum, h.p_it) == (e.vms, e.cpu_sum,
-                                                         e.ram_sum, e.p_it)
+    assert assignment(fleet, vm_ids) == {
+        vid: expected.vms[vid].assigned_host for vid in vm_ids}
+    for name in ("on", "busy", "p_it", "u_cpu", "cpu_sum", "ram_sum",
+                 "bw_sum", "ram_cap", "bw_cap"):
+        assert getattr(fleet, name).tolist() == getattr(view, name).tolist(), name
+    for h in range(6):
+        assert sorted(fleet.vm_ids(h)) == sorted(view.vm_ids(h))
     cool = models.cop(state.setpoint)
-    assert r.global_power == effective_it_power(placed) * (1.0 + 1.0 / cool)
+    assert r.global_power == effective_it_power(expected) * (1.0 + 1.0 / cool)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lockstep_walk_equals_single_kind_walks(seed):
+    state, vm_ids, _, thresholds = dynso_instance(seed, hosts=10, vms=24)
+    rng = np.random.default_rng(1000 + seed)
+    host_list = sorted(rng.choice(10, size=7, replace=False).tolist())
+    forbidden = {v: int(rng.integers(0, 10)) for v in vm_ids[::3]}
+    kinds = list(SoKind)
+    _, rows = _bfd(len(kinds), vm_ids, host_list, state, thresholds, 0.9,
+                   forbidden, _so_pick(kinds, SoSaModel(), 300.0))
+    placements = []
+    for kind, row in zip(kinds, rows):
+        single = so_place(kind, vm_ids, host_list, state, thresholds, 0.9,
+                          forbidden)
+        assert list(row.placement.items()) == list(single.placement.items())
+        assert row.unplaced == single.unplaced
+        assert row.chosen_norm_values == single.chosen_norm_values
+        assert "huge" in row.unplaced
+        assert set(row.placement.values()) <= set(host_list)
+        assert all(row.placement.get(v) != h for v, h in forbidden.items())
+        placements.append(row.placement)
+    # the kinds must not all agree, or the rows would not be tested apart
+    assert len({frozenset(p.items()) for p in placements}) > 1
 
 
 def random_fleet(seed, fan_map):
@@ -565,26 +620,27 @@ def random_fleet(seed, fan_map):
 @pytest.mark.parametrize("seed", range(6))
 def test_fleet_place_equals_attach_and_refresh(fan_map, seed):
     state, rng = random_fleet(seed, fan_map)
-    fleet = _Fleet(state, list(range(8)), {}, 0.9)
-    assert fleet.total_p == effective_it_power(state)
-    total = fleet.total_p
+    fleet = _Fleet(state, 1, range(8), {}, 0.9)
+    assert fleet.total_p[0] == effective_it_power(state)
+    total = fleet.total_p[0]
     for i in rng.permutation(12):
         vm = state.vms[f"v{i}"]
         hid = int(rng.integers(0, 8))
         h = state.hosts[hid]
         old = h.p_it if (h.powered_on and h.vms) else 0.0
-        fleet.place(vm, fleet.row[hid])
+        fleet.place(vm, 0, hid)
         state.attach(vm, hid)
         total += h.p_it - old
-        assert fleet.total_p == total
+        assert fleet.total_p[0] == total
         for j, h in enumerate(state.hosts):
-            assert fleet.p_before[j] == (h.p_it if h.powered_on and h.vms
-                                         else 0.0)
-            assert fleet.f_before[j] == h.mode.f_op
-            assert (fleet.cpu_sum[j], fleet.ram_sum[j], fleet.bw_sum[j],
-                    fleet.disk_r[j], fleet.disk_w[j]) == (
+            assert fleet.p_before[0, j] == (h.p_it if h.powered_on and h.vms
+                                            else 0.0)
+            assert fleet.f_before[0, j] == h.mode.f_op
+            assert (fleet.cpu_sum[0, j], fleet.ram_sum[0, j],
+                    fleet.bw_sum[0, j], fleet.disk_r[0, j],
+                    fleet.disk_w[0, j]) == (
                 h.cpu_sum, h.ram_sum, h.bw_sum, h.disk_read, h.disk_write)
-            assert fleet.active[j] == bool(h.powered_on and h.vms)
+            assert fleet.active[0, j] == bool(h.powered_on and h.vms)
 
 
 def test_placers_do_not_copy_or_modify_the_state(monkeypatch):
@@ -607,5 +663,8 @@ def test_placers_do_not_copy_or_modify_the_state(monkeypatch):
         mo_place(kind, vm_ids, range(6), state, thresholds,
                  prefer_utilization=0.2)
     swfdvp_place(vm_ids, range(6), state, thresholds)
+    for evaluator in (None, _drain_aware_evaluator(SimConfig(), thresholds)):
+        dynso_place(vm_ids, range(6), state, thresholds=thresholds,
+                    fallback=fallback, evaluator=evaluator)
     assert copies == []
     assert snapshot() == before
