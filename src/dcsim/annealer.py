@@ -53,8 +53,9 @@ class _Objective:
     def __init__(self, state: DataCenterState, vm_ids: list[str], scale: float):
         self.scale = scale
         p = state.params
+        spec = state.spec
         self.cool_factor = 1.0 + 1.0 / models.cop(state.setpoint, p.cooling)
-        n = len(state.hosts)
+        n = len(state.on)
         self.cpu = [0.0] * n
         self.ram = [0.0] * n
         self.bw = [0.0] * n
@@ -62,9 +63,8 @@ class _Objective:
         self.count = [0] * n
         self.power = [0.0] * n
         self.excess = [0.0] * n
-        self.ram_cap = [h.spec.ram_capacity for h in state.hosts]
-        self.bw_cap = [h.spec.bw_capacity for h in state.hosts]
-        spec = state.hosts[0].spec
+        self.ram_cap = spec.ram_capacity
+        self.bw_cap = spec.bw_capacity
         self.freqs = [m.f_op for m in spec.dvfs_table]
         self.volts = [m.v_dd for m in spec.dvfs_table]
         self.f_max = self.freqs[-1]
@@ -72,11 +72,10 @@ class _Objective:
         self.c_mem = p.power.c_mem
         self.k1t = p.thermal.mem_k1 * state.setpoint
         self.k2x2 = 2.0 * p.thermal.mem_k2
-        self.fan_w = [p.power.c_fan * p.fan_speed(0.0, h.spec.fan_speed_default) ** 3
-                      for h in state.hosts]
+        self.fan_w = p.power.c_fan * p.fan_speed(0.0, spec.fan_speed_default) ** 3
         self.fan_linear = p.fan_map == "linear"
         self.params = p
-        self.fan_defaults = [h.spec.fan_speed_default for h in state.hosts]
+        self.fan_default = spec.fan_speed_default
         self.c_read = p.disk.c_read
         self.c_write = p.disk.c_write
 
@@ -86,25 +85,27 @@ class _Objective:
         self.vm_disk = []
         self.assigned = []
         for vid in vm_ids:
-            vm = state.vms[vid]
+            vm = state.vm(vid)
             self.vm_cpu.append(vm.cpu_demand)
             self.vm_ram.append(vm.ram_used)
             self.vm_bw.append(vm.net_bw)
             self.vm_disk.append(self.c_read * vm.disk_read + self.c_write * vm.disk_write)
             self.assigned.append(None)
 
+        # each host sums its fixed VMs in id order, whatever the VM order
         chain_set = set(vm_ids)
-        for h in state.hosts:
-            # sorted: set order varies with the hash seed, and so would the sums
-            fixed = [state.vms[v] for v in sorted(h.vms) if v not in chain_set]
-            self.count[h.id] = len(fixed)
-            for vm in fixed:
-                self.cpu[h.id] += vm.cpu_demand
-                self.ram[h.id] += vm.ram_used
-                self.bw[h.id] += vm.net_bw
-                self.disk[h.id] += (self.c_read * vm.disk_read
-                                    + self.c_write * vm.disk_write)
-            self._recompute(h.id)
+        host_of = state.host.tolist()
+        for vid in sorted(v for v, h in zip(state.vm_ids, host_of)
+                          if h >= 0 and v not in chain_set):
+            vm = state.vm(vid)
+            h = host_of[state.index[vid]]
+            self.count[h] += 1
+            self.cpu[h] += vm.cpu_demand
+            self.ram[h] += vm.ram_used
+            self.bw[h] += vm.net_bw
+            self.disk[h] += self.c_read * vm.disk_read + self.c_write * vm.disk_write
+        for h in range(n):
+            self._recompute(h)
         self.total_power = sum(self.power)
         self.total_excess = sum(self.excess)
 
@@ -118,25 +119,25 @@ class _Objective:
         i = bisect_left(self.freqs, u * self.f_max - 1e-12)
         if i >= len(self.freqs):
             i = len(self.freqs) - 1
-        u_mem = 100.0 * self.ram[hid] / self.ram_cap[hid]
+        u_mem = 100.0 * self.ram[hid] / self.ram_cap
         if u_mem < 1.0:
             u_mem = 1.0
         elif u_mem > 100.0:
             u_mem = 100.0
         t_mem = self.k1t + self.k2x2 * math.log(u_mem)
         if self.fan_linear:
-            fs = self.params.fan_speed(u, self.fan_defaults[hid])
+            fs = self.params.fan_speed(u, self.fan_default)
             fan_w = self.params.power.c_fan * fs ** 3
         else:
-            fan_w = self.fan_w[hid]
+            fan_w = self.fan_w
         self.power[hid] = (self.c_dyn * self.volts[i] * self.volts[i]
                            * self.freqs[i] * u
                            + self.c_mem * t_mem * t_mem + fan_w + self.disk[hid])
         e = cpu - 1.0 if cpu > 1.0 else 0.0
-        r = self.ram[hid] / self.ram_cap[hid] - 1.0
+        r = self.ram[hid] / self.ram_cap - 1.0
         if r > 0.0:
             e += r
-        b = self.bw[hid] / self.bw_cap[hid] - 1.0
+        b = self.bw[hid] / self.bw_cap - 1.0
         if b > 0.0:
             e += b
         self.excess[hid] = e

@@ -56,10 +56,10 @@ def cooling_setpoint(state, strategy: CoolingStrategy,
     if isinstance(strategy, FixedCooling):
         return strategy.setpoint
     thermal = thermal or state.params.thermal
-    active = [h for h in state.hosts if h.powered_on]
+    active = state.u_cpu[state.on].tolist()
     if not active:
         return strategy.ceiling
     lowest = min(
-        max_inlet_for_host(h.u_cpu, strategy.t_cpu_max, thermal, h.spec.t_inlet_max)
-        for h in active)
+        max_inlet_for_host(u, strategy.t_cpu_max, thermal, state.spec.t_inlet_max)
+        for u in active)
     return min(max(lowest, strategy.floor), strategy.ceiling)

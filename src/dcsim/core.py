@@ -1,18 +1,21 @@
 """Domain model: servers, VMs, the data-center state and placement application.
 
-Hosts cache their resource aggregates and derived thermal/power figures so the
-placement loops can evaluate candidates in O(1); :meth:`DataCenterState.refresh`
-recomputes the derived part after any mutation.
+:class:`DataCenterState` keeps the fleet as numpy arrays: per VM its demand
+and its host, per host the on-mask, the resource sums of its VMs and the
+utilization, DVFS mode and IT power derived from them.  ``attach``/``detach``
+update the sums VM by VM and re-cost the hosts they touch through the scalar
+kernel ``models.host_operating_point``; :meth:`DataCenterState.set_demand`
+rebuilds every sum at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import models
-from .models import U_MEM_FLOOR, ModelParams
+from .models import ModelParams
 
 DEFAULT_FREQS_GHZ = (1.73, 1.86, 2.13, 2.26, 2.39, 2.40)
 
@@ -82,53 +85,15 @@ def default_server_spec() -> ServerSpec:
 
 @dataclass
 class VmState:
-    """One VM's current resource demand."""
+    """One VM's resource demand: the record :meth:`DataCenterState.build`
+    takes and :meth:`DataCenterState.vm` returns."""
 
     id: str
-    cores: int = 1
     cpu_demand: float = 0.0   # fraction of one host's full-capacity CPU
     ram_used: float = 0.0     # MB
     disk_read: float = 0.0    # KB/s
     disk_write: float = 0.0   # KB/s
     net_bw: float = 0.0       # MB/s, capacity constraint only
-    assigned_host: int | None = None
-
-
-@dataclass
-class HostState:
-    """Dynamic per-server state.
-
-    The ``*_sum`` aggregates are maintained incrementally by add/remove;
-    everything below ``u_cpu`` is derived and refreshed from them.
-    """
-
-    id: int
-    spec: ServerSpec
-    powered_on: bool = False
-    t_inlet: float = 291.0
-    fan_speed: float = 0.0
-    vms: set[str] = field(default_factory=set)
-    cpu_sum: float = 0.0       # sum of hosted cpu_demand (may exceed 1)
-    ram_sum: float = 0.0       # MB
-    bw_sum: float = 0.0        # MB/s
-    disk_read: float = 0.0     # KB/s
-    disk_write: float = 0.0    # KB/s
-    util_history: list[float] = field(default_factory=list)
-    u_cpu: float = 0.0
-    u_mem: float = U_MEM_FLOOR  # percent (0, 100]
-    mode: DvfsMode | None = None
-    t_mem: float = 0.0
-    t_cpu: float = 0.0
-    p_it: float = 0.0          # W, includes disk power; 0 when off
-
-    def copy(self) -> "HostState":
-        # the constructor is about twice as fast as dataclasses.replace
-        return HostState(
-            self.id, self.spec, self.powered_on, self.t_inlet, self.fan_speed,
-            set(self.vms), self.cpu_sum, self.ram_sum, self.bw_sum,
-            self.disk_read, self.disk_write, list(self.util_history),
-            self.u_cpu, self.u_mem, self.mode, self.t_mem, self.t_cpu,
-            self.p_it)
 
 
 class CapacityError(Exception):
@@ -139,26 +104,6 @@ class CapacityError(Exception):
         self.resource = resource
         super().__init__(
             f"host {host_id}: {resource} demand {needed:.3f} exceeds capacity {capacity:.3f}")
-
-
-PlacementMap = dict[str, int]
-
-
-@dataclass(frozen=True)
-class ObjectiveVector:
-    """The 7 per-candidate consolidation objectives, all minimized."""
-
-    d_p_host: float
-    p_host: float
-    inv_u_minus_dfreq: float
-    t_mem: float
-    d_freq: float
-    inv_u: float
-    p_host_plus_cooling: float
-
-    def as_tuple(self) -> tuple[float, ...]:
-        return (self.d_p_host, self.p_host, self.inv_u_minus_dfreq, self.t_mem,
-                self.d_freq, self.inv_u, self.p_host_plus_cooling)
 
 
 @dataclass
@@ -179,141 +124,169 @@ class SlotMetrics:
     wall_time: float = 0.0     # s, excluded from serialized artifacts
 
 
-class DataCenterState:
-    """Mutable simulation state: a host fleet plus the known VM set."""
+# per-VM demand arrays; each host array of the same resource is named
+# ``<name>_sum``
+_DEMANDS = ("cpu", "ram", "bw", "disk_read", "disk_write")
+_ARRAYS = (*_DEMANDS, "host", "on", *(f"{d}_sum" for d in _DEMANDS),
+           "u_cpu", "mode", "p_it")
 
-    def __init__(self, hosts: list[HostState], vms: dict[str, VmState],
-                 params: ModelParams | None = None, setpoint: float = 291.0):
-        self.hosts = hosts
-        self.vms = vms
-        self.params = params or ModelParams()
-        self.setpoint = setpoint
-        for h in hosts:
-            h.t_inlet = setpoint
-            self.refresh(h)
+
+class DataCenterState:
+    """Mutable simulation state: the fleet as per-host and per-VM arrays.
+
+    Per VM, indexed like ``vm_ids``: the demands ``cpu``, ``ram``, ``bw``,
+    ``disk_read`` and ``disk_write`` (units as in :class:`VmState`) and
+    ``host``, the id of the VM's host or -1 while it has none.  Per host,
+    indexed by host id: ``on``, the sums of its VMs' demands (``cpu_sum``
+    and so on; ``cpu_sum`` may exceed 1) and the figures derived from them:
+    ``u_cpu`` (clamped to [0, 1]), ``mode`` (index into the DVFS table) and
+    ``p_it`` (W, disk included, 0 when off).  Every host shares ``spec`` and
+    the inlet ``setpoint``.
+    """
+
+    spec: ServerSpec
+    params: ModelParams
+    setpoint: float
+    vm_ids: tuple[str, ...]
+    index: dict[str, int]   # VM id -> position in the per-VM arrays
 
     @classmethod
     def build(cls, n_hosts: int, vms: dict[str, VmState] | None = None,
               spec: ServerSpec | None = None, params: ModelParams | None = None,
               setpoint: float = 291.0) -> "DataCenterState":
-        spec = spec or default_server_spec()
-        hosts = [HostState(id=i, spec=spec) for i in range(n_hosts)]
-        return cls(hosts, vms or {}, params, setpoint)
+        """A fleet of powered-off hosts and the given VMs, all unassigned."""
+        records = list((vms or {}).values())
+        state = object.__new__(cls)
+        state.spec = spec or default_server_spec()
+        state.params = params or ModelParams()
+        state.setpoint = setpoint
+        state.vm_ids = tuple(vm.id for vm in records)
+        state.index = {vid: i for i, vid in enumerate(state.vm_ids)}
+        for name, field_ in zip(_DEMANDS, ("cpu_demand", "ram_used", "net_bw",
+                                           "disk_read", "disk_write")):
+            setattr(state, name, np.array([getattr(vm, field_) for vm in records],
+                                          dtype=float))
+            setattr(state, f"{name}_sum", np.zeros(n_hosts))
+        state.host = np.full(len(records), -1, dtype=np.intp)
+        state.on = np.zeros(n_hosts, dtype=bool)
+        state.u_cpu = np.zeros(n_hosts)
+        state.mode = np.zeros(n_hosts, dtype=np.intp)
+        state.p_it = np.zeros(n_hosts)
+        return state
 
-    def copy(self) -> "DataCenterState":
+    def _with(self, **arrays) -> "DataCenterState":
+        """This state with the given arrays in place of its own; everything
+        else is shared."""
         new = object.__new__(DataCenterState)
-        new.hosts = [h.copy() for h in self.hosts]
-        new.vms = {vid: VmState(vm.id, vm.cores, vm.cpu_demand, vm.ram_used,
-                                vm.disk_read, vm.disk_write, vm.net_bw,
-                                vm.assigned_host)
-                   for vid, vm in self.vms.items()}
-        new.params = self.params
-        new.setpoint = self.setpoint
+        new.__dict__.update(self.__dict__, **arrays)
         return new
 
-    def refresh(self, h: HostState) -> None:
-        """Recompute the derived fields of one host from its aggregates."""
-        if not h.powered_on:
-            h.u_cpu = 0.0
-            h.u_mem = U_MEM_FLOOR
-            h.mode = h.spec.dvfs_table[0]
-            h.fan_speed = 0.0
-            h.t_mem = 0.0
-            h.t_cpu = 0.0
-            h.p_it = 0.0
-            return
-        (h.u_cpu, h.u_mem, h.mode, h.fan_speed, h.t_mem,
-         h.p_it) = models.host_operating_point(
-            h.cpu_sum, h.ram_sum, h.disk_read, h.disk_write, h.t_inlet, h.spec,
-            self.params)
-        h.t_cpu = models.cpu_temperature(h.t_inlet, h.u_cpu, self.params.thermal)
+    def copy(self) -> "DataCenterState":
+        return self._with(**{name: getattr(self, name).copy() for name in _ARRAYS})
+
+    def vm(self, vm_id: str) -> VmState:
+        """The demand of one VM, as a new record."""
+        i = self.index[vm_id]
+        return VmState(vm_id, self.cpu.item(i), self.ram.item(i),
+                       self.disk_read.item(i), self.disk_write.item(i),
+                       self.bw.item(i))
+
+    def vms_on(self, host: int) -> list[str]:
+        """Ids of the VMs on one host, in VM order."""
+        return [self.vm_ids[i] for i in np.flatnonzero(self.host == host).tolist()]
+
+    def vm_counts(self) -> np.ndarray:
+        """Number of VMs on each host."""
+        return np.bincount(self.host[self.host >= 0], minlength=len(self.on))
+
+    @property
+    def busy(self) -> np.ndarray:
+        """Powered on and running VMs."""
+        return self.on & (self.vm_counts() > 0)
+
+    def _point(self, on: bool, cpu: float, ram: float, disk_read: float,
+               disk_write: float) -> tuple[float, int, float]:
+        # (u_cpu, mode, p_it) of one host; the kernel gets Python floats
+        if not on:
+            return 0.0, 0, 0.0
+        u_cpu, _, mode, _, _, p_it = models.host_operating_point(
+            cpu, ram, disk_read, disk_write, self.setpoint, self.spec, self.params)
+        return u_cpu, self.spec.dvfs_table.index(mode), p_it
+
+    def refresh(self, host: int) -> None:
+        """Recompute the derived figures of one host from its sums."""
+        self.u_cpu[host], self.mode[host], self.p_it[host] = self._point(
+            self.on.item(host), self.cpu_sum.item(host), self.ram_sum.item(host),
+            self.disk_read_sum.item(host), self.disk_write_sum.item(host))
+
+    def refresh_all(self) -> None:
+        """Recompute the derived figures of every host, in one loop."""
+        points = list(map(self._point, self.on.tolist(), self.cpu_sum.tolist(),
+                          self.ram_sum.tolist(), self.disk_read_sum.tolist(),
+                          self.disk_write_sum.tolist()))
+        self.u_cpu = np.array([q[0] for q in points], dtype=float)
+        self.mode = np.array([q[1] for q in points], dtype=np.intp)
+        self.p_it = np.array([q[2] for q in points], dtype=float)
 
     def set_setpoint(self, t_inlet_k: float) -> None:
-        self.setpoint = t_inlet_k
-        for h in self.hosts:
-            h.t_inlet = t_inlet_k
-            self.refresh(h)
-
-    def attach(self, vm: VmState, host_id: int) -> None:
-        h = self.hosts[host_id]
-        if not h.powered_on:
-            h.powered_on = True
-        h.vms.add(vm.id)
-        h.cpu_sum += vm.cpu_demand
-        h.ram_sum += vm.ram_used
-        h.bw_sum += vm.net_bw
-        h.disk_read += vm.disk_read
-        h.disk_write += vm.disk_write
-        vm.assigned_host = host_id
-        self.refresh(h)
-
-    def detach(self, vm: VmState) -> None:
-        if vm.assigned_host is None:
+        if t_inlet_k == self.setpoint:
             return
-        h = self.hosts[vm.assigned_host]
-        h.vms.discard(vm.id)
-        h.cpu_sum -= vm.cpu_demand
-        h.ram_sum -= vm.ram_used
-        h.bw_sum -= vm.net_bw
-        h.disk_read -= vm.disk_read
-        h.disk_write -= vm.disk_write
-        vm.assigned_host = None
-        self.refresh(h)
+        self.setpoint = t_inlet_k
+        self.refresh_all()
+
+    def set_demand(self, cpu, ram, bw, disk_read, disk_write) -> None:
+        """Take new per-VM demands and rebuild every host's sums from them.
+
+        ``np.bincount`` adds each host's VMs in VM order, starting from 0.0:
+        the same additions as attaching the VMs one at a time.
+        """
+        placed = self.host >= 0
+        hosts = self.host[placed]
+        for name, values in zip(_DEMANDS, (cpu, ram, bw, disk_read, disk_write)):
+            values = np.array(values, dtype=float)
+            setattr(self, name, values)
+            # an empty input gives integer counts
+            setattr(self, f"{name}_sum", np.bincount(
+                hosts, values[placed], len(self.on)).astype(float, copy=False))
+        self.refresh_all()
+
+    def _shift(self, i: int, host: int, sign: float) -> None:
+        # add (sign 1) or remove (sign -1) VM i's demand on a host's sums;
+        # x + -1.0 * y is x - y exactly
+        self.cpu_sum[host] += sign * self.cpu[i]
+        self.ram_sum[host] += sign * self.ram[i]
+        self.bw_sum[host] += sign * self.bw[i]
+        self.disk_read_sum[host] += sign * self.disk_read[i]
+        self.disk_write_sum[host] += sign * self.disk_write[i]
+
+    def _move(self, i: int, host: int) -> int:
+        """Put VM ``i`` on ``host`` (-1: on none) without re-costing either
+        host; powers the target on.  Returns the VM's previous host."""
+        old = self.host.item(i)
+        if old >= 0:
+            self._shift(i, old, -1.0)
+        if host >= 0:
+            self.on[host] = True
+            self._shift(i, host, 1.0)
+        self.host[i] = host
+        return old
+
+    def attach(self, vm_id: str, host: int) -> None:
+        """Put a VM on a host, off the host it was on, and re-cost both."""
+        old = self._move(self.index[vm_id], host)
+        if old >= 0:
+            self.refresh(old)
+        self.refresh(host)
+
+    def detach(self, *vm_ids: str) -> None:
+        """Take VMs off their hosts, in order, then re-cost each host once."""
+        touched = {self._move(self.index[vid], -1) for vid in vm_ids}
+        for host in sorted(touched - {-1}):
+            self.refresh(host)
 
     def total_it_power(self) -> float:
-        return sum(h.p_it for h in self.hosts if h.powered_on)
-
-
-@dataclass
-class FleetView:
-    """Per-host arrays of a fleet, indexed by host id: what the global-power
-    evaluators and the underload fit test read.
-
-    ``state`` supplies the VMs: their demands, and the VM set each host
-    starts from; ``added`` maps the VMs a tentative placement put on top to
-    their hosts.
-    """
-
-    state: DataCenterState
-    on: np.ndarray       # powered on
-    busy: np.ndarray     # powered on and running VMs
-    p_it: np.ndarray     # W, 0 where not busy: the engine powers such hosts off
-    cpu_sum: np.ndarray
-    ram_sum: np.ndarray
-    bw_sum: np.ndarray
-    ram_cap: np.ndarray
-    bw_cap: np.ndarray
-    added: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def u_cpu(self) -> np.ndarray:
-        """What DataCenterState.refresh derives for a powered-on host."""
-        return np.minimum(1.0, np.maximum(0.0, self.cpu_sum))
-
-    @classmethod
-    def of(cls, state: DataCenterState) -> "FleetView":
-        hosts = state.hosts
-        busy = np.array([h.powered_on and bool(h.vms) for h in hosts], dtype=bool)
-        return cls(state, on=np.array([h.powered_on for h in hosts], dtype=bool),
-                   busy=busy,
-                   p_it=np.where(busy, [h.p_it for h in hosts], 0.0),
-                   cpu_sum=np.array([h.cpu_sum for h in hosts], dtype=float),
-                   ram_sum=np.array([h.ram_sum for h in hosts], dtype=float),
-                   bw_sum=np.array([h.bw_sum for h in hosts], dtype=float),
-                   ram_cap=np.array([h.spec.ram_capacity for h in hosts], dtype=float),
-                   bw_cap=np.array([h.spec.bw_capacity for h in hosts], dtype=float))
-
-    def vm_ids(self, host_id: int) -> list[str]:
-        return [*self.state.hosts[host_id].vms,
-                *(vid for vid, h in self.added.items() if h == host_id)]
-
-    def it_power(self) -> float:
         """Fleet IT power (W), summed in host-id order with Python floats."""
         return sum(self.p_it.tolist())
-
-    @property
-    def cop(self) -> float:
-        return models.cop(self.state.setpoint, self.state.params.cooling)
 
 
 @dataclass
@@ -323,7 +296,7 @@ class ApplyResult:
     moved: list[tuple[str, int | None, int]]  # (vm, source or None, target)
 
 
-def apply_placement(state: DataCenterState, placement: PlacementMap,
+def apply_placement(state: DataCenterState, placement: dict[str, int],
                     enforce_cpu: bool = False) -> ApplyResult:
     """Apply a VM -> host mapping to a copy of the state.
 
@@ -334,44 +307,36 @@ def apply_placement(state: DataCenterState, placement: PlacementMap,
     placement is a no-op.
     """
     new = state.copy()
-
-    cpu = {h.id: h.cpu_sum for h in new.hosts}
-    ram = {h.id: h.ram_sum for h in new.hosts}
-    bw = {h.id: h.bw_sum for h in new.hosts}
     moves = []
-    for vm_id, target in placement.items():
-        vm = new.vms[vm_id]
-        if vm.assigned_host == target:
-            continue
-        if vm.assigned_host is not None:
-            cpu[vm.assigned_host] -= vm.cpu_demand
-            ram[vm.assigned_host] -= vm.ram_used
-            bw[vm.assigned_host] -= vm.net_bw
-        cpu[target] += vm.cpu_demand
-        ram[target] += vm.ram_used
-        bw[target] += vm.net_bw
-        moves.append((vm_id, vm.assigned_host, target))
-
-    for h in new.hosts:
-        if ram[h.id] > h.spec.ram_capacity + 1e-9:
-            raise CapacityError(h.id, "ram", ram[h.id], h.spec.ram_capacity)
-        if bw[h.id] > h.spec.bw_capacity + 1e-9:
-            raise CapacityError(h.id, "bandwidth", bw[h.id], h.spec.bw_capacity)
-        if enforce_cpu and cpu[h.id] > 1.0 + 1e-9:
-            raise CapacityError(h.id, "cpu", cpu[h.id], 1.0)
-
     power_on = 0
-    for vm_id, _, target in moves:
-        vm = new.vms[vm_id]
-        new.detach(vm)
-        if not new.hosts[target].powered_on:
+    touched = set()
+    for vm_id, target in placement.items():
+        i = new.index[vm_id]
+        source = new.host.item(i)
+        if source == target:
+            continue
+        if not new.on[target]:
             power_on += 1
-        new.attach(vm, target)
+        new._move(i, target)
+        touched.update((source, target))
+        moves.append((vm_id, None if source < 0 else source, target))
 
-    for h in new.hosts:
-        if h.powered_on and not h.vms:
-            h.powered_on = False
-            h.util_history.clear()
-            new.refresh(h)
+    spec = new.spec
+    over = {"ram": (new.ram_sum, spec.ram_capacity),
+            "bandwidth": (new.bw_sum, spec.bw_capacity)}
+    if enforce_cpu:
+        over["cpu"] = (new.cpu_sum, 1.0)
+    bad = np.zeros(len(new.on), dtype=bool)
+    for sums, capacity in over.values():
+        bad |= sums > capacity + 1e-9
+    if bad.any():
+        host = int(np.argmax(bad))
+        for resource, (sums, capacity) in over.items():
+            if sums[host] > capacity + 1e-9:
+                raise CapacityError(host, resource, sums.item(host), capacity)
 
+    idle = new.on & (new.vm_counts() == 0)
+    new.on[idle] = False
+    for host in sorted((touched - {-1}) | set(np.flatnonzero(idle).tolist())):
+        new.refresh(host)
     return ApplyResult(state=new, power_on_events=power_on, moved=moves)

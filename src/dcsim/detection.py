@@ -7,7 +7,7 @@ from statistics import median
 
 import numpy as np
 
-from .core import DataCenterState, FleetView, HostState
+from .core import DataCenterState, ServerSpec
 
 
 @dataclass(frozen=True)
@@ -42,12 +42,12 @@ def overload_threshold(history, cfg: MadConfig = MadConfig()) -> float:
     return min(1.0, max(0.5, t))
 
 
-def migration_bandwidth(host: HostState, reserve_fraction: float = 0.5) -> float:
+def migration_bandwidth(spec: ServerSpec, reserve_fraction: float = 0.5) -> float:
     """Bandwidth available to live migration, MB/s (half the link by default)."""
-    return host.spec.bw_capacity * reserve_fraction
+    return spec.bw_capacity * reserve_fraction
 
 
-def select_vms_mmt(host: HostState, threshold: float, state: DataCenterState,
+def select_vms_mmt(host: int, threshold: float, state: DataCenterState,
                    reserve_fraction: float = 0.5) -> list[str]:
     """VMs to migrate off an overloaded host, minimum-migration-time first.
 
@@ -56,17 +56,19 @@ def select_vms_mmt(host: HostState, threshold: float, state: DataCenterState,
     below the threshold.  Returns an empty list when the host is not over
     the threshold.
     """
-    projected = host.cpu_sum
+    projected = state.cpu_sum.item(host)
     if projected < threshold:
         return []
-    bw = migration_bandwidth(host, reserve_fraction)
-    remaining = sorted(host.vms, key=lambda vid: (state.vms[vid].ram_used / bw, vid))
+    bw = migration_bandwidth(state.spec, reserve_fraction)
+    ids, ram, cpu = state.vm_ids, state.ram, state.cpu
+    remaining = sorted(np.flatnonzero(state.host == host).tolist(),
+                       key=lambda i: (ram.item(i) / bw, ids[i]))
     picked = []
-    for vid in remaining:
+    for i in remaining:
         if projected < threshold:
             break
-        picked.append(vid)
-        projected -= state.vms[vid].cpu_demand
+        picked.append(ids[i])
+        projected -= cpu.item(i)
     return picked
 
 
@@ -81,21 +83,21 @@ def threshold_array(thresholds: dict[int, float] | None, n: int) -> np.ndarray:
     return thr
 
 
-def _fits_elsewhere(host_id: int, fleet: FleetView, thr: np.ndarray,
+def _fits_elsewhere(host_id: int, state: DataCenterState, thr: np.ndarray,
                     targets: np.ndarray) -> bool:
     # Greedy first-fit feasibility check over the other powered-on hosts,
     # in host-id order.
     targets = targets.copy()
     targets[host_id] = False
-    cpu = fleet.cpu_sum.copy()
-    ram = fleet.ram_sum.copy()
-    bw = fleet.bw_sum.copy()
-    vms = sorted((fleet.state.vms[vid] for vid in fleet.vm_ids(host_id)),
+    cpu = state.cpu_sum.copy()
+    ram = state.ram_sum.copy()
+    bw = state.bw_sum.copy()
+    vms = sorted((state.vm(vid) for vid in state.vms_on(host_id)),
                  key=lambda vm: (-vm.cpu_demand, vm.id))
     for vm in vms:
         fits = (targets & (cpu + vm.cpu_demand < thr)
-                & (ram + vm.ram_used <= fleet.ram_cap)
-                & (bw + vm.net_bw <= fleet.bw_cap))
+                & (ram + vm.ram_used <= state.spec.ram_capacity)
+                & (bw + vm.net_bw <= state.spec.bw_capacity))
         if not fits.any():
             return False
         t = int(fits.argmax())
@@ -105,7 +107,7 @@ def _fits_elsewhere(host_id: int, fleet: FleetView, thr: np.ndarray,
     return True
 
 
-def find_underloaded(fleet: FleetView, exclude: set[int] | None = None,
+def find_underloaded(state: DataCenterState, exclude: set[int] | None = None,
                      thresholds: dict[int, float] | None = None,
                      cut: float | None = None,
                      limit: int | None = None) -> list[int]:
@@ -124,8 +126,9 @@ def find_underloaded(fleet: FleetView, exclude: set[int] | None = None,
     and truncated to ``limit`` entries, at a fraction of the fit tests.
     """
     exclude = exclude or set()
-    u = fleet.u_cpu
-    on = np.flatnonzero(fleet.on)
+    u = state.u_cpu
+    on = np.flatnonzero(state.on)
+    busy = state.busy
     targets = thr = None
     out = []
     for h in on[np.argsort(u[on], kind="stable")].tolist():
@@ -135,12 +138,12 @@ def find_underloaded(fleet: FleetView, exclude: set[int] | None = None,
         # host after it is at or above the cut as well
         if cut is not None and u[h] >= cut:
             break
-        if h in exclude or not fleet.busy[h]:
+        if h in exclude or not busy[h]:
             continue
         if targets is None:
-            targets = fleet.on.copy()
+            targets = state.on.copy()
             targets[list(exclude)] = False
             thr = threshold_array(thresholds, len(targets))
-        if _fits_elsewhere(h, fleet, thr, targets):
+        if _fits_elsewhere(h, state, thr, targets):
             out.append(h)
     return out

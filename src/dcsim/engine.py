@@ -5,14 +5,15 @@ accounting."""
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import annealer, models, policies
 from .cooling import CoolingStrategy, FixedCooling, cooling_setpoint
-from .core import (CapacityError, DataCenterState, FleetView, ServerSpec,
-                   SlotMetrics, VmState, apply_placement, default_server_spec)
+from .core import (CapacityError, DataCenterState, ServerSpec, SlotMetrics,
+                   VmState, apply_placement, default_server_spec)
 from .detection import MadConfig, find_underloaded, migration_bandwidth, \
     overload_threshold, select_vms_mmt, threshold_array
 from .models import KWH_PER_WS, ModelParams
@@ -105,18 +106,20 @@ def _drain_aware_evaluator(cfg: SimConfig, thresholds: dict[int, float]):
     tentative placement.  It follows :func:`policies.dynso_place`'s evaluator
     contract and reads the placed fleet it is given."""
 
-    def evaluate(fleet: FleetView) -> float:
-        power = fleet.it_power()
-        on_u = fleet.u_cpu[fleet.busy].tolist()
+    def evaluate(state: DataCenterState) -> float:
+        busy = state.busy
+        power = sum(state.p_it[busy].tolist())
+        on_u = state.u_cpu[busy].tolist()
         if on_u and cfg.max_drains_per_slot > 0:
-            thr = threshold_array(thresholds, len(fleet.on))
-            overloaded = np.flatnonzero(fleet.on & (fleet.cpu_sum >= thr))
+            thr = threshold_array(thresholds, len(state.on))
+            overloaded = np.flatnonzero(state.on & (state.cpu_sum >= thr))
             drainable = find_underloaded(
-                fleet, thresholds=thresholds, exclude=set(overloaded.tolist()),
+                state, thresholds=thresholds, exclude=set(overloaded.tolist()),
                 cut=cfg.underload_fraction * (sum(on_u) / len(on_u)),
                 limit=cfg.max_drains_per_slot)
-            power -= sum(fleet.p_it[drainable].tolist())
-        return power * (1.0 + 1.0 / fleet.cop)
+            power -= sum(state.p_it[drainable].tolist())
+        return power * (1.0 + 1.0 / models.cop(state.setpoint,
+                                               state.params.cooling))
 
     return evaluate
 
@@ -132,7 +135,7 @@ def _place(cfg: SimConfig, plan: DataCenterState, vm_ids: list[str],
             _SO_BY_NAME[name], vm_ids, host_ids, plan, thresholds,
             cfg.mad.fallback_threshold, forbidden, cfg.sosa, cfg.slot_seconds)
     if name in ("mo1", "mo2"):
-        on_u = [h.u_cpu for h in plan.hosts if h.powered_on and h.vms]
+        on_u = plan.u_cpu[plan.busy].tolist()
         cut = cfg.underload_fraction * (sum(on_u) / len(on_u) if on_u else 0.0)
         return policies.mo_place(name, vm_ids, host_ids, plan, thresholds,
                                  cfg.mad.fallback_threshold, forbidden,
@@ -166,11 +169,11 @@ def _migration_events(moved, state: DataCenterState, cfg: SimConfig,
     """Migration events of the applied moves; a VM placed for the first time
     (no source host) does not migrate."""
     events = []
+    bw = migration_bandwidth(state.spec, cfg.migration_reserve)
     for vm_id, src, dst in moved:
         if src is None:
             continue
-        vm = state.vms[vm_id]
-        bw = migration_bandwidth(state.hosts[src], cfg.migration_reserve)
+        vm = state.vm(vm_id)
         duration = min(vm.ram_used / bw if bw > 0 else cfg.slot_seconds,
                        cfg.slot_seconds)
         events.append(MigrationEvent(vm_id, src, dst, duration, slot,
@@ -190,81 +193,65 @@ def run(workload: Workload, cfg: SimConfig) -> RunReport:
     spec = cfg.server or default_server_spec()
     params = cfg.models
 
-    vms = {}
-    for i, vid in enumerate(workload.vm_ids):
-        vms[vid] = VmState(id=vid, cores=int(workload.cores[i]))
     initial_sp = (cfg.cooling.setpoint if isinstance(cfg.cooling, FixedCooling)
                   else cfg.cooling.ceiling)
-    state = DataCenterState.build(cfg.hosts, vms, spec, params, initial_sp)
+    state = DataCenterState.build(
+        cfg.hosts, {vid: VmState(vid) for vid in workload.vm_ids}, spec, params,
+        initial_sp)
+    vm_ids = state.vm_ids
 
     slots: list[SlotMetrics] = []
     totals = RunTotals()
-    vm_deg: dict[str, float] = {vid: 0.0 for vid in workload.vm_ids}
-    vm_req: dict[str, float] = {vid: 0.0 for vid in workload.vm_ids}
-    host_active = [0] * cfg.hosts
-    host_saturated = [0] * cfg.hosts
+    vm_deg: dict[str, float] = {vid: 0.0 for vid in vm_ids}
+    vm_req = np.zeros(len(vm_ids))
+    host_active = np.zeros(cfg.hosts, dtype=int)
+    host_saturated = np.zeros(cfg.hosts, dtype=int)
+    # MAD utilization history of each host while it is powered on
+    history = [deque(maxlen=cfg.mad.history_window) for _ in range(cfg.hosts)]
     calib_values: list[float] = []
     calib_energy: list[float] = []
 
     for t in range(workload.slot_count):
         slot_t0 = time.monotonic()
 
-        # demand update: refresh VM demands and rebuild host aggregates
-        for i, vid in enumerate(workload.vm_ids):
-            vm = state.vms[vid]
-            vm.cpu_demand = float(workload.cpu[i, t])
-            vm.ram_used = float(workload.ram[i, t])
-            vm.disk_read = float(workload.disk_read[i, t])
-            vm.disk_write = float(workload.disk_write[i, t])
-            vm.net_bw = float(workload.net_bw[i, t])
-        for h in state.hosts:
-            h.cpu_sum = h.ram_sum = h.bw_sum = 0.0
-            h.disk_read = h.disk_write = 0.0
-        for vm in state.vms.values():
-            if vm.assigned_host is not None:
-                h = state.hosts[vm.assigned_host]
-                h.cpu_sum += vm.cpu_demand
-                h.ram_sum += vm.ram_used
-                h.bw_sum += vm.net_bw
-                h.disk_read += vm.disk_read
-                h.disk_write += vm.disk_write
-        for h in state.hosts:
-            state.refresh(h)
+        # demand update: take this slot's demands, rebuild host aggregates
+        state.set_demand(cpu=workload.cpu[:, t], ram=workload.ram[:, t],
+                         bw=workload.net_bw[:, t],
+                         disk_read=workload.disk_read[:, t],
+                         disk_write=workload.disk_write[:, t])
 
         # detection
         thresholds = {}
-        for h in state.hosts:
-            if h.powered_on:
-                h.util_history.append(h.u_cpu)
-                thresholds[h.id] = overload_threshold(h.util_history, cfg.mad)
+        for h, (on, u) in enumerate(zip(state.on.tolist(), state.u_cpu.tolist())):
+            if on:
+                history[h].append(u)
+                thresholds[h] = overload_threshold(history[h], cfg.mad)
             else:
-                thresholds[h.id] = cfg.mad.fallback_threshold
+                history[h].clear()
+                thresholds[h] = cfg.mad.fallback_threshold
 
-        to_move: list[str] = []
+        to_move = [vm_ids[i] for i in np.flatnonzero(state.host < 0).tolist()]
         forbidden: dict[str, int] = {}
         overloaded: set[int] = set()
-        for vid, vm in state.vms.items():
-            if vm.assigned_host is None:
-                to_move.append(vid)
-        for h in state.hosts:
-            if h.powered_on and h.cpu_sum >= thresholds[h.id]:
-                overloaded.add(h.id)
-                for vid in select_vms_mmt(h, thresholds[h.id], state,
+        for h, (on, cpu) in enumerate(zip(state.on.tolist(),
+                                          state.cpu_sum.tolist())):
+            if on and cpu >= thresholds[h]:
+                overloaded.add(h)
+                for vid in select_vms_mmt(h, thresholds[h], state,
                                           cfg.migration_reserve):
                     to_move.append(vid)
-                    forbidden[vid] = h.id
+                    forbidden[vid] = h
 
-        fallback = {vid: state.vms[vid].assigned_host for vid in to_move}
+        # a VM that finds no host stays where it is
+        fallback = {vid: forbidden.get(vid) for vid in to_move}
         migrations: list[MigrationEvent] = []
         power_on_events = 0
 
         if to_move:
             plan = state.copy()
-            for vid in to_move:
-                plan.detach(plan.vms[vid])
-            all_hosts = [h.id for h in state.hosts]
-            result = _place(cfg, plan, to_move, all_hosts, thresholds,
-                            forbidden, fallback, t)
+            plan.detach(*to_move)
+            result = _place(cfg, plan, to_move, list(range(cfg.hosts)),
+                            thresholds, forbidden, fallback, t)
             if result.chosen_norm_values:
                 calib_values.append(sum(result.chosen_norm_values.values())
                                     / len(result.chosen_norm_values))
@@ -288,26 +275,22 @@ def run(workload: Workload, cfg: SimConfig) -> RunReport:
         # set found a new home are actually drained and powered off.
         under = []
         if cfg.max_drains_per_slot > 0:
-            on_utils = [h.u_cpu for h in state.hosts if h.powered_on]
+            on_utils = state.u_cpu[state.on].tolist()
             under_cut = cfg.underload_fraction * (sum(on_utils) / len(on_utils)
                                                   if on_utils else 0.0)
-            under = find_underloaded(FleetView.of(state), overloaded,
-                                     thresholds, cut=under_cut,
+            under = find_underloaded(state, overloaded, thresholds,
+                                     cut=under_cut,
                                      limit=cfg.max_drains_per_slot)
         if under:
             under_set = set(under)
-            candidates = [x.id for x in state.hosts
-                          if x.powered_on and x.id not in under_set]
-            drain_vms = []
-            source = {}
-            for hid in under:
-                for vid in sorted(state.hosts[hid].vms):
-                    drain_vms.append(vid)
-                    source[vid] = hid
+            candidates = [h for h in np.flatnonzero(state.on).tolist()
+                          if h not in under_set]
+            hosted = {hid: sorted(state.vms_on(hid)) for hid in under}
+            source = {vid: hid for hid in under for vid in hosted[hid]}
+            drain_vms = list(source)
             if candidates and drain_vms:
                 plan = state.copy()
-                for vid in drain_vms:
-                    plan.detach(plan.vms[vid])
+                plan.detach(*drain_vms)
                 res = _place(cfg, plan, drain_vms, candidates, thresholds,
                              source, dict(source), t)
                 placed_by_host: dict[int, list[str]] = {}
@@ -315,7 +298,7 @@ def run(workload: Workload, cfg: SimConfig) -> RunReport:
                     placed_by_host.setdefault(source[vid], []).append(vid)
                 moves = {}
                 for hid, vids in placed_by_host.items():
-                    if len(vids) == len(state.hosts[hid].vms):
+                    if len(vids) == len(hosted[hid]):
                         for vid in vids:
                             moves[vid] = res.placement[vid]
                 if moves:
@@ -345,16 +328,12 @@ def run(workload: Workload, cfg: SimConfig) -> RunReport:
         e_cooling = e_it / models.cop(sp, params.cooling)
         e_boot = power_on_events * spec.e_boot
 
-        active = saturated = 0
-        for h in state.hosts:
-            if h.powered_on:
-                active += 1
-                host_active[h.id] += 1
-                if h.cpu_sum >= 1.0 - 1e-12:
-                    saturated += 1
-                    host_saturated[h.id] += 1
-        for vid, vm in state.vms.items():
-            vm_req[vid] += vm.cpu_demand * cfg.slot_seconds
+        saturated_mask = state.on & (state.cpu_sum >= 1.0 - 1e-12)
+        host_active += state.on
+        host_saturated += saturated_mask
+        active = int(np.count_nonzero(state.on))
+        saturated = int(np.count_nonzero(saturated_mask))
+        vm_req += state.cpu * cfg.slot_seconds
 
         slot_otf = saturated / active if active else 0.0
         m = SlotMetrics(
@@ -373,11 +352,11 @@ def run(workload: Workload, cfg: SimConfig) -> RunReport:
         totals.power_on_events += power_on_events
         totals.migrations += len(migrations)
 
-    otf_values = [host_saturated[i] / host_active[i]
-                  for i in range(cfg.hosts) if host_active[i] > 0]
+    otf_values = [sat / act for sat, act in zip(host_saturated.tolist(),
+                                                host_active.tolist()) if act > 0]
     otf = sum(otf_values) / len(otf_values) if otf_values else 0.0
-    pdm_values = [vm_deg[vid] / vm_req[vid]
-                  for vid in workload.vm_ids if vm_req[vid] > 0]
+    pdm_values = [vm_deg[vid] / req for vid, req in zip(vm_ids, vm_req.tolist())
+                  if req > 0]
     pdm = sum(pdm_values) / len(pdm_values) if pdm_values else 0.0
 
     return RunReport(
@@ -401,13 +380,12 @@ def migration_cost(events: list[MigrationEvent], state: DataCenterState,
     deg = 0.0
     for ev in events:
         if double_power:
-            h = state.hosts[ev.target]
-            mode = h.mode if h.mode else h.spec.dvfs_table[0]
+            mode = state.spec.dvfs_table[state.mode[ev.target]]
             p_dyn = models.dynamic_power(mode.v_dd, mode.f_op, ev.cpu_demand,
                                          p.power)
             extra_ws += p_dyn * ev.duration
         deg += 0.1 * ev.cpu_demand * ev.duration
-    requested = sum(vm.cpu_demand for vm in state.vms.values()) * slot_seconds
+    requested = sum(state.cpu.tolist()) * slot_seconds
     pdm = deg / requested if requested > 0 else 0.0
     return extra_ws * KWH_PER_WS, pdm
 

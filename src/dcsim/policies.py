@@ -11,13 +11,13 @@ function of the state.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from . import models
-from .core import DataCenterState, FleetView, ObjectiveVector, VmState
+from .core import DataCenterState, VmState
 from .models import KWH_PER_WS
 
 
@@ -48,59 +48,6 @@ class SoSaModel:
     a3: float = 0.1603
     a6: float = 0.7724
     c: float = 0.0102
-
-
-class GuardError(ValueError):
-    """A consolidation value is undefined for this candidate (skip it)."""
-
-
-@dataclass(frozen=True)
-class CandidateView:
-    """Model outputs for placing one VM on one host."""
-
-    host_id: int
-    u_after: float           # post-allocation utilization, clamped to 1
-    dfreq: float             # governor frequency increment over f_max
-    p_before: float          # W (0 for a powered-off host)
-    p_after: float           # W
-    t_mem_after: float       # K
-    p_cooling_after: float   # W
-
-
-def so_value_from_view(kind: SoKind, view: CandidateView) -> float:
-    """Scalar consolidation value of one candidate for the plain SO kinds."""
-    if kind == SoKind.SO1:
-        return view.p_after - view.p_before
-    if kind == SoKind.SO2:
-        return view.p_after
-    if kind == SoKind.SO3:
-        denom = view.u_after - view.dfreq
-        if denom <= 0.0:
-            raise GuardError(f"u_cpu - dfreq = {denom} <= 0 on host {view.host_id}")
-        return 1.0 / denom
-    if kind == SoKind.SO4:
-        return view.t_mem_after
-    if kind == SoKind.SO5:
-        return view.dfreq
-    if kind == SoKind.SO6:
-        if view.u_after <= 0.0:
-            raise GuardError(f"u_cpu = 0 on host {view.host_id}")
-        return 1.0 / view.u_after
-    if kind == SoKind.SO7:
-        return view.p_after + view.p_cooling_after
-    raise ValueError(f"{kind} has no per-candidate scalar value")
-
-
-def objective_vector(view: CandidateView) -> ObjectiveVector:
-    """The 7-component multi-objective vector of one candidate."""
-    return ObjectiveVector(
-        d_p_host=view.p_after - view.p_before,
-        p_host=view.p_after,
-        inv_u_minus_dfreq=so_value_from_view(SoKind.SO3, view),
-        t_mem=view.t_mem_after,
-        d_freq=view.dfreq,
-        inv_u=so_value_from_view(SoKind.SO6, view),
-        p_host_plus_cooling=view.p_after + view.p_cooling_after)
 
 
 def normalize_band(values: np.ndarray) -> np.ndarray:
@@ -159,41 +106,39 @@ class _Fleet:
 
     def __init__(self, state: DataCenterState, rows: int, host_list,
                  thresholds: dict[int, float], default_threshold: float):
-        base = FleetView.of(state)
-        hosts = state.hosts
+        n = len(state.on)
         self.state = state
-        self.specs = [h.spec for h in hosts]
-        spec0 = self.specs[0] if hosts else None
-        self.freqs = np.array([m.f_op for m in spec0.dvfs_table]) if spec0 else None
-        self.volts = np.array([m.v_dd for m in spec0.dvfs_table]) if spec0 else None
+        self.spec = spec = state.spec
+        self.freqs = np.array([m.f_op for m in spec.dvfs_table])
+        self.volts = np.array([m.v_dd for m in spec.dvfs_table])
+        # an empty host is costed like a cold one: the engine powers it off
+        busy = state.busy
+        p_before = np.where(busy, state.p_it, 0.0)
 
         def per_row(values):
-            return np.array([np.asarray(values)] * rows)
+            return np.tile(values, (rows, 1))
 
-        self.cpu_sum = per_row(base.cpu_sum)
-        self.ram_sum = per_row(base.ram_sum)
-        self.bw_sum = per_row(base.bw_sum)
-        self.disk_r = per_row([h.disk_read for h in hosts])
-        self.disk_w = per_row([h.disk_write for h in hosts])
-        # an empty host is costed like a cold one: the engine powers it off
-        self.active = per_row(base.busy)
-        self.p_before = per_row(base.p_it)
-        self.f_before = per_row([h.mode.f_op if h.mode else h.spec.dvfs_table[0].f_op
-                                 for h in hosts])
-        self.base = base
-        self.ram_limit = base.ram_cap + 1e-9
-        self.bw_limit = base.bw_cap + 1e-9
+        self.cpu_sum = per_row(state.cpu_sum)
+        self.ram_sum = per_row(state.ram_sum)
+        self.bw_sum = per_row(state.bw_sum)
+        self.disk_r = per_row(state.disk_read_sum)
+        self.disk_w = per_row(state.disk_write_sum)
+        self.active = per_row(busy)
+        self.p_before = per_row(p_before)
+        self.f_before = per_row(self.freqs[state.mode])
+        self.ram_limit = spec.ram_capacity + 1e-9
+        self.bw_limit = spec.bw_capacity + 1e-9
         # a host outside host_list gets a -inf threshold, so no VM fits it
-        candidate = np.zeros(len(hosts), dtype=bool)
+        candidate = np.zeros(n, dtype=bool)
         candidate[list(host_list)] = True
-        self.thr = np.where(candidate, [thresholds.get(h.id, default_threshold)
-                                        for h in hosts], -np.inf)
+        self.thr = np.where(candidate, [thresholds.get(h, default_threshold)
+                                        for h in range(n)], -np.inf)
         self.params = p = state.params
-        self.fan_default = np.array([h.spec.fan_speed_default for h in hosts])
+        self.fan_default = np.full(n, spec.fan_speed_default)
         self.fan_p = p.power.c_fan * self.fan_default ** 3
         self.t_inlet = state.setpoint
         self.cop = models.cop(self.t_inlet, p.cooling)
-        self.total_p = np.full(rows, base.it_power())
+        self.total_p = np.full(rows, sum(p_before.tolist()))
 
     def place(self, vm: VmState, k: int, j: int) -> None:
         """Add ``vm`` to host ``j`` of row ``k`` and re-cost that host."""
@@ -204,7 +149,7 @@ class _Fleet:
         disk_r = self.disk_r[k, j] = float(self.disk_r[k, j]) + vm.disk_read
         disk_w = self.disk_w[k, j] = float(self.disk_w[k, j]) + vm.disk_write
         _, _, mode, _, _, p_it = models.host_operating_point(
-            cpu, ram, disk_r, disk_w, self.t_inlet, self.specs[j], self.params)
+            cpu, ram, disk_r, disk_w, self.t_inlet, self.spec, self.params)
         self.total_p[k] += p_it - self.p_before[k, j]
         self.p_before[k, j] = p_it
         self.f_before[k, j] = mode.f_op
@@ -227,7 +172,7 @@ class _Fleet:
         v_after = self.volts[idx]
         dfreq = (f_after - self.f_before) / f_max
         u_mem = np.minimum(100.0, np.maximum(
-            models.U_MEM_FLOOR, 100.0 * ram_after / self.base.ram_cap))
+            models.U_MEM_FLOOR, 100.0 * ram_after / self.spec.ram_capacity))
         t_mem = p.thermal.mem_k1 * self.t_inlet + 2.0 * p.thermal.mem_k2 * np.log(u_mem)
         if p.fan_map == "linear":
             fan = self.fan_default + (p.fan_linear_max - self.fan_default) * u_after
@@ -249,20 +194,31 @@ class _Fleet:
         return p_it * (1.0 + 1.0 / self.cop)
 
     def view(self, k: int, placement: dict[str, int],
-             fallback: dict[str, int | None]) -> FleetView:
-        """Row ``k`` as the fleet its placement leads to: ``placement``, then
+             fallback: dict[str, int | None]) -> DataCenterState:
+        """Row ``k`` as the state its placement leads to: ``placement``, then
         every unplaced VM on its ``fallback`` host, which mirrors how the
-        engine treats them (they stay put).  Places those VMs on the row."""
-        added = dict(placement)
+        engine treats them (they stay put).  Places those VMs on the row.
+        The view shares the input state's VM demands; read it only."""
+        state = self.state
+        host = state.host.copy()
+        for vm_id, host_id in placement.items():
+            host[state.index[vm_id]] = host_id
         for vm_id, host_id in fallback.items():
             if vm_id not in placement and host_id is not None:
-                self.place(self.state.vms[vm_id], k, host_id)
-                added[vm_id] = host_id
+                self.place(state.vm(vm_id), k, host_id)
+                host[state.index[vm_id]] = host_id
         busy = self.active[k]
-        return replace(self.base, on=self.base.on | busy, busy=busy,
-                       p_it=self.p_before[k], cpu_sum=self.cpu_sum[k],
-                       ram_sum=self.ram_sum[k], bw_sum=self.bw_sum[k],
-                       added=added)
+        on = state.on | busy
+        cpu_sum = self.cpu_sum[k]
+        return state._with(
+            host=host, on=on, cpu_sum=cpu_sum, ram_sum=self.ram_sum[k],
+            bw_sum=self.bw_sum[k], disk_read_sum=self.disk_r[k],
+            disk_write_sum=self.disk_w[k],
+            u_cpu=np.where(on, np.minimum(1.0, np.maximum(0.0, cpu_sum)), 0.0),
+            # each frequency is one of the table's, so this finds its mode
+            mode=np.searchsorted(self.freqs, self.f_before[k]),
+            # p_before is 0 W on a host without VMs; the state has its power
+            p_it=np.where(busy, self.p_before[k], state.p_it))
 
 
 def _reciprocals(tab: dict):
@@ -368,7 +324,7 @@ def _bfd(rows: int, vm_list, host_list, state: DataCenterState,
     fleet = _Fleet(state, rows, host_list, thresholds or {}, default_threshold)
     forbidden = forbidden or {}
     results = [PlacementResult() for _ in range(rows)]
-    vms = [state.vms[v] if isinstance(v, str) else v for v in vm_list]
+    vms = [state.vm(vm_id) for vm_id in vm_list]
     for vm in sorted(vms, key=lambda vm: (-vm.cpu_demand, vm.id)):
         hosts, norms = pick(fleet, fleet.table(vm, forbidden.get(vm.id)))
         for k, (j, norm, result) in enumerate(zip(hosts, norms, results)):
@@ -467,9 +423,11 @@ class DynSoResult(PlacementResult):
     global_power: float  # W, IT + cooling of the winning tentative state
 
 
-def evaluate_global_power(fleet: FleetView) -> float:
-    """IT + cooling power (W) of a placed fleet."""
-    return fleet.it_power() * (1.0 + 1.0 / fleet.cop)
+def evaluate_global_power(state: DataCenterState) -> float:
+    """IT + cooling power (W) of a placed fleet; a host without VMs does not
+    count, since the engine powers it off."""
+    return (sum(state.p_it[state.busy].tolist())
+            * (1.0 + 1.0 / models.cop(state.setpoint, state.params.cooling)))
 
 
 def dynso_place(vm_list, host_list, state: DataCenterState,
@@ -486,7 +444,8 @@ def dynso_place(vm_list, host_list, state: DataCenterState,
     The kinds walk the VMs in lockstep, one :class:`_Fleet` row each, so
     each kind places exactly as :func:`so_place` would.  ``evaluator(fleet)``
     returns the power of the fleet a placement leads to, given as a
-    :class:`FleetView`, and defaults to :func:`evaluate_global_power`; the
+    read-only :class:`DataCenterState`, and defaults to
+    :func:`evaluate_global_power`; the
     engine passes one that also accounts for the hosts its underload pass
     would free.  The view holds the placement, then every unplaced VM on its
     ``fallback`` host when it has one (which may lie outside ``host_list``),

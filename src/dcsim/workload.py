@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import default_server_spec
+
 TRACE_COLUMNS = (
     "Timestamp [s]", "CPU cores", "CPU capacity provisioned [MHZ]",
     "CPU usage [MHZ]", "CPU usage [%]", "Memory capacity provisioned [KB]",
@@ -150,12 +152,11 @@ def _normalize_timestamps(samples: list[TraceSample], slot_seconds: int,
 
 
 def load_traces(directory, slot_seconds: int = 300,
-                host_capacity_mhz: float = 4 * 2400.0,
                 fill: str = "ffill") -> Workload:
     """Load one trace file per VM from a directory into a Workload.
 
-    CPU demand is normalized against the host's full capacity at top
-    frequency: demand = usage% * provisioned MHz / host capacity MHz.
+    CPU demand is normalized against the default server's full capacity at
+    top frequency: demand = usage% * provisioned MHz / host capacity MHz.
     ``fill`` selects the gap policy: "ffill" forward-fills each VM onto the
     union grid (leading gaps repeat the first sample); "drop" restricts the
     grid to slots covered by every VM.
@@ -182,6 +183,7 @@ def load_traces(directory, slot_seconds: int = 300,
             raise TraceError("no common slot window across VMs (fill=drop)")
     n_slots = int(round((t1 - t0) / slot_seconds)) + 1
 
+    host_capacity_mhz = default_server_spec().cpu_capacity_mhz
     vm_ids = list(per_vm)
     n = len(vm_ids)
     cpu = np.zeros((n, n_slots))
@@ -212,12 +214,15 @@ def load_traces(directory, slot_seconds: int = 300,
 
 
 def save_traces(w: Workload, directory) -> None:
-    """Re-export a workload as one delimited trace file per VM."""
+    """Re-export a workload as one delimited trace file per VM, each VM
+    provisioned with its cores at the default server's top frequency."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    cap_mhz = 4 * 2400.0
+    spec = default_server_spec()
+    cap_mhz = spec.cpu_capacity_mhz
+    core_mhz = spec.f_max * 1000.0
     for i, vid in enumerate(w.vm_ids):
-        prov_mhz = w.cores[i] * 2400.0
+        prov_mhz = w.cores[i] * core_mhz
         lines = [";".join(TRACE_COLUMNS)]
         for t in range(w.slot_count):
             usage_pct = 100.0 * w.cpu[i, t] * cap_mhz / prov_mhz

@@ -1,8 +1,11 @@
 """Scalar reference implementations the placement tests compare against.
 
 They cost one candidate host at a time through the scalar host kernel
-(``models.host_operating_point``) and read plain ``DataCenterState`` objects,
-where the placers cost every host at once on numpy arrays.
+(``models.host_operating_point``) and read a ``DataCenterState`` one host
+and one VM at a time, where the placers cost every host at once on numpy
+arrays.  The per-candidate values (``CandidateView``, ``so_value_from_view``,
+``objective_vector``) are the paper's SO1-SO7 and MO definitions written out
+for one candidate.
 """
 
 from __future__ import annotations
@@ -12,43 +15,119 @@ from dataclasses import dataclass
 import numpy as np
 
 from dcsim import models
-from dcsim.core import DataCenterState, HostState, ObjectiveVector, VmState
+from dcsim.core import DataCenterState, VmState
 from dcsim.models import KWH_PER_WS
-from dcsim.policies import (CandidateView, GuardError, SoKind, SoSaModel,
-                            normalize_band, objective_vector, so_sa_combine,
-                            so_value_from_view)
+from dcsim.policies import SoKind, SoSaModel, normalize_band, so_sa_combine
+
+
+class GuardError(ValueError):
+    """A consolidation value is undefined for this candidate (skip it)."""
+
+
+@dataclass(frozen=True)
+class CandidateView:
+    """Model outputs for placing one VM on one host."""
+
+    host_id: int
+    u_after: float           # post-allocation utilization, clamped to 1
+    dfreq: float             # governor frequency increment over f_max
+    p_before: float          # W (0 for a powered-off host)
+    p_after: float           # W
+    t_mem_after: float       # K
+    p_cooling_after: float   # W
+
+
+@dataclass(frozen=True)
+class ObjectiveVector:
+    """The 7 per-candidate consolidation objectives, all minimized."""
+
+    d_p_host: float
+    p_host: float
+    inv_u_minus_dfreq: float
+    t_mem: float
+    d_freq: float
+    inv_u: float
+    p_host_plus_cooling: float
+
+    def as_tuple(self) -> tuple[float, ...]:
+        return (self.d_p_host, self.p_host, self.inv_u_minus_dfreq, self.t_mem,
+                self.d_freq, self.inv_u, self.p_host_plus_cooling)
+
+
+def so_value_from_view(kind: SoKind, view: CandidateView) -> float:
+    """Scalar consolidation value of one candidate for the plain SO kinds."""
+    if kind == SoKind.SO1:
+        return view.p_after - view.p_before
+    if kind == SoKind.SO2:
+        return view.p_after
+    if kind == SoKind.SO3:
+        denom = view.u_after - view.dfreq
+        if denom <= 0.0:
+            raise GuardError(f"u_cpu - dfreq = {denom} <= 0 on host {view.host_id}")
+        return 1.0 / denom
+    if kind == SoKind.SO4:
+        return view.t_mem_after
+    if kind == SoKind.SO5:
+        return view.dfreq
+    if kind == SoKind.SO6:
+        if view.u_after <= 0.0:
+            raise GuardError(f"u_cpu = 0 on host {view.host_id}")
+        return 1.0 / view.u_after
+    if kind == SoKind.SO7:
+        return view.p_after + view.p_cooling_after
+    raise ValueError(f"{kind} has no per-candidate scalar value")
+
+
+def objective_vector(view: CandidateView) -> ObjectiveVector:
+    """The 7-component multi-objective vector of one candidate."""
+    return ObjectiveVector(
+        d_p_host=view.p_after - view.p_before,
+        p_host=view.p_after,
+        inv_u_minus_dfreq=so_value_from_view(SoKind.SO3, view),
+        t_mem=view.t_mem_after,
+        d_freq=view.dfreq,
+        inv_u=so_value_from_view(SoKind.SO6, view),
+        p_host_plus_cooling=view.p_after + view.p_cooling_after)
+
+
+def is_busy(state: DataCenterState, host: int) -> bool:
+    """Powered on and running VMs."""
+    return bool(state.on[host]) and host in state.host.tolist()
 
 
 def effective_it_power(state: DataCenterState) -> float:
     """Fleet IT power with the power-off sweep applied: an empty host draws
     nothing because the engine shuts it down at the end of the pass."""
-    return sum(h.p_it for h in state.hosts if h.powered_on and h.vms)
+    return sum(state.p_it.item(h) for h in range(len(state.on))
+               if is_busy(state, h))
 
 
-def evaluate_candidate(vm: VmState, host: HostState, state: DataCenterState) -> CandidateView:
+def evaluate_candidate(vm: VmState, host: int, state: DataCenterState) -> CandidateView:
     """Predict the post-allocation view of one host for one VM."""
-    spec = host.spec
+    spec = state.spec
     u_after, _, mode_after, _, t_mem_after, p_after = models.host_operating_point(
-        host.cpu_sum + vm.cpu_demand, host.ram_sum + vm.ram_used,
-        host.disk_read + vm.disk_read, host.disk_write + vm.disk_write,
-        host.t_inlet, spec, state.params)
-    f_before = host.mode.f_op if host.mode else spec.dvfs_table[0].f_op
+        state.cpu_sum.item(host) + vm.cpu_demand,
+        state.ram_sum.item(host) + vm.ram_used,
+        state.disk_read_sum.item(host) + vm.disk_read,
+        state.disk_write_sum.item(host) + vm.disk_write,
+        state.setpoint, spec, state.params)
+    f_before = spec.dvfs_table[state.mode[host]].f_op
     # frequency increment normalized by the top frequency, so it shares the
     # [0,1] scale of the utilization it is traded against
     dfreq = (mode_after.f_op - f_before) / spec.dvfs_table[-1].f_op
-    p_before = host.p_it if (host.powered_on and host.vms) else 0.0
-    p_cooling = p_after / models.cop(host.t_inlet, state.params.cooling)
-    return CandidateView(host_id=host.id, u_after=u_after, dfreq=dfreq,
+    p_before = state.p_it.item(host) if is_busy(state, host) else 0.0
+    p_cooling = p_after / models.cop(state.setpoint, state.params.cooling)
+    return CandidateView(host_id=host, u_after=u_after, dfreq=dfreq,
                          p_before=p_before, p_after=p_after,
                          t_mem_after=t_mem_after, p_cooling_after=p_cooling)
 
 
-def so_value(kind: SoKind, vm: VmState, host: HostState,
+def so_value(kind: SoKind, vm: VmState, host: int,
              state: DataCenterState) -> float:
     return so_value_from_view(kind, evaluate_candidate(vm, host, state))
 
 
-def so_sa_value(vm: VmState, host: HostState, state: DataCenterState,
+def so_sa_value(vm: VmState, host: int, state: DataCenterState,
                 m: SoSaModel = SoSaModel(), candidates=None,
                 slot_seconds: float = 300.0) -> float:
     """Composite consolidation value of one host within a candidate set.
@@ -56,21 +135,21 @@ def so_sa_value(vm: VmState, host: HostState, state: DataCenterState,
     Normalization runs over ``candidates`` (host ids, defaulting to just the
     given host, which degenerates both normalized values to 1.5).
     """
-    ids = sorted(set(candidates or [host.id]) | {host.id})
+    ids = sorted(set(candidates or [host]) | {host})
     so3 = []
     so6 = []
     energies = []
     cool = models.cop(state.setpoint, state.params.cooling)
     total_p = effective_it_power(state)
     for hid in ids:
-        view = evaluate_candidate(vm, state.hosts[hid], state)
+        view = evaluate_candidate(vm, hid, state)
         so3.append(so_value_from_view(SoKind.SO3, view))
         so6.append(so_value_from_view(SoKind.SO6, view))
         p_global = (total_p - view.p_before + view.p_after) * (1.0 + 1.0 / cool)
         energies.append(p_global * slot_seconds * KWH_PER_WS)
     n3 = normalize_band(np.array(so3))
     n6 = normalize_band(np.array(so6))
-    k = ids.index(host.id)
+    k = ids.index(host)
     return so_sa_combine(float(n3[k]), energies[k], float(n6[k]), energies[k], m)
 
 
@@ -91,7 +170,7 @@ def candidate_evaluations(vm: VmState, host_ids, state: DataCenterState,
     slot energy.  Hosts tripping a guard are skipped."""
     views = []
     for hid in sorted(host_ids):
-        view = evaluate_candidate(vm, state.hosts[hid], state)
+        view = evaluate_candidate(vm, hid, state)
         try:
             views.append((hid, view, objective_vector(view)))
         except GuardError:

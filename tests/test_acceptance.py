@@ -22,10 +22,10 @@ from dcsim.cooling import (FixedCooling, VarInletCooling, cooling_setpoint,
                            max_inlet_for_host)
 from dcsim.core import DataCenterState, VmState
 from dcsim.engine import SimConfig, run
-from dcsim.policies import (PLAIN_KINDS, SoKind, SoSaModel, CandidateView,
-                            dynso_place, pareto_front, so_value_from_view)
+from dcsim.policies import PLAIN_KINDS, SoKind, SoSaModel, dynso_place, pareto_front
 from dcsim.report import slots_csv, summary_csv
 from dcsim.workload import synth_workload
+from oracles import CandidateView, so_value_from_view
 
 
 def report(criterion, detail):

@@ -45,7 +45,7 @@ def test_feasible_objective_is_power_exactly():
     val = sa_objective(sol, VM_IDS, state)
     scratch = state.copy()
     for vid, hid in zip(VM_IDS, sol):
-        scratch.attach(scratch.vms[vid], hid)
+        scratch.attach(vid, hid)
     power = scratch.total_it_power() * (1 + 1 / models.cop(state.setpoint))
     assert val == pytest.approx(power, rel=1e-12)
 
@@ -63,11 +63,11 @@ def test_infeasible_objective_blows_up():
 def test_empty_vm_list_gives_static_power_of_on_hosts():
     vms = {"fixed": VmState(id="fixed", cpu_demand=0.3, ram_used=1024.0)}
     state = DataCenterState.build(3, vms)
-    state.attach(state.vms["fixed"], 1)
+    state.attach("fixed", 1)
     val = sa_objective([], [], state)
     expected = state.total_it_power() * (1 + 1 / models.cop(state.setpoint))
     assert val == pytest.approx(expected, rel=1e-12)
-    assert state.hosts[1].p_it > 0
+    assert state.p_it[1] > 0
 
 
 def test_deterministic_for_fixed_seed():

@@ -8,13 +8,11 @@ from dcsim.core import DataCenterState, VmState
 
 
 def state_with_utils(utils):
-    vms = {}
-    state = DataCenterState.build(len(utils), setpoint=297.0)
-    for i, u in enumerate(utils):
-        vm = VmState(id=f"v{i}", cpu_demand=u, ram_used=100.0)
-        vms[vm.id] = vm
-        state.vms[vm.id] = vm
-        state.attach(vm, i)
+    vms = {f"v{i}": VmState(id=f"v{i}", cpu_demand=u, ram_used=100.0)
+           for i, u in enumerate(utils)}
+    state = DataCenterState.build(len(utils), vms, setpoint=297.0)
+    for i in range(len(utils)):
+        state.attach(f"v{i}", i)
     return state
 
 
@@ -58,9 +56,8 @@ def test_setpoint_keeps_every_cpu_below_cap(utils):
     strat = VarInletCooling()
     sp = cooling_setpoint(state, strat)
     assert sp >= strat.floor
-    for h in state.hosts:
-        if h.powered_on:
-            assert models.cpu_temperature(sp, h.u_cpu) <= strat.t_cpu_max + 1e-9
+    for u in state.u_cpu[state.on].tolist():
+        assert models.cpu_temperature(sp, u) <= strat.t_cpu_max + 1e-9
 
 
 def test_setpoint_non_increasing_in_utilization():

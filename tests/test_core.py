@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dcsim.core import (CapacityError, DataCenterState, VmState,
+from dcsim.core import (_ARRAYS, CapacityError, DataCenterState, VmState,
                         apply_placement, default_server_spec)
 
 
@@ -16,12 +17,12 @@ def place_all(state, mapping):
 
 def test_empty_placement_is_identity():
     state = make_state(2, {"a": VmState(id="a", cpu_demand=0.4, ram_used=1024.0)})
-    state.attach(state.vms["a"], 0)
+    state.attach("a", 0)
     res = apply_placement(state, {})
     assert res.power_on_events == 0
     assert res.moved == []
-    assert res.state.hosts[0].vms == {"a"}
-    assert res.state.hosts[0].u_cpu == pytest.approx(state.hosts[0].u_cpu)
+    assert res.state.vms_on(0) == ["a"]
+    assert res.state.u_cpu[0] == pytest.approx(state.u_cpu[0])
 
 
 def test_move_to_cold_host_counts_power_on():
@@ -30,15 +31,15 @@ def test_move_to_cold_host_counts_power_on():
         "mv": VmState(id="mv", cpu_demand=0.30, ram_used=1024.0),
     }
     state = make_state(3, vms)
-    state.attach(vms["big"], 0)
-    state.attach(vms["mv"], 0)
-    assert state.hosts[0].u_cpu == pytest.approx(0.95)
+    state.attach("big", 0)
+    state.attach("mv", 0)
+    assert state.u_cpu[0] == pytest.approx(0.95)
 
     res = apply_placement(state, {"mv": 2})
     assert res.power_on_events == 1
-    assert res.state.hosts[0].u_cpu == pytest.approx(0.65)
-    assert res.state.hosts[2].powered_on
-    assert res.state.hosts[2].u_cpu == pytest.approx(0.30)
+    assert res.state.u_cpu[0] == pytest.approx(0.65)
+    assert res.state.on[2]
+    assert res.state.u_cpu[2] == pytest.approx(0.30)
 
 
 def test_ram_capacity_violation_names_host_and_resource():
@@ -57,11 +58,11 @@ def test_cpu_enforced_only_without_oversubscription():
         "b": VmState(id="b", cpu_demand=0.7, ram_used=10.0),
     }
     state = make_state(2, vms)
-    state.attach(vms["a"], 0)
+    state.attach("a", 0)
     # oversubscription on (default): CPU sum over 1.0 is allowed, u clamps
     res = apply_placement(state, {"b": 0})
-    assert res.state.hosts[0].cpu_sum == pytest.approx(1.4)
-    assert res.state.hosts[0].u_cpu == 1.0
+    assert res.state.cpu_sum[0] == pytest.approx(1.4)
+    assert res.state.u_cpu[0] == 1.0
     with pytest.raises(CapacityError):
         apply_placement(state, {"b": 0}, enforce_cpu=True)
 
@@ -69,12 +70,12 @@ def test_cpu_enforced_only_without_oversubscription():
 def test_emptied_host_powers_off():
     vms = {"only": VmState(id="only", cpu_demand=0.2, ram_used=64.0)}
     state = make_state(2, vms)
-    state.attach(vms["only"], 0)
+    state.attach("only", 0)
     res = apply_placement(state, {"only": 1})
-    assert not res.state.hosts[0].powered_on
-    assert res.state.hosts[0].u_cpu == 0.0
-    assert res.state.hosts[0].p_it == 0.0
-    assert res.state.hosts[1].powered_on
+    assert not res.state.on[0]
+    assert res.state.u_cpu[0] == 0.0
+    assert res.state.p_it[0] == 0.0
+    assert res.state.on[1]
 
 
 def test_apply_placement_idempotent():
@@ -83,17 +84,16 @@ def test_apply_placement_idempotent():
         "b": VmState(id="b", cpu_demand=0.2, ram_used=256.0),
     }
     state = make_state(3, vms)
-    state.attach(vms["a"], 0)
-    state.attach(vms["b"], 0)
+    state.attach("a", 0)
+    state.attach("b", 0)
     placement = {"a": 1, "b": 2}
     once = apply_placement(state, placement)
     twice = apply_placement(once.state, placement)
     assert twice.power_on_events == 0
     assert twice.moved == []
-    for h1, h2 in zip(once.state.hosts, twice.state.hosts):
-        assert h1.vms == h2.vms
-        assert h1.u_cpu == h2.u_cpu
-        assert h1.powered_on == h2.powered_on
+    for name in _ARRAYS:
+        assert getattr(once.state, name).tolist() == \
+            getattr(twice.state, name).tolist(), name
 
 
 @settings(max_examples=50, deadline=None)
@@ -107,10 +107,10 @@ def test_host_utilization_is_clamped_demand_sum(assignments):
     state = make_state(5, vms)
     placement = {f"v{i}": host for i, (_, host) in enumerate(assignments)}
     res = apply_placement(state, placement)
-    for h in res.state.hosts:
-        expected = sum(d for i, (d, hid) in enumerate(assignments) if hid == h.id)
-        assert h.cpu_sum == pytest.approx(expected, abs=1e-12)
-        assert h.u_cpu == pytest.approx(min(1.0, expected), abs=1e-12)
+    for h in range(5):
+        expected = sum(d for i, (d, hid) in enumerate(assignments) if hid == h)
+        assert res.state.cpu_sum[h] == pytest.approx(expected, abs=1e-12)
+        assert res.state.u_cpu[h] == pytest.approx(min(1.0, expected), abs=1e-12)
 
 
 def test_default_spec_invariants():
@@ -123,24 +123,70 @@ def test_default_spec_invariants():
 
 
 def test_state_copy_is_equal_and_independent():
-    vms = {"a": VmState(id="a", cores=2, cpu_demand=0.4, ram_used=1024.0,
+    vms = {"a": VmState(id="a", cpu_demand=0.4, ram_used=1024.0,
                         disk_read=3.0, disk_write=4.0, net_bw=2.0),
            "b": VmState(id="b", cpu_demand=0.2, ram_used=512.0)}
     state = make_state(3, vms)
-    state.attach(state.vms["a"], 0)
-    state.attach(state.vms["b"], 2)
-    state.hosts[0].util_history.extend([0.3, 0.4])
+    state.attach("a", 0)
+    state.attach("b", 2)
     new = state.copy()
-    assert new.hosts == state.hosts
-    assert new.vms == state.vms
-    assert (new.params, new.setpoint) == (state.params, state.setpoint)
-    for old_h, new_h in zip(state.hosts, new.hosts):
-        assert new_h is not old_h
-        assert new_h.vms is not old_h.vms
-        assert new_h.util_history is not old_h.util_history
-    assert all(new.vms[vid] is not state.vms[vid] for vid in vms)
-    new.detach(new.vms["a"])
-    new.hosts[2].util_history.append(0.9)
-    assert state.hosts[0].vms == {"a"}
-    assert state.vms["a"].assigned_host == 0
-    assert state.hosts[2].util_history == []
+    assert set(vars(new)) == set(vars(state))
+    for name, value in vars(state).items():
+        if name in _ARRAYS:
+            copied = getattr(new, name)
+            assert copied.tolist() == value.tolist(), name
+            assert copied.dtype == value.dtype, name
+            assert not np.shares_memory(copied, value), name
+        else:
+            # the spec, model parameters, setpoint and VM ids are shared
+            assert getattr(new, name) is value, name
+    new.detach("a")
+    new.set_demand(cpu=[0.9, 0.1], ram=[1.0, 2.0], bw=[0.0, 0.0],
+                   disk_read=[0.0, 0.0], disk_write=[0.0, 0.0])
+    assert state.vms_on(0) == ["a"]
+    assert state.host.tolist() == [0, 2]
+    assert state.cpu.tolist() == [0.4, 0.2]
+    assert state.cpu_sum.tolist() == [0.4, 0.0, 0.2]
+
+
+def test_setpoint_change_recosts_and_same_setpoint_is_a_no_op():
+    state = make_state(2, {"a": VmState(id="a", cpu_demand=0.4, ram_used=1024.0)})
+    state.attach("a", 0)
+    p_it = state.p_it
+    state.set_setpoint(291.0)
+    assert state.p_it is p_it
+    state.set_setpoint(297.0)
+    assert state.p_it[0] > p_it[0]
+    assert state.p_it[1] == 0.0
+
+
+def random_demands(rng, n):
+    return {name: rng.uniform(0.0, high, n).tolist()
+            for name, high in (("cpu", 0.4), ("ram", 3000.0), ("bw", 5.0),
+                               ("disk_read", 5e4), ("disk_write", 5e4))}
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_set_demand_equals_attaching_one_at_a_time(seed):
+    # the engine's slot update sums each host's VMs with np.bincount; that
+    # must give the very floats that attaching the VMs in VM order gives
+    rng = np.random.default_rng(seed)
+    n_vms = int(rng.integers(1, 60))
+    hosts = rng.integers(-1, 8, n_vms).tolist()
+    demands = random_demands(rng, n_vms)
+    ids = [f"v{i}" for i in range(n_vms)]
+    attached = make_state(8, {vid: VmState(
+        vid, demands["cpu"][i], demands["ram"][i], demands["disk_read"][i],
+        demands["disk_write"][i], demands["bw"][i]) for i, vid in enumerate(ids)})
+    for vid, h in zip(ids, hosts):
+        if h >= 0:
+            attached.attach(vid, h)
+    # the same assignment, made before the demands are known
+    updated = make_state(8, {vid: VmState(vid) for vid in ids})
+    for vid, h in zip(ids, hosts):
+        if h >= 0:
+            updated.attach(vid, h)
+    updated.set_demand(**demands)
+    for name in _ARRAYS:
+        assert getattr(updated, name).tolist() == \
+            getattr(attached, name).tolist(), name

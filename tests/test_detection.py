@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from dcsim.core import DataCenterState, FleetView, VmState
+from dcsim.core import DataCenterState, VmState, default_server_spec
 from dcsim.detection import (MadConfig, find_underloaded, mad,
                              overload_threshold, select_vms_mmt)
 
@@ -49,28 +49,27 @@ def mmt_state():
     }
     state = DataCenterState.build(2, vms)
     for vid in vms:
-        state.attach(state.vms[vid], 0)
+        state.attach(vid, 0)
     return state
 
 
 def test_mmt_worked_selection():
     state = mmt_state()
-    host = state.hosts[0]
-    assert host.cpu_sum == pytest.approx(0.95)
+    assert state.cpu_sum[0] == pytest.approx(0.95)
     # smallest RAM first: B (0.95 -> 0.93), then C (0.93 -> 0.87 < 0.9)
-    assert select_vms_mmt(host, 0.9, state) == ["B", "C"]
+    assert select_vms_mmt(0, 0.9, state) == ["B", "C"]
 
 
 def test_mmt_empty_below_threshold():
     state = mmt_state()
-    assert select_vms_mmt(state.hosts[0], 0.96, state) == []
+    assert select_vms_mmt(0, 0.96, state) == []
 
 
 def test_mmt_single_vm_host():
     vms = {"solo": VmState(id="solo", cpu_demand=0.95, ram_used=512.0)}
     state = DataCenterState.build(1, vms)
-    state.attach(state.vms["solo"], 0)
-    assert select_vms_mmt(state.hosts[0], 0.9, state) == ["solo"]
+    state.attach("solo", 0)
+    assert select_vms_mmt(0, 0.9, state) == ["solo"]
 
 
 @given(st.lists(st.tuples(st.floats(min_value=0.01, max_value=0.4),
@@ -81,51 +80,54 @@ def test_mmt_projection_drops_below_threshold(vm_specs):
            for i, (d, r) in enumerate(vm_specs)}
     state = DataCenterState.build(1, vms)
     for vid in vms:
-        state.attach(state.vms[vid], 0)
+        state.attach(vid, 0)
     threshold = 0.5
-    picked = select_vms_mmt(state.hosts[0], threshold, state)
-    remaining = sum(vm.cpu_demand for vid, vm in state.vms.items()
+    picked = select_vms_mmt(0, threshold, state)
+    remaining = sum(vm.cpu_demand for vid, vm in vms.items()
                     if vid not in picked)
-    if state.hosts[0].cpu_sum >= threshold:
+    if state.cpu_sum[0] >= threshold:
         assert remaining < threshold
 
 
-def underload_state(utils, vms_per_host=2):
-    vms = {}
-    state = DataCenterState.build(len(utils), setpoint=291.0)
-    for i, u in enumerate(utils):
-        for j in range(vms_per_host):
-            vm = VmState(id=f"h{i}v{j}", cpu_demand=u / vms_per_host,
-                         ram_used=128.0)
-            state.vms[vm.id] = vm
-            state.attach(vm, i)
+def build_attached(n_hosts, placed):
+    """A fleet with each ``(VmState, host)`` of ``placed`` attached in order."""
+    state = DataCenterState.build(n_hosts, {vm.id: vm for vm, _ in placed},
+                                  setpoint=291.0)
+    for vm, host in placed:
+        state.attach(vm.id, host)
     return state
+
+
+def underload_state(utils, vms_per_host=2):
+    return build_attached(len(utils), [
+        (VmState(id=f"h{i}v{j}", cpu_demand=u / vms_per_host, ram_used=128.0), i)
+        for i, u in enumerate(utils) for j in range(vms_per_host)])
 
 
 def test_no_spare_capacity_means_no_underload():
     state = underload_state([0.85, 0.85, 0.85])
-    thresholds = {h.id: 0.9 for h in state.hosts}
-    assert find_underloaded(FleetView.of(state), thresholds=thresholds) == []
+    thresholds = {h: 0.9 for h in range(3)}
+    assert find_underloaded(state, thresholds=thresholds) == []
 
 
 def test_lightly_loaded_host_is_drainable():
     state = underload_state([0.05, 0.3, 0.3])
-    thresholds = {h.id: 0.9 for h in state.hosts}
-    assert 0 in find_underloaded(FleetView.of(state), thresholds=thresholds)
+    thresholds = {h: 0.9 for h in range(3)}
+    assert 0 in find_underloaded(state, thresholds=thresholds)
 
 
 def test_empty_data_center():
     state = DataCenterState.build(0)
-    assert find_underloaded(FleetView.of(state)) == []
+    assert find_underloaded(state) == []
 
 
 def test_underloaded_sorted_ascending_and_respects_exclude():
     state = underload_state([0.3, 0.1, 0.2])
-    thresholds = {h.id: 0.95 for h in state.hosts}
-    found = find_underloaded(FleetView.of(state), thresholds=thresholds)
-    utils = [state.hosts[i].u_cpu for i in found]
+    thresholds = {h: 0.95 for h in range(3)}
+    found = find_underloaded(state, thresholds=thresholds)
+    utils = [state.u_cpu[i] for i in found]
     assert utils == sorted(utils)
-    assert 1 not in find_underloaded(FleetView.of(state), exclude={1},
+    assert 1 not in find_underloaded(state, exclude={1},
                                      thresholds=thresholds)
 
 
@@ -139,14 +141,14 @@ def test_mad_config_validation():
 def random_underload_case(rng):
     """A small random fleet with thresholds, an exclude set and bounds."""
     n = rng.randint(1, 8)
-    state = DataCenterState.build(n, setpoint=291.0)
+    placed = []
     for i in range(n):
         for j in range(rng.choice([0, 0, 1, 2, 3])):
-            vm = VmState(id=f"h{i}v{j}", cpu_demand=rng.uniform(0.01, 0.4),
-                         ram_used=rng.uniform(64.0, 6000.0))
-            state.vms[vm.id] = vm
-            state.attach(vm, i)
-    thresholds = {h.id: rng.uniform(0.5, 1.0) for h in state.hosts}
+            placed.append((VmState(id=f"h{i}v{j}",
+                                   cpu_demand=rng.uniform(0.01, 0.4),
+                                   ram_used=rng.uniform(64.0, 6000.0)), i))
+    state = build_attached(n, placed)
+    thresholds = {h: rng.uniform(0.5, 1.0) for h in range(n)}
     exclude = {i for i in range(n) if rng.random() < 0.2}
     cut = rng.choice([None, rng.uniform(0.0, 1.0)])
     limit = rng.choice([None, 0, 1, 2, 3])
@@ -157,40 +159,41 @@ def test_bounded_underload_search_equals_filter_then_truncate():
     rng = random.Random(20231)
     for _ in range(400):
         state, exclude, thresholds, cut, limit = random_underload_case(rng)
-        fleet = FleetView.of(state)
+        fleet = state
         full = find_underloaded(fleet, exclude, thresholds)
         expected = [hid for hid in full
-                    if cut is None or state.hosts[hid].u_cpu < cut]
+                    if cut is None or state.u_cpu[hid] < cut]
         if limit is not None:
             expected = expected[:limit]
         assert find_underloaded(fleet, exclude, thresholds, cut, limit) == expected
 
 
 def scalar_underloaded(state, exclude, thresholds):
-    """Unbounded underload search, one host object at a time."""
+    """Unbounded underload search, one host and one VM at a time."""
+    spec = state.spec
+    on = [h for h in range(len(state.on)) if state.on[h]]
     out = []
-    for h in sorted((h for h in state.hosts
-                     if h.powered_on and h.id not in exclude and h.vms),
-                    key=lambda h: (h.u_cpu, h.id)):
-        targets = [t for t in state.hosts
-                   if t.powered_on and t.id != h.id and t.id not in exclude]
-        load = {t.id: [t.cpu_sum, t.ram_sum, t.bw_sum] for t in targets}
+    for h in sorted((h for h in on if h not in exclude and state.vms_on(h)),
+                    key=lambda h: (float(state.u_cpu[h]), h)):
+        targets = [t for t in on if t != h and t not in exclude]
+        load = {t: [float(state.cpu_sum[t]), float(state.ram_sum[t]),
+                    float(state.bw_sum[t])] for t in targets}
         fits = True
-        for vid in sorted(h.vms, key=lambda v: (-state.vms[v].cpu_demand, v)):
-            vm = state.vms[vid]
+        for vm in sorted(map(state.vm, state.vms_on(h)),
+                         key=lambda vm: (-vm.cpu_demand, vm.id)):
             for t in targets:
-                cpu, ram, bw = load[t.id]
-                if (cpu + vm.cpu_demand < thresholds.get(t.id, 1.0)
-                        and ram + vm.ram_used <= t.spec.ram_capacity
-                        and bw + vm.net_bw <= t.spec.bw_capacity):
-                    load[t.id] = [cpu + vm.cpu_demand, ram + vm.ram_used,
-                                  bw + vm.net_bw]
+                cpu, ram, bw = load[t]
+                if (cpu + vm.cpu_demand < thresholds.get(t, 1.0)
+                        and ram + vm.ram_used <= spec.ram_capacity
+                        and bw + vm.net_bw <= spec.bw_capacity):
+                    load[t] = [cpu + vm.cpu_demand, ram + vm.ram_used,
+                               bw + vm.net_bw]
                     break
             else:
                 fits = False
                 break
         if fits:
-            out.append(h.id)
+            out.append(h)
     return out
 
 
@@ -198,7 +201,7 @@ def test_underload_search_matches_scalar_reference():
     rng = random.Random(4242)
     for _ in range(400):
         state, exclude, thresholds, _, _ = random_underload_case(rng)
-        assert find_underloaded(FleetView.of(state), exclude, thresholds) == \
+        assert find_underloaded(state, exclude, thresholds) == \
             scalar_underloaded(state, exclude, thresholds)
 
 
@@ -206,14 +209,12 @@ def test_fit_test_breaks_demand_ties_by_vm_id():
     # "a" and "b" tie on demand.  Taking "a" first fills host 1 so that "b"
     # fits nowhere, while "b" first would succeed; the order must not come
     # from the iteration order of the host's VM set.
-    state = DataCenterState.build(3, setpoint=291.0)
-    cap = state.hosts[0].spec.ram_capacity
-    for vid, ram, host in (("a", 900.0, 0), ("b", 2500.0, 0),
-                           ("fill1", cap - 2600.0, 1),
-                           ("fill2", cap - 1000.0, 2)):
-        vm = VmState(id=vid, cpu_demand=0.1 if host == 0 else 0.3,
-                     ram_used=ram)
-        state.vms[vid] = vm
-        state.attach(vm, host)
-    thresholds = {h.id: 0.9 for h in state.hosts}
-    assert find_underloaded(FleetView.of(state), thresholds=thresholds) == []
+    cap = default_server_spec().ram_capacity
+    state = build_attached(3, [
+        (VmState(id=vid, cpu_demand=0.1 if host == 0 else 0.3, ram_used=ram),
+         host)
+        for vid, ram, host in (("a", 900.0, 0), ("b", 2500.0, 0),
+                               ("fill1", cap - 2600.0, 1),
+                               ("fill2", cap - 1000.0, 2))])
+    thresholds = {h: 0.9 for h in range(3)}
+    assert find_underloaded(state, thresholds=thresholds) == []

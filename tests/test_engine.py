@@ -3,7 +3,7 @@ import pytest
 
 from dcsim import engine, models
 from dcsim.cooling import FixedCooling, VarInletCooling
-from dcsim.core import DataCenterState, FleetView, VmState, default_server_spec
+from dcsim.core import DataCenterState, VmState, default_server_spec
 from dcsim.engine import MigrationEvent, SimConfig, migration_cost, run
 from dcsim.report import slots_csv, summary_csv
 from dcsim.workload import Workload, synth_workload
@@ -119,18 +119,18 @@ def test_unplaceable_vm_stays_unplaced_without_crash():
 
 def test_migration_cost_no_events():
     state = DataCenterState.build(2, {"v": VmState(id="v", cpu_demand=0.5)})
-    state.attach(state.vms["v"], 0)
+    state.attach("v", 0)
     assert migration_cost([], state, 300.0) == (0.0, 0.0)
 
 
 def test_migration_cost_double_power_charge():
     vms = {"v": VmState(id="v", cpu_demand=0.5, ram_used=1024.0)}
     state = DataCenterState.build(2, vms)
-    state.attach(state.vms["v"], 1)
+    state.attach("v", 1)
     ev = MigrationEvent(vm_id="v", source=0, target=1, duration=60.0, slot=0,
                         cpu_demand=0.5)
     energy, pdm = migration_cost([ev], state, 300.0)
-    mode = state.hosts[1].mode
+    mode = state.spec.dvfs_table[state.mode[1]]
     p_dyn = models.dynamic_power(mode.v_dd, mode.f_op, 0.5)
     assert energy == pytest.approx(p_dyn * 60.0 / 3.6e6, rel=1e-12)
     # degradation: 10 % of demand over the migration vs requested this slot
@@ -144,7 +144,7 @@ def test_migration_cost_double_power_charge():
 def test_migration_cost_zero_cpu_vm():
     vms = {"v": VmState(id="v", cpu_demand=0.0, ram_used=128.0)}
     state = DataCenterState.build(2, vms)
-    state.attach(state.vms["v"], 1)
+    state.attach("v", 1)
     ev = MigrationEvent(vm_id="v", source=0, target=1, duration=30.0, slot=0,
                         cpu_demand=0.0)
     _, pdm = migration_cost([ev], state, 300.0)
@@ -196,14 +196,13 @@ def test_zero_max_drains_counts_no_drains_in_dynso_evaluator():
     vms = {"light": VmState(id="light", cpu_demand=0.05, ram_used=256.0),
            "heavy": VmState(id="heavy", cpu_demand=0.5, ram_used=256.0)}
     state = DataCenterState.build(2, vms)
-    state.attach(vms["light"], 0)
-    state.attach(vms["heavy"], 1)
+    state.attach("light", 0)
+    state.attach("heavy", 1)
     thresholds = {0: 0.9, 1: 0.9}
     full = (state.total_it_power()
             * (1.0 + 1.0 / models.cop(state.setpoint)))
-    fleet = FleetView.of(state)
     off = engine._drain_aware_evaluator(
-        SimConfig(max_drains_per_slot=0), thresholds)(fleet)
-    on = engine._drain_aware_evaluator(SimConfig(), thresholds)(fleet)
+        SimConfig(max_drains_per_slot=0), thresholds)(state)
+    on = engine._drain_aware_evaluator(SimConfig(), thresholds)(state)
     assert off == full
     assert on < full

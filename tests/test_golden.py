@@ -1,10 +1,11 @@
 """Bit-identity guard: full-precision totals of small engine runs.
 
 The ``pabfd`` and ``dynso`` values were recorded before the drain pass and
-``dynso`` were made cheaper, the others before the ``dynso`` kinds were placed
-in one lockstep walk, each under more than one string-hash seed.  A change
-meant only to speed the simulator up must leave every digit in place; a change
-of behaviour must say so and record new values.
+``dynso`` were made cheaper, ``sosa``, ``mo2``, ``swfdvp`` and ``sa`` before
+the ``dynso`` kinds were placed in one lockstep walk, and the rest before the
+fleet state became per-host and per-VM arrays, each under more than one
+string-hash seed.  A change meant only to speed the simulator up must leave
+every digit in place; a change of behaviour must say so and record new values.
 """
 
 import math
@@ -12,7 +13,9 @@ import math
 import pytest
 
 from dcsim.annealer import SaConfig
+from dcsim.config import cooling_from_name
 from dcsim.engine import SimConfig, run
+from dcsim.models import ModelParams
 from dcsim.workload import synth_workload
 
 # (e_it, e_cooling, e_boot, power_on_events, migrations)
@@ -23,6 +26,25 @@ GOLDEN = {
     "mo2": "(2.729405143275003, 1.0201095616964428, 0.27028, 20, 86)",
     "swfdvp": "(4.621250636861697, 1.7271829260209661, 0.5270460000000001, 39, 30)",
     "sa": "(2.7957268502605626, 1.0448971633504867, 0.256766, 19, 70)",
+    "so2": "(4.479234384098838, 1.6741046434814013, 0.486504, 36, 26)",
+    "so3": "(2.7351240859093484, 1.0222470047500927, 0.283794, 21, 88)",
+    "so4": "(4.457632257414726, 1.6660308930388426, 0.4729900000000001, 35, 28)",
+    "so5": "(2.9931645125847464, 1.1186890837885881, 0.32433600000000007, 24, 59)",
+    "so6": "(2.724634857007849, 1.0183266770099597, 0.297308, 22, 102)",
+    "so7": "(4.479234384098838, 1.6741046434814013, 0.486504, 36, 26)",
+    "so8": "(2.7130994168283777, 1.0140153299552914, 0.27028, 20, 86)",
+    "mo1": "(2.667672855100262, 0.9970372458888704, 0.28379400000000005, 21, 94)",
+}
+
+# the same workload under the adaptive setpoint and the linear fan map:
+# (policy, cooling, fan map) -> totals
+GOLDEN_VARIANTS = {
+    ("pabfd", "varinlet", "constant"):
+        "(3.00318030261167, 0.4522459335812238, 0.256766, 19, 68)",
+    ("dynso", "varinlet", "constant"):
+        "(2.8882929199096767, 0.4334515829672726, 0.28379400000000005, 21, 84)",
+    ("dynso", "fixed291", "linear"):
+        "(3.0748487967267573, 1.1492184170753317, 0.31082200000000004, 23, 83)",
 }
 
 # a fixed iteration budget and no wall-clock cap keep the annealer
@@ -40,3 +62,14 @@ def test_totals_are_bit_identical(policy):
     t = run(w, SimConfig(hosts=30, policy=policy, sa=sa)).totals
     got = (t.e_it, t.e_cooling, t.e_boot, t.power_on_events, t.migrations)
     assert repr(got) == GOLDEN[policy]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_VARIANTS))
+def test_variant_totals_are_bit_identical(case):
+    policy, cooling, fan_map = case
+    w = synth_workload(vms=72, slots=12, variability=120.0, seed=4)
+    cfg = SimConfig(hosts=30, policy=policy, cooling=cooling_from_name(cooling),
+                    models=ModelParams(fan_map=fan_map))
+    t = run(w, cfg).totals
+    got = (t.e_it, t.e_cooling, t.e_boot, t.power_on_events, t.migrations)
+    assert repr(got) == GOLDEN_VARIANTS[case]

@@ -3,16 +3,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dcsim import models
-from dcsim.core import DataCenterState, FleetView, VmState, apply_placement
+from dcsim.core import _ARRAYS, DataCenterState, VmState, apply_placement
 from dcsim.engine import SimConfig, _drain_aware_evaluator
-from dcsim.policies import (DEFAULT_DYNSO_LIST, CandidateView, GuardError,
-                            SoKind, SoSaModel, _bfd, _Fleet, _so_pick,
-                            dynso_place, evaluate_global_power, mo_place,
-                            normalize_band, objective_vector, pareto_front,
-                            so_place, so_sa_combine, so_value_from_view,
+from dcsim.policies import (DEFAULT_DYNSO_LIST, SoKind, SoSaModel, _bfd,
+                            _Fleet, _so_pick, dynso_place,
+                            evaluate_global_power, mo_place, normalize_band,
+                            pareto_front, so_place, so_sa_combine,
                             swfdvp_place)
-from oracles import (candidate_evaluations, effective_it_power,
-                     evaluate_candidate, so_sa_value, so_value)
+from oracles import (CandidateView, GuardError, candidate_evaluations,
+                     effective_it_power, evaluate_candidate, is_busy,
+                     objective_vector, so_sa_value, so_value,
+                     so_value_from_view)
 
 # Candidate hosts of the allocation case of use: C and D after placing the
 # VM (B is excluded by the 0.9 rule and never reaches the value function).
@@ -64,7 +65,7 @@ def make_state(n_hosts, vm_specs, setpoint=291.0):
     state = DataCenterState.build(n_hosts, vms, setpoint=setpoint)
     for vid, (_, _, host) in vm_specs.items():
         if host is not None:
-            state.attach(state.vms[vid], host)
+            state.attach(vid, host)
     return state
 
 
@@ -106,28 +107,30 @@ def greedy_oracle(kind, vm_ids, host_ids, state, thr=0.9):
     """Independent sequential-greedy reference for the plain SO kinds."""
     scratch = state.copy()
     placement = {}
-    order = sorted((scratch.vms[v] for v in vm_ids),
+    order = sorted((scratch.vm(v) for v in vm_ids),
                    key=lambda x: (-x.cpu_demand, x.id))
     for vm in order:
         best_val, best_host = None, None
         for hid in sorted(host_ids):
-            h = scratch.hosts[hid]
-            if h.cpu_sum + vm.cpu_demand >= thr:
-                continue
-            if h.ram_sum + vm.ram_used > h.spec.ram_capacity + 1e-9:
-                continue
-            if h.bw_sum + vm.net_bw > h.spec.bw_capacity + 1e-9:
+            if not fits(scratch, vm, hid, thr):
                 continue
             try:
-                val = so_value(kind, vm, h, scratch)
+                val = so_value(kind, vm, hid, scratch)
             except GuardError:
                 continue
             if best_val is None or val < best_val:
                 best_val, best_host = val, hid
         if best_host is not None:
             placement[vm.id] = best_host
-            scratch.attach(vm, best_host)
+            scratch.attach(vm.id, best_host)
     return placement
+
+
+def fits(state, vm, hid, thr):
+    """The placers' feasibility rule for one VM on one host."""
+    return (state.cpu_sum[hid] + vm.cpu_demand < thr
+            and state.ram_sum[hid] + vm.ram_used <= state.spec.ram_capacity + 1e-9
+            and state.bw_sum[hid] + vm.net_bw <= state.spec.bw_capacity + 1e-9)
 
 
 def toy_instance(seed):
@@ -164,11 +167,10 @@ def test_placements_respect_capacity_for_all_policies():
     results.append(mo_place("mo2", vm_ids, [0, 1, 2], state).placement)
     results.append(swfdvp_place(vm_ids, [0, 1, 2], state).placement)
     for placement in results:
-        applied = apply_placement(state, placement)
-        for h in applied.state.hosts:
-            assert h.ram_sum <= h.spec.ram_capacity + 1e-9
-            assert h.bw_sum <= h.spec.bw_capacity + 1e-9
-            assert h.cpu_sum < 0.9 + 1e-9
+        placed = apply_placement(state, placement).state
+        assert (placed.ram_sum <= placed.spec.ram_capacity + 1e-9).all()
+        assert (placed.bw_sum <= placed.spec.bw_capacity + 1e-9).all()
+        assert (placed.cpu_sum < 0.9 + 1e-9).all()
 
 
 def test_so_sa_combine_unit_case():
@@ -178,8 +180,8 @@ def test_so_sa_combine_unit_case():
 def test_so_sa_single_candidate_degenerates():
     state = make_state(2, {"bg": (0.3, 1024.0, 0), "v": (0.2, 256.0, None)})
     m = SoSaModel()
-    val = so_sa_value(state.vms["v"], state.hosts[0], state, m)
-    view = evaluate_candidate(state.vms["v"], state.hosts[0], state)
+    val = so_sa_value(state.vm("v"), 0, state, m)
+    view = evaluate_candidate(state.vm("v"), 0, state)
     cool = models.cop(state.setpoint)
     energy = ((state.total_it_power() - view.p_before + view.p_after)
               * (1 + 1 / cool)) * 300.0 / 3.6e6
@@ -196,12 +198,12 @@ def test_so_sa_prefers_cheaper_energy_at_equal_so_values():
         "v": VmState(id="v", cpu_demand=0.2, ram_used=256.0),
     }
     state = DataCenterState.build(2, vms)
-    state.attach(state.vms["bg0"], 0)
-    state.attach(state.vms["bg1"], 1)
+    state.attach("bg0", 0)
+    state.attach("bg1", 1)
     res = so_place(SoKind.SO_SA, ["v"], [0, 1], state)
     assert res.placement["v"] == 0
-    v0 = so_sa_value(state.vms["v"], state.hosts[0], state, candidates=[0, 1])
-    v1 = so_sa_value(state.vms["v"], state.hosts[1], state, candidates=[0, 1])
+    v0 = so_sa_value(state.vm("v"), 0, state, candidates=[0, 1])
+    v1 = so_sa_value(state.vm("v"), 1, state, candidates=[0, 1])
     assert v0 < v1
 
 
@@ -259,8 +261,7 @@ def test_argmin_invariant_under_positive_scaling():
     scaled.params = replace(p, power=replace(
         p.power, c_dyn=p.power.c_dyn * 7.5, c_mem=p.power.c_mem * 7.5,
         c_fan=p.power.c_fan * 7.5))
-    for h in scaled.hosts:
-        scaled.refresh(h)
+    scaled.refresh_all()
     assert so_place(SoKind.SO2, vm_ids, [0, 1, 2], scaled).placement == base
 
 
@@ -269,28 +270,22 @@ def mo_oracle(kind, vm_ids, host_ids, state, thr=0.9):
     scratch = state.copy()
     placement = {}
     cool = models.cop(scratch.setpoint)
-    order = sorted((scratch.vms[v] for v in vm_ids),
+    order = sorted((scratch.vm(v) for v in vm_ids),
                    key=lambda x: (-x.cpu_demand, x.id))
     for vm in order:
         cands = []
         for hid in sorted(host_ids):
-            h = scratch.hosts[hid]
-            if h.cpu_sum + vm.cpu_demand >= thr:
-                continue
-            if h.ram_sum + vm.ram_used > h.spec.ram_capacity + 1e-9:
-                continue
-            if h.bw_sum + vm.net_bw > h.spec.bw_capacity + 1e-9:
+            if not fits(scratch, vm, hid, thr):
                 continue
             try:
-                vec = objective_vector(evaluate_candidate(vm, h, scratch))
+                vec = objective_vector(evaluate_candidate(vm, hid, scratch))
             except GuardError:
                 continue
             cands.append((hid, vec.as_tuple()))
         if not cands:
             continue
         # mirror the policy's preference for hosts already running VMs
-        warm = [c for c in cands
-                if scratch.hosts[c[0]].powered_on and scratch.hosts[c[0]].vms]
+        warm = [c for c in cands if is_busy(scratch, c[0])]
         if warm:
             cands = warm
         raw = [c[1] for c in cands]
@@ -308,14 +303,14 @@ def mo_oracle(kind, vm_ids, host_ids, state, thr=0.9):
         if kind == "mo1":
             def score(i):
                 hid = cands[i][0]
-                view = evaluate_candidate(vm, scratch.hosts[hid], scratch)
+                view = evaluate_candidate(vm, hid, scratch)
                 return (total - view.p_before + view.p_after) * (1 + 1 / cool)
         else:
             def score(i):
                 return sum(v * v for v in normalized[i]) ** 0.5
         best = min(front, key=lambda i: (score(i), cands[i][0]))
         placement[vm.id] = cands[best][0]
-        scratch.attach(vm, cands[best][0])
+        scratch.attach(vm.id, cands[best][0])
     return placement
 
 
@@ -344,8 +339,8 @@ def test_mo_agree_on_single_front():
         "v": VmState(id="v", cpu_demand=0.2, ram_used=128.0),
     }
     state = DataCenterState.build(2, vms)
-    state.attach(state.vms["bg0"], 0)
-    state.attach(state.vms["bg1"], 1)
+    state.attach("bg0", 0)
+    state.attach("bg1", 1)
     assert mo_place("mo1", ["v"], [0, 1], state).placement["v"] == 0
     assert mo_place("mo2", ["v"], [0, 1], state).placement["v"] == 0
 
@@ -360,12 +355,12 @@ def test_swfdvp_second_best_rule():
     }
     state = DataCenterState.build(3, vms)
     for i in range(3):
-        state.attach(state.vms[f"bg{i}"], i)
+        state.attach(f"bg{i}", i)
     res = swfdvp_place(["v"], [0, 1, 2], state)
     # oracle: rank by decreasing power increment, take the second
     dps = {}
     for hid in (0, 1, 2):
-        view = evaluate_candidate(state.vms["v"], state.hosts[hid], state)
+        view = evaluate_candidate(state.vm("v"), hid, state)
         dps[hid] = view.p_after - view.p_before
     ranked = sorted(dps, key=lambda h: (-dps[h], h))
     assert res.placement["v"] == ranked[1]
@@ -401,13 +396,18 @@ def test_dynso_power_matches_recomputation_oracle():
     vm_ids = [f"v{i}" for i in range(5)]
     r = dynso_place(vm_ids, [0, 1, 2], state,
                     so_list=[SoKind.SO1, SoKind.SO3, SoKind.SO6])
-    applied = apply_placement(state, r.placement)
+    placed = apply_placement(state, r.placement).state
     p_it = 0.0
-    for h in applied.state.hosts:
-        if h.powered_on:
-            p_it += (models.host_power_terms(h.mode.v_dd, h.mode.f_op, h.u_cpu,
-                                             h.t_mem, h.fan_speed)
-                     + models.disk_power(h.disk_read, h.disk_write))
+    for h in np.flatnonzero(placed.on).tolist():
+        u_cpu = min(1.0, placed.cpu_sum[h])
+        mode = models.governor_frequency(u_cpu, placed.spec.dvfs_table)
+        u_mem = max(1.0, 100.0 * placed.ram_sum[h] / placed.spec.ram_capacity)
+        p_it += (models.host_power_terms(
+            mode.v_dd, mode.f_op, u_cpu,
+            models.mem_temperature(placed.setpoint, u_mem),
+            placed.spec.fan_speed_default)
+                 + models.disk_power(placed.disk_read_sum[h],
+                                     placed.disk_write_sum[h]))
     expected = p_it * (1 + 1 / models.cop(state.setpoint))
     assert r.global_power == pytest.approx(expected, rel=1e-9)
 
@@ -420,7 +420,7 @@ def test_dynso_requires_nonempty_list():
 
 def test_candidate_evaluations_surface():
     state = toy_instance(4)
-    vm = state.vms["v0"]
+    vm = state.vm("v0")
     evals = candidate_evaluations(vm, [0, 1, 2], state)
     assert [e.host_id for e in evals] == [0, 1, 2]
     for e in evals:
@@ -462,17 +462,11 @@ def dynso_instance(seed, hosts=6, vms=8):
 def reattach_oracle(vm_ids, state, thresholds, fallback, evaluate,
                     host_list=range(6)):
     """dynso by copy and re-attach: every kind's placement is applied to a
-    fresh copy of the input state, which is evaluated through its view."""
+    fresh copy of the input state, which is evaluated."""
     best = None
     for kind in DEFAULT_DYNSO_LIST:
         r = so_place(kind, vm_ids, host_list, state, thresholds)
-        scratch = state.copy()
-        for vm_id, host_id in r.placement.items():
-            scratch.attach(scratch.vms[vm_id], host_id)
-        for vm_id, host_id in fallback.items():
-            if vm_id not in r.placement:
-                scratch.attach(scratch.vms[vm_id], host_id)
-        power = evaluate(FleetView.of(scratch))
+        power = evaluate(reattached(state, r.placement, fallback))
         if best is None or power < best[2]:
             best = (kind, r.placement, power)
     return best
@@ -507,10 +501,21 @@ def test_dynso_matches_reattach_oracle_with_fallback_outside_host_list(seed):
             vm_ids, state, thresholds, fallback, make(), host_list=range(4))
 
 
+def reattached(state, placement, fallback):
+    """A copy of the state with the placement attached in placement order,
+    then every unplaced VM attached to its fallback host."""
+    scratch = state.copy()
+    for vm_id, host_id in placement.items():
+        scratch.attach(vm_id, host_id)
+    for vm_id, host_id in fallback.items():
+        if vm_id not in placement:
+            scratch.attach(vm_id, host_id)
+    return scratch
+
+
 def assignment(fleet, vm_ids):
-    """VM -> host of the given VMs in a fleet view."""
-    return {vid: h for h in range(len(fleet.on)) for vid in fleet.vm_ids(h)
-            if vid in vm_ids}
+    """VM -> host of the given VMs in a fleet."""
+    return {vid: fleet.host[fleet.index[vid]] for vid in vm_ids}
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -545,24 +550,16 @@ def test_evaluator_receives_the_placed_state():
     r = dynso_place(vm_ids, range(6), state, so_list=[SoKind.SO1],
                     thresholds=thresholds, fallback=fallback, evaluator=keep)
     [fleet] = received
-    assert fleet.state is state
     assert "huge" in r.unplaced
     # the placement in placement order, then the fallback of unplaced VMs
-    expected = state.copy()
-    for vm_id, host_id in r.placement.items():
-        expected.attach(expected.vms[vm_id], host_id)
-    for vm_id in r.unplaced:
-        expected.attach(expected.vms[vm_id], fallback[vm_id])
-    view = FleetView.of(expected)
+    expected = reattached(state, r.placement, fallback)
     for vm_id in vm_ids:
-        assert state.vms[vm_id].assigned_host is None
-    assert assignment(fleet, vm_ids) == {
-        vid: expected.vms[vid].assigned_host for vid in vm_ids}
-    for name in ("on", "busy", "p_it", "u_cpu", "cpu_sum", "ram_sum",
-                 "bw_sum", "ram_cap", "bw_cap"):
-        assert getattr(fleet, name).tolist() == getattr(view, name).tolist(), name
-    for h in range(6):
-        assert sorted(fleet.vm_ids(h)) == sorted(view.vm_ids(h))
+        assert state.host[state.index[vm_id]] == -1
+    for name in _ARRAYS:
+        assert getattr(fleet, name).tolist() == \
+            getattr(expected, name).tolist(), name
+    assert (fleet.spec, fleet.params, fleet.setpoint, fleet.vm_ids) == (
+        state.spec, state.params, state.setpoint, state.vm_ids)
     cool = models.cop(state.setpoint)
     assert r.global_power == effective_it_power(expected) * (1.0 + 1.0 / cool)
 
@@ -610,9 +607,9 @@ def random_fleet(seed, fan_map):
     state = DataCenterState.build(8, vms, params=params,
                                   setpoint=float(rng.choice([291.0, 297.0])))
     for i in range(9):
-        state.attach(vms[f"bg{i}"], int(rng.integers(0, 5)))
-    state.attach(vms["bg9"], 7)
-    state.detach(vms["bg9"])
+        state.attach(f"bg{i}", int(rng.integers(0, 5)))
+    state.attach("bg9", 7)
+    state.detach("bg9")
     return state, rng
 
 
@@ -624,33 +621,32 @@ def test_fleet_place_equals_attach_and_refresh(fan_map, seed):
     assert fleet.total_p[0] == effective_it_power(state)
     total = fleet.total_p[0]
     for i in rng.permutation(12):
-        vm = state.vms[f"v{i}"]
+        vid = f"v{i}"
         hid = int(rng.integers(0, 8))
-        h = state.hosts[hid]
-        old = h.p_it if (h.powered_on and h.vms) else 0.0
-        fleet.place(vm, 0, hid)
-        state.attach(vm, hid)
-        total += h.p_it - old
+        old = state.p_it[hid] if is_busy(state, hid) else 0.0
+        fleet.place(state.vm(vid), 0, hid)
+        state.attach(vid, hid)
+        total += state.p_it[hid] - old
         assert fleet.total_p[0] == total
-        for j, h in enumerate(state.hosts):
-            assert fleet.p_before[0, j] == (h.p_it if h.powered_on and h.vms
-                                            else 0.0)
-            assert fleet.f_before[0, j] == h.mode.f_op
-            assert (fleet.cpu_sum[0, j], fleet.ram_sum[0, j],
-                    fleet.bw_sum[0, j], fleet.disk_r[0, j],
-                    fleet.disk_w[0, j]) == (
-                h.cpu_sum, h.ram_sum, h.bw_sum, h.disk_read, h.disk_write)
-            assert fleet.active[0, j] == bool(h.powered_on and h.vms)
+        busy = state.busy
+        assert fleet.p_before[0].tolist() == np.where(busy, state.p_it,
+                                                      0.0).tolist()
+        freqs = [m.f_op for m in state.spec.dvfs_table]
+        assert fleet.f_before[0].tolist() == [freqs[m] for m in state.mode]
+        for mine, theirs in ((fleet.cpu_sum, state.cpu_sum),
+                             (fleet.ram_sum, state.ram_sum),
+                             (fleet.bw_sum, state.bw_sum),
+                             (fleet.disk_r, state.disk_read_sum),
+                             (fleet.disk_w, state.disk_write_sum),
+                             (fleet.active, busy)):
+            assert mine[0].tolist() == theirs.tolist()
 
 
 def test_placers_do_not_copy_or_modify_the_state(monkeypatch):
     state, vm_ids, fallback, thresholds = dynso_instance(5)
 
     def snapshot():
-        return ([(h.powered_on, set(h.vms), h.cpu_sum, h.ram_sum, h.bw_sum,
-                  h.disk_read, h.disk_write, h.mode, h.p_it)
-                 for h in state.hosts],
-                {vid: vm.assigned_host for vid, vm in state.vms.items()})
+        return {name: getattr(state, name).tolist() for name in _ARRAYS}
 
     before = snapshot()
     copies = []
