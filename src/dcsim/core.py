@@ -300,11 +300,13 @@ def apply_placement(state: DataCenterState, placement: dict[str, int],
                     enforce_cpu: bool = False) -> ApplyResult:
     """Apply a VM -> host mapping to a copy of the state.
 
-    Capacity is validated on the net post-move aggregates: RAM and bandwidth
-    are hard limits, CPU only when oversubscription is disabled
-    (``enforce_cpu``).  Hosts left without VMs power off; cold targets power
-    on and are counted as power-on events.  Re-applying an already-applied
-    placement is a no-op.
+    Capacity is validated on the net post-move aggregates of the hosts that
+    receive VMs: RAM and bandwidth are hard limits, CPU only when
+    oversubscription is disabled (``enforce_cpu``).  A host that only keeps
+    or loses VMs is not checked, so a demand increase alone never makes a
+    placement (or the empty one) fail.  Hosts left without VMs power off;
+    cold targets power on and are counted as power-on events.  Re-applying
+    an already-applied placement is a no-op.
     """
     new = state.copy()
     moves = []
@@ -322,16 +324,12 @@ def apply_placement(state: DataCenterState, placement: dict[str, int],
         moves.append((vm_id, None if source < 0 else source, target))
 
     spec = new.spec
-    over = {"ram": (new.ram_sum, spec.ram_capacity),
-            "bandwidth": (new.bw_sum, spec.bw_capacity)}
+    limits = [("ram", new.ram_sum, spec.ram_capacity),
+              ("bandwidth", new.bw_sum, spec.bw_capacity)]
     if enforce_cpu:
-        over["cpu"] = (new.cpu_sum, 1.0)
-    bad = np.zeros(len(new.on), dtype=bool)
-    for sums, capacity in over.values():
-        bad |= sums > capacity + 1e-9
-    if bad.any():
-        host = int(np.argmax(bad))
-        for resource, (sums, capacity) in over.items():
+        limits.append(("cpu", new.cpu_sum, 1.0))
+    for host in sorted({target for _, _, target in moves}):
+        for resource, sums, capacity in limits:
             if sums[host] > capacity + 1e-9:
                 raise CapacityError(host, resource, sums.item(host), capacity)
 

@@ -55,20 +55,23 @@ def select_vms_mmt(host: int, threshold: float, state: DataCenterState,
     shared migration bandwidth) until the projected raw utilization drops
     below the threshold.  Returns an empty list when the host is not over
     the threshold.
+
+    The projection is the demand of the VMs that stay, added in VM order
+    from 0.0 as the host's sum is rebuilt, not the running sum minus the
+    picks: subtracting can round below the threshold while the sum of the
+    VMs that stay is still at it.
     """
-    projected = state.cpu_sum.item(host)
-    if projected < threshold:
+    if state.cpu_sum.item(host) < threshold:
         return []
     bw = migration_bandwidth(state.spec, reserve_fraction)
     ids, ram, cpu = state.vm_ids, state.ram, state.cpu
-    remaining = sorted(np.flatnonzero(state.host == host).tolist(),
-                       key=lambda i: (ram.item(i) / bw, ids[i]))
+    staying = np.flatnonzero(state.host == host).tolist()
     picked = []
-    for i in remaining:
-        if projected < threshold:
-            break
+    for i in sorted(staying, key=lambda i: (ram.item(i) / bw, ids[i])):
         picked.append(ids[i])
-        projected -= cpu.item(i)
+        staying.remove(i)
+        if sum(cpu.item(j) for j in staying) < threshold:
+            break
     return picked
 
 

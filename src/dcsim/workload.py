@@ -8,7 +8,6 @@ missing samples are forward-filled by default.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,22 +27,6 @@ KB_PER_MB = 1024.0
 
 class TraceError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class TraceSample:
-    """One monitoring row of a VM trace."""
-
-    timestamp: float        # s
-    cpu_cores: int
-    cpu_provisioned: float  # MHz
-    cpu_usage: float        # percent of provisioned
-    ram_provisioned: float  # MB
-    ram_used: float         # MB
-    disk_read: float        # KB/s
-    disk_write: float       # KB/s
-    net_rx: float = 0.0     # KB/s
-    net_tx: float = 0.0     # KB/s
 
 
 class Workload:
@@ -95,31 +78,45 @@ def variability_score(w: Workload) -> float:
     return 100.0 * tv / mean
 
 
-def _parse_trace_file(path: Path) -> list[TraceSample]:
+def _parse_trace_file(path: Path) -> np.ndarray:
+    """A trace file's data rows, in file order, as one (rows, 11) array.
+
+    A line of numbers is read with ``float`` alone, which ignores the spaces
+    around a field.  Only a line that fails takes the careful path: it is
+    stripped, skipped if blank or if it is the header (line 1 only), and an
+    empty field reads 0.0.  Columns past the 11th are ignored.
+    """
     text = path.read_text()
     delim = ";" if text.count(";") >= text.count(",") else ","
-    samples = []
+    flat, linenos = [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        fields = [f.strip() for f in line.split(delim)]
-        if lineno == 1 and not _is_number(fields[0]):
-            continue  # header
         try:
-            vals = [float(f) if f else 0.0 for f in fields]
-        except ValueError as e:
-            raise TraceError(f"{path.name}:{lineno}: {e}") from None
-        if len(vals) < 9:
-            raise TraceError(f"{path.name}:{lineno}: expected >=9 columns, got {len(vals)}")
-        vals += [0.0] * (11 - len(vals))
-        samples.append(TraceSample(
-            timestamp=vals[0], cpu_cores=int(vals[1]), cpu_provisioned=vals[2],
-            cpu_usage=vals[4], ram_provisioned=vals[5] / KB_PER_MB,
-            ram_used=vals[6] / KB_PER_MB, disk_read=vals[7], disk_write=vals[8],
-            net_rx=vals[9], net_tx=vals[10]))
-    if not samples:
+            vals = list(map(float, line.split(delim)))
+        except ValueError:
+            line = line.strip()
+            if not line:
+                continue
+            fields = [f.strip() for f in line.split(delim)]
+            if lineno == 1 and not _is_number(fields[0]):
+                continue  # header
+            try:
+                vals = [float(f) if f else 0.0 for f in fields]
+            except ValueError as e:
+                raise TraceError(f"{path.name}:{lineno}: {e}") from None
+        if len(vals) != 11:
+            if len(vals) < 9:
+                raise TraceError(
+                    f"{path.name}:{lineno}: expected >=9 columns, got {len(vals)}")
+            vals = (vals + [0.0, 0.0])[:11]
+        flat.extend(vals)
+        linenos.append(lineno)
+    if not flat:
         raise TraceError(f"{path.name}: no data rows")
+    samples = np.array(flat).reshape(-1, 11)
+    finite = np.isfinite(samples).all(axis=1)
+    if not finite.all():
+        lineno = linenos[int(np.argmin(finite))]
+        raise TraceError(f"{path.name}:{lineno}: non-finite value")
     return samples
 
 
@@ -131,26 +128,6 @@ def _is_number(s: str) -> bool:
         return False
 
 
-def _normalize_timestamps(samples: list[TraceSample], slot_seconds: int,
-                          name: str) -> list[TraceSample]:
-    ts = [s.timestamp for s in samples]
-    if len(ts) >= 2 and ts[1] - ts[0] >= slot_seconds * 999:
-        ts = [t / 1000.0 for t in ts]  # milliseconds
-    base = ts[0]
-    out = []
-    for s, t in zip(samples, ts):
-        off = t - base
-        if abs(off / slot_seconds - round(off / slot_seconds)) > 1e-6:
-            raise TraceError(
-                f"{name}: timestamp {t} not aligned to the {slot_seconds} s grid")
-        out.append(TraceSample(timestamp=t, cpu_cores=s.cpu_cores,
-                               cpu_provisioned=s.cpu_provisioned, cpu_usage=s.cpu_usage,
-                               ram_provisioned=s.ram_provisioned, ram_used=s.ram_used,
-                               disk_read=s.disk_read, disk_write=s.disk_write,
-                               net_rx=s.net_rx, net_tx=s.net_tx))
-    return out
-
-
 def load_traces(directory, slot_seconds: int = 300,
                 fill: str = "ffill") -> Workload:
     """Load one trace file per VM from a directory into a Workload.
@@ -158,9 +135,14 @@ def load_traces(directory, slot_seconds: int = 300,
     CPU demand is normalized against the default server's full capacity at
     top frequency: demand = usage% * provisioned MHz / host capacity MHz.
     ``fill`` selects the gap policy: "ffill" forward-fills each VM onto the
-    union grid (leading gaps repeat the first sample); "drop" restricts the
-    grid to slots covered by every VM.
+    union grid (leading gaps repeat the file's first row); "drop" restricts
+    the grid to slots covered by every VM.  Rows may come in any order; of
+    two rows on one slot the later one wins.
     """
+    if fill not in ("ffill", "drop"):
+        raise ValueError(f"unknown fill {fill!r}: expected 'ffill' or 'drop'")
+    if not slot_seconds > 0:
+        raise ValueError(f"slot_seconds must be positive, got {slot_seconds}")
     directory = Path(directory)
     if not directory.is_dir():
         raise TraceError(f"trace directory not found: {directory}")
@@ -171,44 +153,57 @@ def load_traces(directory, slot_seconds: int = 300,
 
     per_vm = {}
     for path in files:
-        samples = _normalize_timestamps(_parse_trace_file(path), slot_seconds, path.name)
+        samples = _parse_trace_file(path)
+        ts = samples[:, 0]
+        if len(ts) >= 2 and ts[1] - ts[0] >= slot_seconds * 999:
+            ts /= 1000.0  # milliseconds
+        off = (ts - ts[0]) / slot_seconds
+        misaligned = ~(np.abs(off - np.rint(off)) <= 1e-6)
+        if misaligned.any():
+            raise TraceError(
+                f"{path.name}: timestamp {ts.item(np.argmax(misaligned))} not "
+                f"aligned to the {slot_seconds} s grid")
         per_vm[path.stem] = samples
 
-    t0 = min(s[0].timestamp for s in per_vm.values())
-    t1 = max(s[-1].timestamp for s in per_vm.values())
+    firsts = [s.item(0, 0) for s in per_vm.values()]
+    lasts = [s.item(-1, 0) for s in per_vm.values()]
+    t0, t1 = min(firsts), max(lasts)
     if fill == "drop":
-        t0 = max(s[0].timestamp for s in per_vm.values())
-        t1 = min(s[-1].timestamp for s in per_vm.values())
+        t0, t1 = max(firsts), min(lasts)
         if t1 < t0:
             raise TraceError("no common slot window across VMs (fill=drop)")
     n_slots = int(round((t1 - t0) / slot_seconds)) + 1
 
-    host_capacity_mhz = default_server_spec().cpu_capacity_mhz
+    # the row each (VM, slot) cell takes: the last row on that slot, else
+    # the row of the latest filled slot before it, else the file's first row
     vm_ids = list(per_vm)
     n = len(vm_ids)
-    cpu = np.zeros((n, n_slots))
-    ram = np.zeros((n, n_slots))
-    disk_r = np.zeros((n, n_slots))
-    disk_w = np.zeros((n, n_slots))
-    net = np.zeros((n, n_slots))
-    cores = np.zeros(n, dtype=int)
-    ram_prov = np.zeros(n)
+    counts = [len(s) for s in per_vm.values()]
+    first_row = np.cumsum([0] + counts[:-1])
+    rows = np.concatenate(list(per_vm.values()))
+    slot = np.rint((rows[:, 0] - t0) / slot_seconds)
+    on_grid = np.flatnonzero((slot >= 0) & (slot < n_slots))
+    cell = np.repeat(np.arange(n) * n_slots, counts)[on_grid] \
+        + slot[on_grid].astype(np.intp)
+    last = np.full(n * n_slots, -1, dtype=np.intp)
+    np.maximum.at(last, cell, on_grid)
+    last = last.reshape(n, n_slots)
+    latest = np.where(last >= 0, np.arange(n_slots), 0)
+    np.maximum.accumulate(latest, axis=1, out=latest)
+    row = np.take_along_axis(last, latest, axis=1)
+    row = np.where(row >= 0, row, first_row[:, None])
 
-    for i, vid in enumerate(vm_ids):
-        samples = per_vm[vid]
-        cores[i] = max(1, samples[0].cpu_cores)
-        ram_prov[i] = max(s.ram_provisioned for s in samples)
-        by_slot = {int(round((s.timestamp - t0) / slot_seconds)): s for s in samples}
-        last = samples[0]
-        for t in range(n_slots):
-            s = by_slot.get(t, last)
-            last = s
-            cpu[i, t] = (s.cpu_usage / 100.0) * s.cpu_provisioned / host_capacity_mhz
-            ram[i, t] = s.ram_used
-            disk_r[i, t] = s.disk_read
-            disk_w[i, t] = s.disk_write
-            net[i, t] = (s.net_rx + s.net_tx) / KB_PER_MB
-
+    host_capacity_mhz = default_server_spec().cpu_capacity_mhz
+    cpu = ((rows[:, 4] / 100.0) * rows[:, 2] / host_capacity_mhz)[row]
+    ram = (rows[:, 6] / KB_PER_MB)[row]
+    disk_r = rows[:, 7][row]
+    disk_w = rows[:, 8][row]
+    net = ((rows[:, 9] + rows[:, 10]) / KB_PER_MB)[row]
+    cores = np.array([max(1, int(s.item(0, 1))) for s in per_vm.values()],
+                     dtype=int)
+    # Python's max keeps the first of equal values; np.max may pick -0.0
+    ram_prov = np.array([max((s[:, 5] / KB_PER_MB).tolist())
+                         for s in per_vm.values()])
     return Workload(vm_ids, cpu, ram, disk_r, disk_w, net, cores, ram_prov,
                     slot_seconds)
 

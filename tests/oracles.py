@@ -1,23 +1,27 @@
-"""Scalar reference implementations the placement tests compare against.
+"""Scalar reference implementations the placement and trace tests compare
+against.
 
 They cost one candidate host at a time through the scalar host kernel
 (``models.host_operating_point``) and read a ``DataCenterState`` one host
 and one VM at a time, where the placers cost every host at once on numpy
 arrays.  The per-candidate values (``CandidateView``, ``so_value_from_view``,
 ``objective_vector``) are the paper's SO1-SO7 and MO definitions written out
-for one candidate.
+for one candidate.  ``load_traces_rowwise`` is the trace loader that reads
+one row and fills one slot-grid cell at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from dcsim import models
-from dcsim.core import DataCenterState, VmState
+from dcsim.core import DataCenterState, VmState, default_server_spec
 from dcsim.models import KWH_PER_WS
 from dcsim.policies import SoKind, SoSaModel, normalize_band, so_sa_combine
+from dcsim.workload import KB_PER_MB, TraceError, Workload
 
 
 class GuardError(ValueError):
@@ -189,3 +193,138 @@ def candidate_evaluations(vm: VmState, host_ids, state: DataCenterState,
             normalized=ObjectiveVector(*norm[k]),
             predicted_global_energy=power * slot_seconds * KWH_PER_WS))
     return out
+
+
+@dataclass(frozen=True)
+class TraceSample:
+    """One monitoring row of a VM trace."""
+
+    timestamp: float        # s
+    cpu_cores: int
+    cpu_provisioned: float  # MHz
+    cpu_usage: float        # percent of provisioned
+    ram_provisioned: float  # MB
+    ram_used: float         # MB
+    disk_read: float        # KB/s
+    disk_write: float       # KB/s
+    net_rx: float = 0.0     # KB/s
+    net_tx: float = 0.0     # KB/s
+
+
+def _parse_trace_rows(path: Path) -> list[TraceSample]:
+    text = path.read_text()
+    delim = ";" if text.count(";") >= text.count(",") else ","
+    samples = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        fields = [f.strip() for f in line.split(delim)]
+        if lineno == 1 and not _is_number(fields[0]):
+            continue  # header
+        try:
+            vals = [float(f) if f else 0.0 for f in fields]
+        except ValueError as e:
+            raise TraceError(f"{path.name}:{lineno}: {e}") from None
+        if len(vals) < 9:
+            raise TraceError(f"{path.name}:{lineno}: expected >=9 columns, got {len(vals)}")
+        vals += [0.0] * (11 - len(vals))
+        samples.append(TraceSample(
+            timestamp=vals[0], cpu_cores=int(vals[1]), cpu_provisioned=vals[2],
+            cpu_usage=vals[4], ram_provisioned=vals[5] / KB_PER_MB,
+            ram_used=vals[6] / KB_PER_MB, disk_read=vals[7], disk_write=vals[8],
+            net_rx=vals[9], net_tx=vals[10]))
+    if not samples:
+        raise TraceError(f"{path.name}: no data rows")
+    return samples
+
+
+def _is_number(s: str) -> bool:
+    try:
+        float(s)
+        return True
+    except ValueError:
+        return False
+
+
+def _normalize_timestamps(samples: list[TraceSample], slot_seconds: int,
+                          name: str) -> list[TraceSample]:
+    ts = [s.timestamp for s in samples]
+    if len(ts) >= 2 and ts[1] - ts[0] >= slot_seconds * 999:
+        ts = [t / 1000.0 for t in ts]  # milliseconds
+    base = ts[0]
+    out = []
+    for s, t in zip(samples, ts):
+        off = t - base
+        if abs(off / slot_seconds - round(off / slot_seconds)) > 1e-6:
+            raise TraceError(
+                f"{name}: timestamp {t} not aligned to the {slot_seconds} s grid")
+        out.append(TraceSample(timestamp=t, cpu_cores=s.cpu_cores,
+                               cpu_provisioned=s.cpu_provisioned, cpu_usage=s.cpu_usage,
+                               ram_provisioned=s.ram_provisioned, ram_used=s.ram_used,
+                               disk_read=s.disk_read, disk_write=s.disk_write,
+                               net_rx=s.net_rx, net_tx=s.net_tx))
+    return out
+
+
+def load_traces_rowwise(directory, slot_seconds: int = 300,
+                        fill: str = "ffill") -> Workload:
+    """Row-by-row reference for ``workload.load_traces``: one
+    ``TraceSample`` per row, the slot grid filled one cell at a time.
+
+    CPU demand is normalized against the default server's full capacity at
+    top frequency: demand = usage% * provisioned MHz / host capacity MHz.
+    ``fill`` selects the gap policy: "ffill" forward-fills each VM onto the
+    union grid (leading gaps repeat the first sample); "drop" restricts the
+    grid to slots covered by every VM.
+    """
+    directory = Path(directory)
+    if not directory.is_dir():
+        raise TraceError(f"trace directory not found: {directory}")
+    files = sorted(p for p in directory.iterdir()
+                   if p.is_file() and p.suffix.lower() in (".csv", ".txt"))
+    if not files:
+        raise TraceError(f"no trace files in {directory}")
+
+    per_vm = {}
+    for path in files:
+        samples = _normalize_timestamps(_parse_trace_rows(path), slot_seconds, path.name)
+        per_vm[path.stem] = samples
+
+    t0 = min(s[0].timestamp for s in per_vm.values())
+    t1 = max(s[-1].timestamp for s in per_vm.values())
+    if fill == "drop":
+        t0 = max(s[0].timestamp for s in per_vm.values())
+        t1 = min(s[-1].timestamp for s in per_vm.values())
+        if t1 < t0:
+            raise TraceError("no common slot window across VMs (fill=drop)")
+    n_slots = int(round((t1 - t0) / slot_seconds)) + 1
+
+    host_capacity_mhz = default_server_spec().cpu_capacity_mhz
+    vm_ids = list(per_vm)
+    n = len(vm_ids)
+    cpu = np.zeros((n, n_slots))
+    ram = np.zeros((n, n_slots))
+    disk_r = np.zeros((n, n_slots))
+    disk_w = np.zeros((n, n_slots))
+    net = np.zeros((n, n_slots))
+    cores = np.zeros(n, dtype=int)
+    ram_prov = np.zeros(n)
+
+    for i, vid in enumerate(vm_ids):
+        samples = per_vm[vid]
+        cores[i] = max(1, samples[0].cpu_cores)
+        ram_prov[i] = max(s.ram_provisioned for s in samples)
+        by_slot = {int(round((s.timestamp - t0) / slot_seconds)): s for s in samples}
+        last = samples[0]
+        for t in range(n_slots):
+            s = by_slot.get(t, last)
+            last = s
+            cpu[i, t] = (s.cpu_usage / 100.0) * s.cpu_provisioned / host_capacity_mhz
+            ram[i, t] = s.ram_used
+            disk_r[i, t] = s.disk_read
+            disk_w[i, t] = s.disk_write
+            net[i, t] = (s.net_rx + s.net_tx) / KB_PER_MB
+
+    return Workload(vm_ids, cpu, ram, disk_r, disk_w, net, cores, ram_prov,
+                    slot_seconds)

@@ -52,6 +52,26 @@ def test_ram_capacity_violation_names_host_and_resource():
     assert err.value.resource == "ram"
 
 
+def test_capacity_checked_only_on_receiving_hosts():
+    spec = default_server_spec()
+    half = spec.ram_capacity / 2 + 1.0
+    vms = {"a": VmState(id="a", cpu_demand=0.1, ram_used=half),
+           "b": VmState(id="b", cpu_demand=0.1, ram_used=half),
+           "c": VmState(id="c", cpu_demand=0.1, ram_used=64.0)}
+    state = make_state(3, vms)
+    state.attach("a", 1)
+    state.attach("b", 1)
+    state.attach("c", 0)
+    # host 1 is over its RAM but receives nothing: the move and the empty
+    # placement both apply
+    res = apply_placement(state, {"c": 2})
+    assert res.state.host.tolist() == [1, 1, 2]
+    assert apply_placement(state, {}).moved == []
+    with pytest.raises(CapacityError) as err:
+        apply_placement(state, {"c": 1})
+    assert err.value.host_id == 1
+
+
 def test_cpu_enforced_only_without_oversubscription():
     vms = {
         "a": VmState(id="a", cpu_demand=0.7, ram_used=10.0),

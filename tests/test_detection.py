@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dcsim.core import DataCenterState, VmState, default_server_spec
 from dcsim.detection import (MadConfig, find_underloaded, mad,
@@ -75,6 +75,8 @@ def test_mmt_single_vm_host():
 @given(st.lists(st.tuples(st.floats(min_value=0.01, max_value=0.4),
                           st.floats(min_value=64.0, max_value=4096.0)),
                 min_size=1, max_size=8))
+@example([(0.25, 64.0), (0.39999999999999997, 64.0), (0.1, 64.0)])
+@example([(0.25, 65.0), (0.221996324115682, 64.0), (0.25, 64.0)])
 def test_mmt_projection_drops_below_threshold(vm_specs):
     vms = {f"v{i}": VmState(id=f"v{i}", cpu_demand=d, ram_used=r)
            for i, (d, r) in enumerate(vm_specs)}

@@ -206,3 +206,17 @@ def test_zero_max_drains_counts_no_drains_in_dynso_evaluator():
     on = engine._drain_aware_evaluator(SimConfig(), thresholds)(state)
     assert off == full
     assert on < full
+
+
+def test_demand_growth_on_an_untouched_host_does_not_abort_the_run():
+    # a and b share host 1 and grow past its RAM together while c overloads
+    # host 0: the slot's placement sends nothing to host 1, so it applies
+    cpu = np.array([[0.1, 0.1], [0.1, 0.1], [0.85, 0.97]])
+    ram = np.array([[1000.0, 9000.0], [1000.0, 9000.0], [1000.0, 1000.0]])
+    zeros = np.zeros_like(cpu)
+    w = Workload(["a", "b", "c"], cpu, ram, zeros.copy(), zeros.copy(),
+                 np.full_like(cpu, 1.0), np.ones(3, dtype=int),
+                 np.full(3, 9000.0))
+    r = run(w, SimConfig(hosts=3, policy="pabfd"))
+    assert len(r.slots) == 2
+    assert r.slots[1].e_it > 0.0

@@ -1,8 +1,11 @@
+import random
+
 import numpy as np
 import pytest
 
-from dcsim.workload import (TraceError, Workload, load_traces, save_traces,
-                            synth_workload, variability_score)
+from dcsim.workload import (TRACE_COLUMNS, TraceError, Workload, load_traces,
+                            save_traces, synth_workload, variability_score)
+from oracles import load_traces_rowwise
 
 
 def make_workload(cpu_rows, slot_seconds=300):
@@ -135,3 +138,170 @@ def test_roundtrip_save_load_fixed_point(tmp_path):
         prev = cur
     else:
         pytest.fail("round trip never reached a fixed point")
+
+
+def test_load_traces_rejects_unknown_fill(tmp_path):
+    (tmp_path / "a.csv").write_text("0;1;2400;0;10;1024;512;1;1\n")
+    with pytest.raises(ValueError, match="unknown fill 'bogus'"):
+        load_traces(tmp_path, fill="bogus")
+
+
+@pytest.mark.parametrize("slot_seconds", [0, -300, 0.0])
+def test_load_traces_rejects_non_positive_slot(tmp_path, slot_seconds):
+    (tmp_path / "a.csv").write_text("0;1;2400;0;10;1024;512;1;1\n")
+    with pytest.raises(ValueError, match="slot_seconds must be positive"):
+        load_traces(tmp_path, slot_seconds=slot_seconds)
+
+
+@pytest.mark.parametrize("token", ["nan", "-inf", "Infinity", "1e999"])
+def test_load_traces_rejects_non_finite_values(tmp_path, token):
+    (tmp_path / "a.csv").write_text("ts;c;p;u;pct;mp;mu;dr;dw\n"
+                                    "0;1;2400;0;10;1024;512;1;1\n"
+                                    f"300;1;2400;0;{token};1024;512;1;1\n")
+    with pytest.raises(TraceError, match=r"^a\.csv:3: non-finite value$"):
+        load_traces(tmp_path)
+
+
+def test_load_traces_row_rules(tmp_path):
+    # header on line 1, blank lines, an empty field (reads 0), a 12th column
+    # (ignored), out-of-order rows, a duplicate slot (the later row wins)
+    # and a leading gap (repeats the file's first row)
+    (tmp_path / "a.csv").write_text(
+        "ts;c;p;u;pct;mp;mu;dr;dw;rx;tx\r\n"
+        "\n"
+        "600; 1 ;2400;0;20;1024;512;;1;1;1;99\n"
+        "   \n"
+        "300;1;2400;0;10;1024;512;1;1\n"
+        "600;1;2400;0;40;1024;512;1;1\n")
+    (tmp_path / "b.csv").write_text("0;1;2400;0;10;1024;512;1;1\n"
+                                    "900;1;2400;0;10;1024;512;1;1\n")
+    w = load_traces(tmp_path)
+    assert w.slot_count == 4
+    assert w.cpu[0].tolist() == [0.05, 0.025, 0.1, 0.1]
+    assert w.disk_read[0].tolist() == [0.0, 1.0, 1.0, 1.0]
+    assert w.net_bw[0].tolist() == [2 / 1024, 0.0, 0.0, 0.0]
+
+
+# -- differential test against the row-by-row reference loader --------------
+
+def _number(rng, value):
+    """``value`` written one of the ways ``float`` reads it."""
+    form = rng.randrange(5)
+    if form == 0:
+        text = repr(float(value))
+    elif form == 1:
+        text = f"{value:.3f}"
+    elif form == 2:
+        text = f"{value:e}"
+    elif form == 3:
+        text = f"{value:g}"
+    else:
+        text = str(int(value)) if float(value).is_integer() else repr(value)
+    pad = rng.choice(["", "", "", " ", "  ", "\t"])
+    return pad + text + rng.choice(["", "", " ", "\t"])
+
+
+def _trace_file(rng, slot, base, error):
+    """One random trace file's text.
+
+    Covers a header or none, milliseconds, gaps, duplicate and out-of-order
+    slots, blank and whitespace-only lines, spaces around fields, empty
+    fields, signed zeros, 9-12 columns and CRLF line ends; ``error`` plants
+    one defect.
+    """
+    delim = rng.choice(";,")
+    n_rows = rng.randrange(0, 14)
+    slots = sorted(rng.sample(range(n_rows + rng.randrange(0, 5)), n_rows))
+    slots += rng.sample(slots, min(len(slots), rng.randrange(0, 3)))  # dups
+    if rng.random() < 0.3:
+        rng.shuffle(slots)
+    ms = rng.random() < 0.2
+    zero_mem = rng.random() < 0.1  # provisioned memory 0.0 and -0.0 only
+    lines = []
+    if rng.random() < 0.5:
+        lines.append(delim.join(TRACE_COLUMNS))
+    for k in slots:
+        ts = base + k * slot
+        if ms:
+            ts *= 1000
+        vals = [ts, rng.choice([1, 2, 4, 0, 2.7, -1]), rng.uniform(0, 5000),
+                rng.uniform(0, 5000), rng.uniform(0, 100),
+                rng.uniform(0, 1e7), rng.uniform(0, 1e7), rng.uniform(0, 2e3),
+                rng.uniform(0, 2e3), rng.uniform(0, 1e4), rng.uniform(0, 1e4),
+                rng.uniform(-5, 5)]
+        if zero_mem:
+            vals[5] = rng.choice([0.0, -0.0])
+        fields = [_number(rng, v) for v in vals[:rng.randrange(9, 13)]]
+        for j in range(1, len(fields)):
+            if rng.random() < 0.05:
+                fields[j] = rng.choice(["", " ", "\t", "0", "-0.0"])
+        lines.append(rng.choice(["", " "]) + delim.join(fields))
+        if rng.random() < 0.1:
+            lines.append(rng.choice(["", "  ", "\t"]))
+    if error == "token" and len(lines) > 1:
+        at = rng.randrange(len(lines))
+        lines[at] += delim + rng.choice(["abc", "1..2", "--1", "0x10"])
+    elif error == "columns":
+        lines.insert(rng.randrange(len(lines) + 1), delim.join("12345"))
+    elif error == "misaligned" and slots:
+        lines.append(delim.join(str(x) for x in (
+            base + slots[-1] * slot + 0.4 * slot, 1, 1, 1, 1, 1, 1, 1, 1)))
+    elif error == "late header":
+        lines.insert(0, "")
+        lines.insert(1, delim.join(TRACE_COLUMNS))
+    end = rng.choice(["\n", "\r\n"])
+    return end.join(lines) + rng.choice(["", end])
+
+
+def _random_trace_dir(rng, directory):
+    directory.mkdir()
+    slot = rng.choice([300, 300, 300, 60, 1])
+    error = rng.choice([None] * 6 + ["token", "columns", "misaligned",
+                                     "late header"])
+    names = ["a.csv", "b.csv", "c.txt", "d.CSV", "a.txt", "notes.md"]
+    for name in rng.sample(names, rng.randrange(1, 5)):
+        base = slot * rng.randrange(0, 6) + rng.choice([0] * 5 + [slot // 3])
+        bad = error if rng.random() < 0.5 else None
+        (directory / name).write_text(_trace_file(rng, slot, base, bad))
+    return slot
+
+
+def _load_or_error(load, directory, **kwargs):
+    try:
+        return load(directory, **kwargs)
+    except Exception as e:  # the loaders must fail alike
+        return type(e), str(e)
+
+
+def _assert_same_load(directory, **kwargs):
+    got = _load_or_error(load_traces, directory, **kwargs)
+    want = _load_or_error(load_traces_rowwise, directory, **kwargs)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert not isinstance(got, tuple), got
+    assert got.vm_ids == want.vm_ids
+    assert got.slot_seconds == want.slot_seconds
+    for name in ("cpu", "ram", "disk_read", "disk_write", "net_bw", "cores",
+                 "ram_provisioned"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_load_traces_matches_rowwise_reference(tmp_path, chunk):
+    for seed in range(chunk * 100, chunk * 100 + 100):
+        rng = random.Random(seed)
+        directory = tmp_path / f"d{seed}"
+        slot = _random_trace_dir(rng, directory)
+        for fill in ("ffill", "drop"):
+            _assert_same_load(directory, slot_seconds=slot, fill=fill)
+
+
+def test_load_traces_matches_rowwise_reference_on_a_day(tmp_path):
+    # 120 VMs x 288 slots, as in the benchmark's trace-driven day
+    save_traces(synth_workload(vms=120, slots=288, variability=280.0, seed=3),
+                tmp_path)
+    for fill in ("ffill", "drop"):
+        _assert_same_load(tmp_path, fill=fill)
