@@ -271,9 +271,10 @@ def synth_workload(vms: int, slots: int, variability: float, seed: int,
         x = x * mult
         if jitter_sigma > 0:
             # fast per-slot noise: drives adaptive-threshold dispersion the
-            # way spiky production traces do
-            x = x * np.exp(rng.normal(0.0, jitter_sigma, size=(vms, slots))
-                           - 0.5 * jitter_sigma ** 2)
+            # way spiky production traces do; lognormal exponentiates with
+            # libm's exp, which gives the same bits on every CPU
+            x = x * rng.lognormal(-0.5 * jitter_sigma ** 2, jitter_sigma,
+                                  size=(vms, slots))
         x = np.clip(x, 0.005, 0.98)
 
         agg = x.sum(axis=0)

@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dcsim
 from dcsim.workload import (TRACE_COLUMNS, TraceError, Workload, load_traces,
                             save_traces, synth_workload, variability_score)
 from oracles import load_traces_rowwise
@@ -97,6 +102,29 @@ def test_synth_deterministic():
     b = synth_workload(vms=20, slots=60, variability=150.0, seed=42)
     assert np.array_equal(a.cpu, b.cpu)
     assert np.array_equal(a.ram, b.ram)
+
+
+# numpy's AVX-512 exp differs from its AVX2 one in the last bit; with
+# those targets switched off, numpy runs its AVX2 or baseline kernels
+NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+SYNTH_FINGERPRINT = """
+from dcsim.report import workload_fingerprint
+from dcsim.workload import synth_workload
+print(workload_fingerprint(synth_workload(vms=72, slots=12, variability=120.0,
+                                          seed=4)))
+"""
+
+
+def test_synth_is_the_same_on_every_cpu():
+    src = str(Path(dcsim.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if k != "NPY_DISABLE_CPU_FEATURES"}
+    outs = [subprocess.run(
+        [sys.executable, "-c", SYNTH_FINGERPRINT], capture_output=True,
+        text=True, check=True, timeout=120,
+        env={**env, "PYTHONPATH": src, **extra}).stdout
+        for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": NO_AVX512})]
+    assert outs[0] == outs[1]
 
 
 def test_synth_zero_variability_constant():
