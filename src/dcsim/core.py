@@ -3,13 +3,14 @@
 :class:`DataCenterState` keeps the fleet as numpy arrays: per VM its demand
 and its host, per host the on-mask, the resource sums of its VMs and the
 utilization, DVFS mode and IT power derived from them.  ``attach``/``detach``
-update the sums VM by VM and re-cost the hosts they touch through the scalar
-kernel ``models.host_operating_point``; :meth:`DataCenterState.set_demand`
-rebuilds every sum at once.
+update the sums VM by VM, :meth:`DataCenterState.set_demand` rebuilds every
+sum at once, and each re-costs the hosts it touched in one call of the array
+server model ``models.host_operating_point``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,12 @@ class ServerSpec:
     @property
     def f_max(self) -> float:
         return self.dvfs_table[-1].f_op
+
+    @functools.cached_property
+    def dvfs_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The table's ``f_op`` and ``v_dd`` values, as arrays indexed by mode."""
+        return (np.array([m.f_op for m in self.dvfs_table]),
+                np.array([m.v_dd for m in self.dvfs_table]))
 
     @property
     def cpu_capacity_mhz(self) -> float:
@@ -204,35 +211,23 @@ class DataCenterState:
         """Powered on and running VMs."""
         return self.on & (self.vm_counts() > 0)
 
-    def _point(self, on: bool, cpu: float, ram: float, disk_read: float,
-               disk_write: float) -> tuple[float, int, float]:
-        # (u_cpu, mode, p_it) of one host; the kernel gets Python floats
-        if not on:
-            return 0.0, 0, 0.0
-        u_cpu, _, mode, _, _, p_it = models.host_operating_point(
-            cpu, ram, disk_read, disk_write, self.setpoint, self.spec, self.params)
-        return u_cpu, self.spec.dvfs_table.index(mode), p_it
-
-    def refresh(self, host: int) -> None:
-        """Recompute the derived figures of one host from its sums."""
-        self.u_cpu[host], self.mode[host], self.p_it[host] = self._point(
-            self.on.item(host), self.cpu_sum.item(host), self.ram_sum.item(host),
-            self.disk_read_sum.item(host), self.disk_write_sum.item(host))
-
-    def refresh_all(self) -> None:
-        """Recompute the derived figures of every host, in one loop."""
-        points = list(map(self._point, self.on.tolist(), self.cpu_sum.tolist(),
-                          self.ram_sum.tolist(), self.disk_read_sum.tolist(),
-                          self.disk_write_sum.tolist()))
-        self.u_cpu = np.array([q[0] for q in points], dtype=float)
-        self.mode = np.array([q[1] for q in points], dtype=np.intp)
-        self.p_it = np.array([q[2] for q in points], dtype=float)
+    def refresh(self, hosts) -> None:
+        """Recompute the derived figures of the given hosts from their sums,
+        in one call of the server model."""
+        hosts = np.asarray(hosts, dtype=np.intp)
+        on = self.on[hosts]
+        u_cpu, mode, _, p_it = models.host_operating_point(
+            self.cpu_sum[hosts], self.ram_sum[hosts], self.disk_read_sum[hosts],
+            self.disk_write_sum[hosts], self.setpoint, self.spec, self.params)
+        self.u_cpu[hosts] = np.where(on, u_cpu, 0.0)
+        self.mode[hosts] = np.where(on, mode, 0)
+        self.p_it[hosts] = np.where(on, p_it, 0.0)
 
     def set_setpoint(self, t_inlet_k: float) -> None:
         if t_inlet_k == self.setpoint:
             return
         self.setpoint = t_inlet_k
-        self.refresh_all()
+        self.refresh(np.arange(len(self.on)))
 
     def set_demand(self, cpu, ram, bw, disk_read, disk_write) -> None:
         """Take new per-VM demands and rebuild every host's sums from them.
@@ -248,7 +243,7 @@ class DataCenterState:
             # an empty input gives integer counts
             setattr(self, f"{name}_sum", np.bincount(
                 hosts, values[placed], len(self.on)).astype(float, copy=False))
-        self.refresh_all()
+        self.refresh(np.arange(len(self.on)))
 
     def _shift(self, i: int, host: int, sign: float) -> None:
         # add (sign 1) or remove (sign -1) VM i's demand on a host's sums;
@@ -274,15 +269,12 @@ class DataCenterState:
     def attach(self, vm_id: str, host: int) -> None:
         """Put a VM on a host, off the host it was on, and re-cost both."""
         old = self._move(self.index[vm_id], host)
-        if old >= 0:
-            self.refresh(old)
-        self.refresh(host)
+        self.refresh([old, host] if old >= 0 else [host])
 
     def detach(self, *vm_ids: str) -> None:
         """Take VMs off their hosts, in order, then re-cost each host once."""
         touched = {self._move(self.index[vid], -1) for vid in vm_ids}
-        for host in sorted(touched - {-1}):
-            self.refresh(host)
+        self.refresh(sorted(touched - {-1}))
 
     def total_it_power(self) -> float:
         """Fleet IT power (W), summed in host-id order with Python floats."""
@@ -335,6 +327,5 @@ def apply_placement(state: DataCenterState, placement: dict[str, int],
 
     idle = new.on & (new.vm_counts() == 0)
     new.on[idle] = False
-    for host in sorted((touched - {-1}) | set(np.flatnonzero(idle).tolist())):
-        new.refresh(host)
+    new.refresh(sorted((touched - {-1}) | set(np.flatnonzero(idle).tolist())))
     return ApplyResult(state=new, power_on_events=power_on, moved=moves)

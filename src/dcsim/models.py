@@ -1,14 +1,16 @@
 """Closed-form power, thermal and cooling models of the simulated server fleet.
 
-All functions are pure and operate on plain numbers, so they are safe to call
-from any thread and cheap enough for the inner placement loops.  Temperatures
-are Kelvin unless a name says otherwise, energies are kWh, powers are watts.
+All functions are pure.  The server model takes floats or numpy arrays of
+any shape, element by element, so one formula costs a single host or a
+whole fleet.  Temperatures are Kelvin unless a name says otherwise, energies
+are kWh, powers are watts.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 KWH_PER_WS = 1.0 / 3.6e6  # watt-seconds to kWh
 
@@ -70,71 +72,58 @@ class ModelParams:
     fan_map: str = "constant"
     fan_linear_max: float = 9000.0
 
-    def fan_speed(self, u_cpu: float, default_rpm: float) -> float:
+    def fan_speed(self, u_cpu, default_rpm):
         if self.fan_map == "linear":
             return default_rpm + (self.fan_linear_max - default_rpm) * u_cpu
         return default_rpm
 
 
-def governor_frequency(u_cpu: float, table):
-    """Pick the DVFS mode for a utilization: lowest f_op covering u_cpu * f_max.
-
-    ``table`` is an ordered (ascending f_op) sequence of modes with an ``f_op``
-    attribute.  Falls back to the top mode when no frequency qualifies.
-    """
-    if not 0.0 <= u_cpu <= 1.0 + 1e-12:
-        raise ValueError(f"u_cpu out of range [0,1]: {u_cpu}")
-    f_max = table[-1].f_op
-    needed = u_cpu * f_max
-    for mode in table:
-        if mode.f_op >= needed - 1e-12:
-            return mode
-    return table[-1]
-
-
-def dynamic_power(v_dd: float, f_op: float, u_cpu: float,
-                  p: PowerModelParams = PowerModelParams()) -> float:
+def dynamic_power(v_dd, f_op, u_cpu, p: PowerModelParams = PowerModelParams()):
     """DVFS-dependent part of server power for one (voltage, frequency, load)."""
     return p.c_dyn * v_dd * v_dd * f_op * u_cpu
 
 
-def host_power_terms(v_dd: float, f_op: float, u_cpu: float, t_mem: float,
-                     fan_speed: float,
-                     p: PowerModelParams = PowerModelParams()) -> float:
+def host_power_terms(v_dd, f_op, u_cpu, t_mem, fan_speed,
+                     p: PowerModelParams = PowerModelParams()):
     """Server power in watts from raw model inputs (excluding disk)."""
+    # fan^3 as two products: numpy's power kernels differ between CPUs
     return (dynamic_power(v_dd, f_op, u_cpu, p)
             + p.c_mem * t_mem * t_mem
-            + p.c_fan * fan_speed ** 3)
+            + p.c_fan * (fan_speed * fan_speed * fan_speed))
 
 
-def host_operating_point(cpu_sum: float, ram_sum: float, disk_read: float,
-                         disk_write: float, t_inlet: float, spec,
-                         p: ModelParams):
-    """Operating point of a powered-on server from its resource aggregates.
+def host_operating_point(cpu_sum, ram_sum, disk_read, disk_write, t_inlet,
+                         spec, p: ModelParams):
+    """Operating point of powered-on servers from their resource sums.
 
-    ``spec`` supplies ``dvfs_table``, ``ram_capacity`` and
-    ``fan_speed_default``.  Returns ``(u_cpu, u_mem, mode, fan_speed, t_mem,
-    p_it)``: utilization clamped to [0, 1] (sums carry float dust), memory
-    load in percent, governor DVFS mode, fan RPM, memory temperature (K) and
-    IT power including disk (W).  Pass Python floats, so every operation is
-    Python's: numpy's ``log`` and array ``**`` can differ in the last bit.
+    The sums are numpy arrays of any one shape (or floats), one element per
+    server; ``spec`` supplies ``dvfs_arrays``, ``ram_capacity`` and
+    ``fan_speed_default``.  Returns ``(u_cpu, mode, t_mem, p_it)`` of that
+    shape: utilization clamped to [0, 1] (sums carry float dust), the index
+    of the governor's DVFS mode, the lowest whose f_op covers u_cpu * f_max,
+    memory temperature (K) and IT power including disk (W).
     """
-    u_cpu = min(1.0, max(0.0, cpu_sum))
-    u_mem = min(100.0, max(U_MEM_FLOOR, 100.0 * ram_sum / spec.ram_capacity))
-    mode = governor_frequency(u_cpu, spec.dvfs_table)
-    fan = p.fan_speed(u_cpu, spec.fan_speed_default)
+    freqs, volts = spec.dvfs_arrays
+    u_cpu = np.minimum(1.0, np.maximum(0.0, cpu_sum))
+    u_mem = np.minimum(100.0, np.maximum(U_MEM_FLOOR,
+                                         100.0 * ram_sum / spec.ram_capacity))
+    mode = np.minimum(np.searchsorted(freqs, u_cpu * freqs[-1] - 1e-12),
+                      len(freqs) - 1)
     t_mem = mem_temperature(t_inlet, u_mem, p.thermal)
-    p_it = (host_power_terms(mode.v_dd, mode.f_op, u_cpu, t_mem, fan, p.power)
+    p_it = (host_power_terms(volts[mode], freqs[mode], u_cpu, t_mem,
+                             p.fan_speed(u_cpu, spec.fan_speed_default),
+                             p.power)
             + disk_power(disk_read, disk_write, p.disk))
-    return u_cpu, u_mem, mode, fan, t_mem, p_it
+    return u_cpu, mode, t_mem, p_it
 
 
-def mem_temperature(t_inlet: float, u_mem: float,
-                    p: ThermalModelParams = ThermalModelParams()) -> float:
+def mem_temperature(t_inlet, u_mem, p: ThermalModelParams = ThermalModelParams()):
     """Memory temperature (K) for an inlet temperature and memory load in percent."""
-    if u_mem <= 0.0:
+    # the smallest load, by a bare reduce: np.any costs more than the whole
+    # formula on the few hosts a placement re-costs
+    if np.minimum.reduce(u_mem, axis=None, initial=np.inf) <= 0.0:
         raise ValueError(f"u_mem must be a percent in (0, 100], got {u_mem}")
-    return p.mem_k1 * t_inlet + p.mem_k2 * math.log(u_mem * u_mem)
+    return p.mem_k1 * t_inlet + p.mem_k2 * np.log(u_mem * u_mem)
 
 
 def cpu_temperature(t_inlet: float, u_cpu: float,
@@ -143,8 +132,7 @@ def cpu_temperature(t_inlet: float, u_cpu: float,
     return p.cpu_k1 * t_inlet + p.cpu_k2 * u_cpu
 
 
-def disk_power(read_kbs: float, write_kbs: float,
-               p: DiskModelParams = DiskModelParams()) -> float:
+def disk_power(read_kbs, write_kbs, p: DiskModelParams = DiskModelParams()):
     """Disk power in watts from read/write throughputs in KB/s."""
     return p.c_read * read_kbs + p.c_write * write_kbs
 

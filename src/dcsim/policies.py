@@ -86,8 +86,10 @@ def pareto_front(vectors) -> list[int]:
 class PlacementResult:
     placement: dict[str, int] = field(default_factory=dict)
     unplaced: list[str] = field(default_factory=list)
-    # mean-normalized consolidation value of the chosen candidates, used for
-    # calibration logging (1.5 when the kind has no per-candidate scalar)
+    # per VM, the chosen host's band value (normalize_band) among the
+    # candidates, logged for calibration: 1.0, as the chosen host is the
+    # row's minimum, or 1.5 for a constant row; always 1.5 for mo1, mo2 and
+    # swfdvp
     chosen_norm_values: dict[str, float] = field(default_factory=dict)
 
 
@@ -95,13 +97,14 @@ class _Fleet:
     """Tentative placement state of every host, one row per placer of a
     lockstep walk.
 
-    Holds the host aggregates of the input state as (rows, hosts) numpy
-    arrays indexed by host id, so one VM's candidates are costed for every
-    row in a handful of vector operations, and each row's fleet-wide IT
-    power total for global-energy predictions.  The arrays span every host
-    of the state; a host outside ``host_list`` is never feasible.
-    :meth:`place` updates one row of the arrays; the input state is never
-    touched.
+    Holds the host sums of the input state and the figures the server model
+    derives from them (``u_cpu``, ``mode`` and ``p_before``, the IT power of
+    a host with VMs and 0 W otherwise) as (rows, hosts) numpy arrays indexed
+    by host id, so one VM's candidates are costed for every row in one call
+    of ``models.host_operating_point``, and each row's fleet-wide IT power
+    total for global-energy predictions.  The arrays span every host of the
+    state; a host outside ``host_list`` is never feasible.  :meth:`place`
+    updates one row of the arrays; the input state is never touched.
     """
 
     def __init__(self, state: DataCenterState, rows: int, host_list,
@@ -109,8 +112,6 @@ class _Fleet:
         n = len(state.on)
         self.state = state
         self.spec = spec = state.spec
-        self.freqs = np.array([m.f_op for m in spec.dvfs_table])
-        self.volts = np.array([m.v_dd for m in spec.dvfs_table])
         # an empty host is costed like a cold one: the engine powers it off
         busy = state.busy
         p_before = np.where(busy, state.p_it, 0.0)
@@ -124,8 +125,9 @@ class _Fleet:
         self.disk_r = per_row(state.disk_read_sum)
         self.disk_w = per_row(state.disk_write_sum)
         self.active = per_row(busy)
+        self.u_cpu = per_row(state.u_cpu)
+        self.mode = per_row(state.mode)
         self.p_before = per_row(p_before)
-        self.f_before = per_row(self.freqs[state.mode])
         self.ram_limit = spec.ram_capacity + 1e-9
         self.bw_limit = spec.bw_capacity + 1e-9
         # a host outside host_list gets a -inf threshold, so no VM fits it
@@ -133,58 +135,40 @@ class _Fleet:
         candidate[list(host_list)] = True
         self.thr = np.where(candidate, [thresholds.get(h, default_threshold)
                                         for h in range(n)], -np.inf)
-        self.params = p = state.params
-        self.fan_default = np.full(n, spec.fan_speed_default)
-        self.fan_p = p.power.c_fan * self.fan_default ** 3
+        self.params = state.params
         self.t_inlet = state.setpoint
-        self.cop = models.cop(self.t_inlet, p.cooling)
+        self.cop = models.cop(self.t_inlet, self.params.cooling)
         self.total_p = np.full(rows, sum(p_before.tolist()))
 
-    def place(self, vm: VmState, k: int, j: int) -> None:
-        """Add ``vm`` to host ``j`` of row ``k`` and re-cost that host."""
-        # Python floats, so the host costs what DataCenterState.refresh says
-        cpu = self.cpu_sum[k, j] = float(self.cpu_sum[k, j]) + vm.cpu_demand
-        ram = self.ram_sum[k, j] = float(self.ram_sum[k, j]) + vm.ram_used
+    def place(self, vm: VmState, k: int, j: int, tab: dict) -> None:
+        """Add ``vm`` to host ``j`` of row ``k``; the host takes the figures
+        of that candidate in ``tab``, the VM's :meth:`table`."""
+        self.cpu_sum[k, j] += vm.cpu_demand
+        self.ram_sum[k, j] += vm.ram_used
         self.bw_sum[k, j] += vm.net_bw
-        disk_r = self.disk_r[k, j] = float(self.disk_r[k, j]) + vm.disk_read
-        disk_w = self.disk_w[k, j] = float(self.disk_w[k, j]) + vm.disk_write
-        _, _, mode, _, _, p_it = models.host_operating_point(
-            cpu, ram, disk_r, disk_w, self.t_inlet, self.spec, self.params)
+        self.disk_r[k, j] += vm.disk_read
+        self.disk_w[k, j] += vm.disk_write
+        p_it = tab["p_after"][k, j]
         self.total_p[k] += p_it - self.p_before[k, j]
         self.p_before[k, j] = p_it
-        self.f_before[k, j] = mode.f_op
+        self.u_cpu[k, j] = tab["u_after"][k, j]
+        self.mode[k, j] = tab["mode"][k, j]
         self.active[k, j] = True
 
     def table(self, vm: VmState, forbidden_host: int | None = None) -> dict:
         """Candidate arrays of one VM, shape (rows, hosts)."""
-        p = self.params
         u_raw = self.cpu_sum + vm.cpu_demand
         ram_after = self.ram_sum + vm.ram_used
         feasible = ((u_raw < self.thr) & (ram_after <= self.ram_limit)
                     & (self.bw_sum + vm.net_bw <= self.bw_limit))
         if forbidden_host is not None:
             feasible[:, forbidden_host] = False
-        u_after = np.minimum(1.0, u_raw)
-        f_max = self.freqs[-1]
-        idx = np.searchsorted(self.freqs, u_after * f_max - 1e-12, side="left")
-        idx = np.minimum(idx, len(self.freqs) - 1)
-        f_after = self.freqs[idx]
-        v_after = self.volts[idx]
-        dfreq = (f_after - self.f_before) / f_max
-        u_mem = np.minimum(100.0, np.maximum(
-            models.U_MEM_FLOOR, 100.0 * ram_after / self.spec.ram_capacity))
-        t_mem = p.thermal.mem_k1 * self.t_inlet + 2.0 * p.thermal.mem_k2 * np.log(u_mem)
-        if p.fan_map == "linear":
-            fan = self.fan_default + (p.fan_linear_max - self.fan_default) * u_after
-            fan_p = p.power.c_fan * fan ** 3
-        else:
-            fan_p = self.fan_p
-        p_after = (p.power.c_dyn * v_after * v_after * f_after * u_after
-                   + p.power.c_mem * t_mem * t_mem
-                   + fan_p
-                   + p.disk.c_read * (self.disk_r + vm.disk_read)
-                   + p.disk.c_write * (self.disk_w + vm.disk_write))
-        return dict(feasible=feasible, u_after=u_after, dfreq=dfreq,
+        u_after, mode, t_mem, p_after = models.host_operating_point(
+            u_raw, ram_after, self.disk_r + vm.disk_read,
+            self.disk_w + vm.disk_write, self.t_inlet, self.spec, self.params)
+        freqs = self.spec.dvfs_arrays[0]
+        dfreq = (freqs[mode] - freqs[self.mode]) / freqs[-1]
+        return dict(feasible=feasible, u_after=u_after, mode=mode, dfreq=dfreq,
                     p_before=self.p_before, p_after=p_after, t_mem=t_mem,
                     p_cool=p_after / self.cop)
 
@@ -205,18 +189,15 @@ class _Fleet:
             host[state.index[vm_id]] = host_id
         for vm_id, host_id in fallback.items():
             if vm_id not in placement and host_id is not None:
-                self.place(state.vm(vm_id), k, host_id)
+                vm = state.vm(vm_id)
+                self.place(vm, k, host_id, self.table(vm))
                 host[state.index[vm_id]] = host_id
         busy = self.active[k]
-        on = state.on | busy
-        cpu_sum = self.cpu_sum[k]
         return state._with(
-            host=host, on=on, cpu_sum=cpu_sum, ram_sum=self.ram_sum[k],
-            bw_sum=self.bw_sum[k], disk_read_sum=self.disk_r[k],
-            disk_write_sum=self.disk_w[k],
-            u_cpu=np.where(on, np.minimum(1.0, np.maximum(0.0, cpu_sum)), 0.0),
-            # each frequency is one of the table's, so this finds its mode
-            mode=np.searchsorted(self.freqs, self.f_before[k]),
+            host=host, on=state.on | busy, cpu_sum=self.cpu_sum[k],
+            ram_sum=self.ram_sum[k], bw_sum=self.bw_sum[k],
+            disk_read_sum=self.disk_r[k], disk_write_sum=self.disk_w[k],
+            u_cpu=self.u_cpu[k], mode=self.mode[k],
             # p_before is 0 W on a host without VMs; the state has its power
             p_it=np.where(busy, self.p_before[k], state.p_it))
 
@@ -326,14 +307,15 @@ def _bfd(rows: int, vm_list, host_list, state: DataCenterState,
     results = [PlacementResult() for _ in range(rows)]
     vms = [state.vm(vm_id) for vm_id in vm_list]
     for vm in sorted(vms, key=lambda vm: (-vm.cpu_demand, vm.id)):
-        hosts, norms = pick(fleet, fleet.table(vm, forbidden.get(vm.id)))
+        tab = fleet.table(vm, forbidden.get(vm.id))
+        hosts, norms = pick(fleet, tab)
         for k, (j, norm, result) in enumerate(zip(hosts, norms, results)):
             if j < 0:
                 result.unplaced.append(vm.id)
                 continue
             result.placement[vm.id] = j
             result.chosen_norm_values[vm.id] = norm
-            fleet.place(vm, k, j)
+            fleet.place(vm, k, j, tab)
     return fleet, results
 
 

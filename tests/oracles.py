@@ -1,17 +1,20 @@
-"""Scalar reference implementations the placement and trace tests compare
-against.
+"""Scalar reference implementations the model, placement and trace tests
+compare against.
 
-They cost one candidate host at a time through the scalar host kernel
-(``models.host_operating_point``) and read a ``DataCenterState`` one host
-and one VM at a time, where the placers cost every host at once on numpy
-arrays.  The per-candidate values (``CandidateView``, ``so_value_from_view``,
-``objective_vector``) are the paper's SO1-SO7 and MO definitions written out
-for one candidate.  ``load_traces_rowwise`` is the trace loader that reads
-one row and fills one slot-grid cell at a time.
+They cost one candidate host at a time through ``scalar_operating_point``,
+the server model written out on Python floats, and read a
+``DataCenterState`` one host and one VM at a time, where the state and the
+placers cost many hosts at once through the array model
+``models.host_operating_point``.  The per-candidate values
+(``CandidateView``, ``so_value_from_view``, ``objective_vector``) are the
+paper's SO1-SO7 and MO definitions written out for one candidate.
+``load_traces_rowwise`` is the trace loader that reads one row and fills one
+slot-grid cell at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +25,42 @@ from dcsim.core import DataCenterState, VmState, default_server_spec
 from dcsim.models import KWH_PER_WS
 from dcsim.policies import SoKind, SoSaModel, normalize_band, so_sa_combine
 from dcsim.workload import KB_PER_MB, TraceError, Workload
+
+
+def governor_frequency(u_cpu: float, table):
+    """Pick the DVFS mode for a utilization: lowest f_op covering u_cpu * f_max.
+
+    ``table`` is an ordered (ascending f_op) sequence of modes with an ``f_op``
+    attribute.  Falls back to the top mode when no frequency qualifies.
+    """
+    if not 0.0 <= u_cpu <= 1.0 + 1e-12:
+        raise ValueError(f"u_cpu out of range [0,1]: {u_cpu}")
+    needed = u_cpu * table[-1].f_op
+    for mode in table:
+        if mode.f_op >= needed - 1e-12:
+            return mode
+    return table[-1]
+
+
+def scalar_operating_point(cpu_sum: float, ram_sum: float, disk_read: float,
+                           disk_write: float, t_inlet: float, spec,
+                           p: models.ModelParams):
+    """``models.host_operating_point`` for one host on Python floats:
+    ``(u_cpu, mode, t_mem, p_it)``, with the governor's ``DvfsMode`` as
+    ``mode``.  It takes its logarithm from ``math`` and the cube of the fan
+    speed from ``**``, where the array model uses numpy's ``log`` and two
+    products, so the two can differ in the last bits."""
+    u_cpu = min(1.0, max(0.0, cpu_sum))
+    u_mem = min(100.0, max(models.U_MEM_FLOOR, 100.0 * ram_sum / spec.ram_capacity))
+    mode = governor_frequency(u_cpu, spec.dvfs_table)
+    fan = p.fan_speed(u_cpu, spec.fan_speed_default)
+    t_mem = p.thermal.mem_k1 * t_inlet + p.thermal.mem_k2 * math.log(u_mem * u_mem)
+    pw = p.power
+    p_it = (pw.c_dyn * mode.v_dd * mode.v_dd * mode.f_op * u_cpu
+            + pw.c_mem * t_mem * t_mem
+            + pw.c_fan * fan ** 3
+            + (p.disk.c_read * disk_read + p.disk.c_write * disk_write))
+    return u_cpu, mode, t_mem, p_it
 
 
 class GuardError(ValueError):
@@ -109,7 +148,7 @@ def effective_it_power(state: DataCenterState) -> float:
 def evaluate_candidate(vm: VmState, host: int, state: DataCenterState) -> CandidateView:
     """Predict the post-allocation view of one host for one VM."""
     spec = state.spec
-    u_after, _, mode_after, _, t_mem_after, p_after = models.host_operating_point(
+    u_after, mode_after, t_mem_after, p_after = scalar_operating_point(
         state.cpu_sum.item(host) + vm.cpu_demand,
         state.ram_sum.item(host) + vm.ram_used,
         state.disk_read_sum.item(host) + vm.disk_read,

@@ -169,13 +169,23 @@ def test_state_copy_is_equal_and_independent():
     assert state.cpu_sum.tolist() == [0.4, 0.0, 0.2]
 
 
-def test_setpoint_change_recosts_and_same_setpoint_is_a_no_op():
+def test_setpoint_change_recosts_and_same_setpoint_is_a_no_op(monkeypatch):
     state = make_state(2, {"a": VmState(id="a", cpu_demand=0.4, ram_used=1024.0)})
     state.attach("a", 0)
-    p_it = state.p_it
+    p_it = state.p_it.copy()
+    recosts = []
+    refresh = DataCenterState.refresh
+
+    def counted(self, hosts):
+        recosts.append(list(hosts))
+        refresh(self, hosts)
+
+    monkeypatch.setattr(DataCenterState, "refresh", counted)
     state.set_setpoint(291.0)
-    assert state.p_it is p_it
+    assert recosts == []
+    assert state.p_it.tolist() == p_it.tolist()
     state.set_setpoint(297.0)
+    assert recosts == [[0, 1]]
     assert state.p_it[0] > p_it[0]
     assert state.p_it[1] == 0.0
 

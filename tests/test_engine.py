@@ -7,6 +7,7 @@ from dcsim.core import DataCenterState, VmState, default_server_spec
 from dcsim.engine import MigrationEvent, SimConfig, migration_cost, run
 from dcsim.report import slots_csv, summary_csv
 from dcsim.workload import Workload, synth_workload
+from oracles import governor_frequency
 
 
 def constant_workload(demands, slots, rams=None, slot_seconds=300):
@@ -46,7 +47,7 @@ def test_steady_state_energy_matches_hand_integration():
     r = run(w, cfg)
     spec = default_server_spec()
     u = 0.75
-    mode = models.governor_frequency(u, spec.dvfs_table)
+    mode = governor_frequency(u, spec.dvfs_table)
     u_mem = max(1.0, 100.0 * (1024.0 + 2048.0) / spec.ram_capacity)
     t_mem = models.mem_temperature(291.0, u_mem)
     p_host = models.host_power_terms(mode.v_dd, mode.f_op, u, t_mem,

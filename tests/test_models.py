@@ -1,30 +1,67 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from dcsim import models
-from dcsim.core import default_dvfs_table
+from dcsim.core import default_server_spec
+from oracles import scalar_operating_point
 
-TABLE = default_dvfs_table()
+SPEC = default_server_spec()
+FREQS = SPEC.dvfs_arrays[0]
+
+
+def governor_f_op(u_cpu):
+    """The frequency the server model's governor picks for a utilization."""
+    _, mode, _, _ = models.host_operating_point(
+        u_cpu, 0.0, 0.0, 0.0, 291.0, SPEC, models.ModelParams())
+    return FREQS[mode]
 
 
 def test_governor_picks_lowest_covering_frequency():
     # 0.72 * 2.40 = 1.728, just under the lowest rung
-    assert models.governor_frequency(0.72, TABLE).f_op == 1.73
-    assert models.governor_frequency(1.0, TABLE).f_op == 2.40
+    assert governor_f_op(0.72) == 1.73
+    assert governor_f_op(1.0) == 2.40
     # 0.75 * 2.40 = 1.80 > 1.73, needs the next rung
-    assert models.governor_frequency(0.75, TABLE).f_op == 1.86
-    assert models.governor_frequency(0.0, TABLE).f_op == 1.73
+    assert governor_f_op(0.75) == 1.86
+    assert governor_f_op(0.0) == 1.73
 
 
 @given(st.floats(min_value=0.0, max_value=1.0))
 def test_governor_monotone_and_idempotent(u):
-    mode = models.governor_frequency(u, TABLE)
-    assert mode.f_op >= u * TABLE[-1].f_op - 1e-12
-    assert models.governor_frequency(u, TABLE) is mode
+    f_op = governor_f_op(u)
+    assert f_op >= u * FREQS[-1] - 1e-12
+    assert governor_f_op(u) == f_op
     for v in (u / 2, u):
-        assert models.governor_frequency(v, TABLE).f_op <= mode.f_op
+        assert governor_f_op(v) <= f_op
+
+
+@pytest.mark.parametrize("fan_map", ["constant", "linear"])
+def test_array_model_matches_the_scalar_reference(fan_map):
+    # random hosts, some over-committed (cpu sum above 1) and some without
+    # RAM in use, costed in one array call and one host at a time
+    rng = np.random.default_rng(3)
+    n = 20_000
+    cpu = rng.uniform(0.0, 1.3, n)
+    cpu[::50] = 0.0
+    ram = rng.uniform(0.0, 1.1 * SPEC.ram_capacity, n)
+    ram[::7] = 0.0
+    disk_r = rng.uniform(0.0, 5e4, n)
+    disk_w = rng.uniform(0.0, 5e4, n)
+    t_inlet = float(rng.choice([283.15, 291.0, 297.0, 303.15]))
+    params = models.ModelParams(fan_map=fan_map)
+    u_cpu, mode, t_mem, p_it = models.host_operating_point(
+        cpu, ram, disk_r, disk_w, t_inlet, SPEC, params)
+    refs = [scalar_operating_point(*host, t_inlet, SPEC, params) for host in
+            zip(cpu.tolist(), ram.tolist(), disk_r.tolist(), disk_w.tolist())]
+    assert u_cpu.tolist() == [r[0] for r in refs]
+    assert mode.tolist() == [SPEC.dvfs_table.index(r[1]) for r in refs]
+    # numpy's log may differ from math.log by one ulp, which p_it carries on
+    ref_t = np.array([r[2] for r in refs])
+    ref_p = np.array([r[3] for r in refs])
+    assert (np.abs(t_mem - ref_t) <= np.spacing(ref_t)).all()
+    assert (np.abs(p_it - ref_p) <= 2 * np.spacing(ref_p)).all()
 
 
 def test_host_power_worked_values():

@@ -11,8 +11,8 @@ from dcsim.policies import (DEFAULT_DYNSO_LIST, SoKind, SoSaModel, _bfd,
                             pareto_front, so_place, so_sa_combine,
                             swfdvp_place)
 from oracles import (CandidateView, GuardError, candidate_evaluations,
-                     effective_it_power, evaluate_candidate, is_busy,
-                     objective_vector, so_sa_value, so_value,
+                     effective_it_power, evaluate_candidate, governor_frequency,
+                     is_busy, objective_vector, so_sa_value, so_value,
                      so_value_from_view)
 
 # Candidate hosts of the allocation case of use: C and D after placing the
@@ -261,7 +261,7 @@ def test_argmin_invariant_under_positive_scaling():
     scaled.params = replace(p, power=replace(
         p.power, c_dyn=p.power.c_dyn * 7.5, c_mem=p.power.c_mem * 7.5,
         c_fan=p.power.c_fan * 7.5))
-    scaled.refresh_all()
+    scaled.refresh(np.arange(len(scaled.on)))
     assert so_place(SoKind.SO2, vm_ids, [0, 1, 2], scaled).placement == base
 
 
@@ -400,7 +400,7 @@ def test_dynso_power_matches_recomputation_oracle():
     p_it = 0.0
     for h in np.flatnonzero(placed.on).tolist():
         u_cpu = min(1.0, placed.cpu_sum[h])
-        mode = models.governor_frequency(u_cpu, placed.spec.dvfs_table)
+        mode = governor_frequency(u_cpu, placed.spec.dvfs_table)
         u_mem = max(1.0, 100.0 * placed.ram_sum[h] / placed.spec.ram_capacity)
         p_it += (models.host_power_terms(
             mode.v_dd, mode.f_op, u_cpu,
@@ -624,16 +624,19 @@ def test_fleet_place_equals_attach_and_refresh(fan_map, seed):
         vid = f"v{i}"
         hid = int(rng.integers(0, 8))
         old = state.p_it[hid] if is_busy(state, hid) else 0.0
-        fleet.place(state.vm(vid), 0, hid)
+        tab = fleet.table(state.vm(vid))
+        fleet.place(state.vm(vid), 0, hid, tab)
         state.attach(vid, hid)
+        # the candidate's cost is the cost the state charges, to the bit
+        assert tab["p_after"][0, hid] == state.p_it[hid]
         total += state.p_it[hid] - old
         assert fleet.total_p[0] == total
         busy = state.busy
         assert fleet.p_before[0].tolist() == np.where(busy, state.p_it,
                                                       0.0).tolist()
-        freqs = [m.f_op for m in state.spec.dvfs_table]
-        assert fleet.f_before[0].tolist() == [freqs[m] for m in state.mode]
-        for mine, theirs in ((fleet.cpu_sum, state.cpu_sum),
+        for mine, theirs in ((fleet.u_cpu, state.u_cpu),
+                             (fleet.mode, state.mode),
+                             (fleet.cpu_sum, state.cpu_sum),
                              (fleet.ram_sum, state.ram_sum),
                              (fleet.bw_sum, state.bw_sum),
                              (fleet.disk_r, state.disk_read_sum),
