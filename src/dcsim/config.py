@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .cooling import FixedCooling, VarInletCooling
 from .engine import SimConfig
-from .models import COP_T_MAX_K, COP_T_MIN_K, ModelParams
+from .models import COP_T_MAX_K, COP_T_MIN_K
 
 
 class ConfigError(ValueError):
@@ -48,78 +48,68 @@ def cooling_from_name(name: str):
     raise ConfigError(f"unknown cooling strategy {name!r}")
 
 
-_FLOAT_PARAMS = {
-    "models.c_dyn": ("power", "c_dyn"),
-    "models.c_mem": ("power", "c_mem"),
-    "models.c_fan": ("power", "c_fan"),
-    "models.mem_k1": ("thermal", "mem_k1"),
-    "models.mem_k2": ("thermal", "mem_k2"),
-    "models.cpu_k1": ("thermal", "cpu_k1"),
-    "models.cpu_k2": ("thermal", "cpu_k2"),
-    "models.cop_a": ("cooling", "cop_a"),
-    "models.cop_b": ("cooling", "cop_b"),
-    "models.cop_c": ("cooling", "cop_c"),
-    "models.c_read": ("disk", "c_read"),
-    "models.c_write": ("disk", "c_write"),
+_FLAGS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
+def _flag(value: str) -> bool:
+    try:
+        return _FLAGS[value.lower()]
+    except KeyError:
+        raise ValueError(f"expected one of {', '.join(_FLAGS)}") from None
+
+
+# config key -> (parser of its value, dotted path of the SimConfig field)
+_KEYS = {
+    "models.c_dyn": (float, "models.power.c_dyn"),
+    "models.c_mem": (float, "models.power.c_mem"),
+    "models.c_fan": (float, "models.power.c_fan"),
+    "models.mem_k1": (float, "models.thermal.mem_k1"),
+    "models.mem_k2": (float, "models.thermal.mem_k2"),
+    "models.cpu_k1": (float, "models.thermal.cpu_k1"),
+    "models.cpu_k2": (float, "models.thermal.cpu_k2"),
+    "models.cop_a": (float, "models.cooling.cop_a"),
+    "models.cop_b": (float, "models.cooling.cop_b"),
+    "models.cop_c": (float, "models.cooling.cop_c"),
+    "models.c_read": (float, "models.disk.c_read"),
+    "models.c_write": (float, "models.disk.c_write"),
+    "models.fan_map": (str, "models.fan_map"),
+    "run.slot_seconds": (int, "slot_seconds"),
+    "run.hosts": (int, "hosts"),
+    "run.policy": (str, "policy"),
+    "run.cooling": (cooling_from_name, "cooling"),
+    "run.oversubscription": (_flag, "oversubscription"),
+    "run.migration_double_power": (_flag, "migration_double_power"),
+    "detection.safety": (float, "mad.safety"),
+    "detection.history_window": (int, "mad.history_window"),
+    "detection.fallback_threshold": (float, "mad.fallback_threshold"),
+    "sa.iterations": (int, "sa.iterations"),
+    "sa.k": (float, "sa.k"),
+    "sa.seed": (int, "sa.seed"),
+    "sa.timecap": (float, "sa.wall_time_cap"),
+    "sosa.a3": (float, "sosa.a3"),
+    "sosa.a6": (float, "sosa.a6"),
+    "sosa.c": (float, "sosa.c"),
 }
 
 
-def apply_config(cfg: SimConfig, values: dict[str, str]) -> SimConfig:
-    """Overlay flat config values onto a SimConfig."""
-    model_over = {}
-    for key, value in values.items():
-        if key in _FLOAT_PARAMS:
-            model_over[key] = float(value)
-        elif key == "models.fan_map":
-            model_over[key] = value
-        elif key == "run.slot_seconds":
-            cfg = replace(cfg, slot_seconds=int(value))
-        elif key == "run.hosts":
-            cfg = replace(cfg, hosts=int(value))
-        elif key == "run.policy":
-            cfg = replace(cfg, policy=value)
-        elif key == "run.cooling":
-            cfg = replace(cfg, cooling=cooling_from_name(value))
-        elif key == "run.oversubscription":
-            cfg = replace(cfg, oversubscription=value.lower() in ("1", "true", "yes", "on"))
-        elif key == "run.migration_double_power":
-            cfg = replace(cfg, migration_double_power=value.lower() in ("1", "true", "yes", "on"))
-        elif key == "detection.safety":
-            cfg = replace(cfg, mad=replace(cfg.mad, safety=float(value)))
-        elif key == "detection.history_window":
-            cfg = replace(cfg, mad=replace(cfg.mad, history_window=int(value)))
-        elif key == "detection.fallback_threshold":
-            cfg = replace(cfg, mad=replace(cfg.mad, fallback_threshold=float(value)))
-        elif key == "sa.iterations":
-            cfg = replace(cfg, sa=replace(cfg.sa, iterations=int(value)))
-        elif key == "sa.k":
-            cfg = replace(cfg, sa=replace(cfg.sa, k=float(value)))
-        elif key == "sa.seed":
-            cfg = replace(cfg, sa=replace(cfg.sa, seed=int(value)))
-        elif key == "sa.timecap":
-            cfg = replace(cfg, sa=replace(cfg.sa, wall_time_cap=float(value)))
-        elif key == "sosa.a3":
-            cfg = replace(cfg, sosa=replace(cfg.sosa, a3=float(value)))
-        elif key == "sosa.a6":
-            cfg = replace(cfg, sosa=replace(cfg.sosa, a6=float(value)))
-        elif key == "sosa.c":
-            cfg = replace(cfg, sosa=replace(cfg.sosa, c=float(value)))
-        else:
-            raise ConfigError(f"unknown config key {key!r}")
+def _replaced(obj, path: str, value):
+    """``obj`` with the field at the dotted ``path`` set to ``value``."""
+    name, _, rest = path.partition(".")
+    return replace(obj, **{name: _replaced(getattr(obj, name), rest, value)
+                           if rest else value})
 
-    if model_over:
-        mp = cfg.models
-        groups = {"power": {}, "thermal": {}, "cooling": {}, "disk": {}}
-        for key, value in model_over.items():
-            if key == "models.fan_map":
-                continue
-            group, attr = _FLOAT_PARAMS[key]
-            groups[group][attr] = value
-        cfg = replace(cfg, models=ModelParams(
-            power=replace(mp.power, **groups["power"]),
-            thermal=replace(mp.thermal, **groups["thermal"]),
-            cooling=replace(mp.cooling, **groups["cooling"]),
-            disk=replace(mp.disk, **groups["disk"]),
-            fan_map=model_over.get("models.fan_map", mp.fan_map),
-            fan_linear_max=mp.fan_linear_max))
+
+def apply_config(cfg: SimConfig, values: dict[str, str]) -> SimConfig:
+    """Overlay flat config values onto a SimConfig.  A value its key's type
+    cannot read, or that the config rejects, raises a ConfigError that
+    names the key."""
+    for key, value in values.items():
+        if key not in _KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+        parse, path = _KEYS[key]
+        try:
+            cfg = _replaced(cfg, path, parse(value))
+        except ValueError as e:
+            raise ConfigError(f"{key} = {value}: {e}") from None
     return cfg

@@ -109,7 +109,7 @@ def host_operating_point(cpu_sum, ram_sum, disk_read, disk_write, t_inlet,
                                          100.0 * ram_sum / spec.ram_capacity))
     mode = np.minimum(np.searchsorted(freqs, u_cpu * freqs[-1] - 1e-12),
                       len(freqs) - 1)
-    t_mem = mem_temperature(t_inlet, u_mem, p.thermal)
+    t_mem = mem_temperature_unchecked(t_inlet, u_mem, p.thermal)
     p_it = (host_power_terms(volts[mode], freqs[mode], u_cpu, t_mem,
                              p.fan_speed(u_cpu, spec.fan_speed_default),
                              p.power)
@@ -119,10 +119,15 @@ def host_operating_point(cpu_sum, ram_sum, disk_read, disk_write, t_inlet,
 
 def mem_temperature(t_inlet, u_mem, p: ThermalModelParams = ThermalModelParams()):
     """Memory temperature (K) for an inlet temperature and memory load in percent."""
-    # the smallest load, by a bare reduce: np.any costs more than the whole
-    # formula on the few hosts a placement re-costs
-    if np.minimum.reduce(u_mem, axis=None, initial=np.inf) <= 0.0:
+    if np.any(u_mem <= 0.0):
         raise ValueError(f"u_mem must be a percent in (0, 100], got {u_mem}")
+    return mem_temperature_unchecked(t_inlet, u_mem, p)
+
+
+def mem_temperature_unchecked(t_inlet, u_mem, p: ThermalModelParams):
+    """:func:`mem_temperature` for a load already clamped to
+    [U_MEM_FLOOR, 100], without the check that costs more than the formula
+    on one host."""
     return p.mem_k1 * t_inlet + p.mem_k2 * np.log(u_mem * u_mem)
 
 

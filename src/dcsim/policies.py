@@ -181,25 +181,29 @@ class _Fleet:
              fallback: dict[str, int | None]) -> DataCenterState:
         """Row ``k`` as the state its placement leads to: ``placement``, then
         every unplaced VM on its ``fallback`` host, which mirrors how the
-        engine treats them (they stay put).  Places those VMs on the row.
-        The view shares the input state's VM demands; read it only."""
+        engine treats them (they stay put).  The view holds row ``k``'s
+        sums, so the fallback VMs are added to the row.  It shares the input
+        state's VM demands; read it only."""
         state = self.state
         host = state.host.copy()
         for vm_id, host_id in placement.items():
             host[state.index[vm_id]] = host_id
-        for vm_id, host_id in fallback.items():
-            if vm_id not in placement and host_id is not None:
-                vm = state.vm(vm_id)
-                self.place(vm, k, host_id, self.table(vm))
-                host[state.index[vm_id]] = host_id
         busy = self.active[k]
-        return state._with(
+        view = state._with(
             host=host, on=state.on | busy, cpu_sum=self.cpu_sum[k],
             ram_sum=self.ram_sum[k], bw_sum=self.bw_sum[k],
             disk_read_sum=self.disk_r[k], disk_write_sum=self.disk_w[k],
             u_cpu=self.u_cpu[k], mode=self.mode[k],
             # p_before is 0 W on a host without VMs; the state has its power
             p_it=np.where(busy, self.p_before[k], state.p_it))
+        touched = set()
+        for vm_id, host_id in fallback.items():
+            if vm_id not in placement and host_id is not None:
+                view._move(state.index[vm_id], host_id)
+                touched.add(host_id)
+        if touched:
+            view.refresh(sorted(touched))
+        return view
 
 
 def _reciprocals(tab: dict):

@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 
 import dcsim
 from dcsim import models
-from dcsim.annealer import SaConfig, sa_objective, sa_place, sa_solve
+from dcsim.annealer import SaConfig, _start, sa_objective, sa_place, sa_solve
 from dcsim.core import DataCenterState, VmState
 from dcsim.policies import PLAIN_KINDS, dynso_place
 
@@ -68,6 +69,86 @@ def test_empty_vm_list_gives_static_power_of_on_hosts():
     expected = state.total_it_power() * (1 + 1 / models.cop(state.setpoint))
     assert val == pytest.approx(expected, rel=1e-12)
     assert state.p_it[1] > 0
+
+
+def random_fleet(rng: random.Random):
+    """A small fleet of random VMs, all detached, with a random fan map and
+    setpoint; several VMs on one host overload its CPU and RAM."""
+    fan_map = rng.choice(("constant", "linear"))
+    params = models.ModelParams(fan_map=fan_map)
+    vms = {}
+    for i in range(rng.randint(1, 14)):
+        vms[f"v{i}"] = VmState(
+            id=f"v{i}", cpu_demand=rng.choice((0.0, rng.uniform(0.0, 0.9))),
+            ram_used=rng.choice((0.0, rng.uniform(0.0, 9000.0))),
+            disk_read=rng.uniform(0.0, 5e4), disk_write=rng.uniform(0.0, 5e4),
+            net_bw=rng.uniform(0.0, 60.0))
+    setpoint = rng.choice((283.15, 291.0, 297.0, 303.15, 313.15))
+    return DataCenterState.build(rng.randint(1, 5), vms, params=params,
+                                 setpoint=setpoint)
+
+
+def test_host_power_equals_the_state_to_the_last_bit():
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(300):
+        state = random_fleet(rng)
+        n_hosts = len(state.on)
+        fixed = [v for v in state.vm_ids if rng.random() < 0.3]
+        for vid in fixed:
+            state.attach(vid, rng.randrange(n_hosts))
+        chain = [v for v in state.vm_ids if v not in fixed]
+        rng.shuffle(chain)
+        solution = [rng.randrange(n_hosts) for _ in chain]
+        placed = state.copy()
+        for vid, host in zip(chain, solution):
+            placed.attach(vid, host)
+        costs = _start(state, chain, solution, 1e6)[3]
+        assert [c[0] for c in costs] == placed.p_it.tolist()
+        used = placed.vm_counts() > 0
+        cases = {"cpu > 1": placed.cpu_sum[used] > 1.0,
+                 "no ram": placed.ram_sum[used] == 0.0,
+                 "ram > capacity": placed.ram_sum > placed.spec.ram_capacity}
+        seen.update(name for name, hosts in cases.items() if hosts.any())
+        seen.add(placed.params.fan_map)
+    assert seen == {"cpu > 1", "no ram", "ram > capacity", "constant", "linear"}
+
+
+def test_attached_chain_vm_raises():
+    state = toy_state()
+    state.attach("v2", 1)
+    with pytest.raises(ValueError, match="detached"):
+        sa_objective([0, 0, 0, 0, 0, 0], VM_IDS, state)
+    with pytest.raises(ValueError, match="detached"):
+        sa_solve(VM_IDS, [0, 1, 2, 3], state, {v: 0 for v in VM_IDS})
+
+
+def test_chain_without_vms_or_hosts_raises():
+    state = toy_state()
+    with pytest.raises(ValueError, match="needs a VM"):
+        sa_solve([], [0, 1, 2, 3], state, {})
+    with pytest.raises(ValueError, match="needs a VM"):
+        sa_solve(VM_IDS, [], state, {v: 0 for v in VM_IDS})
+
+
+def test_reported_objective_matches_a_fresh_evaluation():
+    # the chain keeps its totals incrementally; they must not drift from
+    # the objective of the solution it returns
+    state = toy_state()
+    seed = so_seed(state)
+    rng = random.Random(11)
+    fleets = [(state, VM_IDS, seed)]
+    for _ in range(3):
+        fleet = random_fleet(rng)
+        hosts = range(len(fleet.on))
+        fleets.append((fleet, list(fleet.vm_ids),
+                       {v: rng.choice(hosts) for v in fleet.vm_ids}))
+    for fleet, vm_ids, start in fleets:
+        for s in range(4):
+            sol = sa_solve(vm_ids, range(len(fleet.on)), fleet, start,
+                           SaConfig(iterations=20_000, seed=s))
+            assert sa_objective(sol.hosts, vm_ids, fleet) == pytest.approx(
+                sol.objective, rel=1e-12)
 
 
 def test_deterministic_for_fixed_seed():

@@ -186,3 +186,39 @@ def test_fixed_cooling_with_a_non_numeric_setpoint_fails_at_parse_time(name):
 
     with pytest.raises(ConfigError, match="bad fixed setpoint"):
         cooling_from_name(name)
+
+
+@pytest.mark.parametrize("word, expected", [
+    ("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+    ("0", False), ("false", False), ("NO", False), ("Off", False)])
+def test_config_flags_accept_the_boolean_words(word, expected):
+    from dcsim.config import apply_config
+    from dcsim.engine import SimConfig
+
+    cfg = apply_config(SimConfig(), {"run.oversubscription": word,
+                                     "run.migration_double_power": word})
+    assert cfg.oversubscription is expected
+    assert cfg.migration_double_power is expected
+
+
+@pytest.mark.parametrize("key, value", [
+    ("run.oversubscription", "ture"), ("run.migration_double_power", ""),
+    ("run.migration_double_power", "2"), ("run.hosts", "12x"),
+    ("run.slot_seconds", "300.0"), ("detection.safety", "2,5"),
+    ("models.c_mem", "high"), ("sa.k", "0")])
+def test_config_malformed_value_names_its_key(key, value):
+    from dcsim.config import ConfigError, apply_config
+    from dcsim.engine import SimConfig
+
+    with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+        apply_config(SimConfig(), {key: value})
+
+
+def test_config_malformed_value_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("run.hosts = 12x\n")
+    rc = run_cli("run", "--policy", "pabfd", "--config", str(cfg),
+                 "--synth", "vms=4,slots=4,var=50,seed=0",
+                 "--out", str(tmp_path / "o"))
+    assert rc == 2
+    assert "run.hosts" in capsys.readouterr().err
