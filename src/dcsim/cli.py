@@ -15,7 +15,8 @@ from . import calibration, engine, report
 from .config import ConfigError, apply_config, cooling_from_name, parse_config
 from .engine import POLICY_NAMES, SimConfig
 from .policies import SoKind, SoSaModel
-from .workload import TraceError, Workload, load_traces, save_traces, synth_workload
+from .workload import (TraceError, Workload, load_traces, save_traces,
+                       synth_workload, variability_score)
 
 
 def _parse_synth_spec(spec: str) -> dict:
@@ -28,11 +29,9 @@ def _parse_synth_spec(spec: str) -> dict:
             raise ConfigError(f"bad synth spec element {part!r}")
         k, v = part.split("=", 1)
         out[k.strip()] = v.strip()
-    kwargs = {}
-    kwargs["vms"] = int(out.pop("vms", 50))
-    kwargs["slots"] = int(out.pop("slots", 288))
-    kwargs["variability"] = float(out.pop("var", out.pop("variability", 280)))
-    kwargs["seed"] = int(out.pop("seed", 0))
+    kwargs = dict(vms=int(out.pop("vms", 50)), slots=int(out.pop("slots", 288)),
+                  variability=float(out.pop("var", out.pop("variability", 280))),
+                  seed=int(out.pop("seed", 0)))
     if out:
         raise ConfigError(f"unknown synth keys: {sorted(out)}")
     return kwargs
@@ -111,9 +110,14 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _grid_worker(payload):
-    workload, cfg, out_dir = payload
-    return _run_one(workload, cfg, out_dir)
+def _set_grid_workload(workload: Workload) -> None:
+    # a grid worker's initializer: the workload crosses to each worker once
+    global _grid_workload
+    _grid_workload = workload
+
+
+def _grid_worker(job):
+    return _run_one(_grid_workload, *job)
 
 
 def cmd_grid(args) -> int:
@@ -128,29 +132,27 @@ def cmd_grid(args) -> int:
     for p in policies:
         for c in coolings:
             cfg = replace(base, policy=p, cooling=cooling_from_name(c))
-            jobs.append((workload, cfg, str(Path(args.out) / f"{p}_{c}")))
+            jobs.append((cfg, str(Path(args.out) / f"{p}_{c}")))
 
-    workers = int(os.environ.get("DCSIM_THREADS", os.cpu_count() or 1))
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    workers = min(int(os.environ.get("DCSIM_THREADS", os.cpu_count() or 1)),
+                  len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(workers, initializer=_set_grid_workload,
+                                 initargs=(workload,)) as pool:
             manifests = list(pool.map(_grid_worker, jobs))
     else:
-        manifests = [_grid_worker(j) for j in jobs]
+        manifests = [_run_one(workload, *job) for job in jobs]
 
     by_key = {(m["policy"], m["cooling"]): m for m in manifests}
-    header = ["policy"]
-    for metric in ("energy_kwh", "avg_sla_1e-4_pct", "migrations"):
-        header += [f"{metric}_{c}" for c in coolings]
+    header = ["policy"] + [f"{metric}_{c}" for metric in (
+        "energy_kwh", "avg_sla_1e-4_pct", "migrations") for c in coolings]
     lines = [",".join(header)]
     for p in policies:
-        row = [p]
-        for c in coolings:
-            row.append(f"{by_key[(p, c)]['totals']['energy_kwh']:.2f}")
-        for c in coolings:
-            row.append(f"{by_key[(p, c)]['avg_sla'] * 1e6:.2f}")
-        for c in coolings:
-            row.append(str(by_key[(p, c)]["totals"]["migrations"]))
-        lines.append(",".join(row))
+        ms = [by_key[(p, c)] for c in coolings]
+        lines.append(",".join(
+            [p] + [f"{m['totals']['energy_kwh']:.2f}" for m in ms]
+            + [f"{m['avg_sla'] * 1e6:.2f}" for m in ms]
+            + [str(m["totals"]["migrations"]) for m in ms]))
     table = "\n".join(lines) + "\n"
     Path(args.out).mkdir(parents=True, exist_ok=True)
     (Path(args.out) / "comparison.csv").write_text(table)
@@ -210,7 +212,7 @@ def cmd_synth(args) -> int:
                        variability=args.variability, seed=args.seed)
     save_traces(w, args.out)
     print(f"wrote {w.vm_count} trace files ({w.slot_count} slots, "
-          f"variability {w.variability:.1f} %) to {args.out}")
+          f"variability {variability_score(w):.1f} %) to {args.out}")
     return 0
 
 

@@ -156,6 +156,7 @@ class DataCenterState:
     setpoint: float
     vm_ids: tuple[str, ...]
     index: dict[str, int]   # VM id -> position in the per-VM arrays
+    _by_host: tuple[np.ndarray, list[int]] | None = None  # see positions_on
 
     @classmethod
     def build(cls, n_hosts: int, vms: dict[str, VmState] | None = None,
@@ -185,7 +186,7 @@ class DataCenterState:
         """This state with the given arrays in place of its own; everything
         else is shared."""
         new = object.__new__(DataCenterState)
-        new.__dict__.update(self.__dict__, **arrays)
+        new.__dict__.update(self.__dict__, _by_host=None, **arrays)
         return new
 
     def copy(self) -> "DataCenterState":
@@ -198,9 +199,18 @@ class DataCenterState:
                        self.disk_read.item(i), self.disk_write.item(i),
                        self.bw.item(i))
 
+    def positions_on(self, host: int) -> list[int]:
+        """Positions of the VMs on one host, in VM order, sliced from one
+        grouping of the VMs by host that is kept until a VM moves."""
+        if self._by_host is None:
+            ends = np.cumsum(np.bincount(self.host + 1, minlength=len(self.on) + 1))
+            self._by_host = np.argsort(self.host, kind="stable"), [0, *ends.tolist()]
+        order, bounds = self._by_host
+        return order[bounds[host + 1]:bounds[host + 2]].tolist()
+
     def vms_on(self, host: int) -> list[str]:
         """Ids of the VMs on one host, in VM order."""
-        return [self.vm_ids[i] for i in np.flatnonzero(self.host == host).tolist()]
+        return [self.vm_ids[i] for i in self.positions_on(host)]
 
     def vm_counts(self) -> np.ndarray:
         """Number of VMs on each host."""
@@ -264,6 +274,7 @@ class DataCenterState:
             self.on[host] = True
             self._shift(i, host, 1.0)
         self.host[i] = host
+        self._by_host = None
         return old
 
     def attach(self, vm_id: str, host: int) -> None:

@@ -65,7 +65,7 @@ def select_vms_mmt(host: int, threshold: float, state: DataCenterState,
         return []
     bw = migration_bandwidth(state.spec, reserve_fraction)
     ids, ram, cpu = state.vm_ids, state.ram, state.cpu
-    staying = np.flatnonzero(state.host == host).tolist()
+    staying = state.positions_on(host)
     picked = []
     for i in sorted(staying, key=lambda i: (ram.item(i) / bw, ids[i])):
         picked.append(ids[i])

@@ -35,9 +35,7 @@ class SoKind(str, Enum):
 
 PLAIN_KINDS = (SoKind.SO1, SoKind.SO2, SoKind.SO3, SoKind.SO4, SoKind.SO5,
                SoKind.SO6, SoKind.SO7)
-DEFAULT_DYNSO_LIST = (SoKind.SO1, SoKind.SO2, SoKind.SO3, SoKind.SO4,
-                      SoKind.SO5, SoKind.SO6, SoKind.SO7, SoKind.SO8,
-                      SoKind.SO_SA)
+DEFAULT_DYNSO_LIST = PLAIN_KINDS + (SoKind.SO8, SoKind.SO_SA)
 
 
 @dataclass(frozen=True)
@@ -56,8 +54,7 @@ def normalize_band(values: np.ndarray) -> np.ndarray:
     A spread at rounding-noise level counts as constant; stretching it onto
     [1, 2] would turn float dust into a full-scale objective.
     """
-    lo = values.min()
-    hi = values.max()
+    lo, hi = values.min(), values.max()
     if hi - lo <= 1e-9 * max(abs(lo), abs(hi), 1e-300):
         return np.full_like(values, 1.5)
     return 1.0 + (values - lo) / (hi - lo)

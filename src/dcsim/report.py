@@ -33,7 +33,7 @@ def cooling_name(cooling) -> str:
 def workload_fingerprint(w: Workload) -> str:
     h = hashlib.sha256()
     for arr in (w.cpu, w.ram, w.disk_read, w.disk_write, w.net_bw):
-        h.update(np.ascontiguousarray(arr).tobytes())
+        h.update(np.ascontiguousarray(arr))
     h.update(",".join(w.vm_ids).encode())
     h.update(str(w.slot_seconds).encode())
     return h.hexdigest()

@@ -58,17 +58,10 @@ class Workload:
     def slot_count(self) -> int:
         return self.cpu.shape[1] if self.cpu.size else 0
 
-    def aggregate_cpu(self) -> np.ndarray:
-        return self.cpu.sum(axis=0)
-
-    @property
-    def variability(self) -> float:
-        return variability_score(self)
-
 
 def variability_score(w: Workload) -> float:
     """Total variation of the aggregate CPU series over its mean, in percent."""
-    agg = w.aggregate_cpu()
+    agg = w.cpu.sum(axis=0)
     if agg.size < 2:
         raise TraceError("variability needs at least 2 slots")
     mean = float(agg.mean())
@@ -174,36 +167,33 @@ def load_traces(directory, slot_seconds: int = 300,
             raise TraceError("no common slot window across VMs (fill=drop)")
     n_slots = int(round((t1 - t0) / slot_seconds)) + 1
 
-    # the row each (VM, slot) cell takes: the last row on that slot, else
-    # the row of the latest filled slot before it, else the file's first row
+    # each VM's row of the grid is filled from its own file's rows, which
+    # are dropped as soon as it is: at most one copy of the parsed rows
     vm_ids = list(per_vm)
     n = len(vm_ids)
-    counts = [len(s) for s in per_vm.values()]
-    first_row = np.cumsum([0] + counts[:-1])
-    rows = np.concatenate(list(per_vm.values()))
-    slot = np.rint((rows[:, 0] - t0) / slot_seconds)
-    on_grid = np.flatnonzero((slot >= 0) & (slot < n_slots))
-    cell = np.repeat(np.arange(n) * n_slots, counts)[on_grid] \
-        + slot[on_grid].astype(np.intp)
-    last = np.full(n * n_slots, -1, dtype=np.intp)
-    np.maximum.at(last, cell, on_grid)
-    last = last.reshape(n, n_slots)
-    latest = np.where(last >= 0, np.arange(n_slots), 0)
-    np.maximum.accumulate(latest, axis=1, out=latest)
-    row = np.take_along_axis(last, latest, axis=1)
-    row = np.where(row >= 0, row, first_row[:, None])
-
+    cpu, ram, disk_r, disk_w, net = (np.empty((n, n_slots)) for _ in range(5))
+    cores, ram_prov = np.empty(n, dtype=int), np.empty(n)
     host_capacity_mhz = default_server_spec().cpu_capacity_mhz
-    cpu = ((rows[:, 4] / 100.0) * rows[:, 2] / host_capacity_mhz)[row]
-    ram = (rows[:, 6] / KB_PER_MB)[row]
-    disk_r = rows[:, 7][row]
-    disk_w = rows[:, 8][row]
-    net = ((rows[:, 9] + rows[:, 10]) / KB_PER_MB)[row]
-    cores = np.array([max(1, int(s.item(0, 1))) for s in per_vm.values()],
-                     dtype=int)
-    # Python's max keeps the first of equal values; np.max may pick -0.0
-    ram_prov = np.array([max((s[:, 5] / KB_PER_MB).tolist())
-                         for s in per_vm.values()])
+    grid = np.arange(n_slots)
+    for i, vid in enumerate(vm_ids):
+        s = per_vm.pop(vid)
+        # the row each slot takes: the last row on that slot, else the row
+        # of the latest filled slot before it, else the file's first row
+        slot = np.rint((s[:, 0] - t0) / slot_seconds)
+        on_grid = np.flatnonzero((slot >= 0) & (slot < n_slots))
+        last = np.full(n_slots, -1, dtype=np.intp)
+        np.maximum.at(last, slot[on_grid].astype(np.intp), on_grid)
+        latest = np.where(last >= 0, grid, 0)
+        np.maximum.accumulate(latest, out=latest)
+        row = np.maximum(last[latest], 0)
+        cpu[i] = ((s[:, 4] / 100.0) * s[:, 2] / host_capacity_mhz)[row]
+        ram[i] = (s[:, 6] / KB_PER_MB)[row]
+        disk_r[i] = s[row, 7]
+        disk_w[i] = s[row, 8]
+        net[i] = ((s[:, 9] + s[:, 10]) / KB_PER_MB)[row]
+        cores[i] = max(1, int(s.item(0, 1)))
+        # Python's max keeps the first of equal values; np.max may pick -0.0
+        ram_prov[i] = max((s[:, 5] / KB_PER_MB).tolist())
     return Workload(vm_ids, cpu, ram, disk_r, disk_w, net, cores, ram_prov,
                     slot_seconds)
 

@@ -55,6 +55,22 @@ def test_grid_runs_cross_product(tmp_path, monkeypatch):
     assert table[0].startswith("policy,energy_kwh_fixed291,energy_kwh_varinlet")
 
 
+def test_grid_pool_writes_what_the_serial_grid_writes(tmp_path, monkeypatch):
+    args = ["grid", "--policies", "pabfd,so6", "--coolings", "fixed291,varinlet",
+            "--synth", "vms=10,slots=8,var=100,seed=3", "--hosts", "5"]
+    outs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("DCSIM_THREADS", threads)
+        outs.append(tmp_path / f"threads{threads}")
+        assert run_cli(*args, "--out", str(outs[-1])) == 0
+    serial, pooled = outs
+    runs = sorted(p.name for p in serial.iterdir() if p.is_dir())
+    assert runs == sorted(p.name for p in pooled.iterdir() if p.is_dir())
+    assert len(runs) == 4
+    for name in ["comparison.csv", *(f"{r}/manifest.json" for r in runs)]:
+        assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
+
+
 def test_compare_savings_table(tmp_path, monkeypatch):
     monkeypatch.setenv("DCSIM_THREADS", "1")
     synth = "vms=10,slots=8,var=100,seed=3"

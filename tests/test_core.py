@@ -169,6 +169,30 @@ def test_state_copy_is_equal_and_independent():
     assert state.cpu_sum.tolist() == [0.4, 0.0, 0.2]
 
 
+def test_vms_on_follows_every_move():
+    # vms_on serves a grouping of the VMs by host that a move, or a state
+    # made with other hosts (as a placer's view is), must not reuse
+    rng = np.random.default_rng(2)
+    ids = [f"v{i}" for i in range(12)]
+    state = make_state(4, {v: VmState(id=v, cpu_demand=0.05) for v in ids})
+
+    def scan(s, h):
+        return [v for v, host in zip(s.vm_ids, s.host.tolist()) if host == h]
+
+    for _ in range(40):
+        vid = ids[rng.integers(len(ids))]
+        if rng.random() < 0.2:
+            state.detach(vid)
+        elif rng.random() < 0.2:
+            state = apply_placement(state, {vid: int(rng.integers(4))}).state
+        else:
+            state.attach(vid, int(rng.integers(4)))
+        state.vms_on(0)
+        for s in (state, state.copy(), state._with(host=np.roll(state.host, 1))):
+            for h in range(4):
+                assert s.vms_on(h) == scan(s, h)
+
+
 def test_setpoint_change_recosts_and_same_setpoint_is_a_no_op(monkeypatch):
     state = make_state(2, {"a": VmState(id="a", cpu_demand=0.4, ram_used=1024.0)})
     state.attach("a", 0)

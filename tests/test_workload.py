@@ -2,14 +2,17 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dcsim
-from dcsim.workload import (TRACE_COLUMNS, TraceError, Workload, load_traces,
-                            save_traces, synth_workload, variability_score)
+from dcsim.report import workload_fingerprint
+from dcsim.workload import (TRACE_COLUMNS, TraceError, Workload,
+                            _parse_trace_file, load_traces, save_traces,
+                            synth_workload, variability_score)
 from oracles import load_traces_rowwise
 
 
@@ -125,6 +128,12 @@ def test_synth_is_the_same_on_every_cpu():
         env={**env, "PYTHONPATH": src, **extra}).stdout
         for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": NO_AVX512})]
     assert outs[0] == outs[1]
+
+
+def test_workload_fingerprint_is_pinned():
+    w = synth_workload(vms=72, slots=12, variability=120.0, seed=4)
+    assert workload_fingerprint(w) == (
+        "dc9cd7d281ab2e54eb09755ef57c93c31364cdb6d68c58dd7ae4f1cd792973de")
 
 
 def test_synth_zero_variability_constant():
@@ -333,3 +342,53 @@ def test_load_traces_matches_rowwise_reference_on_a_day(tmp_path):
                 tmp_path)
     for fill in ("ffill", "drop"):
         _assert_same_load(tmp_path, fill=fill)
+
+
+def _ragged_day(rng, directory):
+    """A day of trace files as ``save_traces`` writes them, made ragged:
+    each file starts and ends on a slot of its own, loses some inner rows,
+    repeats a few slots with other values and has its inner rows shuffled.
+    Returns the first and the last slot of every file."""
+    save_traces(synth_workload(vms=120, slots=288, variability=280.0, seed=3),
+                directory)
+    spans = []
+    for path in sorted(directory.iterdir()):
+        header, *rows = path.read_text().splitlines()
+        lead, trail = rng.randrange(0, 40), rng.randrange(0, 40)
+        rows = rows[lead:len(rows) - trail]
+        inner = [r for r in rows[1:-1] if rng.random() > 0.1]
+        for r in rng.sample(inner, 3):
+            ts, *fields = r.split(";")
+            inner.append(";".join([ts, *(repr(1.5 * float(f)) for f in fields)]))
+        rng.shuffle(inner)
+        path.write_text("\n".join([header, rows[0], *inner, rows[-1]]) + "\n")
+        spans.append((lead, 287 - trail))
+    return spans
+
+
+def test_load_traces_matches_rowwise_reference_on_a_ragged_day(tmp_path):
+    spans = _ragged_day(random.Random(8), tmp_path)
+    firsts, lasts = zip(*spans)
+    for fill, slots in (("ffill", max(lasts) - min(firsts) + 1),
+                        ("drop", min(lasts) - max(firsts) + 1)):
+        _assert_same_load(tmp_path, fill=fill)
+        assert load_traces(tmp_path, fill=fill).slot_count == slots
+
+
+def test_load_traces_holds_about_one_copy_of_the_rows(tmp_path):
+    # the traced peak of a day's load against its parsed rows plus the
+    # Workload it returns: a concatenated second copy of every row, or
+    # full-length per-column temporaries, would take it past 2x
+    save_traces(synth_workload(vms=120, slots=288, variability=280.0, seed=3),
+                tmp_path)
+    rows = sum(_parse_trace_file(p).nbytes for p in tmp_path.iterdir())
+    tracemalloc.start()
+    try:
+        w = load_traces(tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = sum(getattr(w, name).nbytes for name in (
+        "cpu", "ram", "disk_read", "disk_write", "net_bw", "cores",
+        "ram_provisioned"))
+    assert peak <= 1.25 * (rows + out), peak / (rows + out)
