@@ -46,16 +46,16 @@ def max_inlet_for_host(u_cpu: float, t_cpu_max: float,
     return min(raw, t_inlet_max)
 
 
-def cooling_setpoint(state, strategy: CoolingStrategy,
-                     thermal: ThermalModelParams | None = None) -> float:
+def cooling_setpoint(state, strategy: CoolingStrategy) -> float:
     """Setpoint for the current slot under the given strategy.
 
     For the adaptive strategy this is the minimum over powered-on hosts of
-    their maximum safe inlet temperature (uniform supply-air plenum assumed).
+    their maximum safe inlet temperature (uniform supply-air plenum assumed),
+    from the state's thermal model.
     """
     if isinstance(strategy, FixedCooling):
         return strategy.setpoint
-    thermal = thermal or state.params.thermal
+    thermal = state.params.thermal
     active = state.u_cpu[state.on].tolist()
     if not active:
         return strategy.ceiling

@@ -19,6 +19,8 @@ from . import models
 from .models import ModelParams
 
 DEFAULT_FREQS_GHZ = (1.73, 1.86, 2.13, 2.26, 2.39, 2.40)
+# a host takes RAM and bandwidth up to its capacity plus this much float dust
+CAPACITY_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -333,7 +335,7 @@ def apply_placement(state: DataCenterState, placement: dict[str, int],
         limits.append(("cpu", new.cpu_sum, 1.0))
     for host in sorted({target for _, _, target in moves}):
         for resource, sums, capacity in limits:
-            if sums[host] > capacity + 1e-9:
+            if sums[host] > capacity + CAPACITY_SLACK:
                 raise CapacityError(host, resource, sums.item(host), capacity)
 
     idle = new.on & (new.vm_counts() == 0)

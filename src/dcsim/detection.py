@@ -7,7 +7,7 @@ from statistics import median
 
 import numpy as np
 
-from .core import DataCenterState, ServerSpec
+from .core import CAPACITY_SLACK, DataCenterState, ServerSpec
 
 
 @dataclass(frozen=True)
@@ -42,13 +42,17 @@ def overload_threshold(history, cfg: MadConfig = MadConfig()) -> float:
     return min(1.0, max(0.5, t))
 
 
-def migration_bandwidth(spec: ServerSpec, reserve_fraction: float = 0.5) -> float:
-    """Bandwidth available to live migration, MB/s (half the link by default)."""
-    return spec.bw_capacity * reserve_fraction
+# share of a host's network link reserved for live migration
+MIGRATION_RESERVE = 0.5
 
 
-def select_vms_mmt(host: int, threshold: float, state: DataCenterState,
-                   reserve_fraction: float = 0.5) -> list[str]:
+def migration_bandwidth(spec: ServerSpec) -> float:
+    """Bandwidth available to live migration, MB/s."""
+    return spec.bw_capacity * MIGRATION_RESERVE
+
+
+def select_vms_mmt(host: int, threshold: float,
+                   state: DataCenterState) -> list[str]:
     """VMs to migrate off an overloaded host, minimum-migration-time first.
 
     Repeatedly picks the VM with the shortest migration (smallest RAM over a
@@ -63,7 +67,7 @@ def select_vms_mmt(host: int, threshold: float, state: DataCenterState,
     """
     if state.cpu_sum.item(host) < threshold:
         return []
-    bw = migration_bandwidth(state.spec, reserve_fraction)
+    bw = migration_bandwidth(state.spec)
     ids, ram, cpu = state.vm_ids, state.ram, state.cpu
     staying = state.positions_on(host)
     picked = []
@@ -73,17 +77,6 @@ def select_vms_mmt(host: int, threshold: float, state: DataCenterState,
         if sum(cpu.item(j) for j in staying) < threshold:
             break
     return picked
-
-
-def threshold_array(thresholds: dict[int, float] | None, n: int) -> np.ndarray:
-    """Overload thresholds of hosts ``0 .. n-1`` as an array; 1.0 for a host
-    that ``thresholds`` does not name."""
-    thr = np.ones(n)
-    if thresholds:
-        k = len(thresholds)
-        thr[np.fromiter(thresholds, np.intp, k)] = np.fromiter(
-            thresholds.values(), float, k)
-    return thr
 
 
 def _fits_elsewhere(host_id: int, state: DataCenterState, thr: np.ndarray,
@@ -99,8 +92,8 @@ def _fits_elsewhere(host_id: int, state: DataCenterState, thr: np.ndarray,
                  key=lambda vm: (-vm.cpu_demand, vm.id))
     for vm in vms:
         fits = (targets & (cpu + vm.cpu_demand < thr)
-                & (ram + vm.ram_used <= state.spec.ram_capacity)
-                & (bw + vm.net_bw <= state.spec.bw_capacity))
+                & (ram + vm.ram_used <= state.spec.ram_capacity + CAPACITY_SLACK)
+                & (bw + vm.net_bw <= state.spec.bw_capacity + CAPACITY_SLACK))
         if not fits.any():
             return False
         t = int(fits.argmax())
@@ -110,14 +103,15 @@ def _fits_elsewhere(host_id: int, state: DataCenterState, thr: np.ndarray,
     return True
 
 
-def find_underloaded(state: DataCenterState, exclude: set[int] | None = None,
-                     thresholds: dict[int, float] | None = None,
+def find_underloaded(state: DataCenterState, thresholds: np.ndarray,
+                     exclude: set[int] | None = None,
                      cut: float | None = None,
                      limit: int | None = None) -> list[int]:
     """Powered-on hosts whose whole VM set could be absorbed elsewhere.
 
     A host only qualifies if a greedy fit test places all of its VMs on other
-    powered-on hosts without pushing any of them past its overload threshold.
+    powered-on hosts, none of them in ``exclude``, without pushing any of
+    them past its overload threshold (``thresholds``, indexed by host id).
     Candidates are walked, and returned, in ascending ``(u_cpu, id)`` order,
     so the two bounds cut the walk short without changing its prefix:
 
@@ -132,7 +126,7 @@ def find_underloaded(state: DataCenterState, exclude: set[int] | None = None,
     u = state.u_cpu
     on = np.flatnonzero(state.on)
     busy = state.busy
-    targets = thr = None
+    targets = None
     out = []
     for h in on[np.argsort(u[on], kind="stable")].tolist():
         if limit is not None and len(out) >= limit:
@@ -146,7 +140,6 @@ def find_underloaded(state: DataCenterState, exclude: set[int] | None = None,
         if targets is None:
             targets = state.on.copy()
             targets[list(exclude)] = False
-            thr = threshold_array(thresholds, len(targets))
-        if _fits_elsewhere(h, state, thr, targets):
+        if _fits_elsewhere(h, state, thresholds, targets):
             out.append(h)
     return out

@@ -15,7 +15,7 @@ from .cooling import CoolingStrategy, FixedCooling, cooling_setpoint
 from .core import (CapacityError, DataCenterState, ServerSpec, SlotMetrics,
                    VmState, apply_placement, default_server_spec)
 from .detection import MadConfig, find_underloaded, migration_bandwidth, \
-    overload_threshold, select_vms_mmt, threshold_array
+    overload_threshold, select_vms_mmt
 from .models import KWH_PER_WS, ModelParams
 from .policies import DEFAULT_DYNSO_LIST, SoKind, SoSaModel
 from .workload import Workload
@@ -29,6 +29,11 @@ _SO_BY_NAME = {
     "so6": SoKind.SO6, "so7": SoKind.SO7, "so8": SoKind.SO8,
     "sosa": SoKind.SO_SA, "swfdvp": SoKind.SWFDVP,
 }
+
+# a host is a drain source only when its utilization sits below this
+# fraction of the busy fleet's mean; relative detection keeps the repeat
+# pass from folding a deliberately spread fleet onto itself
+UNDERLOAD_FRACTION = 0.65
 
 
 @dataclass
@@ -44,11 +49,6 @@ class SimConfig:
     sosa: SoSaModel = field(default_factory=SoSaModel)
     sa: annealer.SaConfig = field(default_factory=annealer.SaConfig)
     migration_double_power: bool = True
-    migration_reserve: float = 0.5
-    # a host is a drain source only when its utilization sits below this
-    # fraction of the powered-on fleet's mean; relative detection keeps the
-    # repeat pass from folding a deliberately spread fleet onto itself
-    underload_fraction: float = 0.65
     # the repeat pass is time-boxed like the rest of the slot optimization:
     # only the lightest few hosts are drained per slot; 0 turns the pass off,
     # in the engine and in dynso's drain-aware evaluator alike
@@ -71,6 +71,11 @@ class MigrationEvent:
     duration: float  # s, capped at the slot length
     slot: int
     cpu_demand: float
+    # the VM's performance degradation: 10 % of its demand over the migration
+    degradation: float = field(init=False)
+
+    def __post_init__(self):
+        self.degradation = 0.1 * self.cpu_demand * self.duration
 
 
 @dataclass
@@ -100,7 +105,14 @@ class RunReport:
     calib_energy: list[float] = field(default_factory=list)
 
 
-def _drain_aware_evaluator(cfg: SimConfig, thresholds: dict[int, float]):
+def _underload_cut(state: DataCenterState) -> float:
+    """Utilization below which a host may be drained: ``UNDERLOAD_FRACTION``
+    of the mean over the busy hosts, or 0.0 when no host is busy."""
+    busy_u = state.u_cpu[state.busy].tolist()
+    return UNDERLOAD_FRACTION * (sum(busy_u) / len(busy_u)) if busy_u else 0.0
+
+
+def _drain_aware_evaluator(cfg: SimConfig, thresholds: np.ndarray):
     """Global-power evaluator for the dynamic selector that looks one step
     ahead: hosts the underload pass could free do not count against a
     tentative placement.  It follows :func:`policies.dynso_place`'s evaluator
@@ -109,14 +121,11 @@ def _drain_aware_evaluator(cfg: SimConfig, thresholds: dict[int, float]):
     def evaluate(state: DataCenterState) -> float:
         busy = state.busy
         power = sum(state.p_it[busy].tolist())
-        on_u = state.u_cpu[busy].tolist()
-        if on_u and cfg.max_drains_per_slot > 0:
-            thr = threshold_array(thresholds, len(state.on))
-            overloaded = np.flatnonzero(state.on & (state.cpu_sum >= thr))
+        if busy.any() and cfg.max_drains_per_slot > 0:
+            overloaded = np.flatnonzero(state.on & (state.cpu_sum >= thresholds))
             drainable = find_underloaded(
-                state, thresholds=thresholds, exclude=set(overloaded.tolist()),
-                cut=cfg.underload_fraction * (sum(on_u) / len(on_u)),
-                limit=cfg.max_drains_per_slot)
+                state, thresholds, set(overloaded.tolist()),
+                cut=_underload_cut(state), limit=cfg.max_drains_per_slot)
             power -= sum(state.p_it[drainable].tolist())
         return power * (1.0 + 1.0 / models.cop(state.setpoint,
                                                state.params.cooling))
@@ -125,31 +134,27 @@ def _drain_aware_evaluator(cfg: SimConfig, thresholds: dict[int, float]):
 
 
 def _place(cfg: SimConfig, plan: DataCenterState, vm_ids: list[str],
-           host_ids: list[int], thresholds: dict[int, float],
-           forbidden: dict[str, int], fallback: dict[str, int | None],
+           host_ids: list[int], thresholds: np.ndarray, source: dict[str, int],
            slot: int) -> policies.PlacementResult:
-    """Dispatch one slot's VM batch to the configured policy."""
+    """Dispatch one slot's VM batch to the configured policy.  ``source``
+    maps each VM that leaves a host to that host."""
     name = cfg.policy
     if name in _SO_BY_NAME:
-        return policies.so_place(
-            _SO_BY_NAME[name], vm_ids, host_ids, plan, thresholds,
-            cfg.mad.fallback_threshold, forbidden, cfg.sosa, cfg.slot_seconds)
+        return policies.so_place(_SO_BY_NAME[name], vm_ids, host_ids, plan,
+                                 thresholds, source, cfg.sosa, cfg.slot_seconds)
     if name in ("mo1", "mo2"):
-        on_u = plan.u_cpu[plan.busy].tolist()
-        cut = cfg.underload_fraction * (sum(on_u) / len(on_u) if on_u else 0.0)
         return policies.mo_place(name, vm_ids, host_ids, plan, thresholds,
-                                 cfg.mad.fallback_threshold, forbidden,
-                                 cfg.slot_seconds, prefer_utilization=cut)
+                                 source, cfg.slot_seconds,
+                                 prefer_utilization=_underload_cut(plan))
     if name == "dynso":
         return policies.dynso_place(
-            vm_ids, host_ids, plan, DEFAULT_DYNSO_LIST, thresholds,
-            cfg.mad.fallback_threshold, forbidden, cfg.sosa, cfg.slot_seconds,
-            fallback, evaluator=_drain_aware_evaluator(cfg, thresholds))
+            vm_ids, host_ids, plan, DEFAULT_DYNSO_LIST, thresholds, source,
+            cfg.sosa, cfg.slot_seconds,
+            evaluator=_drain_aware_evaluator(cfg, thresholds))
     if name == "sa":
         seed = policies.dynso_place(
             vm_ids, host_ids, plan, policies.PLAIN_KINDS + (SoKind.SO8,),
-            thresholds, cfg.mad.fallback_threshold, forbidden, cfg.sosa,
-            cfg.slot_seconds, fallback)
+            thresholds, source, cfg.sosa, cfg.slot_seconds)
         sa_vms = [v for v in vm_ids if v in seed.placement]
         out = policies.PlacementResult(
             unplaced=[v for v in vm_ids if v not in seed.placement])
@@ -164,21 +169,29 @@ def _place(cfg: SimConfig, plan: DataCenterState, vm_ids: list[str],
     raise ValueError(f"unknown policy {name!r}")
 
 
-def _migration_events(moved, state: DataCenterState, cfg: SimConfig,
-                      slot: int) -> list[MigrationEvent]:
-    """Migration events of the applied moves; a VM placed for the first time
-    (no source host) does not migrate."""
+def _apply(cfg: SimConfig, state: DataCenterState, placement: dict[str, int],
+           slot: int) -> tuple[DataCenterState, int, list[MigrationEvent]]:
+    """The state after a placement, with its power-on count and its
+    migration events; a VM placed for the first time (no source host) does
+    not migrate.  A placement that breaks a capacity (an annealer edge case)
+    is not applied: the state is kept, with no events."""
+    try:
+        applied = apply_placement(state, placement,
+                                  enforce_cpu=not cfg.oversubscription)
+    except CapacityError:
+        return state, 0, []
+    new = applied.state
     events = []
-    bw = migration_bandwidth(state.spec, cfg.migration_reserve)
-    for vm_id, src, dst in moved:
+    bw = migration_bandwidth(new.spec)
+    for vm_id, src, dst in applied.moved:
         if src is None:
             continue
-        vm = state.vm(vm_id)
+        vm = new.vm(vm_id)
         duration = min(vm.ram_used / bw if bw > 0 else cfg.slot_seconds,
                        cfg.slot_seconds)
         events.append(MigrationEvent(vm_id, src, dst, duration, slot,
                                      vm.cpu_demand))
-    return events
+    return new, applied.power_on_events, events
 
 
 def run(workload: Workload, cfg: SimConfig) -> RunReport:
@@ -220,30 +233,28 @@ def run(workload: Workload, cfg: SimConfig) -> RunReport:
                          disk_read=workload.disk_read[:, t],
                          disk_write=workload.disk_write[:, t])
 
-        # detection
-        thresholds = {}
+        # detection: each host's overload threshold, from its MAD history
+        # while it is on
+        thr_list = []
         for h, (on, u) in enumerate(zip(state.on.tolist(), state.u_cpu.tolist())):
             if on:
                 history[h].append(u)
-                thresholds[h] = overload_threshold(history[h], cfg.mad)
+                thr_list.append(overload_threshold(history[h], cfg.mad))
             else:
                 history[h].clear()
-                thresholds[h] = cfg.mad.fallback_threshold
+                thr_list.append(cfg.mad.fallback_threshold)
+        thresholds = np.array(thr_list)
 
+        # the VMs to place, and the host each VM that moves leaves; a VM
+        # never goes back to its source, and one that finds no host stays
         to_move = [vm_ids[i] for i in np.flatnonzero(state.host < 0).tolist()]
-        forbidden: dict[str, int] = {}
-        overloaded: set[int] = set()
-        for h, (on, cpu) in enumerate(zip(state.on.tolist(),
-                                          state.cpu_sum.tolist())):
-            if on and cpu >= thresholds[h]:
-                overloaded.add(h)
-                for vid in select_vms_mmt(h, thresholds[h], state,
-                                          cfg.migration_reserve):
-                    to_move.append(vid)
-                    forbidden[vid] = h
+        source: dict[str, int] = {}
+        overloaded = np.flatnonzero(state.on & (state.cpu_sum >= thresholds))
+        for h in overloaded.tolist():
+            for vid in select_vms_mmt(h, thr_list[h], state):
+                to_move.append(vid)
+                source[vid] = h
 
-        # a VM that finds no host stays where it is
-        fallback = {vid: forbidden.get(vid) for vid in to_move}
         migrations: list[MigrationEvent] = []
         power_on_events = 0
 
@@ -251,21 +262,14 @@ def run(workload: Workload, cfg: SimConfig) -> RunReport:
             plan = state.copy()
             plan.detach(*to_move)
             result = _place(cfg, plan, to_move, list(range(cfg.hosts)),
-                            thresholds, forbidden, fallback, t)
+                            thresholds, source, t)
             if result.chosen_norm_values:
                 calib_values.append(sum(result.chosen_norm_values.values())
                                     / len(result.chosen_norm_values))
             else:
                 calib_values.append(1.5)
-            try:
-                applied = apply_placement(state, result.placement,
-                                          enforce_cpu=not cfg.oversubscription)
-            except CapacityError:
-                # annealer edge case: fall back to keeping VMs in place
-                applied = apply_placement(state, {})
-            state = applied.state
-            power_on_events += applied.power_on_events
-            migrations += _migration_events(applied.moved, state, cfg, t)
+            state, power_on_events, migrations = _apply(
+                cfg, state, result.placement, t)
         else:
             calib_values.append(1.5)
 
@@ -275,11 +279,8 @@ def run(workload: Workload, cfg: SimConfig) -> RunReport:
         # set found a new home are actually drained and powered off.
         under = []
         if cfg.max_drains_per_slot > 0:
-            on_utils = state.u_cpu[state.on].tolist()
-            under_cut = cfg.underload_fraction * (sum(on_utils) / len(on_utils)
-                                                  if on_utils else 0.0)
-            under = find_underloaded(state, overloaded, thresholds,
-                                     cut=under_cut,
+            under = find_underloaded(state, thresholds, set(overloaded.tolist()),
+                                     cut=_underload_cut(state),
                                      limit=cfg.max_drains_per_slot)
         if under:
             under_set = set(under)
@@ -292,7 +293,7 @@ def run(workload: Workload, cfg: SimConfig) -> RunReport:
                 plan = state.copy()
                 plan.detach(*drain_vms)
                 res = _place(cfg, plan, drain_vms, candidates, thresholds,
-                             source, dict(source), t)
+                             source, t)
                 placed_by_host: dict[int, list[str]] = {}
                 for vid in res.placement:
                     placed_by_host.setdefault(source[vid], []).append(vid)
@@ -302,16 +303,10 @@ def run(workload: Workload, cfg: SimConfig) -> RunReport:
                         for vid in vids:
                             moves[vid] = res.placement[vid]
                 if moves:
-                    try:
-                        applied = apply_placement(
-                            state, moves, enforce_cpu=not cfg.oversubscription)
-                    except CapacityError:
-                        applied = None
-                    if applied is not None:
-                        state = applied.state
-                        power_on_events += applied.power_on_events
-                        migrations += _migration_events(applied.moved, state,
-                                                        cfg, t)
+                    state, drain_on, drain_migrations = _apply(cfg, state,
+                                                               moves, t)
+                    power_on_events += drain_on
+                    migrations += drain_migrations
 
         # cooling setpoint for the slot, then energy accounting
         sp = cooling_setpoint(state, cfg.cooling)
@@ -321,7 +316,7 @@ def run(workload: Workload, cfg: SimConfig) -> RunReport:
                                               cfg.slot_seconds,
                                               cfg.migration_double_power)
         for ev in migrations:
-            vm_deg[ev.vm_id] += 0.1 * ev.cpu_demand * ev.duration
+            vm_deg[ev.vm_id] += ev.degradation
 
         p_it = state.total_it_power()
         e_it = p_it * cfg.slot_seconds * KWH_PER_WS + mig_energy
@@ -384,7 +379,7 @@ def migration_cost(events: list[MigrationEvent], state: DataCenterState,
             p_dyn = models.dynamic_power(mode.v_dd, mode.f_op, ev.cpu_demand,
                                          p.power)
             extra_ws += p_dyn * ev.duration
-        deg += 0.1 * ev.cpu_demand * ev.duration
+        deg += ev.degradation
     requested = sum(state.cpu.tolist()) * slot_seconds
     pdm = deg / requested if requested > 0 else 0.0
     return extra_ws * KWH_PER_WS, pdm

@@ -17,7 +17,8 @@ from enum import Enum
 import numpy as np
 
 from . import models
-from .core import DataCenterState, VmState
+from .core import CAPACITY_SLACK, DataCenterState, VmState
+from .detection import MadConfig
 from .models import KWH_PER_WS
 
 
@@ -100,12 +101,14 @@ class _Fleet:
     by host id, so one VM's candidates are costed for every row in one call
     of ``models.host_operating_point``, and each row's fleet-wide IT power
     total for global-energy predictions.  The arrays span every host of the
-    state; a host outside ``host_list`` is never feasible.  :meth:`place`
-    updates one row of the arrays; the input state is never touched.
+    state; a host outside ``host_list`` is never feasible.  ``thresholds``
+    holds each host's overload threshold, by host id; ``None`` puts every
+    host at ``MadConfig``'s fallback threshold.  :meth:`place` updates one
+    row of the arrays; the input state is never touched.
     """
 
     def __init__(self, state: DataCenterState, rows: int, host_list,
-                 thresholds: dict[int, float], default_threshold: float):
+                 thresholds: np.ndarray | None):
         n = len(state.on)
         self.state = state
         self.spec = spec = state.spec
@@ -125,13 +128,14 @@ class _Fleet:
         self.u_cpu = per_row(state.u_cpu)
         self.mode = per_row(state.mode)
         self.p_before = per_row(p_before)
-        self.ram_limit = spec.ram_capacity + 1e-9
-        self.bw_limit = spec.bw_capacity + 1e-9
+        self.ram_limit = spec.ram_capacity + CAPACITY_SLACK
+        self.bw_limit = spec.bw_capacity + CAPACITY_SLACK
+        if thresholds is None:
+            thresholds = np.full(n, MadConfig().fallback_threshold)
         # a host outside host_list gets a -inf threshold, so no VM fits it
         candidate = np.zeros(n, dtype=bool)
         candidate[list(host_list)] = True
-        self.thr = np.where(candidate, [thresholds.get(h, default_threshold)
-                                        for h in range(n)], -np.inf)
+        self.thr = np.where(candidate, thresholds, -np.inf)
         self.params = state.params
         self.t_inlet = state.setpoint
         self.cop = models.cop(self.t_inlet, self.params.cooling)
@@ -152,14 +156,15 @@ class _Fleet:
         self.mode[k, j] = tab["mode"][k, j]
         self.active[k, j] = True
 
-    def table(self, vm: VmState, forbidden_host: int | None = None) -> dict:
-        """Candidate arrays of one VM, shape (rows, hosts)."""
+    def table(self, vm: VmState, source: int | None = None) -> dict:
+        """Candidate arrays of one VM, shape (rows, hosts); the VM's
+        ``source`` host is never feasible."""
         u_raw = self.cpu_sum + vm.cpu_demand
         ram_after = self.ram_sum + vm.ram_used
         feasible = ((u_raw < self.thr) & (ram_after <= self.ram_limit)
                     & (self.bw_sum + vm.net_bw <= self.bw_limit))
-        if forbidden_host is not None:
-            feasible[:, forbidden_host] = False
+        if source is not None:
+            feasible[:, source] = False
         u_after, mode, t_mem, p_after = models.host_operating_point(
             u_raw, ram_after, self.disk_r + vm.disk_read,
             self.disk_w + vm.disk_write, self.t_inlet, self.spec, self.params)
@@ -175,12 +180,12 @@ class _Fleet:
         return p_it * (1.0 + 1.0 / self.cop)
 
     def view(self, k: int, placement: dict[str, int],
-             fallback: dict[str, int | None]) -> DataCenterState:
+             source: dict[str, int]) -> DataCenterState:
         """Row ``k`` as the state its placement leads to: ``placement``, then
-        every unplaced VM on its ``fallback`` host, which mirrors how the
-        engine treats them (they stay put).  The view holds row ``k``'s
-        sums, so the fallback VMs are added to the row.  It shares the input
-        state's VM demands; read it only."""
+        every unplaced VM on its ``source`` host when it has one, which
+        mirrors how the engine treats them (they stay put).  The view holds
+        row ``k``'s sums, so those VMs are added to the row.  It shares the
+        input state's VM demands; read it only."""
         state = self.state
         host = state.host.copy()
         for vm_id, host_id in placement.items():
@@ -194,8 +199,8 @@ class _Fleet:
             # p_before is 0 W on a host without VMs; the state has its power
             p_it=np.where(busy, self.p_before[k], state.p_it))
         touched = set()
-        for vm_id, host_id in fallback.items():
-            if vm_id not in placement and host_id is not None:
+        for vm_id, host_id in source.items():
+            if vm_id not in placement:
                 view._move(state.index[vm_id], host_id)
                 touched.add(host_id)
         if touched:
@@ -291,8 +296,7 @@ def _so_pick(kinds, sosa: SoSaModel, slot_seconds: float):
 
 
 def _bfd(rows: int, vm_list, host_list, state: DataCenterState,
-         thresholds: dict[int, float] | None, default_threshold: float,
-         forbidden: dict[str, int] | None, pick):
+         thresholds: np.ndarray | None, source: dict[str, int] | None, pick):
     """The best-fit-decreasing walk every placer shares, for ``rows``
     placers in lockstep.
 
@@ -303,12 +307,12 @@ def _bfd(rows: int, vm_list, host_list, state: DataCenterState,
     so its later VMs see its earlier assignments; ``state`` is not modified.
     Returns the fleet and one result per row.
     """
-    fleet = _Fleet(state, rows, host_list, thresholds or {}, default_threshold)
-    forbidden = forbidden or {}
+    fleet = _Fleet(state, rows, host_list, thresholds)
+    source = source or {}
     results = [PlacementResult() for _ in range(rows)]
     vms = [state.vm(vm_id) for vm_id in vm_list]
     for vm in sorted(vms, key=lambda vm: (-vm.cpu_demand, vm.id)):
-        tab = fleet.table(vm, forbidden.get(vm.id))
+        tab = fleet.table(vm, source.get(vm.id))
         hosts, norms = pick(fleet, tab)
         for k, (j, norm, result) in enumerate(zip(hosts, norms, results)):
             if j < 0:
@@ -321,26 +325,26 @@ def _bfd(rows: int, vm_list, host_list, state: DataCenterState,
 
 
 def so_place(kind: SoKind, vm_list, host_list, state: DataCenterState,
-             thresholds: dict[int, float] | None = None,
-             default_threshold: float = 0.9,
-             forbidden: dict[str, int] | None = None,
+             thresholds: np.ndarray | None = None,
+             source: dict[str, int] | None = None,
              sosa: SoSaModel | None = None,
              slot_seconds: float = 300.0) -> PlacementResult:
     """Best-fit-decreasing placement under one SO consolidation value.
 
     ``state`` must hold the VMs of ``vm_list`` detached from any host and is
-    not modified.  Each VM goes to the feasible host of lowest value, ties to
-    the lowest host id; VMs with no feasible host are reported unplaced.
+    not modified.  ``thresholds`` holds each host's overload threshold, by
+    host id (``None``: the fallback threshold everywhere), and ``source``
+    the host a moving VM leaves, which never takes it back.  Each VM goes to
+    the feasible host of lowest value, ties to the lowest host id; VMs with
+    no feasible host are reported unplaced.
     """
     pick = _so_pick([kind], sosa or SoSaModel(), slot_seconds)
-    return _bfd(1, vm_list, host_list, state, thresholds, default_threshold,
-                forbidden, pick)[1][0]
+    return _bfd(1, vm_list, host_list, state, thresholds, source, pick)[1][0]
 
 
 def mo_place(kind: str, vm_list, host_list, state: DataCenterState,
-             thresholds: dict[int, float] | None = None,
-             default_threshold: float = 0.9,
-             forbidden: dict[str, int] | None = None,
+             thresholds: np.ndarray | None = None,
+             source: dict[str, int] | None = None,
              slot_seconds: float = 300.0,
              prefer_utilization: float | None = None) -> PlacementResult:
     """Multi-objective placement over the Pareto front of the 7 SO values.
@@ -385,19 +389,17 @@ def mo_place(kind: str, vm_list, host_list, state: DataCenterState,
             score = np.sqrt((normalized[front] ** 2).sum(axis=1))
         return [int(np.flatnonzero(valid)[front[int(np.argmin(score))]])], [1.5]
 
-    return _bfd(1, vm_list, host_list, state, thresholds, default_threshold,
-                forbidden, pick)[1][0]
+    return _bfd(1, vm_list, host_list, state, thresholds, source, pick)[1][0]
 
 
 def swfdvp_place(vm_list, host_list, state: DataCenterState,
-                 thresholds: dict[int, float] | None = None,
-                 default_threshold: float = 0.9,
-                 forbidden: dict[str, int] | None = None) -> PlacementResult:
+                 thresholds: np.ndarray | None = None,
+                 source: dict[str, int] | None = None) -> PlacementResult:
     """Second-worst-fit baseline: rank feasible hosts by decreasing power
     increment and take the second one (the only one when the set is a
     singleton)."""
     return so_place(SoKind.SWFDVP, vm_list, host_list, state, thresholds,
-                    default_threshold, forbidden)
+                    source)
 
 
 @dataclass(kw_only=True)
@@ -415,12 +417,10 @@ def evaluate_global_power(state: DataCenterState) -> float:
 
 def dynso_place(vm_list, host_list, state: DataCenterState,
                 so_list=DEFAULT_DYNSO_LIST,
-                thresholds: dict[int, float] | None = None,
-                default_threshold: float = 0.9,
-                forbidden: dict[str, int] | None = None,
+                thresholds: np.ndarray | None = None,
+                source: dict[str, int] | None = None,
                 sosa: SoSaModel | None = None,
                 slot_seconds: float = 300.0,
-                fallback: dict[str, int | None] | None = None,
                 evaluator=None) -> DynSoResult:
     """Place under every SO kind and keep the one with the lowest global power.
 
@@ -431,7 +431,7 @@ def dynso_place(vm_list, host_list, state: DataCenterState,
     :func:`evaluate_global_power`; the
     engine passes one that also accounts for the hosts its underload pass
     would free.  The view holds the placement, then every unplaced VM on its
-    ``fallback`` host when it has one (which may lie outside ``host_list``),
+    ``source`` host when it has one (which may lie outside ``host_list``),
     which mirrors how the engine treats them (they stay put).  The evaluator
     runs once per distinct placement: a kind that repeats an earlier kind's
     placement could only tie, and ties go to the earlier kind in ``so_list``.
@@ -440,8 +440,8 @@ def dynso_place(vm_list, host_list, state: DataCenterState,
     if not kinds:
         raise ValueError("so_list must not be empty")
     fleet, results = _bfd(len(kinds), vm_list, host_list, state, thresholds,
-                          default_threshold, forbidden,
-                          _so_pick(kinds, sosa or SoSaModel(), slot_seconds))
+                          source, _so_pick(kinds, sosa or SoSaModel(),
+                                           slot_seconds))
     evaluator = evaluator or evaluate_global_power
     best = None
     seen = set()
@@ -450,7 +450,7 @@ def dynso_place(vm_list, host_list, state: DataCenterState,
         if key in seen:
             continue
         seen.add(key)
-        power = evaluator(fleet.view(k, r.placement, fallback or {}))
+        power = evaluator(fleet.view(k, r.placement, source or {}))
         if best is None or power < best.global_power:
             best = DynSoResult(placement=r.placement, unplaced=r.unplaced,
                                kind=kind, global_power=power,

@@ -8,6 +8,7 @@ missing samples are forward-filled by default.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -200,25 +201,31 @@ def load_traces(directory, slot_seconds: int = 300,
 
 def save_traces(w: Workload, directory) -> None:
     """Re-export a workload as one delimited trace file per VM, each VM
-    provisioned with its cores at the default server's top frequency."""
+    provisioned with its cores at the default server's top frequency.
+
+    Each column is computed on the VM's whole row and written from Python
+    numbers (``str`` of a float is its ``repr``)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     spec = default_server_spec()
     cap_mhz = spec.cpu_capacity_mhz
     core_mhz = spec.f_max * 1000.0
+    header = ";".join(TRACE_COLUMNS)
+    times = [str(t * w.slot_seconds) for t in range(w.slot_count)]
     for i, vid in enumerate(w.vm_ids):
-        prov_mhz = w.cores[i] * core_mhz
-        lines = [";".join(TRACE_COLUMNS)]
-        for t in range(w.slot_count):
-            usage_pct = 100.0 * w.cpu[i, t] * cap_mhz / prov_mhz
-            row = (t * w.slot_seconds, w.cores[i], prov_mhz,
-                   usage_pct / 100.0 * prov_mhz, usage_pct,
-                   w.ram_provisioned[i] * KB_PER_MB, w.ram[i, t] * KB_PER_MB,
-                   w.disk_read[i, t], w.disk_write[i, t],
-                   w.net_bw[i, t] * KB_PER_MB / 2, w.net_bw[i, t] * KB_PER_MB / 2)
-            lines.append(";".join(repr(float(x)) if isinstance(x, float) else str(x)
-                                  for x in row))
-        (directory / f"{vid}.csv").write_text("\n".join(lines) + "\n")
+        cores = w.cores[i].item()
+        prov_mhz = cores * core_mhz
+        usage_pct = 100.0 * w.cpu[i] * cap_mhz / prov_mhz
+        net = list(map(str, (w.net_bw[i] * KB_PER_MB / 2).tolist()))
+        columns = (times, repeat(f"{cores};{prov_mhz}"),
+                   map(str, (usage_pct / 100.0 * prov_mhz).tolist()),
+                   map(str, usage_pct.tolist()),
+                   repeat(str(w.ram_provisioned[i].item() * KB_PER_MB)),
+                   map(str, (w.ram[i] * KB_PER_MB).tolist()),
+                   map(str, w.disk_read[i].tolist()),
+                   map(str, w.disk_write[i].tolist()), net, net)
+        (directory / f"{vid}.csv").write_text(
+            "\n".join([header, *map(";".join, zip(*columns))]) + "\n")
 
 
 def synth_workload(vms: int, slots: int, variability: float, seed: int,

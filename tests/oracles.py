@@ -9,7 +9,8 @@ placers cost many hosts at once through the array model
 (``CandidateView``, ``so_value_from_view``, ``objective_vector``) are the
 paper's SO1-SO7 and MO definitions written out for one candidate.
 ``load_traces_rowwise`` is the trace loader that reads one row and fills one
-slot-grid cell at a time.
+slot-grid cell at a time, and ``save_traces_rowwise`` the trace writer that
+formats one row at a time from numpy scalars.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dcsim import models
 from dcsim.core import DataCenterState, VmState, default_server_spec
 from dcsim.models import KWH_PER_WS
 from dcsim.policies import SoKind, SoSaModel, normalize_band, so_sa_combine
-from dcsim.workload import KB_PER_MB, TraceError, Workload
+from dcsim.workload import KB_PER_MB, TRACE_COLUMNS, TraceError, Workload
 
 
 def governor_frequency(u_cpu: float, table):
@@ -367,3 +368,26 @@ def load_traces_rowwise(directory, slot_seconds: int = 300,
 
     return Workload(vm_ids, cpu, ram, disk_r, disk_w, net, cores, ram_prov,
                     slot_seconds)
+
+
+def save_traces_rowwise(w: Workload, directory) -> None:
+    """Row-by-row reference for ``workload.save_traces``: every cell read as
+    a numpy scalar, every float written with ``repr``."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    spec = default_server_spec()
+    cap_mhz = spec.cpu_capacity_mhz
+    core_mhz = spec.f_max * 1000.0
+    for i, vid in enumerate(w.vm_ids):
+        prov_mhz = w.cores[i] * core_mhz
+        lines = [";".join(TRACE_COLUMNS)]
+        for t in range(w.slot_count):
+            usage_pct = 100.0 * w.cpu[i, t] * cap_mhz / prov_mhz
+            row = (t * w.slot_seconds, w.cores[i], prov_mhz,
+                   usage_pct / 100.0 * prov_mhz, usage_pct,
+                   w.ram_provisioned[i] * KB_PER_MB, w.ram[i, t] * KB_PER_MB,
+                   w.disk_read[i, t], w.disk_write[i, t],
+                   w.net_bw[i, t] * KB_PER_MB / 2, w.net_bw[i, t] * KB_PER_MB / 2)
+            lines.append(";".join(repr(float(x)) if isinstance(x, float) else str(x)
+                                  for x in row))
+        (directory / f"{vid}.csv").write_text("\n".join(lines) + "\n")

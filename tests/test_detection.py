@@ -1,11 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from dcsim.core import DataCenterState, VmState, default_server_spec
 from dcsim.detection import (MadConfig, find_underloaded, mad,
                              overload_threshold, select_vms_mmt)
+from dcsim.policies import SoKind, so_place
 
 CFG = MadConfig()
 
@@ -108,29 +110,26 @@ def underload_state(utils, vms_per_host=2):
 
 def test_no_spare_capacity_means_no_underload():
     state = underload_state([0.85, 0.85, 0.85])
-    thresholds = {h: 0.9 for h in range(3)}
-    assert find_underloaded(state, thresholds=thresholds) == []
+    assert find_underloaded(state, np.full(3, 0.9)) == []
 
 
 def test_lightly_loaded_host_is_drainable():
     state = underload_state([0.05, 0.3, 0.3])
-    thresholds = {h: 0.9 for h in range(3)}
-    assert 0 in find_underloaded(state, thresholds=thresholds)
+    assert 0 in find_underloaded(state, np.full(3, 0.9))
 
 
 def test_empty_data_center():
     state = DataCenterState.build(0)
-    assert find_underloaded(state) == []
+    assert find_underloaded(state, np.empty(0)) == []
 
 
 def test_underloaded_sorted_ascending_and_respects_exclude():
     state = underload_state([0.3, 0.1, 0.2])
-    thresholds = {h: 0.95 for h in range(3)}
-    found = find_underloaded(state, thresholds=thresholds)
+    thresholds = np.full(3, 0.95)
+    found = find_underloaded(state, thresholds)
     utils = [state.u_cpu[i] for i in found]
     assert utils == sorted(utils)
-    assert 1 not in find_underloaded(state, exclude={1},
-                                     thresholds=thresholds)
+    assert 1 not in find_underloaded(state, thresholds, exclude={1})
 
 
 def test_mad_config_validation():
@@ -150,7 +149,7 @@ def random_underload_case(rng):
                                    cpu_demand=rng.uniform(0.01, 0.4),
                                    ram_used=rng.uniform(64.0, 6000.0)), i))
     state = build_attached(n, placed)
-    thresholds = {h: rng.uniform(0.5, 1.0) for h in range(n)}
+    thresholds = np.array([rng.uniform(0.5, 1.0) for _ in range(n)])
     exclude = {i for i in range(n) if rng.random() < 0.2}
     cut = rng.choice([None, rng.uniform(0.0, 1.0)])
     limit = rng.choice([None, 0, 1, 2, 3])
@@ -162,12 +161,12 @@ def test_bounded_underload_search_equals_filter_then_truncate():
     for _ in range(400):
         state, exclude, thresholds, cut, limit = random_underload_case(rng)
         fleet = state
-        full = find_underloaded(fleet, exclude, thresholds)
+        full = find_underloaded(fleet, thresholds, exclude)
         expected = [hid for hid in full
                     if cut is None or state.u_cpu[hid] < cut]
         if limit is not None:
             expected = expected[:limit]
-        assert find_underloaded(fleet, exclude, thresholds, cut, limit) == expected
+        assert find_underloaded(fleet, thresholds, exclude, cut, limit) == expected
 
 
 def scalar_underloaded(state, exclude, thresholds):
@@ -185,7 +184,7 @@ def scalar_underloaded(state, exclude, thresholds):
                          key=lambda vm: (-vm.cpu_demand, vm.id)):
             for t in targets:
                 cpu, ram, bw = load[t]
-                if (cpu + vm.cpu_demand < thresholds.get(t, 1.0)
+                if (cpu + vm.cpu_demand < thresholds[t]
                         and ram + vm.ram_used <= spec.ram_capacity
                         and bw + vm.net_bw <= spec.bw_capacity):
                     load[t] = [cpu + vm.cpu_demand, ram + vm.ram_used,
@@ -203,7 +202,7 @@ def test_underload_search_matches_scalar_reference():
     rng = random.Random(4242)
     for _ in range(400):
         state, exclude, thresholds, _, _ = random_underload_case(rng)
-        assert find_underloaded(state, exclude, thresholds) == \
+        assert find_underloaded(state, thresholds, exclude) == \
             scalar_underloaded(state, exclude, thresholds)
 
 
@@ -218,5 +217,22 @@ def test_fit_test_breaks_demand_ties_by_vm_id():
         for vid, ram, host in (("a", 900.0, 0), ("b", 2500.0, 0),
                                ("fill1", cap - 2600.0, 1),
                                ("fill2", cap - 1000.0, 2))])
-    thresholds = {h: 0.9 for h in range(3)}
-    assert find_underloaded(state, thresholds=thresholds) == []
+    assert find_underloaded(state, np.full(3, 0.9)) == []
+
+
+def test_fit_test_takes_ram_up_to_the_placers_limit():
+    # moving "v" puts host 1's RAM sum just past its capacity, inside the
+    # float slack the placers and apply_placement allow: the drain check
+    # must find host 0 drainable exactly when a placer would move "v"
+    cap = default_server_spec().ram_capacity
+    state = build_attached(2, [
+        (VmState(id="v", cpu_demand=0.1, ram_used=1000.0), 0),
+        (VmState(id="fill", cpu_demand=0.5, ram_used=cap - 1000.0 + 5e-10), 1)])
+    assert cap < state.ram_sum[1] + 1000.0 <= cap + 1e-9
+    # "fill" does not fit under host 0's threshold, so host 1 stays
+    thresholds = np.array([0.55, 0.9])
+    plan = state.copy()
+    plan.detach("v")
+    placed = so_place(SoKind.SO1, ["v"], [1], plan, thresholds, {"v": 0})
+    assert placed.placement == {"v": 1}
+    assert find_underloaded(state, thresholds) == [0]

@@ -118,6 +118,23 @@ def test_unplaceable_vm_stays_unplaced_without_crash():
     assert r.totals.e_it > 0
 
 
+@pytest.mark.parametrize("policy", ["pabfd", "dynso", "sa"])
+def test_vm_that_fits_nowhere_stays_on_its_source(policy):
+    # slot 0 puts c on host 0 and a, b on host 1.  In slot 1 host 1 reaches
+    # 1.05, MMT selects b (the least RAM), and b fits on neither host: not
+    # on host 0 (0.85 + 0.45), and never back on its source.  It stays on
+    # host 1, which is saturated with it and would not be without it.
+    cpu = np.array([[0.5, 0.6], [0.3, 0.45], [0.85, 0.85]])
+    ram = np.array([[2000.0, 2000.0], [500.0, 500.0], [1000.0, 1000.0]])
+    zeros = np.zeros_like(cpu)
+    w = Workload(["a", "b", "c"], cpu, ram, zeros.copy(), zeros.copy(),
+                 zeros.copy(), np.ones(3, dtype=int), np.full(3, 4096.0))
+    r = run(w, SimConfig(hosts=2, policy=policy))
+    assert [m.migrations for m in r.slots] == [0, 0]
+    assert [m.power_on_events for m in r.slots] == [2, 0]
+    assert r.slots[1].sla_otf == 0.5
+
+
 def test_migration_cost_no_events():
     state = DataCenterState.build(2, {"v": VmState(id="v", cpu_demand=0.5)})
     state.attach("v", 0)
@@ -199,7 +216,7 @@ def test_zero_max_drains_counts_no_drains_in_dynso_evaluator():
     state = DataCenterState.build(2, vms)
     state.attach("light", 0)
     state.attach("heavy", 1)
-    thresholds = {0: 0.9, 1: 0.9}
+    thresholds = np.full(2, 0.9)
     full = (state.total_it_power()
             * (1.0 + 1.0 / models.cop(state.setpoint)))
     off = engine._drain_aware_evaluator(

@@ -442,8 +442,8 @@ def test_candidate_evaluations_surface():
 
 def dynso_instance(seed, hosts=6, vms=8):
     """``hosts`` hosts, all but the last with background load, ``vms`` + 1
-    detached VMs (one too big for any host) and a fallback host for each of
-    them."""
+    detached VMs (one too big for any host), a source host for each of them
+    and a threshold array."""
     rng = np.random.default_rng(seed)
     specs = {f"bg{i}": (float(rng.uniform(0.05, 0.6)),
                         float(rng.uniform(256, 4096)), i)
@@ -454,19 +454,19 @@ def dynso_instance(seed, hosts=6, vms=8):
     specs["huge"] = (0.95, 512.0, None)
     state = make_state(hosts, specs)
     vm_ids = [v for v in specs if not v.startswith("bg")]
-    fallback = {v: int(rng.integers(0, hosts)) for v in vm_ids}
-    thresholds = {h: float(rng.uniform(0.7, 0.95)) for h in range(hosts)}
-    return state, vm_ids, fallback, thresholds
+    source = {v: int(rng.integers(0, hosts)) for v in vm_ids}
+    thresholds = np.array([float(rng.uniform(0.7, 0.95)) for _ in range(hosts)])
+    return state, vm_ids, source, thresholds
 
 
-def reattach_oracle(vm_ids, state, thresholds, fallback, evaluate,
+def reattach_oracle(vm_ids, state, thresholds, source, evaluate,
                     host_list=range(6)):
     """dynso by copy and re-attach: every kind's placement is applied to a
     fresh copy of the input state, which is evaluated."""
     best = None
     for kind in DEFAULT_DYNSO_LIST:
-        r = so_place(kind, vm_ids, host_list, state, thresholds)
-        power = evaluate(reattached(state, r.placement, fallback))
+        r = so_place(kind, vm_ids, host_list, state, thresholds, source)
+        power = evaluate(reattached(state, r.placement, source))
         if best is None or power < best[2]:
             best = (kind, r.placement, power)
     return best
@@ -474,15 +474,15 @@ def reattach_oracle(vm_ids, state, thresholds, fallback, evaluate,
 
 @pytest.mark.parametrize("seed", range(8))
 def test_dynso_matches_reattach_oracle(seed):
-    state, vm_ids, fallback, thresholds = dynso_instance(seed)
+    state, vm_ids, source, thresholds = dynso_instance(seed)
     evaluators = (lambda: evaluate_global_power,
                   lambda: _drain_aware_evaluator(SimConfig(), thresholds))
     for make in evaluators:
         r = dynso_place(vm_ids, range(6), state, thresholds=thresholds,
-                        fallback=fallback, evaluator=make())
+                        source=source, evaluator=make())
         assert "huge" in r.unplaced
         assert (r.kind, r.placement, r.global_power) == reattach_oracle(
-            vm_ids, state, thresholds, fallback, make())
+            vm_ids, state, thresholds, source, make())
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -490,24 +490,24 @@ def test_dynso_matches_reattach_oracle_with_fallback_outside_host_list(seed):
     # the drain pass's shape: the VMs' source hosts are not candidates, and
     # an unplaced VM stays on its source
     state, vm_ids, _, thresholds = dynso_instance(seed)
-    fallback = {v: 4 + i % 2 for i, v in enumerate(vm_ids)}
+    source = {v: 4 + i % 2 for i, v in enumerate(vm_ids)}
     evaluators = (lambda: evaluate_global_power,
                   lambda: _drain_aware_evaluator(SimConfig(), thresholds))
     for make in evaluators:
         r = dynso_place(vm_ids, range(4), state, thresholds=thresholds,
-                        fallback=fallback, evaluator=make())
+                        source=source, evaluator=make())
         assert "huge" in r.unplaced
         assert (r.kind, r.placement, r.global_power) == reattach_oracle(
-            vm_ids, state, thresholds, fallback, make(), host_list=range(4))
+            vm_ids, state, thresholds, source, make(), host_list=range(4))
 
 
-def reattached(state, placement, fallback):
+def reattached(state, placement, source):
     """A copy of the state with the placement attached in placement order,
-    then every unplaced VM attached to its fallback host."""
+    then every unplaced VM attached to its source host."""
     scratch = state.copy()
     for vm_id, host_id in placement.items():
         scratch.attach(vm_id, host_id)
-    for vm_id, host_id in fallback.items():
+    for vm_id, host_id in source.items():
         if vm_id not in placement:
             scratch.attach(vm_id, host_id)
     return scratch
@@ -520,7 +520,7 @@ def assignment(fleet, vm_ids):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_dynso_evaluates_each_distinct_placement_once(seed):
-    state, vm_ids, fallback, thresholds = dynso_instance(seed)
+    state, vm_ids, source, thresholds = dynso_instance(seed)
     seen = []
 
     def counting(fleet):
@@ -528,19 +528,20 @@ def test_dynso_evaluates_each_distinct_placement_once(seed):
         return evaluate_global_power(fleet)
 
     dynso_place(vm_ids, range(6), state, thresholds=thresholds,
-                fallback=fallback, evaluator=counting)
+                source=source, evaluator=counting)
     distinct = []
     for kind in DEFAULT_DYNSO_LIST:
-        p = so_place(kind, vm_ids, range(6), state, thresholds).placement
+        p = so_place(kind, vm_ids, range(6), state, thresholds,
+                     source).placement
         if p not in distinct:
             distinct.append(p)
-    # unplaced VMs sit on their fallback hosts
-    assert seen == [{vid: p.get(vid, fallback[vid]) for vid in vm_ids}
+    # unplaced VMs sit on their source hosts
+    assert seen == [{vid: p.get(vid, source[vid]) for vid in vm_ids}
                     for p in distinct]
 
 
 def test_evaluator_receives_the_placed_state():
-    state, vm_ids, fallback, thresholds = dynso_instance(3)
+    state, vm_ids, source, thresholds = dynso_instance(3)
     received = []
 
     def keep(fleet):
@@ -548,11 +549,11 @@ def test_evaluator_receives_the_placed_state():
         return evaluate_global_power(fleet)
 
     r = dynso_place(vm_ids, range(6), state, so_list=[SoKind.SO1],
-                    thresholds=thresholds, fallback=fallback, evaluator=keep)
+                    thresholds=thresholds, source=source, evaluator=keep)
     [fleet] = received
     assert "huge" in r.unplaced
-    # the placement in placement order, then the fallback of unplaced VMs
-    expected = reattached(state, r.placement, fallback)
+    # the placement in placement order, then unplaced VMs on their sources
+    expected = reattached(state, r.placement, source)
     for vm_id in vm_ids:
         assert state.host[state.index[vm_id]] == -1
     for name in _ARRAYS:
@@ -569,20 +570,19 @@ def test_lockstep_walk_equals_single_kind_walks(seed):
     state, vm_ids, _, thresholds = dynso_instance(seed, hosts=10, vms=24)
     rng = np.random.default_rng(1000 + seed)
     host_list = sorted(rng.choice(10, size=7, replace=False).tolist())
-    forbidden = {v: int(rng.integers(0, 10)) for v in vm_ids[::3]}
+    source = {v: int(rng.integers(0, 10)) for v in vm_ids[::3]}
     kinds = list(SoKind)
-    _, rows = _bfd(len(kinds), vm_ids, host_list, state, thresholds, 0.9,
-                   forbidden, _so_pick(kinds, SoSaModel(), 300.0))
+    _, rows = _bfd(len(kinds), vm_ids, host_list, state, thresholds, source,
+                   _so_pick(kinds, SoSaModel(), 300.0))
     placements = []
     for kind, row in zip(kinds, rows):
-        single = so_place(kind, vm_ids, host_list, state, thresholds, 0.9,
-                          forbidden)
+        single = so_place(kind, vm_ids, host_list, state, thresholds, source)
         assert list(row.placement.items()) == list(single.placement.items())
         assert row.unplaced == single.unplaced
         assert row.chosen_norm_values == single.chosen_norm_values
         assert "huge" in row.unplaced
         assert set(row.placement.values()) <= set(host_list)
-        assert all(row.placement.get(v) != h for v, h in forbidden.items())
+        assert all(row.placement.get(v) != h for v, h in source.items())
         placements.append(row.placement)
     # the kinds must not all agree, or the rows would not be tested apart
     assert len({frozenset(p.items()) for p in placements}) > 1
@@ -617,7 +617,7 @@ def random_fleet(seed, fan_map):
 @pytest.mark.parametrize("seed", range(6))
 def test_fleet_place_equals_attach_and_refresh(fan_map, seed):
     state, rng = random_fleet(seed, fan_map)
-    fleet = _Fleet(state, 1, range(8), {}, 0.9)
+    fleet = _Fleet(state, 1, range(8), None)
     assert fleet.total_p[0] == effective_it_power(state)
     total = fleet.total_p[0]
     for i in rng.permutation(12):
@@ -646,7 +646,7 @@ def test_fleet_place_equals_attach_and_refresh(fan_map, seed):
 
 
 def test_placers_do_not_copy_or_modify_the_state(monkeypatch):
-    state, vm_ids, fallback, thresholds = dynso_instance(5)
+    state, vm_ids, source, thresholds = dynso_instance(5)
 
     def snapshot():
         return {name: getattr(state, name).tolist() for name in _ARRAYS}
@@ -657,13 +657,13 @@ def test_placers_do_not_copy_or_modify_the_state(monkeypatch):
     monkeypatch.setattr(DataCenterState, "copy",
                         lambda self: copies.append(self) or copy(self))
     for kind in SoKind:
-        so_place(kind, vm_ids, range(6), state, thresholds)
+        so_place(kind, vm_ids, range(6), state, thresholds, source)
     for kind in ("mo1", "mo2"):
-        mo_place(kind, vm_ids, range(6), state, thresholds,
+        mo_place(kind, vm_ids, range(6), state, thresholds, source,
                  prefer_utilization=0.2)
-    swfdvp_place(vm_ids, range(6), state, thresholds)
+    swfdvp_place(vm_ids, range(6), state, thresholds, source)
     for evaluator in (None, _drain_aware_evaluator(SimConfig(), thresholds)):
         dynso_place(vm_ids, range(6), state, thresholds=thresholds,
-                    fallback=fallback, evaluator=evaluator)
+                    source=source, evaluator=evaluator)
     assert copies == []
     assert snapshot() == before

@@ -13,7 +13,7 @@ from dcsim.report import workload_fingerprint
 from dcsim.workload import (TRACE_COLUMNS, TraceError, Workload,
                             _parse_trace_file, load_traces, save_traces,
                             synth_workload, variability_score)
-from oracles import load_traces_rowwise
+from oracles import load_traces_rowwise, save_traces_rowwise
 
 
 def make_workload(cpu_rows, slot_seconds=300):
@@ -175,6 +175,19 @@ def test_roundtrip_save_load_fixed_point(tmp_path):
         prev = cur
     else:
         pytest.fail("round trip never reached a fixed point")
+
+
+def test_save_traces_writes_the_rowwise_bytes(tmp_path):
+    # a seeded day, and the same day read back from its trace files, whose
+    # values went through the percent column
+    w = synth_workload(vms=120, slots=288, variability=280.0, seed=3)
+    save_traces(w, tmp_path / "synth")
+    for name, workload in (("synth", w), ("loaded", load_traces(tmp_path / "synth"))):
+        save_traces(workload, tmp_path / name / "new")
+        save_traces_rowwise(workload, tmp_path / name / "rowwise")
+        for vid in workload.vm_ids:
+            assert (tmp_path / name / "new" / f"{vid}.csv").read_bytes() == \
+                (tmp_path / name / "rowwise" / f"{vid}.csv").read_bytes(), vid
 
 
 def test_load_traces_rejects_unknown_fill(tmp_path):
