@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .models import ThermalModelParams
 
 
@@ -34,16 +36,17 @@ class VarInletCooling:
 CoolingStrategy = FixedCooling | VarInletCooling
 
 
-def max_inlet_for_host(u_cpu: float, t_cpu_max: float,
+def max_inlet_for_host(u_cpu, t_cpu_max: float,
                        thermal: ThermalModelParams = ThermalModelParams(),
-                       t_inlet_max: float = 303.15) -> float:
-    """Highest inlet temperature keeping the CPU at or below ``t_cpu_max``.
+                       t_inlet_max: float = 303.15):
+    """Highest inlet temperature keeping the CPU at or below ``t_cpu_max``,
+    element-wise over a utilization or an array of them.
 
     Inverts the steady-state CPU temperature model and clamps to the server's
     inlet bound.
     """
     raw = (t_cpu_max - thermal.cpu_k2 * u_cpu) / thermal.cpu_k1
-    return min(raw, t_inlet_max)
+    return np.minimum(raw, t_inlet_max)
 
 
 def cooling_setpoint(state, strategy: CoolingStrategy) -> float:
@@ -55,11 +58,9 @@ def cooling_setpoint(state, strategy: CoolingStrategy) -> float:
     """
     if isinstance(strategy, FixedCooling):
         return strategy.setpoint
-    thermal = state.params.thermal
-    active = state.u_cpu[state.on].tolist()
-    if not active:
+    active = state.u_cpu[state.on]
+    if not active.size:
         return strategy.ceiling
-    lowest = min(
-        max_inlet_for_host(u, strategy.t_cpu_max, thermal, state.spec.t_inlet_max)
-        for u in active)
+    lowest = max_inlet_for_host(active, strategy.t_cpu_max, state.params.thermal,
+                                state.spec.t_inlet_max).min().item()
     return min(max(lowest, strategy.floor), strategy.ceiling)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from statistics import median
 
 import numpy as np
 
@@ -17,29 +16,26 @@ class MadConfig:
     fallback_threshold: float = 0.9
 
     def __post_init__(self):
-        if self.safety <= 0:
-            raise ValueError("safety must be positive")
+        # comparisons reject NaN, which would otherwise give NaN thresholds
+        if not 0.0 < self.safety < float("inf"):
+            raise ValueError("safety must be a finite number > 0")
         if self.history_window < 1:
             raise ValueError("history_window must be >= 1")
+        if not 0.5 <= self.fallback_threshold <= 1.0:
+            raise ValueError("fallback_threshold must be in [0.5, 1.0]")
 
 
-def mad(values) -> float:
-    """Median absolute deviation from the median."""
-    m = median(values)
-    return median(abs(v - m) for v in values)
-
-
-def overload_threshold(history, cfg: MadConfig = MadConfig()) -> float:
-    """Adaptive utilization threshold: 1 - safety * MAD of recent utilization.
-
-    Falls back to the static threshold until enough history accumulated;
-    the result is clamped to [0.5, 1.0].
-    """
-    recent = list(history)[-cfg.history_window:]
-    if len(recent) < cfg.history_window:
-        return cfg.fallback_threshold
-    t = 1.0 - cfg.safety * mad(recent)
-    return min(1.0, max(0.5, t))
+def overload_threshold(history: np.ndarray, filled: np.ndarray,
+                       cfg: MadConfig = MadConfig()) -> np.ndarray:
+    """Each host's adaptive overload threshold: 1 - safety * MAD (median
+    absolute deviation from the median) of its ``history`` row, clamped to
+    [0.5, 1.0], or the fallback where ``filled``, the slots written since
+    the row was last reset, is short of the window.  A median ignores
+    order, so a row may be a ring in any rotation."""
+    med = np.median(history, axis=1, keepdims=True)
+    t = 1.0 - cfg.safety * np.median(np.abs(history - med), axis=1)
+    return np.where(filled < cfg.history_window, cfg.fallback_threshold,
+                    np.clip(t, 0.5, 1.0))
 
 
 # share of a host's network link reserved for live migration

@@ -5,7 +5,6 @@ accounting."""
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -57,6 +56,8 @@ class SimConfig:
     def __post_init__(self):
         if self.slot_seconds <= 0:
             raise ValueError("slot_seconds must be positive")
+        if self.hosts < 1:
+            raise ValueError("hosts must be >= 1")
         if self.policy not in POLICY_NAMES:
             raise ValueError(f"unknown policy {self.policy!r}")
         if self.max_drains_per_slot < 0:
@@ -219,8 +220,11 @@ def run(workload: Workload, cfg: SimConfig) -> RunReport:
     vm_req = np.zeros(len(vm_ids))
     host_active = np.zeros(cfg.hosts, dtype=int)
     host_saturated = np.zeros(cfg.hosts, dtype=int)
-    # MAD utilization history of each host while it is powered on
-    history = [deque(maxlen=cfg.mad.history_window) for _ in range(cfg.hosts)]
+    # each host's last history_window utilizations as a ring, and the slots
+    # it has been on since it was last off (its ring is reset while off)
+    window = cfg.mad.history_window
+    history = np.zeros((cfg.hosts, window))
+    filled = np.zeros(cfg.hosts, dtype=int)
     calib_values: list[float] = []
     calib_energy: list[float] = []
 
@@ -234,16 +238,10 @@ def run(workload: Workload, cfg: SimConfig) -> RunReport:
                          disk_write=workload.disk_write[:, t])
 
         # detection: each host's overload threshold, from its MAD history
-        # while it is on
-        thr_list = []
-        for h, (on, u) in enumerate(zip(state.on.tolist(), state.u_cpu.tolist())):
-            if on:
-                history[h].append(u)
-                thr_list.append(overload_threshold(history[h], cfg.mad))
-            else:
-                history[h].clear()
-                thr_list.append(cfg.mad.fallback_threshold)
-        thresholds = np.array(thr_list)
+        on = state.on
+        filled = np.where(on, filled + 1, 0)
+        history[on, (filled[on] - 1) % window] = state.u_cpu[on]
+        thresholds = overload_threshold(history, filled, cfg.mad)
 
         # the VMs to place, and the host each VM that moves leaves; a VM
         # never goes back to its source, and one that finds no host stays
@@ -251,7 +249,7 @@ def run(workload: Workload, cfg: SimConfig) -> RunReport:
         source: dict[str, int] = {}
         overloaded = np.flatnonzero(state.on & (state.cpu_sum >= thresholds))
         for h in overloaded.tolist():
-            for vid in select_vms_mmt(h, thr_list[h], state):
+            for vid in select_vms_mmt(h, thresholds.item(h), state):
                 to_move.append(vid)
                 source[vid] = h
 

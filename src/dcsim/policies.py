@@ -10,7 +10,6 @@ function of the state.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -222,8 +221,8 @@ def _reciprocals(tab: dict):
 
 def _values_for_kind(kind: SoKind, k: int, tab: dict, recip, fleet: _Fleet,
                      sosa: SoSaModel, slot_seconds: float):
-    """(values, valid_mask) of row ``k`` for one VM; ``recip()`` returns
-    :func:`_reciprocals` of the table, computed once per VM on demand."""
+    """(values, valid_mask) of row ``k`` for one VM; ``recip`` is
+    :func:`_reciprocals` of the table, or None for a kind that reads none."""
     feas = tab["feasible"][k]
     if kind == SoKind.SWFDVP:
         # minus the power increment, with the best host dropped when there
@@ -245,7 +244,7 @@ def _values_for_kind(kind: SoKind, k: int, tab: dict, recip, fleet: _Fleet,
     if kind == SoKind.SO7:
         return tab["p_after"][k] + tab["p_cool"][k], feas
 
-    so3, valid3, so6, valid6 = (a[k] for a in recip())
+    so3, valid3, so6, valid6 = (a[k] for a in recip)
     if kind == SoKind.SO3:
         return so3, valid3
     if kind == SoKind.SO6:
@@ -269,12 +268,14 @@ def _so_pick(kinds, sosa: SoSaModel, slot_seconds: float):
     """Pick rule of the SO kinds, one fleet row per kind: each row takes its
     feasible host of lowest value, ties to the lowest host id."""
     kinds = [SoKind(kind) for kind in kinds]
+    reads_recip = any(kind in (SoKind.SO3, SoKind.SO6, SoKind.SO8, SoKind.SO_SA)
+                      for kind in kinds)
 
     def pick(fleet, tab):
         shape = tab["feasible"].shape
         values = np.zeros(shape)
         valid = np.zeros(shape, dtype=bool)
-        recip = functools.cache(lambda: _reciprocals(tab))
+        recip = _reciprocals(tab) if reads_recip else None
         for k, kind in enumerate(kinds):
             values[k], valid[k] = _values_for_kind(kind, k, tab, recip, fleet,
                                                    sosa, slot_seconds)

@@ -10,7 +10,10 @@ placers cost many hosts at once through the array model
 paper's SO1-SO7 and MO definitions written out for one candidate.
 ``load_traces_rowwise`` is the trace loader that reads one row and fills one
 slot-grid cell at a time, and ``save_traces_rowwise`` the trace writer that
-formats one row at a time from numpy scalars.
+formats one row at a time from numpy scalars.  ``overload_threshold`` is the
+MAD threshold of one host's utilization history, from ``statistics.median``
+on Python floats, where ``detection.overload_threshold`` takes every host's
+at once.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from statistics import median
 
 import numpy as np
 
@@ -62,6 +66,23 @@ def scalar_operating_point(cpu_sum: float, ram_sum: float, disk_read: float,
             + pw.c_fan * fan ** 3
             + (p.disk.c_read * disk_read + p.disk.c_write * disk_write))
     return u_cpu, mode, t_mem, p_it
+
+
+def mad(values) -> float:
+    """Median absolute deviation from the median."""
+    m = median(values)
+    return median(abs(v - m) for v in values)
+
+
+def overload_threshold(history, cfg) -> float:
+    """``detection.overload_threshold`` of one host, from its utilizations
+    oldest first: the fallback until they fill ``cfg.history_window``, then
+    1 - safety * MAD of the last window's worth, clamped to [0.5, 1.0]."""
+    recent = list(history)[-cfg.history_window:]
+    if len(recent) < cfg.history_window:
+        return cfg.fallback_threshold
+    t = 1.0 - cfg.safety * mad(recent)
+    return min(1.0, max(0.5, t))
 
 
 class GuardError(ValueError):

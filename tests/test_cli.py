@@ -221,7 +221,9 @@ def test_config_flags_accept_the_boolean_words(word, expected):
     ("run.oversubscription", "ture"), ("run.migration_double_power", ""),
     ("run.migration_double_power", "2"), ("run.hosts", "12x"),
     ("run.slot_seconds", "300.0"), ("detection.safety", "2,5"),
-    ("models.c_mem", "high"), ("sa.k", "0")])
+    ("models.c_mem", "high"), ("sa.k", "0"), ("run.hosts", "0"),
+    ("detection.safety", "nan"), ("detection.fallback_threshold", "nan"),
+    ("detection.fallback_threshold", "0")])
 def test_config_malformed_value_names_its_key(key, value):
     from dcsim.config import ConfigError, apply_config
     from dcsim.engine import SimConfig
@@ -238,3 +240,11 @@ def test_config_malformed_value_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path / "o"))
     assert rc == 2
     assert "run.hosts" in capsys.readouterr().err
+
+
+def test_zero_hosts_flag_exits_2(tmp_path, capsys):
+    rc = run_cli("run", "--policy", "pabfd", "--hosts", "0",
+                 "--synth", "vms=4,slots=4,var=50,seed=0",
+                 "--out", str(tmp_path / "o"))
+    assert rc == 2
+    assert "hosts" in capsys.readouterr().err

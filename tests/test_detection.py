@@ -5,32 +5,42 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from dcsim.core import DataCenterState, VmState, default_server_spec
-from dcsim.detection import (MadConfig, find_underloaded, mad,
-                             overload_threshold, select_vms_mmt)
+from dcsim.detection import (MadConfig, find_underloaded, overload_threshold,
+                             select_vms_mmt)
 from dcsim.policies import SoKind, so_place
+import oracles
 
 CFG = MadConfig()
 
 
+def row_threshold(history, cfg=CFG):
+    """The array threshold of one host whose ring was written with
+    ``history`` since its last reset (at most a window of it)."""
+    assert len(history) <= cfg.history_window
+    row = np.zeros((1, cfg.history_window))
+    row[0, :len(history)] = history
+    return overload_threshold(row, np.array([len(history)]), cfg).item()
+
+
 def test_threshold_constant_history_hits_ceiling():
     # zero dispersion: MAD = 0, threshold clamps at 1.0
-    assert overload_threshold([0.5] * 12, CFG) == 1.0
+    assert row_threshold([0.5] * 12) == 1.0
 
 
 def test_threshold_hand_computed_mad():
     history = [0.2, 0.4, 0.6, 0.8, 1.0]
-    assert mad(history) == pytest.approx(0.2)
+    assert oracles.mad(history) == pytest.approx(0.2)
     cfg = MadConfig(history_window=5)
-    assert overload_threshold(history, cfg) == pytest.approx(0.5)
+    assert row_threshold(history, cfg) == pytest.approx(0.5)
 
 
 def test_threshold_falls_back_on_short_history():
-    assert overload_threshold([0.1, 0.2, 0.3], CFG) == CFG.fallback_threshold
+    assert row_threshold([0.1, 0.2, 0.3]) == CFG.fallback_threshold
 
 
 def test_threshold_clamped_to_half():
     cfg = MadConfig(safety=10.0, history_window=5)
-    assert overload_threshold([0.0, 0.25, 0.5, 0.75, 1.0], cfg) == 0.5
+    assert row_threshold([0.0, 0.25, 0.5, 0.75, 1.0], cfg) == 0.5
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=12, max_size=12),
@@ -38,8 +48,25 @@ def test_threshold_clamped_to_half():
 def test_threshold_depends_only_on_dispersion(history, shift):
     # MAD is location invariant, so shifting the series leaves it unchanged
     shifted = [u + shift for u in history]
-    assert overload_threshold(shifted, CFG) == pytest.approx(
-        overload_threshold(history, CFG), abs=1e-12)
+    assert row_threshold(shifted) == pytest.approx(row_threshold(history),
+                                                   abs=1e-12)
+
+
+def test_threshold_rows_equal_the_scalar_reference():
+    # rings in every rotation, short and full, with ties from rounding
+    rng = np.random.default_rng(11)
+    for window in (1, 2, 3, 5, 12, 13):
+        for safety in (0.5, 2.5, 10.0):
+            cfg = MadConfig(safety=safety, history_window=window)
+            history = rng.random((300, window))
+            history[::3] = history[::3].round(2)
+            filled = rng.integers(0, 3 * window, 300)
+            expected = []
+            for ring, n in zip(history.tolist(), filled.tolist()):
+                k = n % window
+                oldest_first = ring[k:] + ring[:k] if n >= window else ring[:n]
+                expected.append(oracles.overload_threshold(oldest_first, cfg))
+            assert overload_threshold(history, filled, cfg).tolist() == expected
 
 
 def mmt_state():
@@ -133,10 +160,15 @@ def test_underloaded_sorted_ascending_and_respects_exclude():
 
 
 def test_mad_config_validation():
-    with pytest.raises(ValueError):
-        MadConfig(safety=0.0)
-    with pytest.raises(ValueError):
-        MadConfig(history_window=0)
+    nan, inf = float("nan"), float("inf")
+    for bad in ({"safety": 0.0}, {"safety": -1.0}, {"safety": nan},
+                {"safety": inf}, {"history_window": 0},
+                {"fallback_threshold": nan}, {"fallback_threshold": 0.0},
+                {"fallback_threshold": 0.49}, {"fallback_threshold": 1.01}):
+        with pytest.raises(ValueError):
+            MadConfig(**bad)
+    MadConfig(fallback_threshold=0.5)
+    MadConfig(fallback_threshold=1.0)
 
 
 def random_underload_case(rng):

@@ -1,13 +1,16 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
 from dcsim import engine, models
 from dcsim.cooling import FixedCooling, VarInletCooling
 from dcsim.core import DataCenterState, VmState, default_server_spec
+from dcsim.detection import MadConfig
 from dcsim.engine import MigrationEvent, SimConfig, migration_cost, run
 from dcsim.report import slots_csv, summary_csv
 from dcsim.workload import Workload, synth_workload
-from oracles import governor_frequency
+from oracles import governor_frequency, overload_threshold as scalar_threshold
 
 
 def constant_workload(demands, slots, rams=None, slot_seconds=300):
@@ -238,3 +241,50 @@ def test_demand_growth_on_an_untouched_host_does_not_abort_the_run():
     r = run(w, SimConfig(hosts=3, policy="pabfd"))
     assert len(r.slots) == 2
     assert r.slots[1].e_it > 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("window", [1, 5, 12])
+def test_thresholds_equal_one_deque_per_host_and_the_scalar_reference(
+        monkeypatch, window, seed):
+    # record which hosts are on and their utilization as detection sees them,
+    # and the thresholds the engine used; then replay the slots through one
+    # history deque per host, cleared while the host is off
+    seen, used = [], []
+    set_demand = DataCenterState.set_demand
+    threshold = engine.overload_threshold
+
+    def recording_set_demand(self, *args, **kwargs):
+        set_demand(self, *args, **kwargs)
+        seen.append((self.on.tolist(), self.u_cpu.tolist()))
+
+    def recording_threshold(*args):
+        out = threshold(*args)
+        used.append(out.tolist())
+        return out
+
+    monkeypatch.setattr(DataCenterState, "set_demand", recording_set_demand)
+    monkeypatch.setattr(engine, "overload_threshold", recording_threshold)
+    mad = MadConfig(history_window=window)
+    hosts = 10
+    run(synth_workload(vms=20, slots=48, variability=280.0, seed=seed),
+        SimConfig(hosts=hosts, mad=mad))
+    assert len(seen) == len(used) == 48
+
+    history = [deque(maxlen=window) for _ in range(hosts)]
+    ever_on = [False] * hosts
+    came_back = False
+    for (on, u), thresholds in zip(seen, used):
+        expected = []
+        for h in range(hosts):
+            if on[h]:
+                came_back |= ever_on[h] and not history[h]
+                ever_on[h] = True
+                history[h].append(u[h])
+                expected.append(scalar_threshold(history[h], mad))
+            else:
+                history[h].clear()
+                expected.append(mad.fallback_threshold)
+        assert thresholds == expected
+    # some host went off and came back on, so the ring's reset ran
+    assert came_back
