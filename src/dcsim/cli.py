@@ -99,8 +99,8 @@ def _run_one(workload: Workload, cfg: SimConfig, out_dir: str) -> dict:
 
 
 def cmd_run(args) -> int:
-    workload = _load_workload(args)
     cfg = _build_config(args)
+    workload = _load_workload(args)
     manifest = _run_one(workload, cfg, args.out)
     t = manifest["totals"]
     print(f"{cfg.policy} / {manifest['cooling']}: "
@@ -121,7 +121,6 @@ def _grid_worker(job):
 
 
 def cmd_grid(args) -> int:
-    workload = _load_workload(args)
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     coolings = [c.strip() for c in args.coolings.split(",") if c.strip()]
     for p in policies:
@@ -133,6 +132,7 @@ def cmd_grid(args) -> int:
         for c in coolings:
             cfg = replace(base, policy=p, cooling=cooling_from_name(c))
             jobs.append((cfg, str(Path(args.out) / f"{p}_{c}")))
+    workload = _load_workload(args)
 
     workers = min(int(os.environ.get("DCSIM_THREADS", os.cpu_count() or 1)),
                   len(jobs))

@@ -445,12 +445,11 @@ def dynso_place(vm_list, host_list, state: DataCenterState,
                                            slot_seconds))
     evaluator = evaluator or evaluate_global_power
     best = None
-    seen = set()
+    seen = []
     for k, (kind, r) in enumerate(zip(kinds, results)):
-        key = frozenset(r.placement.items())
-        if key in seen:
+        if r.placement in seen:
             continue
-        seen.add(key)
+        seen.append(r.placement)
         power = evaluator(fleet.view(k, r.placement, source or {}))
         if best is None or power < best.global_power:
             best = DynSoResult(placement=r.placement, unplaced=r.unplaced,

@@ -256,6 +256,8 @@ def synth_workload(vms: int, slots: int, variability: float, seed: int,
         for t in range(1, slots):
             x[:, t] = base + ar_phi * (x[:, t - 1] - base) \
                 + ar_sigma * base * noise[:, t]
+        # freeing each draw once used, and scaling x in place, bounds the peak
+        del noise
         # occasional demand bursts: these drive per-VM dynamics (overload
         # detection) while mostly cancelling in the aggregate
         starts = rng.random(size=(vms, slots)) < burst_prob
@@ -265,14 +267,16 @@ def synth_workload(vms: int, slots: int, variability: float, seed: int,
         for i, t in zip(*np.nonzero(starts)):
             mult[i, t:t + lengths[i, t]] = np.maximum(
                 mult[i, t:t + lengths[i, t]], factors[i, t])
-        x = x * mult
+        del starts, lengths, factors
+        x *= mult
+        del mult
         if jitter_sigma > 0:
             # fast per-slot noise: drives adaptive-threshold dispersion the
             # way spiky production traces do; lognormal exponentiates with
             # libm's exp, which gives the same bits on every CPU
-            x = x * rng.lognormal(-0.5 * jitter_sigma ** 2, jitter_sigma,
-                                  size=(vms, slots))
-        x = np.clip(x, 0.005, 0.98)
+            x *= rng.lognormal(-0.5 * jitter_sigma ** 2, jitter_sigma,
+                               size=(vms, slots))
+        np.clip(x, 0.005, 0.98, out=x)
 
         agg = x.sum(axis=0)
         m0 = agg.mean()
@@ -282,8 +286,8 @@ def synth_workload(vms: int, slots: int, variability: float, seed: int,
             gamma = (variability / 100.0) * m0 / tv0
             target = m0 + gamma * dev
             target = np.maximum(target, 0.02 * m0)
-            x = x * (target / agg)[None, :]
-        x = np.clip(x, 0.001, 0.98)
+            x *= (target / agg)[None, :]
+        np.clip(x, 0.001, 0.98, out=x)
 
     cores = np.clip(np.ceil(x.max(axis=1) * 4.0).astype(int), 1, 4)
     ram = np.repeat(rng.uniform(512.0, 2048.0, size=vms)[:, None], slots, axis=1)

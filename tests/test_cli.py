@@ -3,7 +3,9 @@ import os
 
 import pytest
 
+from dcsim import cli
 from dcsim.cli import main
+from dcsim.config import ConfigError
 from dcsim.report import savings_pct
 
 
@@ -248,3 +250,25 @@ def test_zero_hosts_flag_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path / "o"))
     assert rc == 2
     assert "hosts" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["run", "--policy", "pabfd", "--hosts", "0"], "hosts must be >= 1"),
+    (["grid", "--policies", "pabfd", "--coolings", "fixed291", "--hosts", "0"],
+     "hosts must be >= 1"),
+    (["grid", "--policies", "pabfd,bogus", "--coolings", "fixed291"],
+     "unknown policy 'bogus'"),
+    (["grid", "--policies", "pabfd", "--coolings", "fixed291,chilly"],
+     "chilly"),
+])
+def test_config_errors_are_reported_before_the_workload_loads(
+        tmp_path, capsys, monkeypatch, args, message):
+    def load(args):
+        raise ConfigError("the workload was loaded")
+    monkeypatch.setattr(cli, "_load_workload", load)
+    rc = run_cli(*args, "--synth", "vms=4,slots=4,var=50,seed=0",
+                 "--out", str(tmp_path / "o"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "the workload was loaded" not in err

@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import dcsim
 from dcsim.core import DataCenterState, VmState, default_server_spec
 from dcsim.detection import (MadConfig, find_underloaded, overload_threshold,
                              select_vms_mmt)
@@ -67,6 +72,28 @@ def test_threshold_rows_equal_the_scalar_reference():
                 oldest_first = ring[k:] + ring[:k] if n >= window else ring[:n]
                 expected.append(oracles.overload_threshold(oldest_first, cfg))
             assert overload_threshold(history, filled, cfg).tolist() == expected
+
+
+MA_RUN = """
+import sys
+from dcsim.engine import SimConfig, run
+from dcsim.workload import synth_workload
+w = synth_workload(vms=40, slots=16, variability=100.0, seed=1)
+for policy in ("pabfd", "dynso"):
+    run(w, SimConfig(hosts=20, policy=policy))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_a_run_does_not_import_numpy_ma():
+    # np.median imports numpy.ma on its first call, which costs a run
+    # about 2 MB of resident memory; the detection sorts instead
+    src = str(Path(dcsim.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", MA_RUN], capture_output=True,
+                         text=True, timeout=300,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def mmt_state():

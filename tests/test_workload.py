@@ -405,3 +405,21 @@ def test_load_traces_holds_about_one_copy_of_the_rows(tmp_path):
         "cpu", "ram", "disk_read", "disk_write", "net_bw", "cores",
         "ram_provisioned"))
     assert peak <= 1.25 * (rows + out), peak / (rows + out)
+
+
+def test_synth_workload_peaks_near_its_output():
+    # the traced peak of a fleet-dynso-sized synthesis stays near the
+    # Workload it returns: each full-size draw is freed once used, and x is
+    # scaled in place
+    synth_workload(vms=4, slots=4, variability=50.0, seed=0)  # lazy imports
+    tracemalloc.start()
+    try:
+        w = synth_workload(vms=960, slots=40, variability=280.0 * 40 / 288,
+                           seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = sum(getattr(w, name).nbytes for name in (
+        "cpu", "ram", "disk_read", "disk_write", "net_bw", "cores",
+        "ram_provisioned"))
+    assert peak <= 1.3 * out, peak / out
