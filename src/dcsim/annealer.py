@@ -116,8 +116,8 @@ def _start(state: DataCenterState, vm_ids: list[str], solution, scale: float):
         loads[h] = (n + 1, c + cpu, r + ram, b + bw, d + read, w + write)
     cost = _host_cost(state)
     costs = [cost(*load) for load in loads]
-    power = sum(c[0] for c in costs)
-    excess = sum(c[1] for c in costs)
+    power = models.left_sum(c[0] for c in costs)
+    excess = models.left_sum(c[1] for c in costs)
     cool = 1.0 + 1.0 / models.cop(state.setpoint, state.params.cooling)
     return (vms, cost, loads, costs, power, excess, cool,
             power * cool * (1.0 + scale * excess))

@@ -55,9 +55,7 @@ class ServerSpec:
     cores: int = 4
     ram_capacity: float = 16384.0        # MB
     bw_capacity: float = 125.0           # MB/s
-    disk_capacity: float = 1_000_000.0   # MB
     e_boot: float = 13.514e-3            # kWh per power-on event
-    t_cpu_max: float = 338.15            # K (65 C reliability cap)
     t_inlet_max: float = 303.15          # K (30 C fan-failure bound)
     fan_speed_default: float = 5000.0    # RPM
 
@@ -66,8 +64,6 @@ class ServerSpec:
             raise ValueError("dvfs_table must not be empty")
         if self.e_boot < 0:
             raise ValueError("e_boot must be >= 0")
-        if self.t_cpu_max <= self.t_inlet_max:
-            raise ValueError("t_cpu_max must exceed t_inlet_max")
         freqs = [m.f_op for m in self.dvfs_table]
         if freqs != sorted(freqs) or len(set(freqs)) != len(freqs):
             raise ValueError("dvfs_table must be strictly increasing in f_op")
@@ -291,7 +287,7 @@ class DataCenterState:
 
     def total_it_power(self) -> float:
         """Fleet IT power (W), summed in host-id order with Python floats."""
-        return sum(self.p_it.tolist())
+        return models.left_sum(self.p_it.tolist())
 
 
 @dataclass

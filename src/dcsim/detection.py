@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CAPACITY_SLACK, DataCenterState, ServerSpec
+from .models import left_sum
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,7 @@ def select_vms_mmt(host: int, threshold: float,
     for i in sorted(staying, key=lambda i: (ram.item(i) / bw, ids[i])):
         picked.append(ids[i])
         staying.remove(i)
-        if sum(cpu.item(j) for j in staying) < threshold:
+        if left_sum(cpu.item(j) for j in staying) < threshold:
             break
     return picked
 

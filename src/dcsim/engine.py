@@ -12,22 +12,17 @@ import numpy as np
 from . import annealer, models, policies
 from .cooling import CoolingStrategy, FixedCooling, cooling_setpoint
 from .core import (CapacityError, DataCenterState, ServerSpec, SlotMetrics,
-                   VmState, apply_placement, default_server_spec)
+                   VmState, apply_placement)
 from .detection import MadConfig, find_underloaded, migration_bandwidth, \
     overload_threshold, select_vms_mmt
-from .models import KWH_PER_WS, ModelParams
+from .models import KWH_PER_WS, ModelParams, left_sum
 from .policies import DEFAULT_DYNSO_LIST, SoKind, SoSaModel
 from .workload import Workload
 
 POLICY_NAMES = ("pabfd", "so1", "so2", "so3", "so4", "so5", "so6", "so7",
                 "so8", "sosa", "dynso", "mo1", "mo2", "sa", "swfdvp")
 
-_SO_BY_NAME = {
-    "pabfd": SoKind.SO1, "so1": SoKind.SO1, "so2": SoKind.SO2,
-    "so3": SoKind.SO3, "so4": SoKind.SO4, "so5": SoKind.SO5,
-    "so6": SoKind.SO6, "so7": SoKind.SO7, "so8": SoKind.SO8,
-    "sosa": SoKind.SO_SA, "swfdvp": SoKind.SWFDVP,
-}
+_SO_BY_NAME = {"pabfd": SoKind.SO1, **{kind.value: kind for kind in SoKind}}
 
 # a host is a drain source only when its utilization sits below this
 # fraction of the busy fleet's mean; relative detection keeps the repeat
@@ -106,11 +101,50 @@ class RunReport:
     calib_energy: list[float] = field(default_factory=list)
 
 
+@dataclass
+class Detection:
+    """Each host's overload threshold, the hosts at or above it, the VMs to
+    place (the unplaced ones, then MMT picks) and the host each pick leaves."""
+    thresholds: np.ndarray
+    overloaded: list[int]
+    to_move: list[str]
+    source: dict[str, int]
+
+
+@dataclass
+class PassRecord:
+    """A placement pass: the placer's result (None when it was not called),
+    and the power-on events and migrations of what was applied."""
+    result: policies.PlacementResult | None = None
+    power_on_events: int = 0
+    migrations: list[MigrationEvent] = field(default_factory=list)
+
+
+@dataclass
+class _Ledger:
+    """What the slots add up to: the energy totals and the SLA terms."""
+    totals: RunTotals
+    host_active: np.ndarray     # slots on
+    host_saturated: np.ndarray  # slots at full CPU
+    vm_deg: np.ndarray          # migration degradation
+    vm_req: np.ndarray          # requested CPU-seconds
+
+
 def _underload_cut(state: DataCenterState) -> float:
     """Utilization below which a host may be drained: ``UNDERLOAD_FRACTION``
     of the mean over the busy hosts, or 0.0 when no host is busy."""
     busy_u = state.u_cpu[state.busy].tolist()
-    return UNDERLOAD_FRACTION * (sum(busy_u) / len(busy_u)) if busy_u else 0.0
+    return UNDERLOAD_FRACTION * (left_sum(busy_u) / len(busy_u)) if busy_u else 0.0
+
+
+def _drain_sources(cfg: SimConfig, state: DataCenterState,
+                   thresholds: np.ndarray, overloaded: set[int]) -> list[int]:
+    """The hosts the drain pass would empty: the lightest underloaded hosts
+    outside ``overloaded``, at most ``max_drains_per_slot`` of them."""
+    if cfg.max_drains_per_slot == 0:
+        return []
+    return find_underloaded(state, thresholds, overloaded, cut=_underload_cut(state),
+                            limit=cfg.max_drains_per_slot)
 
 
 def _drain_aware_evaluator(cfg: SimConfig, thresholds: np.ndarray):
@@ -121,24 +155,24 @@ def _drain_aware_evaluator(cfg: SimConfig, thresholds: np.ndarray):
 
     def evaluate(state: DataCenterState) -> float:
         busy = state.busy
-        power = sum(state.p_it[busy].tolist())
-        if busy.any() and cfg.max_drains_per_slot > 0:
+        power = left_sum(state.p_it[busy].tolist())
+        if busy.any():
             overloaded = np.flatnonzero(state.on & (state.cpu_sum >= thresholds))
-            drainable = find_underloaded(
-                state, thresholds, set(overloaded.tolist()),
-                cut=_underload_cut(state), limit=cfg.max_drains_per_slot)
-            power -= sum(state.p_it[drainable].tolist())
-        return power * (1.0 + 1.0 / models.cop(state.setpoint,
-                                               state.params.cooling))
+            drainable = _drain_sources(cfg, state, thresholds, set(overloaded.tolist()))
+            power -= left_sum(state.p_it[drainable].tolist())
+        return power * (1.0 + 1.0 / models.cop(state.setpoint, state.params.cooling))
 
     return evaluate
 
 
-def _place(cfg: SimConfig, plan: DataCenterState, vm_ids: list[str],
+def _place(cfg: SimConfig, state: DataCenterState, vm_ids: list[str],
            host_ids: list[int], thresholds: np.ndarray, source: dict[str, int],
            slot: int) -> policies.PlacementResult:
-    """Dispatch one slot's VM batch to the configured policy.  ``source``
-    maps each VM that leaves a host to that host."""
+    """Dispatch one slot's VM batch to the configured policy, on a copy of
+    ``state`` with the batch taken off its hosts.  ``source`` maps each VM
+    that leaves a host to that host."""
+    plan = state.copy()
+    plan.detach(*vm_ids)
     name = cfg.policy
     if name in _SO_BY_NAME:
         return policies.so_place(_SO_BY_NAME[name], vm_ids, host_ids, plan,
@@ -171,18 +205,15 @@ def _place(cfg: SimConfig, plan: DataCenterState, vm_ids: list[str],
 
 
 def _apply(cfg: SimConfig, state: DataCenterState, placement: dict[str, int],
-           slot: int) -> tuple[DataCenterState, int, list[MigrationEvent]]:
-    """The state after a placement, with its power-on count and its
-    migration events; a VM placed for the first time (no source host) does
-    not migrate.  A placement that breaks a capacity (an annealer edge case)
-    is not applied: the state is kept, with no events."""
+           slot: int, record: PassRecord) -> tuple[DataCenterState, PassRecord]:
+    """The state after a placement; ``record`` takes its power-on count and
+    migrations (a VM placed for the first time does not migrate).  A
+    placement that breaks a capacity (an annealer edge case) is not applied."""
     try:
-        applied = apply_placement(state, placement,
-                                  enforce_cpu=not cfg.oversubscription)
+        applied = apply_placement(state, placement, enforce_cpu=not cfg.oversubscription)
     except CapacityError:
-        return state, 0, []
+        return state, record
     new = applied.state
-    events = []
     bw = migration_bandwidth(new.spec)
     for vm_id, src, dst in applied.moved:
         if src is None:
@@ -190,173 +221,144 @@ def _apply(cfg: SimConfig, state: DataCenterState, placement: dict[str, int],
         vm = new.vm(vm_id)
         duration = min(vm.ram_used / bw if bw > 0 else cfg.slot_seconds,
                        cfg.slot_seconds)
-        events.append(MigrationEvent(vm_id, src, dst, duration, slot,
-                                     vm.cpu_demand))
-    return new, applied.power_on_events, events
+        record.migrations.append(
+            MigrationEvent(vm_id, src, dst, duration, slot, vm.cpu_demand))
+    record.power_on_events = applied.power_on_events
+    return new, record
+
+
+def _detect(cfg: SimConfig, state: DataCenterState, history: np.ndarray,
+            filled: np.ndarray) -> Detection:
+    """Each host's MAD overload threshold, and the VMs to move.  ``history``
+    keeps each host's last ``history_window`` utilizations as a ring, reset
+    while the host is off, and ``filled`` its slots on since; both are
+    updated in place."""
+    on = state.on
+    filled[:] = np.where(on, filled + 1, 0)
+    history[on, (filled[on] - 1) % cfg.mad.history_window] = state.u_cpu[on]
+    thresholds = overload_threshold(history, filled, cfg.mad)
+    overloaded = np.flatnonzero(on & (state.cpu_sum >= thresholds)).tolist()
+    source = {vid: h for h in overloaded
+              for vid in select_vms_mmt(h, thresholds.item(h), state)}
+    unplaced = [state.vm_ids[i] for i in np.flatnonzero(state.host < 0).tolist()]
+    return Detection(thresholds, overloaded, unplaced + list(source), source)
+
+
+def _first_pass(cfg: SimConfig, state: DataCenterState, det: Detection,
+                slot: int) -> tuple[DataCenterState, PassRecord]:
+    """Place the detected VMs on any host.  A VM never goes back to its
+    source, and one that finds no host stays."""
+    if not det.to_move:
+        return state, PassRecord()
+    result = _place(cfg, state, det.to_move, list(range(cfg.hosts)),
+                    det.thresholds, det.source, slot)
+    return _apply(cfg, state, result.placement, slot, PassRecord(result))
+
+
+def _drain_pass(cfg: SimConfig, state: DataCenterState, det: Detection,
+                slot: int) -> tuple[DataCenterState, PassRecord]:
+    """Underload repeat pass: one combined placement for the VMs of every
+    drain source, with the sources excluded as targets (a host slated for
+    power-off cannot receive).  Only hosts whose entire VM set found a new
+    home are drained and powered off."""
+    sources = _drain_sources(cfg, state, det.thresholds, set(det.overloaded))
+    hosted = {hid: sorted(state.vms_on(hid)) for hid in sources}
+    source = {vid: hid for hid in sources for vid in hosted[hid]}
+    candidates = [h for h in np.flatnonzero(state.on).tolist() if h not in hosted]
+    if not (candidates and source):
+        return state, PassRecord()
+    result = _place(cfg, state, list(source), candidates, det.thresholds, source, slot)
+    placed: dict[int, list[str]] = {}
+    for vid in result.placement:
+        placed.setdefault(source[vid], []).append(vid)
+    drained = [hid for hid, vids in placed.items() if len(vids) == len(hosted[hid])]
+    moves = {vid: result.placement[vid] for hid in drained for vid in placed[hid]}
+    record = PassRecord(result)
+    return _apply(cfg, state, moves, slot, record) if moves else (state, record)
+
+
+def _account(cfg: SimConfig, state: DataCenterState, first: PassRecord,
+             drain: PassRecord, slot: int, t0: float, ledger: _Ledger) -> SlotMetrics:
+    """Set the slot's cooling setpoint, then charge its energy and SLA terms."""
+    sp = cooling_setpoint(state, cfg.cooling)
+    state.set_setpoint(sp)
+    migrations = first.migrations + drain.migrations
+    power_on_events = first.power_on_events + drain.power_on_events
+    mig_energy, slot_pdm = migration_cost(migrations, state, cfg.slot_seconds,
+                                          cfg.migration_double_power)
+    for ev in migrations:
+        ledger.vm_deg[state.index[ev.vm_id]] += ev.degradation
+    e_it = state.total_it_power() * cfg.slot_seconds * KWH_PER_WS + mig_energy
+    e_cooling = e_it / models.cop(sp, state.params.cooling)
+    e_boot = power_on_events * state.spec.e_boot
+    totals = ledger.totals
+    totals.e_it += e_it
+    totals.e_cooling += e_cooling
+    totals.e_boot += e_boot
+    totals.power_on_events += power_on_events
+    totals.migrations += len(migrations)
+    saturated = state.on & (state.cpu_sum >= 1.0 - 1e-12)
+    ledger.host_active += state.on
+    ledger.host_saturated += saturated
+    ledger.vm_req += state.cpu * cfg.slot_seconds
+    active = int(np.count_nonzero(state.on))
+    otf = int(np.count_nonzero(saturated)) / active if active else 0.0
+    return SlotMetrics(
+        slot=slot, e_it=e_it, e_cooling=e_cooling, e_boot=e_boot,
+        power_on_events=power_on_events, migrations=len(migrations),
+        sla_otf=otf, sla_pdm=slot_pdm, sla_violation=otf * slot_pdm,
+        pue=(e_it + e_cooling) / e_it if e_it > 0 else 0.0,
+        setpoint=sp, wall_time=time.monotonic() - t0)
 
 
 def run(workload: Workload, cfg: SimConfig) -> RunReport:
     """Simulate a workload under one placement policy and cooling strategy.
 
-    Deterministic for a fixed config: placements are deterministic functions
-    of state and the annealer derives its per-slot RNG seed from the config.
-    Infeasible slots never abort the run; VMs with no feasible host stay
-    where they are.
+    Each slot takes its demands, then runs four phases over the fleet state:
+    :func:`_detect` (MAD thresholds, the VMs to move), :func:`_first_pass`
+    (place them), :func:`_drain_pass` (empty underloaded hosts) and
+    :func:`_account` (cooling setpoint, energy and SLA terms).  A run is
+    deterministic for a fixed config (the annealer seeds each slot from its
+    config seed), and a VM with no feasible host stays where it is.
     """
     t_start = time.monotonic()
-    spec = cfg.server or default_server_spec()
-    params = cfg.models
-
     initial_sp = (cfg.cooling.setpoint if isinstance(cfg.cooling, FixedCooling)
                   else cfg.cooling.ceiling)
-    state = DataCenterState.build(
-        cfg.hosts, {vid: VmState(vid) for vid in workload.vm_ids}, spec, params,
-        initial_sp)
-    vm_ids = state.vm_ids
-
-    slots: list[SlotMetrics] = []
-    totals = RunTotals()
-    vm_deg: dict[str, float] = {vid: 0.0 for vid in vm_ids}
-    vm_req = np.zeros(len(vm_ids))
-    host_active = np.zeros(cfg.hosts, dtype=int)
-    host_saturated = np.zeros(cfg.hosts, dtype=int)
-    # each host's last history_window utilizations as a ring, and the slots
-    # it has been on since it was last off (its ring is reset while off)
-    window = cfg.mad.history_window
-    history = np.zeros((cfg.hosts, window))
+    state = DataCenterState.build(cfg.hosts, {v: VmState(v) for v in workload.vm_ids},
+                                  cfg.server, cfg.models, initial_sp)
+    ledger = _Ledger(RunTotals(), *np.zeros((2, cfg.hosts), dtype=int),
+                     *np.zeros((2, len(state.vm_ids))))
+    history = np.zeros((cfg.hosts, cfg.mad.history_window))
     filled = np.zeros(cfg.hosts, dtype=int)
+    slots: list[SlotMetrics] = []
     calib_values: list[float] = []
-    calib_energy: list[float] = []
 
     for t in range(workload.slot_count):
         slot_t0 = time.monotonic()
+        state.set_demand(workload.cpu[:, t], workload.ram[:, t], workload.net_bw[:, t],
+                         workload.disk_read[:, t], workload.disk_write[:, t])
+        det = _detect(cfg, state, history, filled)
+        state, first = _first_pass(cfg, state, det, t)
+        # a slot that placed nothing logs 1.5, a constant row's band value
+        norms = first.result.chosen_norm_values if first.result else {}
+        calib_values.append(left_sum(norms.values()) / len(norms) if norms else 1.5)
+        state, drain = _drain_pass(cfg, state, det, t)
+        slots.append(_account(cfg, state, first, drain, t, slot_t0, ledger))
 
-        # demand update: take this slot's demands, rebuild host aggregates
-        state.set_demand(cpu=workload.cpu[:, t], ram=workload.ram[:, t],
-                         bw=workload.net_bw[:, t],
-                         disk_read=workload.disk_read[:, t],
-                         disk_write=workload.disk_write[:, t])
+    otf_values = [sat / act for sat, act in zip(ledger.host_saturated.tolist(),
+                                                ledger.host_active.tolist()) if act > 0]
+    otf = left_sum(otf_values) / len(otf_values) if otf_values else 0.0
+    pdm_values = [deg / req for deg, req in zip(ledger.vm_deg.tolist(),
+                                                ledger.vm_req.tolist()) if req > 0]
+    pdm = left_sum(pdm_values) / len(pdm_values) if pdm_values else 0.0
 
-        # detection: each host's overload threshold, from its MAD history
-        on = state.on
-        filled = np.where(on, filled + 1, 0)
-        history[on, (filled[on] - 1) % window] = state.u_cpu[on]
-        thresholds = overload_threshold(history, filled, cfg.mad)
-
-        # the VMs to place, and the host each VM that moves leaves; a VM
-        # never goes back to its source, and one that finds no host stays
-        to_move = [vm_ids[i] for i in np.flatnonzero(state.host < 0).tolist()]
-        source: dict[str, int] = {}
-        overloaded = np.flatnonzero(state.on & (state.cpu_sum >= thresholds))
-        for h in overloaded.tolist():
-            for vid in select_vms_mmt(h, thresholds.item(h), state):
-                to_move.append(vid)
-                source[vid] = h
-
-        migrations: list[MigrationEvent] = []
-        power_on_events = 0
-
-        if to_move:
-            plan = state.copy()
-            plan.detach(*to_move)
-            result = _place(cfg, plan, to_move, list(range(cfg.hosts)),
-                            thresholds, source, t)
-            if result.chosen_norm_values:
-                calib_values.append(sum(result.chosen_norm_values.values())
-                                    / len(result.chosen_norm_values))
-            else:
-                calib_values.append(1.5)
-            state, power_on_events, migrations = _apply(
-                cfg, state, result.placement, t)
-        else:
-            calib_values.append(1.5)
-
-        # underload repeat pass: one combined placement for the VMs of every
-        # underloaded host, with those hosts excluded as targets (a host
-        # slated for power-off cannot receive).  Only hosts whose entire VM
-        # set found a new home are actually drained and powered off.
-        under = []
-        if cfg.max_drains_per_slot > 0:
-            under = find_underloaded(state, thresholds, set(overloaded.tolist()),
-                                     cut=_underload_cut(state),
-                                     limit=cfg.max_drains_per_slot)
-        if under:
-            under_set = set(under)
-            candidates = [h for h in np.flatnonzero(state.on).tolist()
-                          if h not in under_set]
-            hosted = {hid: sorted(state.vms_on(hid)) for hid in under}
-            source = {vid: hid for hid in under for vid in hosted[hid]}
-            drain_vms = list(source)
-            if candidates and drain_vms:
-                plan = state.copy()
-                plan.detach(*drain_vms)
-                res = _place(cfg, plan, drain_vms, candidates, thresholds,
-                             source, t)
-                placed_by_host: dict[int, list[str]] = {}
-                for vid in res.placement:
-                    placed_by_host.setdefault(source[vid], []).append(vid)
-                moves = {}
-                for hid, vids in placed_by_host.items():
-                    if len(vids) == len(hosted[hid]):
-                        for vid in vids:
-                            moves[vid] = res.placement[vid]
-                if moves:
-                    state, drain_on, drain_migrations = _apply(cfg, state,
-                                                               moves, t)
-                    power_on_events += drain_on
-                    migrations += drain_migrations
-
-        # cooling setpoint for the slot, then energy accounting
-        sp = cooling_setpoint(state, cfg.cooling)
-        state.set_setpoint(sp)
-
-        mig_energy, slot_pdm = migration_cost(migrations, state,
-                                              cfg.slot_seconds,
-                                              cfg.migration_double_power)
-        for ev in migrations:
-            vm_deg[ev.vm_id] += ev.degradation
-
-        p_it = state.total_it_power()
-        e_it = p_it * cfg.slot_seconds * KWH_PER_WS + mig_energy
-        e_cooling = e_it / models.cop(sp, params.cooling)
-        e_boot = power_on_events * spec.e_boot
-
-        saturated_mask = state.on & (state.cpu_sum >= 1.0 - 1e-12)
-        host_active += state.on
-        host_saturated += saturated_mask
-        active = int(np.count_nonzero(state.on))
-        saturated = int(np.count_nonzero(saturated_mask))
-        vm_req += state.cpu * cfg.slot_seconds
-
-        slot_otf = saturated / active if active else 0.0
-        m = SlotMetrics(
-            slot=t, e_it=e_it, e_cooling=e_cooling, e_boot=e_boot,
-            power_on_events=power_on_events, migrations=len(migrations),
-            sla_otf=slot_otf, sla_pdm=slot_pdm,
-            sla_violation=slot_otf * slot_pdm,
-            pue=(e_it + e_cooling) / e_it if e_it > 0 else 0.0,
-            setpoint=sp, wall_time=time.monotonic() - slot_t0)
-        slots.append(m)
-        calib_energy.append(e_it + e_cooling)
-
-        totals.e_it += e_it
-        totals.e_cooling += e_cooling
-        totals.e_boot += e_boot
-        totals.power_on_events += power_on_events
-        totals.migrations += len(migrations)
-
-    otf_values = [sat / act for sat, act in zip(host_saturated.tolist(),
-                                                host_active.tolist()) if act > 0]
-    otf = sum(otf_values) / len(otf_values) if otf_values else 0.0
-    pdm_values = [vm_deg[vid] / req for vid, req in zip(vm_ids, vm_req.tolist())
-                  if req > 0]
-    pdm = sum(pdm_values) / len(pdm_values) if pdm_values else 0.0
-
+    totals = ledger.totals
     return RunReport(
         slots=slots, totals=totals, avg_sla=otf * pdm,
         pue=(totals.e_it + totals.e_cooling) / totals.e_it if totals.e_it > 0 else 0.0,
         wall_time=time.monotonic() - t_start, policy=cfg.policy,
-        calib_values=calib_values, calib_energy=calib_energy)
+        calib_values=calib_values,
+        calib_energy=[m.e_it + m.e_cooling for m in slots])
 
 
 def migration_cost(events: list[MigrationEvent], state: DataCenterState,
@@ -378,7 +380,7 @@ def migration_cost(events: list[MigrationEvent], state: DataCenterState,
                                          p.power)
             extra_ws += p_dyn * ev.duration
         deg += ev.degradation
-    requested = sum(state.cpu.tolist()) * slot_seconds
+    requested = left_sum(state.cpu.tolist()) * slot_seconds
     pdm = deg / requested if requested > 0 else 0.0
     return extra_ws * KWH_PER_WS, pdm
 

@@ -19,6 +19,14 @@ KWH_PER_WS = 1.0 / 3.6e6  # watt-seconds to kWh
 U_MEM_FLOOR = 1.0
 
 
+def left_sum(values) -> float:
+    """Float sum added left to right from 0.0, as ``sum`` did before 3.12."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 @dataclass(frozen=True)
 class PowerModelParams:
     """Coefficients of the server power model (dynamic + memory leakage + fan)."""

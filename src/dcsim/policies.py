@@ -138,7 +138,7 @@ class _Fleet:
         self.params = state.params
         self.t_inlet = state.setpoint
         self.cop = models.cop(self.t_inlet, self.params.cooling)
-        self.total_p = np.full(rows, sum(p_before.tolist()))
+        self.total_p = np.full(rows, models.left_sum(p_before.tolist()))
 
     def place(self, vm: VmState, k: int, j: int, tab: dict) -> None:
         """Add ``vm`` to host ``j`` of row ``k``; the host takes the figures
@@ -412,7 +412,7 @@ class DynSoResult(PlacementResult):
 def evaluate_global_power(state: DataCenterState) -> float:
     """IT + cooling power (W) of a placed fleet; a host without VMs does not
     count, since the engine powers it off."""
-    return (sum(state.p_it[state.busy].tolist())
+    return (models.left_sum(state.p_it[state.busy].tolist())
             * (1.0 + 1.0 / models.cop(state.setpoint, state.params.cooling)))
 
 

@@ -163,8 +163,8 @@ def is_busy(state: DataCenterState, host: int) -> bool:
 def effective_it_power(state: DataCenterState) -> float:
     """Fleet IT power with the power-off sweep applied: an empty host draws
     nothing because the engine shuts it down at the end of the pass."""
-    return sum(state.p_it.item(h) for h in range(len(state.on))
-               if is_busy(state, h))
+    return models.left_sum(state.p_it.item(h) for h in range(len(state.on))
+                           if is_busy(state, h))
 
 
 def evaluate_candidate(vm: VmState, host: int, state: DataCenterState) -> CandidateView:

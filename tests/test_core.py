@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dcsim.cooling import VarInletCooling
 from dcsim.core import (_ARRAYS, CapacityError, DataCenterState, VmState,
                         apply_placement, default_server_spec)
 
@@ -138,7 +139,7 @@ def test_default_spec_invariants():
     freqs = [m.f_op for m in spec.dvfs_table]
     assert freqs == [1.73, 1.86, 2.13, 2.26, 2.39, 2.40]
     assert all(m.v_dd > 0 for m in spec.dvfs_table)
-    assert spec.t_cpu_max > spec.t_inlet_max
+    assert VarInletCooling().t_cpu_max > spec.t_inlet_max
     assert spec.e_boot == pytest.approx(13.514e-3)
 
 

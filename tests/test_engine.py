@@ -3,7 +3,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from dcsim import engine, models
+from dcsim import engine, models, policies
 from dcsim.cooling import FixedCooling, VarInletCooling
 from dcsim.core import DataCenterState, VmState, default_server_spec
 from dcsim.detection import MadConfig
@@ -288,3 +288,35 @@ def test_thresholds_equal_one_deque_per_host_and_the_scalar_reference(
         assert thresholds == expected
     # some host went off and came back on, so the ring's reset ran
     assert came_back
+
+
+def test_drain_pass_drains_only_hosts_whose_every_vm_was_placed(monkeypatch):
+    # hosts 0 and 1 are the drain sources and host 2 the only target; the
+    # stub placement finds a home for one of host 0's two VMs and for both
+    # of host 1's
+    vms = {vid: VmState(id=vid, cpu_demand=0.1, ram_used=256.0)
+           for vid in ("a1", "a2", "b1", "b2", "c")}
+    state = DataCenterState.build(3, vms)
+    for vid, host in (("a1", 0), ("a2", 0), ("b1", 1), ("b2", 1), ("c", 2)):
+        state.attach(vid, host)
+    placed = []
+
+    def stub_place(cfg, state, vm_ids, host_ids, thresholds, source, slot):
+        placed.append((sorted(vm_ids), host_ids))
+        return policies.PlacementResult(placement={"a1": 2, "b1": 2, "b2": 2},
+                                        unplaced=["a2"])
+
+    monkeypatch.setattr(engine, "find_underloaded", lambda *a, **k: [0, 1])
+    monkeypatch.setattr(engine, "_place", stub_place)
+    det = engine.Detection(np.full(3, 0.9), [], [], {})
+    new, record = engine._drain_pass(SimConfig(hosts=3), state, det, slot=0)
+
+    assert placed == [(["a1", "a2", "b1", "b2"], [2])]
+    assert new.vms_on(0) == ["a1", "a2"] and new.on[0]
+    assert new.vms_on(1) == [] and not new.on[1]
+    assert new.vms_on(2) == ["b1", "b2", "c"]
+    assert [(ev.vm_id, ev.source, ev.target) for ev in record.migrations] == [
+        ("b1", 1, 2), ("b2", 1, 2)]
+    assert record.power_on_events == 0
+    # the pass's input state is left as it was
+    assert state.vms_on(1) == ["b1", "b2"]

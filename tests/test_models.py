@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,3 +139,27 @@ def test_cop_strictly_increasing_on_range():
     temps = [283.15 + 0.5 * i for i in range(60)]
     values = [models.cop(t) for t in temps]
     assert all(b > a for a, b in zip(values, values[1:]))
+
+
+def test_left_sum_adds_left_to_right_from_zero():
+    # a compensated sum (Python 3.12's builtin) rounds this to exactly 1.0
+    assert models.left_sum([0.1] * 10) == 0.9999999999999999
+    assert models.left_sum([]) == 0.0
+    # np.add.accumulate adds strictly in order, so its last element is the
+    # left-to-right sum
+    values = np.random.default_rng(3).random(500)
+    expected = np.add.accumulate(values)[-1]
+    assert models.left_sum(values.tolist()) == expected
+    assert models.left_sum(iter(values.tolist())) == expected
+
+
+def test_no_builtin_sum_in_the_package():
+    # the builtin's rounding changed in Python 3.12; every float sum of the
+    # package goes through models.left_sum so totals match on every version
+    calls = []
+    for path in sorted(Path(models.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "sum"):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []
