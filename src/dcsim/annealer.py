@@ -147,7 +147,7 @@ def sa_solve(vm_list, host_list, state: DataCenterState,
     Deterministic for a fixed config seed as long as the wall-clock cap is
     not the binding stop condition.
     """
-    vm_ids = [v if isinstance(v, str) else v.id for v in vm_list]
+    vm_ids = list(vm_list)
     hosts = sorted(host_list)
     rng = random.Random(cfg.seed)
     current = [seed_solution[v] for v in vm_ids]
@@ -207,9 +207,8 @@ def sa_solve(vm_list, host_list, state: DataCenterState,
     return SaSolution(hosts=best, objective=best_val)
 
 
-def sa_place(vm_list, host_list, state: DataCenterState,
+def sa_place(vm_list: list[str], host_list, state: DataCenterState,
              seed_solution: dict[str, int], cfg: SaConfig = SaConfig()):
-    """Annealed placement as a VM -> host map, plus its objective."""
-    vm_ids = [v if isinstance(v, str) else v.id for v in vm_list]
-    sol = sa_solve(vm_ids, host_list, state, seed_solution, cfg)
-    return {vid: host for vid, host in zip(vm_ids, sol.hosts)}, sol.objective
+    """Annealed placement as a VM id -> host map, plus its objective."""
+    sol = sa_solve(vm_list, host_list, state, seed_solution, cfg)
+    return dict(zip(vm_list, sol.hosts)), sol.objective

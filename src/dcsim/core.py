@@ -5,7 +5,10 @@ and its host, per host the on-mask, the resource sums of its VMs and the
 utilization, DVFS mode and IT power derived from them.  ``attach``/``detach``
 update the sums VM by VM, :meth:`DataCenterState.set_demand` rebuilds every
 sum at once, and each re-costs the hosts it touched in one call of the array
-server model ``models.host_operating_point``.
+server model ``models.host_operating_point``.  Inside the slot loop a VM
+is its position in the per-VM arrays; its id serves only the workload, the
+report and the annealer, and, as ``rank``, every tie between VMs.
+:func:`within_capacity` is the one RAM and bandwidth fit rule.
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ def default_server_spec() -> ServerSpec:
 @dataclass
 class VmState:
     """One VM's resource demand: the record :meth:`DataCenterState.build`
-    takes and :meth:`DataCenterState.vm` returns."""
+    takes."""
 
     id: str
     cpu_demand: float = 0.0   # fraction of one host's full-capacity CPU
@@ -123,8 +126,6 @@ class SlotMetrics:
     migrations: int = 0
     sla_otf: float = 0.0
     sla_pdm: float = 0.0
-    sla_violation: float = 0.0
-    pue: float = 0.0
     setpoint: float = 0.0      # K
     wall_time: float = 0.0     # s, excluded from serialized artifacts
 
@@ -136,12 +137,21 @@ _ARRAYS = (*_DEMANDS, "host", "on", *(f"{d}_sum" for d in _DEMANDS),
            "u_cpu", "mode", "p_it")
 
 
+def within_capacity(spec: ServerSpec, ram, bw):
+    """Whether RAM (MB) and bandwidth (MB/s) loads fit a host, as the pair
+    (RAM fits, bandwidth fits): each load at most its capacity plus
+    ``CAPACITY_SLACK``.  Takes floats or arrays, elementwise."""
+    return (ram <= spec.ram_capacity + CAPACITY_SLACK,
+            bw <= spec.bw_capacity + CAPACITY_SLACK)
+
+
 class DataCenterState:
     """Mutable simulation state: the fleet as per-host and per-VM arrays.
 
-    Per VM, indexed like ``vm_ids``: the demands ``cpu``, ``ram``, ``bw``,
-    ``disk_read`` and ``disk_write`` (units as in :class:`VmState`) and
-    ``host``, the id of the VM's host or -1 while it has none.  Per host,
+    Per VM, indexed by position (the order of ``vm_ids``): the demands
+    ``cpu``, ``ram``, ``bw``, ``disk_read`` and ``disk_write`` (units as in
+    :class:`VmState`), ``host``, the id of the VM's host or -1 while it has
+    none, and ``rank``, the VM's place in string order of the ids.  Per host,
     indexed by host id: ``on``, the sums of its VMs' demands (``cpu_sum``
     and so on; ``cpu_sum`` may exceed 1) and the figures derived from them:
     ``u_cpu`` (clamped to [0, 1]), ``mode`` (index into the DVFS table) and
@@ -154,6 +164,7 @@ class DataCenterState:
     setpoint: float
     vm_ids: tuple[str, ...]
     index: dict[str, int]   # VM id -> position in the per-VM arrays
+    rank: np.ndarray        # built once and shared by every copy
     _by_host: tuple[np.ndarray, list[int]] | None = None  # see positions_on
 
     @classmethod
@@ -168,6 +179,8 @@ class DataCenterState:
         state.setpoint = setpoint
         state.vm_ids = tuple(vm.id for vm in records)
         state.index = {vid: i for i, vid in enumerate(state.vm_ids)}
+        # inverting the positions sorted by id gives each position's rank
+        state.rank = np.argsort(sorted(range(len(records)), key=state.vm_ids.__getitem__))
         for name, field_ in zip(_DEMANDS, ("cpu_demand", "ram_used", "net_bw",
                                            "disk_read", "disk_write")):
             setattr(state, name, np.array([getattr(vm, field_) for vm in records],
@@ -190,15 +203,8 @@ class DataCenterState:
     def copy(self) -> "DataCenterState":
         return self._with(**{name: getattr(self, name).copy() for name in _ARRAYS})
 
-    def vm(self, vm_id: str) -> VmState:
-        """The demand of one VM, as a new record."""
-        i = self.index[vm_id]
-        return VmState(vm_id, self.cpu.item(i), self.ram.item(i),
-                       self.disk_read.item(i), self.disk_write.item(i),
-                       self.bw.item(i))
-
     def positions_on(self, host: int) -> list[int]:
-        """Positions of the VMs on one host, in VM order, sliced from one
+        """Positions of the VMs on one host, in position order, sliced from one
         grouping of the VMs by host that is kept until a VM moves."""
         if self._by_host is None:
             ends = np.cumsum(np.bincount(self.host + 1, minlength=len(self.on) + 1))
@@ -206,9 +212,11 @@ class DataCenterState:
         order, bounds = self._by_host
         return order[bounds[host + 1]:bounds[host + 2]].tolist()
 
-    def vms_on(self, host: int) -> list[str]:
-        """Ids of the VMs on one host, in VM order."""
-        return [self.vm_ids[i] for i in self.positions_on(host)]
+    def by_decreasing_cpu(self, positions) -> np.ndarray:
+        """The given VM positions in decreasing CPU demand, ties in VM id
+        order: the order in which the placers and the drain check take VMs."""
+        positions = np.asarray(positions, dtype=np.intp)
+        return positions[np.lexsort((self.rank[positions], -self.cpu[positions]))]
 
     def vm_counts(self) -> np.ndarray:
         """Number of VMs on each host."""
@@ -253,36 +261,30 @@ class DataCenterState:
                 hosts, values[placed], len(self.on)).astype(float, copy=False))
         self.refresh(np.arange(len(self.on)))
 
-    def _shift(self, i: int, host: int, sign: float) -> None:
-        # add (sign 1) or remove (sign -1) VM i's demand on a host's sums;
-        # x + -1.0 * y is x - y exactly
-        self.cpu_sum[host] += sign * self.cpu[i]
-        self.ram_sum[host] += sign * self.ram[i]
-        self.bw_sum[host] += sign * self.bw[i]
-        self.disk_read_sum[host] += sign * self.disk_read[i]
-        self.disk_write_sum[host] += sign * self.disk_write[i]
-
     def _move(self, i: int, host: int) -> int:
         """Put VM ``i`` on ``host`` (-1: on none) without re-costing either
         host; powers the target on.  Returns the VM's previous host."""
         old = self.host.item(i)
-        if old >= 0:
-            self._shift(i, old, -1.0)
+        for name in _DEMANDS:
+            sums, demand = getattr(self, f"{name}_sum"), getattr(self, name)[i]
+            if old >= 0:
+                sums[old] -= demand
+            if host >= 0:
+                sums[host] += demand
         if host >= 0:
             self.on[host] = True
-            self._shift(i, host, 1.0)
         self.host[i] = host
         self._by_host = None
         return old
 
-    def attach(self, vm_id: str, host: int) -> None:
-        """Put a VM on a host, off the host it was on, and re-cost both."""
-        old = self._move(self.index[vm_id], host)
+    def attach(self, i: int, host: int) -> None:
+        """Put VM ``i`` on a host, off the host it was on, and re-cost both."""
+        old = self._move(i, host)
         self.refresh([old, host] if old >= 0 else [host])
 
-    def detach(self, *vm_ids: str) -> None:
+    def detach(self, *positions: int) -> None:
         """Take VMs off their hosts, in order, then re-cost each host once."""
-        touched = {self._move(self.index[vid], -1) for vid in vm_ids}
+        touched = {self._move(i, -1) for i in positions}
         self.refresh(sorted(touched - {-1}))
 
     def total_it_power(self) -> float:
@@ -294,12 +296,12 @@ class DataCenterState:
 class ApplyResult:
     state: DataCenterState
     power_on_events: int
-    moved: list[tuple[str, int | None, int]]  # (vm, source or None, target)
+    moved: list[tuple[int, int, int]]  # (VM position, source or -1, target)
 
 
-def apply_placement(state: DataCenterState, placement: dict[str, int],
+def apply_placement(state: DataCenterState, placement: dict[int, int],
                     enforce_cpu: bool = False) -> ApplyResult:
-    """Apply a VM -> host mapping to a copy of the state.
+    """Apply a VM position -> host mapping to a copy of the state.
 
     Capacity is validated on the net post-move aggregates of the hosts that
     receive VMs: RAM and bandwidth are hard limits, CPU only when
@@ -313,8 +315,7 @@ def apply_placement(state: DataCenterState, placement: dict[str, int],
     moves = []
     power_on = 0
     touched = set()
-    for vm_id, target in placement.items():
-        i = new.index[vm_id]
+    for i, target in placement.items():
         source = new.host.item(i)
         if source == target:
             continue
@@ -322,17 +323,18 @@ def apply_placement(state: DataCenterState, placement: dict[str, int],
             power_on += 1
         new._move(i, target)
         touched.update((source, target))
-        moves.append((vm_id, None if source < 0 else source, target))
+        moves.append((i, source, target))
 
     spec = new.spec
-    limits = [("ram", new.ram_sum, spec.ram_capacity),
-              ("bandwidth", new.bw_sum, spec.bw_capacity)]
-    if enforce_cpu:
-        limits.append(("cpu", new.cpu_sum, 1.0))
     for host in sorted({target for _, _, target in moves}):
-        for resource, sums, capacity in limits:
-            if sums[host] > capacity + CAPACITY_SLACK:
-                raise CapacityError(host, resource, sums.item(host), capacity)
+        ram, bw, cpu = (s.item(host) for s in (new.ram_sum, new.bw_sum, new.cpu_sum))
+        ram_fits, bw_fits = within_capacity(spec, ram, bw)
+        if not ram_fits:
+            raise CapacityError(host, "ram", ram, spec.ram_capacity)
+        if not bw_fits:
+            raise CapacityError(host, "bandwidth", bw, spec.bw_capacity)
+        if enforce_cpu and cpu > 1.0 + CAPACITY_SLACK:
+            raise CapacityError(host, "cpu", cpu, 1.0)
 
     idle = new.on & (new.vm_counts() == 0)
     new.on[idle] = False

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CAPACITY_SLACK, DataCenterState, ServerSpec
+from .core import DataCenterState, ServerSpec, within_capacity
 from .models import left_sum
 
 
@@ -55,13 +55,14 @@ def migration_bandwidth(spec: ServerSpec) -> float:
 
 
 def select_vms_mmt(host: int, threshold: float,
-                   state: DataCenterState) -> list[str]:
-    """VMs to migrate off an overloaded host, minimum-migration-time first.
+                   state: DataCenterState) -> list[int]:
+    """Positions of the VMs to migrate off an overloaded host,
+    minimum-migration-time first.
 
     Repeatedly picks the VM with the shortest migration (smallest RAM over a
-    shared migration bandwidth) until the projected raw utilization drops
-    below the threshold.  Returns an empty list when the host is not over
-    the threshold.
+    shared migration bandwidth, ties in VM id order) until the projected raw
+    utilization drops below the threshold.  Returns an empty list when the
+    host is not over the threshold.
 
     The projection is the demand of the VMs that stay, added in VM order
     from 0.0 as the host's sum is rebuilt, not the running sum minus the
@@ -71,11 +72,11 @@ def select_vms_mmt(host: int, threshold: float,
     if state.cpu_sum.item(host) < threshold:
         return []
     bw = migration_bandwidth(state.spec)
-    ids, ram, cpu = state.vm_ids, state.ram, state.cpu
+    rank, ram, cpu = state.rank, state.ram, state.cpu
     staying = state.positions_on(host)
     picked = []
-    for i in sorted(staying, key=lambda i: (ram.item(i) / bw, ids[i])):
-        picked.append(ids[i])
+    for i in sorted(staying, key=lambda i: (ram.item(i) / bw, rank.item(i))):
+        picked.append(i)
         staying.remove(i)
         if left_sum(cpu.item(j) for j in staying) < threshold:
             break
@@ -91,18 +92,16 @@ def _fits_elsewhere(host_id: int, state: DataCenterState, thr: np.ndarray,
     cpu = state.cpu_sum.copy()
     ram = state.ram_sum.copy()
     bw = state.bw_sum.copy()
-    vms = sorted((state.vm(vid) for vid in state.vms_on(host_id)),
-                 key=lambda vm: (-vm.cpu_demand, vm.id))
-    for vm in vms:
-        fits = (targets & (cpu + vm.cpu_demand < thr)
-                & (ram + vm.ram_used <= state.spec.ram_capacity + CAPACITY_SLACK)
-                & (bw + vm.net_bw <= state.spec.bw_capacity + CAPACITY_SLACK))
+    order = state.by_decreasing_cpu(state.positions_on(host_id))
+    for c, r, b in zip(*(a[order].tolist() for a in (state.cpu, state.ram, state.bw))):
+        ram_fits, bw_fits = within_capacity(state.spec, ram + r, bw + b)
+        fits = targets & (cpu + c < thr) & ram_fits & bw_fits
         if not fits.any():
             return False
         t = int(fits.argmax())
-        cpu[t] += vm.cpu_demand
-        ram[t] += vm.ram_used
-        bw[t] += vm.net_bw
+        cpu[t] += c
+        ram[t] += r
+        bw[t] += b
     return True
 
 

@@ -61,11 +61,9 @@ class SimConfig:
 
 @dataclass
 class MigrationEvent:
-    vm_id: str
-    source: int
+    vm: int          # position in the state's per-VM arrays
     target: int
     duration: float  # s, capped at the slot length
-    slot: int
     cpu_demand: float
     # the VM's performance degradation: 10 % of its demand over the migration
     degradation: float = field(init=False)
@@ -104,11 +102,12 @@ class RunReport:
 @dataclass
 class Detection:
     """Each host's overload threshold, the hosts at or above it, the VMs to
-    place (the unplaced ones, then MMT picks) and the host each pick leaves."""
+    place (the unplaced ones, then MMT picks) and the host each pick leaves;
+    VMs by position."""
     thresholds: np.ndarray
     overloaded: list[int]
-    to_move: list[str]
-    source: dict[str, int]
+    to_move: list[int]
+    source: dict[int, int]
 
 
 @dataclass
@@ -165,47 +164,48 @@ def _drain_aware_evaluator(cfg: SimConfig, thresholds: np.ndarray):
     return evaluate
 
 
-def _place(cfg: SimConfig, state: DataCenterState, vm_ids: list[str],
-           host_ids: list[int], thresholds: np.ndarray, source: dict[str, int],
+def _place(cfg: SimConfig, state: DataCenterState, vms: list[int],
+           host_ids: list[int], thresholds: np.ndarray, source: dict[int, int],
            slot: int) -> policies.PlacementResult:
     """Dispatch one slot's VM batch to the configured policy, on a copy of
     ``state`` with the batch taken off its hosts.  ``source`` maps each VM
     that leaves a host to that host."""
     plan = state.copy()
-    plan.detach(*vm_ids)
+    plan.detach(*vms)
     name = cfg.policy
     if name in _SO_BY_NAME:
-        return policies.so_place(_SO_BY_NAME[name], vm_ids, host_ids, plan,
+        return policies.so_place(_SO_BY_NAME[name], vms, host_ids, plan,
                                  thresholds, source, cfg.sosa, cfg.slot_seconds)
     if name in ("mo1", "mo2"):
-        return policies.mo_place(name, vm_ids, host_ids, plan, thresholds,
+        return policies.mo_place(name, vms, host_ids, plan, thresholds,
                                  source, cfg.slot_seconds,
                                  prefer_utilization=_underload_cut(plan))
     if name == "dynso":
         return policies.dynso_place(
-            vm_ids, host_ids, plan, DEFAULT_DYNSO_LIST, thresholds, source,
+            vms, host_ids, plan, DEFAULT_DYNSO_LIST, thresholds, source,
             cfg.sosa, cfg.slot_seconds,
             evaluator=_drain_aware_evaluator(cfg, thresholds))
     if name == "sa":
         seed = policies.dynso_place(
-            vm_ids, host_ids, plan, policies.PLAIN_KINDS + (SoKind.SO8,),
+            vms, host_ids, plan, policies.PLAIN_KINDS + (SoKind.SO8,),
             thresholds, source, cfg.sosa, cfg.slot_seconds)
-        sa_vms = [v for v in vm_ids if v in seed.placement]
-        out = policies.PlacementResult(
-            unplaced=[v for v in vm_ids if v not in seed.placement])
+        sa_vms = [i for i in vms if i in seed.placement]
+        out = policies.PlacementResult(unplaced=seed.unplaced)
         if sa_vms:
             # per-slot seed derived from the annealer seed keeps whole runs
             # deterministic without reusing one chain across slots
             sa_cfg = replace(cfg.sa, seed=cfg.sa.seed + 1009 * slot)
-            mapping, _ = annealer.sa_place(sa_vms, host_ids, plan,
-                                           seed.placement, sa_cfg)
-            out.placement = mapping
+            # the annealer takes VM ids; its map keeps the batch's order
+            ids = [plan.vm_ids[i] for i in sa_vms]
+            start = {vid: seed.placement[i] for vid, i in zip(ids, sa_vms)}
+            mapping, _ = annealer.sa_place(ids, host_ids, plan, start, sa_cfg)
+            out.placement = dict(zip(sa_vms, mapping.values()))
         return out
     raise ValueError(f"unknown policy {name!r}")
 
 
-def _apply(cfg: SimConfig, state: DataCenterState, placement: dict[str, int],
-           slot: int, record: PassRecord) -> tuple[DataCenterState, PassRecord]:
+def _apply(cfg: SimConfig, state: DataCenterState, placement: dict[int, int],
+           record: PassRecord) -> tuple[DataCenterState, PassRecord]:
     """The state after a placement; ``record`` takes its power-on count and
     migrations (a VM placed for the first time does not migrate).  A
     placement that breaks a capacity (an annealer edge case) is not applied."""
@@ -215,14 +215,12 @@ def _apply(cfg: SimConfig, state: DataCenterState, placement: dict[str, int],
         return state, record
     new = applied.state
     bw = migration_bandwidth(new.spec)
-    for vm_id, src, dst in applied.moved:
-        if src is None:
+    for i, src, dst in applied.moved:
+        if src < 0:
             continue
-        vm = new.vm(vm_id)
-        duration = min(vm.ram_used / bw if bw > 0 else cfg.slot_seconds,
+        duration = min(new.ram.item(i) / bw if bw > 0 else cfg.slot_seconds,
                        cfg.slot_seconds)
-        record.migrations.append(
-            MigrationEvent(vm_id, src, dst, duration, slot, vm.cpu_demand))
+        record.migrations.append(MigrationEvent(i, dst, duration, new.cpu.item(i)))
     record.power_on_events = applied.power_on_events
     return new, record
 
@@ -238,9 +236,9 @@ def _detect(cfg: SimConfig, state: DataCenterState, history: np.ndarray,
     history[on, (filled[on] - 1) % cfg.mad.history_window] = state.u_cpu[on]
     thresholds = overload_threshold(history, filled, cfg.mad)
     overloaded = np.flatnonzero(on & (state.cpu_sum >= thresholds)).tolist()
-    source = {vid: h for h in overloaded
-              for vid in select_vms_mmt(h, thresholds.item(h), state)}
-    unplaced = [state.vm_ids[i] for i in np.flatnonzero(state.host < 0).tolist()]
+    source = {i: h for h in overloaded
+              for i in select_vms_mmt(h, thresholds.item(h), state)}
+    unplaced = np.flatnonzero(state.host < 0).tolist()
     return Detection(thresholds, overloaded, unplaced + list(source), source)
 
 
@@ -252,7 +250,7 @@ def _first_pass(cfg: SimConfig, state: DataCenterState, det: Detection,
         return state, PassRecord()
     result = _place(cfg, state, det.to_move, list(range(cfg.hosts)),
                     det.thresholds, det.source, slot)
-    return _apply(cfg, state, result.placement, slot, PassRecord(result))
+    return _apply(cfg, state, result.placement, PassRecord(result))
 
 
 def _drain_pass(cfg: SimConfig, state: DataCenterState, det: Detection,
@@ -260,21 +258,22 @@ def _drain_pass(cfg: SimConfig, state: DataCenterState, det: Detection,
     """Underload repeat pass: one combined placement for the VMs of every
     drain source, with the sources excluded as targets (a host slated for
     power-off cannot receive).  Only hosts whose entire VM set found a new
-    home are drained and powered off."""
+    home are drained and powered off.  Each source's VMs go in VM id order."""
     sources = _drain_sources(cfg, state, det.thresholds, set(det.overloaded))
-    hosted = {hid: sorted(state.vms_on(hid)) for hid in sources}
-    source = {vid: hid for hid in sources for vid in hosted[hid]}
+    hosted = {hid: sorted(state.positions_on(hid), key=state.rank.item)
+              for hid in sources}
+    source = {i: hid for hid in sources for i in hosted[hid]}
     candidates = [h for h in np.flatnonzero(state.on).tolist() if h not in hosted]
     if not (candidates and source):
         return state, PassRecord()
     result = _place(cfg, state, list(source), candidates, det.thresholds, source, slot)
-    placed: dict[int, list[str]] = {}
-    for vid in result.placement:
-        placed.setdefault(source[vid], []).append(vid)
-    drained = [hid for hid, vids in placed.items() if len(vids) == len(hosted[hid])]
-    moves = {vid: result.placement[vid] for hid in drained for vid in placed[hid]}
+    placed: dict[int, list[int]] = {}
+    for i in result.placement:
+        placed.setdefault(source[i], []).append(i)
+    drained = [hid for hid, vms in placed.items() if len(vms) == len(hosted[hid])]
+    moves = {i: result.placement[i] for hid in drained for i in placed[hid]}
     record = PassRecord(result)
-    return _apply(cfg, state, moves, slot, record) if moves else (state, record)
+    return _apply(cfg, state, moves, record) if moves else (state, record)
 
 
 def _account(cfg: SimConfig, state: DataCenterState, first: PassRecord,
@@ -287,7 +286,7 @@ def _account(cfg: SimConfig, state: DataCenterState, first: PassRecord,
     mig_energy, slot_pdm = migration_cost(migrations, state, cfg.slot_seconds,
                                           cfg.migration_double_power)
     for ev in migrations:
-        ledger.vm_deg[state.index[ev.vm_id]] += ev.degradation
+        ledger.vm_deg[ev.vm] += ev.degradation
     e_it = state.total_it_power() * cfg.slot_seconds * KWH_PER_WS + mig_energy
     e_cooling = e_it / models.cop(sp, state.params.cooling)
     e_boot = power_on_events * state.spec.e_boot
@@ -306,9 +305,8 @@ def _account(cfg: SimConfig, state: DataCenterState, first: PassRecord,
     return SlotMetrics(
         slot=slot, e_it=e_it, e_cooling=e_cooling, e_boot=e_boot,
         power_on_events=power_on_events, migrations=len(migrations),
-        sla_otf=otf, sla_pdm=slot_pdm, sla_violation=otf * slot_pdm,
-        pue=(e_it + e_cooling) / e_it if e_it > 0 else 0.0,
-        setpoint=sp, wall_time=time.monotonic() - t0)
+        sla_otf=otf, sla_pdm=slot_pdm, setpoint=sp,
+        wall_time=time.monotonic() - t0)
 
 
 def run(workload: Workload, cfg: SimConfig) -> RunReport:
@@ -327,7 +325,7 @@ def run(workload: Workload, cfg: SimConfig) -> RunReport:
     state = DataCenterState.build(cfg.hosts, {v: VmState(v) for v in workload.vm_ids},
                                   cfg.server, cfg.models, initial_sp)
     ledger = _Ledger(RunTotals(), *np.zeros((2, cfg.hosts), dtype=int),
-                     *np.zeros((2, len(state.vm_ids))))
+                     *np.zeros((2, workload.vm_count)))
     history = np.zeros((cfg.hosts, cfg.mad.history_window))
     filled = np.zeros(cfg.hosts, dtype=int)
     slots: list[SlotMetrics] = []

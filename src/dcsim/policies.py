@@ -2,10 +2,11 @@
 selection, the regression-backed composite value, per-slot dynamic selection
 and the second-worst-fit baseline.
 
-All policies share the same skeleton: VMs in decreasing demand order, each
-assigned to the feasible host minimizing the policy's consolidation value,
-with ties broken by lowest host id so every policy is a deterministic
-function of the state.
+All policies share the same skeleton: VMs in decreasing demand order (ties
+in VM id order), each assigned to the feasible host minimizing the policy's
+consolidation value, with ties broken by lowest host id so every policy is a
+deterministic function of the state.  VMs are positions in the state's
+per-VM arrays, in the input lists, the ``source`` maps and the results.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from . import models
-from .core import CAPACITY_SLACK, DataCenterState, VmState
+from .core import DataCenterState, within_capacity
 from .detection import MadConfig
 from .models import KWH_PER_WS
 
@@ -81,13 +82,13 @@ def pareto_front(vectors) -> list[int]:
 
 @dataclass
 class PlacementResult:
-    placement: dict[str, int] = field(default_factory=dict)
-    unplaced: list[str] = field(default_factory=list)
+    placement: dict[int, int] = field(default_factory=dict)
+    unplaced: list[int] = field(default_factory=list)
     # per VM, the chosen host's band value (normalize_band) among the
     # candidates, logged for calibration: 1.0, as the chosen host is the
     # row's minimum, or 1.5 for a constant row; always 1.5 for mo1, mo2 and
     # swfdvp
-    chosen_norm_values: dict[str, float] = field(default_factory=dict)
+    chosen_norm_values: dict[int, float] = field(default_factory=dict)
 
 
 class _Fleet:
@@ -110,7 +111,7 @@ class _Fleet:
                  thresholds: np.ndarray | None):
         n = len(state.on)
         self.state = state
-        self.spec = spec = state.spec
+        self.spec = state.spec
         # an empty host is costed like a cold one: the engine powers it off
         busy = state.busy
         p_before = np.where(busy, state.p_it, 0.0)
@@ -127,8 +128,6 @@ class _Fleet:
         self.u_cpu = per_row(state.u_cpu)
         self.mode = per_row(state.mode)
         self.p_before = per_row(p_before)
-        self.ram_limit = spec.ram_capacity + CAPACITY_SLACK
-        self.bw_limit = spec.bw_capacity + CAPACITY_SLACK
         if thresholds is None:
             thresholds = np.full(n, MadConfig().fallback_threshold)
         # a host outside host_list gets a -inf threshold, so no VM fits it
@@ -140,14 +139,12 @@ class _Fleet:
         self.cop = models.cop(self.t_inlet, self.params.cooling)
         self.total_p = np.full(rows, models.left_sum(p_before.tolist()))
 
-    def place(self, vm: VmState, k: int, j: int, tab: dict) -> None:
-        """Add ``vm`` to host ``j`` of row ``k``; the host takes the figures
-        of that candidate in ``tab``, the VM's :meth:`table`."""
-        self.cpu_sum[k, j] += vm.cpu_demand
-        self.ram_sum[k, j] += vm.ram_used
-        self.bw_sum[k, j] += vm.net_bw
-        self.disk_r[k, j] += vm.disk_read
-        self.disk_w[k, j] += vm.disk_write
+    def place(self, k: int, j: int, tab: dict) -> None:
+        """Add the VM of ``tab``, its :meth:`table`, to host ``j`` of row
+        ``k``; the host takes the figures of that candidate."""
+        for sums, demand in zip((self.cpu_sum, self.ram_sum, self.bw_sum,
+                                 self.disk_r, self.disk_w), tab["demand"]):
+            sums[k, j] += demand
         p_it = tab["p_after"][k, j]
         self.total_p[k] += p_it - self.p_before[k, j]
         self.p_before[k, j] = p_it
@@ -155,31 +152,35 @@ class _Fleet:
         self.mode[k, j] = tab["mode"][k, j]
         self.active[k, j] = True
 
-    def table(self, vm: VmState, source: int | None = None) -> dict:
-        """Candidate arrays of one VM, shape (rows, hosts); the VM's
-        ``source`` host is never feasible."""
-        u_raw = self.cpu_sum + vm.cpu_demand
-        ram_after = self.ram_sum + vm.ram_used
-        feasible = ((u_raw < self.thr) & (ram_after <= self.ram_limit)
-                    & (self.bw_sum + vm.net_bw <= self.bw_limit))
-        if source is not None:
+    def table(self, i: int, source: int = -1) -> dict:
+        """Candidate arrays of the VM at position ``i``, shape (rows,
+        hosts); the VM's ``source`` host (-1: none) is never feasible."""
+        state = self.state
+        demand = cpu, ram, bw, read, write = [
+            a.item(i) for a in (state.cpu, state.ram, state.bw, state.disk_read,
+                                state.disk_write)]
+        u_raw = self.cpu_sum + cpu
+        ram_after = self.ram_sum + ram
+        ram_fits, bw_fits = within_capacity(self.spec, ram_after, self.bw_sum + bw)
+        feasible = (u_raw < self.thr) & ram_fits & bw_fits
+        if source >= 0:
             feasible[:, source] = False
         u_after, mode, t_mem, p_after = models.host_operating_point(
-            u_raw, ram_after, self.disk_r + vm.disk_read,
-            self.disk_w + vm.disk_write, self.t_inlet, self.spec, self.params)
+            u_raw, ram_after, self.disk_r + read, self.disk_w + write,
+            self.t_inlet, self.spec, self.params)
         freqs = self.spec.dvfs_arrays[0]
         dfreq = (freqs[mode] - freqs[self.mode]) / freqs[-1]
-        return dict(feasible=feasible, u_after=u_after, mode=mode, dfreq=dfreq,
-                    p_before=self.p_before, p_after=p_after, t_mem=t_mem,
-                    p_cool=p_after / self.cop)
+        return dict(demand=demand, feasible=feasible, u_after=u_after, mode=mode,
+                    dfreq=dfreq, p_before=self.p_before, p_after=p_after,
+                    t_mem=t_mem, p_cool=p_after / self.cop)
 
     def global_power(self, tab: dict, k: int) -> np.ndarray:
         """Fleet IT+cooling power (W) of row ``k`` with the VM on each host."""
         p_it = self.total_p[k] - tab["p_before"][k] + tab["p_after"][k]
         return p_it * (1.0 + 1.0 / self.cop)
 
-    def view(self, k: int, placement: dict[str, int],
-             source: dict[str, int]) -> DataCenterState:
+    def view(self, k: int, placement: dict[int, int],
+             source: dict[int, int]) -> DataCenterState:
         """Row ``k`` as the state its placement leads to: ``placement``, then
         every unplaced VM on its ``source`` host when it has one, which
         mirrors how the engine treats them (they stay put).  The view holds
@@ -187,8 +188,7 @@ class _Fleet:
         input state's VM demands; read it only."""
         state = self.state
         host = state.host.copy()
-        for vm_id, host_id in placement.items():
-            host[state.index[vm_id]] = host_id
+        host[list(placement)] = list(placement.values())
         busy = self.active[k]
         view = state._with(
             host=host, on=state.on | busy, cpu_sum=self.cpu_sum[k],
@@ -198,9 +198,9 @@ class _Fleet:
             # p_before is 0 W on a host without VMs; the state has its power
             p_it=np.where(busy, self.p_before[k], state.p_it))
         touched = set()
-        for vm_id, host_id in source.items():
-            if vm_id not in placement:
-                view._move(state.index[vm_id], host_id)
+        for i, host_id in source.items():
+            if i not in placement:
+                view._move(i, host_id)
                 touched.add(host_id)
         if touched:
             view.refresh(sorted(touched))
@@ -297,37 +297,36 @@ def _so_pick(kinds, sosa: SoSaModel, slot_seconds: float):
 
 
 def _bfd(rows: int, vm_list, host_list, state: DataCenterState,
-         thresholds: np.ndarray | None, source: dict[str, int] | None, pick):
+         thresholds: np.ndarray | None, source: dict[int, int] | None, pick):
     """The best-fit-decreasing walk every placer shares, for ``rows``
     placers in lockstep.
 
-    VMs go in decreasing demand order, ties by id.  ``pick(fleet, table)``
-    returns, per row, the id of the chosen host (-1 when the VM has no
-    feasible host; it is reported unplaced) and the choice's normalized
-    value.  Each row's placements accumulate on its row of a :class:`_Fleet`,
-    so its later VMs see its earlier assignments; ``state`` is not modified.
-    Returns the fleet and one result per row.
+    VMs go in :meth:`DataCenterState.by_decreasing_cpu` order.
+    ``pick(fleet, table)`` returns, per row, the id of the chosen host (-1
+    when the VM has no feasible host; it is reported unplaced) and the
+    choice's normalized value.  Each row's placements accumulate on its row
+    of a :class:`_Fleet`, so its later VMs see its earlier assignments;
+    ``state`` is not modified.  Returns the fleet and one result per row.
     """
     fleet = _Fleet(state, rows, host_list, thresholds)
     source = source or {}
     results = [PlacementResult() for _ in range(rows)]
-    vms = [state.vm(vm_id) for vm_id in vm_list]
-    for vm in sorted(vms, key=lambda vm: (-vm.cpu_demand, vm.id)):
-        tab = fleet.table(vm, source.get(vm.id))
+    for i in state.by_decreasing_cpu(vm_list).tolist():
+        tab = fleet.table(i, source.get(i, -1))
         hosts, norms = pick(fleet, tab)
         for k, (j, norm, result) in enumerate(zip(hosts, norms, results)):
             if j < 0:
-                result.unplaced.append(vm.id)
+                result.unplaced.append(i)
                 continue
-            result.placement[vm.id] = j
-            result.chosen_norm_values[vm.id] = norm
-            fleet.place(vm, k, j, tab)
+            result.placement[i] = j
+            result.chosen_norm_values[i] = norm
+            fleet.place(k, j, tab)
     return fleet, results
 
 
 def so_place(kind: SoKind, vm_list, host_list, state: DataCenterState,
              thresholds: np.ndarray | None = None,
-             source: dict[str, int] | None = None,
+             source: dict[int, int] | None = None,
              sosa: SoSaModel | None = None,
              slot_seconds: float = 300.0) -> PlacementResult:
     """Best-fit-decreasing placement under one SO consolidation value.
@@ -345,7 +344,7 @@ def so_place(kind: SoKind, vm_list, host_list, state: DataCenterState,
 
 def mo_place(kind: str, vm_list, host_list, state: DataCenterState,
              thresholds: np.ndarray | None = None,
-             source: dict[str, int] | None = None,
+             source: dict[int, int] | None = None,
              slot_seconds: float = 300.0,
              prefer_utilization: float | None = None) -> PlacementResult:
     """Multi-objective placement over the Pareto front of the 7 SO values.
@@ -395,7 +394,7 @@ def mo_place(kind: str, vm_list, host_list, state: DataCenterState,
 
 def swfdvp_place(vm_list, host_list, state: DataCenterState,
                  thresholds: np.ndarray | None = None,
-                 source: dict[str, int] | None = None) -> PlacementResult:
+                 source: dict[int, int] | None = None) -> PlacementResult:
     """Second-worst-fit baseline: rank feasible hosts by decreasing power
     increment and take the second one (the only one when the set is a
     singleton)."""
@@ -419,7 +418,7 @@ def evaluate_global_power(state: DataCenterState) -> float:
 def dynso_place(vm_list, host_list, state: DataCenterState,
                 so_list=DEFAULT_DYNSO_LIST,
                 thresholds: np.ndarray | None = None,
-                source: dict[str, int] | None = None,
+                source: dict[int, int] | None = None,
                 sosa: SoSaModel | None = None,
                 slot_seconds: float = 300.0,
                 evaluator=None) -> DynSoResult:

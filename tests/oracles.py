@@ -13,7 +13,8 @@ slot-grid cell at a time, and ``save_traces_rowwise`` the trace writer that
 formats one row at a time from numpy scalars.  ``overload_threshold`` is the
 MAD threshold of one host's utilization history, from ``statistics.median``
 on Python floats, where ``detection.overload_threshold`` takes every host's
-at once.
+at once.  ``vm_record`` and ``ids_on`` read a state's VMs back by id, as the
+slot loop, which passes VM positions, never does.
 """
 
 from __future__ import annotations
@@ -30,6 +31,18 @@ from dcsim.core import DataCenterState, VmState, default_server_spec
 from dcsim.models import KWH_PER_WS
 from dcsim.policies import SoKind, SoSaModel, normalize_band, so_sa_combine
 from dcsim.workload import KB_PER_MB, TRACE_COLUMNS, TraceError, Workload
+
+
+def vm_record(state: DataCenterState, i: int) -> VmState:
+    """The demand of the VM at position ``i``, as a new record."""
+    return VmState(state.vm_ids[i], state.cpu.item(i), state.ram.item(i),
+                   state.disk_read.item(i), state.disk_write.item(i),
+                   state.bw.item(i))
+
+
+def ids_on(state: DataCenterState, host: int) -> list[str]:
+    """Ids of the VMs on one host, in position order."""
+    return [state.vm_ids[i] for i in state.positions_on(host)]
 
 
 def governor_frequency(u_cpu: float, table):

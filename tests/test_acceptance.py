@@ -134,14 +134,16 @@ def test_criterion_6_sa_reaches_exhaustive_optimum():
     state, vm_ids = _sa_toy()
     best_val = min(sa_objective(list(combo), vm_ids, state)
                    for combo in itertools.product(range(4), repeat=6))
-    seed = dynso_place(vm_ids, [0, 1, 2, 3], state, so_list=PLAIN_KINDS)
+    # the placers take VM positions, the annealer takes ids
+    seed = dynso_place(range(len(vm_ids)), [0, 1, 2, 3], state, so_list=PLAIN_KINDS)
     assert not seed.unplaced
-    seed_val = sa_objective([seed.placement[v] for v in vm_ids], vm_ids, state)
+    start = {state.vm_ids[i]: h for i, h in seed.placement.items()}
+    seed_val = sa_objective([start[v] for v in vm_ids], vm_ids, state)
 
     t0 = time.monotonic()
     hits = 0
     for s in range(100):
-        sol = sa_solve(vm_ids, [0, 1, 2, 3], state, seed.placement,
+        sol = sa_solve(vm_ids, [0, 1, 2, 3], state, start,
                        SaConfig(iterations=100_000, seed=s))
         assert sol.objective <= seed_val + 1e-12  # hard invariant, 100/100
         if abs(sol.objective - best_val) <= 1e-9 * best_val:

@@ -1,10 +1,15 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dcsim import core
 from dcsim.cooling import VarInletCooling
 from dcsim.core import (_ARRAYS, CapacityError, DataCenterState, VmState,
                         apply_placement, default_server_spec)
+from oracles import ids_on
 
 
 def make_state(n_hosts=3, vms=None):
@@ -18,11 +23,11 @@ def place_all(state, mapping):
 
 def test_empty_placement_is_identity():
     state = make_state(2, {"a": VmState(id="a", cpu_demand=0.4, ram_used=1024.0)})
-    state.attach("a", 0)
+    state.attach(state.index["a"], 0)
     res = apply_placement(state, {})
     assert res.power_on_events == 0
     assert res.moved == []
-    assert res.state.vms_on(0) == ["a"]
+    assert ids_on(res.state, 0) == ["a"]
     assert res.state.u_cpu[0] == pytest.approx(state.u_cpu[0])
 
 
@@ -32,11 +37,11 @@ def test_move_to_cold_host_counts_power_on():
         "mv": VmState(id="mv", cpu_demand=0.30, ram_used=1024.0),
     }
     state = make_state(3, vms)
-    state.attach("big", 0)
-    state.attach("mv", 0)
+    state.attach(state.index["big"], 0)
+    state.attach(state.index["mv"], 0)
     assert state.u_cpu[0] == pytest.approx(0.95)
 
-    res = apply_placement(state, {"mv": 2})
+    res = apply_placement(state, {state.index["mv"]: 2})
     assert res.power_on_events == 1
     assert res.state.u_cpu[0] == pytest.approx(0.65)
     assert res.state.on[2]
@@ -48,7 +53,7 @@ def test_ram_capacity_violation_names_host_and_resource():
     vms = {"fat": VmState(id="fat", cpu_demand=0.1, ram_used=spec.ram_capacity + 1.0)}
     state = make_state(2, vms)
     with pytest.raises(CapacityError) as err:
-        apply_placement(state, {"fat": 1})
+        apply_placement(state, {state.index["fat"]: 1})
     assert err.value.host_id == 1
     assert err.value.resource == "ram"
 
@@ -60,16 +65,16 @@ def test_capacity_checked_only_on_receiving_hosts():
            "b": VmState(id="b", cpu_demand=0.1, ram_used=half),
            "c": VmState(id="c", cpu_demand=0.1, ram_used=64.0)}
     state = make_state(3, vms)
-    state.attach("a", 1)
-    state.attach("b", 1)
-    state.attach("c", 0)
+    state.attach(state.index["a"], 1)
+    state.attach(state.index["b"], 1)
+    state.attach(state.index["c"], 0)
     # host 1 is over its RAM but receives nothing: the move and the empty
     # placement both apply
-    res = apply_placement(state, {"c": 2})
+    res = apply_placement(state, {state.index["c"]: 2})
     assert res.state.host.tolist() == [1, 1, 2]
     assert apply_placement(state, {}).moved == []
     with pytest.raises(CapacityError) as err:
-        apply_placement(state, {"c": 1})
+        apply_placement(state, {state.index["c"]: 1})
     assert err.value.host_id == 1
 
 
@@ -79,20 +84,20 @@ def test_cpu_enforced_only_without_oversubscription():
         "b": VmState(id="b", cpu_demand=0.7, ram_used=10.0),
     }
     state = make_state(2, vms)
-    state.attach("a", 0)
+    state.attach(state.index["a"], 0)
     # oversubscription on (default): CPU sum over 1.0 is allowed, u clamps
-    res = apply_placement(state, {"b": 0})
+    res = apply_placement(state, {state.index["b"]: 0})
     assert res.state.cpu_sum[0] == pytest.approx(1.4)
     assert res.state.u_cpu[0] == 1.0
     with pytest.raises(CapacityError):
-        apply_placement(state, {"b": 0}, enforce_cpu=True)
+        apply_placement(state, {state.index["b"]: 0}, enforce_cpu=True)
 
 
 def test_emptied_host_powers_off():
     vms = {"only": VmState(id="only", cpu_demand=0.2, ram_used=64.0)}
     state = make_state(2, vms)
-    state.attach("only", 0)
-    res = apply_placement(state, {"only": 1})
+    state.attach(state.index["only"], 0)
+    res = apply_placement(state, {state.index["only"]: 1})
     assert not res.state.on[0]
     assert res.state.u_cpu[0] == 0.0
     assert res.state.p_it[0] == 0.0
@@ -105,9 +110,9 @@ def test_apply_placement_idempotent():
         "b": VmState(id="b", cpu_demand=0.2, ram_used=256.0),
     }
     state = make_state(3, vms)
-    state.attach("a", 0)
-    state.attach("b", 0)
-    placement = {"a": 1, "b": 2}
+    state.attach(state.index["a"], 0)
+    state.attach(state.index["b"], 0)
+    placement = {state.index["a"]: 1, state.index["b"]: 2}
     once = apply_placement(state, placement)
     twice = apply_placement(once.state, placement)
     assert twice.power_on_events == 0
@@ -126,7 +131,7 @@ def test_host_utilization_is_clamped_demand_sum(assignments):
     for i, (demand, host) in enumerate(assignments):
         vms[f"v{i}"] = VmState(id=f"v{i}", cpu_demand=demand, ram_used=1.0)
     state = make_state(5, vms)
-    placement = {f"v{i}": host for i, (_, host) in enumerate(assignments)}
+    placement = {i: host for i, (_, host) in enumerate(assignments)}
     res = apply_placement(state, placement)
     for h in range(5):
         expected = sum(d for i, (d, hid) in enumerate(assignments) if hid == h)
@@ -148,8 +153,8 @@ def test_state_copy_is_equal_and_independent():
                         disk_read=3.0, disk_write=4.0, net_bw=2.0),
            "b": VmState(id="b", cpu_demand=0.2, ram_used=512.0)}
     state = make_state(3, vms)
-    state.attach("a", 0)
-    state.attach("b", 2)
+    state.attach(state.index["a"], 0)
+    state.attach(state.index["b"], 2)
     new = state.copy()
     assert set(vars(new)) == set(vars(state))
     for name, value in vars(state).items():
@@ -159,44 +164,45 @@ def test_state_copy_is_equal_and_independent():
             assert copied.dtype == value.dtype, name
             assert not np.shares_memory(copied, value), name
         else:
-            # the spec, model parameters, setpoint and VM ids are shared
+            # the spec, model parameters, setpoint, VM ids and id ranks are
+            # shared
             assert getattr(new, name) is value, name
-    new.detach("a")
+    new.detach(new.index["a"])
     new.set_demand(cpu=[0.9, 0.1], ram=[1.0, 2.0], bw=[0.0, 0.0],
                    disk_read=[0.0, 0.0], disk_write=[0.0, 0.0])
-    assert state.vms_on(0) == ["a"]
+    assert ids_on(state, 0) == ["a"]
     assert state.host.tolist() == [0, 2]
     assert state.cpu.tolist() == [0.4, 0.2]
     assert state.cpu_sum.tolist() == [0.4, 0.0, 0.2]
 
 
-def test_vms_on_follows_every_move():
-    # vms_on serves a grouping of the VMs by host that a move, or a state
-    # made with other hosts (as a placer's view is), must not reuse
+def test_positions_on_follows_every_move():
+    # positions_on serves a grouping of the VMs by host that a move, or a
+    # state made with other hosts (as a placer's view is), must not reuse
     rng = np.random.default_rng(2)
     ids = [f"v{i}" for i in range(12)]
     state = make_state(4, {v: VmState(id=v, cpu_demand=0.05) for v in ids})
 
     def scan(s, h):
-        return [v for v, host in zip(s.vm_ids, s.host.tolist()) if host == h]
+        return [i for i, host in enumerate(s.host.tolist()) if host == h]
 
     for _ in range(40):
-        vid = ids[rng.integers(len(ids))]
+        i = int(rng.integers(len(ids)))
         if rng.random() < 0.2:
-            state.detach(vid)
+            state.detach(i)
         elif rng.random() < 0.2:
-            state = apply_placement(state, {vid: int(rng.integers(4))}).state
+            state = apply_placement(state, {i: int(rng.integers(4))}).state
         else:
-            state.attach(vid, int(rng.integers(4)))
-        state.vms_on(0)
+            state.attach(i, int(rng.integers(4)))
+        state.positions_on(0)
         for s in (state, state.copy(), state._with(host=np.roll(state.host, 1))):
             for h in range(4):
-                assert s.vms_on(h) == scan(s, h)
+                assert s.positions_on(h) == scan(s, h)
 
 
 def test_setpoint_change_recosts_and_same_setpoint_is_a_no_op(monkeypatch):
     state = make_state(2, {"a": VmState(id="a", cpu_demand=0.4, ram_used=1024.0)})
-    state.attach("a", 0)
+    state.attach(state.index["a"], 0)
     p_it = state.p_it.copy()
     recosts = []
     refresh = DataCenterState.refresh
@@ -235,13 +241,54 @@ def test_set_demand_equals_attaching_one_at_a_time(seed):
         demands["disk_write"][i], demands["bw"][i]) for i, vid in enumerate(ids)})
     for vid, h in zip(ids, hosts):
         if h >= 0:
-            attached.attach(vid, h)
+            attached.attach(attached.index[vid], h)
     # the same assignment, made before the demands are known
     updated = make_state(8, {vid: VmState(vid) for vid in ids})
     for vid, h in zip(ids, hosts):
         if h >= 0:
-            updated.attach(vid, h)
+            updated.attach(updated.index[vid], h)
     updated.set_demand(**demands)
     for name in _ARRAYS:
         assert getattr(updated, name).tolist() == \
             getattr(attached, name).tolist(), name
+
+
+def test_ties_between_vms_go_by_id_in_string_order():
+    # positions 0, 1, 2 hold "vm10", "vm9" and "vm2": id order is 0, 2, 1
+    state = make_state(2, {v: VmState(id=v, cpu_demand=0.3) for v in ("vm10", "vm9", "vm2")})
+    assert state.rank.tolist() == [0, 2, 1]
+    assert state.copy().rank is state.rank
+    assert state.by_decreasing_cpu([1, 2, 0]).tolist() == [0, 2, 1]
+    state.set_demand(cpu=[0.1, 0.3, 0.2], ram=[0.0] * 3, bw=[0.0] * 3,
+                     disk_read=[0.0] * 3, disk_write=[0.0] * 3)
+    assert state.by_decreasing_cpu([0, 1, 2]).tolist() == [1, 2, 0]
+
+
+def _id_reads(tree):
+    """Lines of a module that read VM ids: ``.vm_ids``, ``.index[...]`` or
+    ``VmState``, its imports aside."""
+    for node in ast.walk(tree):
+        if ((isinstance(node, ast.Attribute) and node.attr in ("vm_ids", "VmState"))
+                or (isinstance(node, ast.Name) and node.id == "VmState")
+                or (isinstance(node, ast.Subscript)
+                    and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "index")):
+            yield node.lineno
+
+
+def test_slot_loop_passes_vm_positions_not_ids():
+    # detection and the placers see VMs only as positions; the engine turns
+    # ids into positions once, where run builds its state, and back only
+    # for the annealer, which takes ids
+    package = Path(core.__file__).parent
+    reads = {name: list(_id_reads(ast.parse((package / name).read_text())))
+             for name in ("detection.py", "policies.py", "engine.py")}
+    engine = ast.parse((package / "engine.py").read_text())
+    boundary = [node for node in ast.walk(engine)
+                if (isinstance(node, ast.If) and ast.unparse(node.test) == "name == 'sa'")
+                or (isinstance(node, ast.Assign)
+                    and ast.unparse(node.value).startswith("DataCenterState.build("))]
+    reads["engine.py"] = [line for line in reads["engine.py"]
+                          if not any(b.lineno <= line <= b.end_lineno for b in boundary)]
+    assert len(boundary) == 2
+    assert reads == {"detection.py": [], "policies.py": [], "engine.py": []}

@@ -105,7 +105,7 @@ def mmt_state():
     }
     state = DataCenterState.build(2, vms)
     for vid in vms:
-        state.attach(vid, 0)
+        state.attach(state.index[vid], 0)
     return state
 
 
@@ -113,7 +113,7 @@ def test_mmt_worked_selection():
     state = mmt_state()
     assert state.cpu_sum[0] == pytest.approx(0.95)
     # smallest RAM first: B (0.95 -> 0.93), then C (0.93 -> 0.87 < 0.9)
-    assert select_vms_mmt(0, 0.9, state) == ["B", "C"]
+    assert [state.vm_ids[i] for i in select_vms_mmt(0, 0.9, state)] == ["B", "C"]
 
 
 def test_mmt_empty_below_threshold():
@@ -124,8 +124,8 @@ def test_mmt_empty_below_threshold():
 def test_mmt_single_vm_host():
     vms = {"solo": VmState(id="solo", cpu_demand=0.95, ram_used=512.0)}
     state = DataCenterState.build(1, vms)
-    state.attach("solo", 0)
-    assert select_vms_mmt(0, 0.9, state) == ["solo"]
+    state.attach(state.index["solo"], 0)
+    assert select_vms_mmt(0, 0.9, state) == [state.index["solo"]]
 
 
 @given(st.lists(st.tuples(st.floats(min_value=0.01, max_value=0.4),
@@ -138,9 +138,9 @@ def test_mmt_projection_drops_below_threshold(vm_specs):
            for i, (d, r) in enumerate(vm_specs)}
     state = DataCenterState.build(1, vms)
     for vid in vms:
-        state.attach(vid, 0)
+        state.attach(state.index[vid], 0)
     threshold = 0.5
-    picked = select_vms_mmt(0, threshold, state)
+    picked = [state.vm_ids[i] for i in select_vms_mmt(0, threshold, state)]
     remaining = sum(vm.cpu_demand for vid, vm in vms.items()
                     if vid not in picked)
     if state.cpu_sum[0] >= threshold:
@@ -152,7 +152,7 @@ def build_attached(n_hosts, placed):
     state = DataCenterState.build(n_hosts, {vm.id: vm for vm, _ in placed},
                                   setpoint=291.0)
     for vm, host in placed:
-        state.attach(vm.id, host)
+        state.attach(state.index[vm.id], host)
     return state
 
 
@@ -233,13 +233,13 @@ def scalar_underloaded(state, exclude, thresholds):
     spec = state.spec
     on = [h for h in range(len(state.on)) if state.on[h]]
     out = []
-    for h in sorted((h for h in on if h not in exclude and state.vms_on(h)),
+    for h in sorted((h for h in on if h not in exclude and state.positions_on(h)),
                     key=lambda h: (float(state.u_cpu[h]), h)):
         targets = [t for t in on if t != h and t not in exclude]
         load = {t: [float(state.cpu_sum[t]), float(state.ram_sum[t]),
                     float(state.bw_sum[t])] for t in targets}
         fits = True
-        for vm in sorted(map(state.vm, state.vms_on(h)),
+        for vm in sorted((oracles.vm_record(state, i) for i in state.positions_on(h)),
                          key=lambda vm: (-vm.cpu_demand, vm.id)):
             for t in targets:
                 cpu, ram, bw = load[t]
@@ -268,12 +268,13 @@ def test_underload_search_matches_scalar_reference():
 def test_fit_test_breaks_demand_ties_by_vm_id():
     # "a" and "b" tie on demand.  Taking "a" first fills host 1 so that "b"
     # fits nowhere, while "b" first would succeed; the order must not come
-    # from the iteration order of the host's VM set.
+    # from the iteration order of the host's VM set, nor from the VMs'
+    # positions ("b" comes first there).
     cap = default_server_spec().ram_capacity
     state = build_attached(3, [
         (VmState(id=vid, cpu_demand=0.1 if host == 0 else 0.3, ram_used=ram),
          host)
-        for vid, ram, host in (("a", 900.0, 0), ("b", 2500.0, 0),
+        for vid, ram, host in (("b", 2500.0, 0), ("a", 900.0, 0),
                                ("fill1", cap - 2600.0, 1),
                                ("fill2", cap - 1000.0, 2))])
     assert find_underloaded(state, np.full(3, 0.9)) == []
@@ -290,8 +291,9 @@ def test_fit_test_takes_ram_up_to_the_placers_limit():
     assert cap < state.ram_sum[1] + 1000.0 <= cap + 1e-9
     # "fill" does not fit under host 0's threshold, so host 1 stays
     thresholds = np.array([0.55, 0.9])
+    v = state.index["v"]
     plan = state.copy()
-    plan.detach("v")
-    placed = so_place(SoKind.SO1, ["v"], [1], plan, thresholds, {"v": 0})
-    assert placed.placement == {"v": 1}
+    plan.detach(v)
+    placed = so_place(SoKind.SO1, [v], [1], plan, thresholds, {v: 0})
+    assert placed.placement == {v: 1}
     assert find_underloaded(state, thresholds) == [0]

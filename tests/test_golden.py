@@ -6,20 +6,23 @@ the ``dynso`` kinds were placed in one lockstep walk, and the rest before the
 fleet state became per-host and per-VM arrays, each under more than one
 string-hash seed.  ``sosa``'s ``e_cooling`` was re-recorded (one ulp) when
 ``synth_workload`` stopped using numpy's ``exp``, whose AVX-512 kernel gave a
-different workload than the other CPUs.  A change meant only to speed the
-simulator up must leave every digit in place; a change of behaviour must say
-so and record new values.
+different workload than the other CPUs.  The shuffled-id values were
+recorded under string-hash seeds 0 and 2 while VMs still went through the
+slot loop as id strings, so they pin every tie between VMs to id order.  A
+change meant only to speed the simulator up must leave every digit in
+place; a change of behaviour must say so and record new values.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 from dcsim.annealer import SaConfig
 from dcsim.config import cooling_from_name
 from dcsim.engine import SimConfig, run
 from dcsim.models import ModelParams
-from dcsim.workload import synth_workload
+from dcsim.workload import Workload, synth_workload
 
 # (e_it, e_cooling, e_boot, power_on_events, migrations)
 GOLDEN = {
@@ -50,6 +53,18 @@ GOLDEN_VARIANTS = {
         "(3.0748487967267573, 1.1492184170753317, 0.31082200000000004, 23, 83)",
 }
 
+# the same workload with its VMs renamed in a shuffled order (id order is no
+# longer position order) and its CPU and RAM demands rounded so that ties
+# occur: every tie-break by VM id shows in these totals
+GOLDEN_SHUFFLED_IDS = {
+    "pabfd": "(2.7532127645602826, 1.029007611212544, 0.27028, 20, 82)",
+    "dynso": "(2.7137824414686635, 1.0142706090105633, 0.29730800000000007, 22, 85)",
+    "sosa": "(2.7094117645603775, 1.0126370775005147, 0.28379400000000005, 21, 93)",
+    "mo2": "(2.7736816841190515, 1.0366578278214424, 0.28379400000000005, 21, 79)",
+    "swfdvp": "(4.611710904354583, 1.7236174706064364, 0.5270460000000001, 39, 30)",
+    "sa": "(2.7451623783284513, 1.0259987959068813, 0.256766, 19, 80)",
+}
+
 # a fixed iteration budget and no wall-clock cap keep the annealer
 # deterministic; its seed comes from dynso_place over eight kinds
 SA = SaConfig(iterations=2000, wall_time_cap=math.inf)
@@ -76,3 +91,21 @@ def test_variant_totals_are_bit_identical(case):
     t = run(w, cfg).totals
     got = (t.e_it, t.e_cooling, t.e_boot, t.power_on_events, t.migrations)
     assert repr(got) == GOLDEN_VARIANTS[case]
+
+
+def _shuffled_ids_workload():
+    w = synth_workload(vms=72, slots=12, variability=120.0, seed=4)
+    # unpadded names, so string order differs from numeric order too
+    ids = [f"vm{i}" for i in np.random.default_rng(16).permutation(w.vm_count)]
+    cpu = np.maximum(np.round(w.cpu * 50.0), 1.0) / 50.0
+    ram = np.maximum(np.round(w.ram / 256.0), 1.0) * 256.0
+    return Workload(ids, cpu, ram, w.disk_read, w.disk_write, w.net_bw, w.cores,
+                    w.ram_provisioned, w.slot_seconds)
+
+
+@pytest.mark.parametrize("policy", sorted(GOLDEN_SHUFFLED_IDS))
+def test_shuffled_id_totals_are_bit_identical(policy):
+    sa = SA if policy == "sa" else SaConfig()
+    t = run(_shuffled_ids_workload(), SimConfig(hosts=30, policy=policy, sa=sa)).totals
+    got = (t.e_it, t.e_cooling, t.e_boot, t.power_on_events, t.migrations)
+    assert repr(got) == GOLDEN_SHUFFLED_IDS[policy]

@@ -13,7 +13,7 @@ from dcsim.policies import (DEFAULT_DYNSO_LIST, SoKind, SoSaModel, _bfd,
 from oracles import (CandidateView, GuardError, candidate_evaluations,
                      effective_it_power, evaluate_candidate, governor_frequency,
                      is_busy, objective_vector, so_sa_value, so_value,
-                     so_value_from_view)
+                     so_value_from_view, vm_record)
 
 # Candidate hosts of the allocation case of use: C and D after placing the
 # VM (B is excluded by the 0.9 rule and never reaches the value function).
@@ -65,8 +65,13 @@ def make_state(n_hosts, vm_specs, setpoint=291.0):
     state = DataCenterState.build(n_hosts, vms, setpoint=setpoint)
     for vid, (_, _, host) in vm_specs.items():
         if host is not None:
-            state.attach(vid, host)
+            state.attach(state.index[vid], host)
     return state
+
+
+def with_ids(state, by_position):
+    """A placer's map keyed by VM position, keyed by VM id instead."""
+    return {state.vm_ids[i]: value for i, value in by_position.items()}
 
 
 def test_overloaded_candidate_excluded_for_every_kind():
@@ -76,38 +81,41 @@ def test_overloaded_candidate_excluded_for_every_kind():
         "bg2": (0.10, 1024.0, 2),
         "mv": (0.30, 512.0, None),
     })
+    mv = state.index["mv"]
     kinds = list(SoKind)
     kinds.remove(SoKind.SWFDVP)
     for kind in kinds:
-        res = so_place(kind, ["mv"], [1, 2], state)
-        assert res.placement["mv"] == 2, kind
-    res = swfdvp_place(["mv"], [1, 2], state)
-    assert res.placement["mv"] == 2
-    res = mo_place("mo1", ["mv"], [1, 2], state)
-    assert res.placement["mv"] == 2
-    res = mo_place("mo2", ["mv"], [1, 2], state)
-    assert res.placement["mv"] == 2
+        res = so_place(kind, [mv], [1, 2], state)
+        assert res.placement[mv] == 2, kind
+    res = swfdvp_place([mv], [1, 2], state)
+    assert res.placement[mv] == 2
+    res = mo_place("mo1", [mv], [1, 2], state)
+    assert res.placement[mv] == 2
+    res = mo_place("mo2", [mv], [1, 2], state)
+    assert res.placement[mv] == 2
 
 
 def test_single_feasible_host_trivial():
     state = make_state(1, {"v": (0.4, 256.0, None)})
-    res = so_place(SoKind.SO1, ["v"], [0], state)
-    assert res.placement == {"v": 0}
+    v = state.index["v"]
+    res = so_place(SoKind.SO1, [v], [0], state)
+    assert res.placement == {v: 0}
     assert res.unplaced == []
 
 
 def test_unplaceable_vm_reported():
     state = make_state(2, {"v": (0.95, 256.0, None)})
-    res = so_place(SoKind.SO6, ["v"], [0, 1], state)
+    v = state.index["v"]
+    res = so_place(SoKind.SO6, [v], [0, 1], state)
     assert res.placement == {}
-    assert res.unplaced == ["v"]
+    assert res.unplaced == [v]
 
 
 def greedy_oracle(kind, vm_ids, host_ids, state, thr=0.9):
     """Independent sequential-greedy reference for the plain SO kinds."""
     scratch = state.copy()
     placement = {}
-    order = sorted((scratch.vm(v) for v in vm_ids),
+    order = sorted((vm_record(scratch, scratch.index[v]) for v in vm_ids),
                    key=lambda x: (-x.cpu_demand, x.id))
     for vm in order:
         best_val, best_host = None, None
@@ -122,7 +130,7 @@ def greedy_oracle(kind, vm_ids, host_ids, state, thr=0.9):
                 best_val, best_host = val, hid
         if best_host is not None:
             placement[vm.id] = best_host
-            scratch.attach(vm.id, best_host)
+            scratch.attach(scratch.index[vm.id], best_host)
     return placement
 
 
@@ -152,14 +160,14 @@ def toy_instance(seed):
 def test_so_place_matches_greedy_oracle(kind, seed):
     state = toy_instance(seed)
     vm_ids = [f"v{i}" for i in range(5)]
-    res = so_place(kind, vm_ids, [0, 1, 2], state)
+    res = so_place(kind, [state.index[v] for v in vm_ids], [0, 1, 2], state)
     oracle = greedy_oracle(kind, vm_ids, [0, 1, 2], state)
-    assert res.placement == oracle
+    assert with_ids(state, res.placement) == oracle
 
 
 def test_placements_respect_capacity_for_all_policies():
     state = toy_instance(11)
-    vm_ids = [f"v{i}" for i in range(5)]
+    vm_ids = [state.index[f"v{i}"] for i in range(5)]
     results = []
     for kind in (SoKind.SO1, SoKind.SO3, SoKind.SO6, SoKind.SO8, SoKind.SO_SA):
         results.append(so_place(kind, vm_ids, [0, 1, 2], state).placement)
@@ -180,8 +188,9 @@ def test_so_sa_combine_unit_case():
 def test_so_sa_single_candidate_degenerates():
     state = make_state(2, {"bg": (0.3, 1024.0, 0), "v": (0.2, 256.0, None)})
     m = SoSaModel()
-    val = so_sa_value(state.vm("v"), 0, state, m)
-    view = evaluate_candidate(state.vm("v"), 0, state)
+    vm = vm_record(state, state.index["v"])
+    val = so_sa_value(vm, 0, state, m)
+    view = evaluate_candidate(vm, 0, state)
     cool = models.cop(state.setpoint)
     energy = ((state.total_it_power() - view.p_before + view.p_after)
               * (1 + 1 / cool)) * 300.0 / 3.6e6
@@ -198,12 +207,13 @@ def test_so_sa_prefers_cheaper_energy_at_equal_so_values():
         "v": VmState(id="v", cpu_demand=0.2, ram_used=256.0),
     }
     state = DataCenterState.build(2, vms)
-    state.attach("bg0", 0)
-    state.attach("bg1", 1)
-    res = so_place(SoKind.SO_SA, ["v"], [0, 1], state)
-    assert res.placement["v"] == 0
-    v0 = so_sa_value(state.vm("v"), 0, state, candidates=[0, 1])
-    v1 = so_sa_value(state.vm("v"), 1, state, candidates=[0, 1])
+    state.attach(state.index["bg0"], 0)
+    state.attach(state.index["bg1"], 1)
+    v = state.index["v"]
+    res = so_place(SoKind.SO_SA, [v], [0, 1], state)
+    assert res.placement[v] == 0
+    v0 = so_sa_value(vm_record(state, v), 0, state, candidates=[0, 1])
+    v1 = so_sa_value(vm_record(state, v), 1, state, candidates=[0, 1])
     assert v0 < v1
 
 
@@ -251,7 +261,7 @@ def test_normalize_band():
 
 def test_argmin_invariant_under_positive_scaling():
     state = toy_instance(5)
-    vm_ids = ["v0", "v1"]
+    vm_ids = [state.index["v0"], state.index["v1"]]
     base = so_place(SoKind.SO2, vm_ids, [0, 1, 2], state).placement
     # scaling every candidate value by c > 0 preserves each per-step argmin:
     # equivalent here to scaling the power model coefficients jointly
@@ -270,7 +280,7 @@ def mo_oracle(kind, vm_ids, host_ids, state, thr=0.9):
     scratch = state.copy()
     placement = {}
     cool = models.cop(scratch.setpoint)
-    order = sorted((scratch.vm(v) for v in vm_ids),
+    order = sorted((vm_record(scratch, scratch.index[v]) for v in vm_ids),
                    key=lambda x: (-x.cpu_demand, x.id))
     for vm in order:
         cands = []
@@ -310,7 +320,7 @@ def mo_oracle(kind, vm_ids, host_ids, state, thr=0.9):
                 return sum(v * v for v in normalized[i]) ** 0.5
         best = min(front, key=lambda i: (score(i), cands[i][0]))
         placement[vm.id] = cands[best][0]
-        scratch.attach(vm.id, cands[best][0])
+        scratch.attach(scratch.index[vm.id], cands[best][0])
     return placement
 
 
@@ -325,8 +335,8 @@ def test_mo_place_matches_double_oracle(kind, seed):
     vm_specs["bg2"] = (0.25, 1024.0, 2)
     state = make_state(4, vm_specs)
     vm_ids = [f"v{i}" for i in range(4)]
-    res = mo_place(kind, vm_ids, [0, 1, 2, 3], state)
-    assert res.placement == mo_oracle(kind, vm_ids, [0, 1, 2, 3], state)
+    res = mo_place(kind, [state.index[v] for v in vm_ids], [0, 1, 2, 3], state)
+    assert with_ids(state, res.placement) == mo_oracle(kind, vm_ids, [0, 1, 2, 3], state)
 
 
 def test_mo_agree_on_single_front():
@@ -339,10 +349,11 @@ def test_mo_agree_on_single_front():
         "v": VmState(id="v", cpu_demand=0.2, ram_used=128.0),
     }
     state = DataCenterState.build(2, vms)
-    state.attach("bg0", 0)
-    state.attach("bg1", 1)
-    assert mo_place("mo1", ["v"], [0, 1], state).placement["v"] == 0
-    assert mo_place("mo2", ["v"], [0, 1], state).placement["v"] == 0
+    state.attach(state.index["bg0"], 0)
+    state.attach(state.index["bg1"], 1)
+    v = state.index["v"]
+    assert mo_place("mo1", [v], [0, 1], state).placement[v] == 0
+    assert mo_place("mo2", [v], [0, 1], state).placement[v] == 0
 
 
 def test_swfdvp_second_best_rule():
@@ -355,30 +366,32 @@ def test_swfdvp_second_best_rule():
     }
     state = DataCenterState.build(3, vms)
     for i in range(3):
-        state.attach(f"bg{i}", i)
-    res = swfdvp_place(["v"], [0, 1, 2], state)
+        state.attach(state.index[f"bg{i}"], i)
+    v = state.index["v"]
+    res = swfdvp_place([v], [0, 1, 2], state)
     # oracle: rank by decreasing power increment, take the second
     dps = {}
     for hid in (0, 1, 2):
-        view = evaluate_candidate(state.vm("v"), hid, state)
+        view = evaluate_candidate(vm_record(state, v), hid, state)
         dps[hid] = view.p_after - view.p_before
     ranked = sorted(dps, key=lambda h: (-dps[h], h))
-    assert res.placement["v"] == ranked[1]
-    assert res.chosen_norm_values == {"v": 1.5}
+    assert res.placement[v] == ranked[1]
+    assert res.chosen_norm_values == {v: 1.5}
 
 
 def test_swfdvp_fallbacks():
     state = make_state(1, {"v": (0.4, 128.0, None)})
-    res = swfdvp_place(["v"], [0], state)
-    assert (res.placement, res.chosen_norm_values) == ({"v": 0}, {"v": 1.5})
+    v = state.index["v"]
+    res = swfdvp_place([v], [0], state)
+    assert (res.placement, res.chosen_norm_values) == ({v: 0}, {v: 1.5})
     state2 = make_state(1, {"v": (0.95, 128.0, None)})
-    res = swfdvp_place(["v"], [0], state2)
-    assert res.unplaced == ["v"]
+    res = swfdvp_place([v], [0], state2)
+    assert res.unplaced == [v]
 
 
 def test_dynso_single_kind_equals_so_place():
     state = toy_instance(3)
-    vm_ids = [f"v{i}" for i in range(5)]
+    vm_ids = [state.index[f"v{i}"] for i in range(5)]
     r = dynso_place(vm_ids, [0, 1, 2], state, so_list=[SoKind.SO6])
     assert r.kind == SoKind.SO6
     assert r.placement == so_place(SoKind.SO6, vm_ids, [0, 1, 2], state).placement
@@ -387,13 +400,13 @@ def test_dynso_single_kind_equals_so_place():
 def test_dynso_tie_reports_first_kind():
     # single host: every kind must produce the identical forced placement
     state = make_state(1, {"v": (0.2, 128.0, None)})
-    r = dynso_place(["v"], [0], state, so_list=[SoKind.SO5, SoKind.SO2])
+    r = dynso_place([state.index["v"]], [0], state, so_list=[SoKind.SO5, SoKind.SO2])
     assert r.kind == SoKind.SO5
 
 
 def test_dynso_power_matches_recomputation_oracle():
     state = toy_instance(7)
-    vm_ids = [f"v{i}" for i in range(5)]
+    vm_ids = [state.index[f"v{i}"] for i in range(5)]
     r = dynso_place(vm_ids, [0, 1, 2], state,
                     so_list=[SoKind.SO1, SoKind.SO3, SoKind.SO6])
     placed = apply_placement(state, r.placement).state
@@ -415,12 +428,12 @@ def test_dynso_power_matches_recomputation_oracle():
 def test_dynso_requires_nonempty_list():
     state = toy_instance(0)
     with pytest.raises(ValueError):
-        dynso_place(["v0"], [0, 1, 2], state, so_list=[])
+        dynso_place([state.index["v0"]], [0, 1, 2], state, so_list=[])
 
 
 def test_candidate_evaluations_surface():
     state = toy_instance(4)
-    vm = state.vm("v0")
+    vm = vm_record(state, state.index["v0"])
     evals = candidate_evaluations(vm, [0, 1, 2], state)
     assert [e.host_id for e in evals] == [0, 1, 2]
     for e in evals:
@@ -441,9 +454,9 @@ def test_candidate_evaluations_surface():
 
 
 def dynso_instance(seed, hosts=6, vms=8):
-    """``hosts`` hosts, all but the last with background load, ``vms`` + 1
-    detached VMs (one too big for any host), a source host for each of them
-    and a threshold array."""
+    """``hosts`` hosts, all but the last with background load, the positions
+    of ``vms`` + 1 detached VMs (one, "huge", too big for any host), a source
+    host for each of them and a threshold array."""
     rng = np.random.default_rng(seed)
     specs = {f"bg{i}": (float(rng.uniform(0.05, 0.6)),
                         float(rng.uniform(256, 4096)), i)
@@ -453,7 +466,7 @@ def dynso_instance(seed, hosts=6, vms=8):
                           float(rng.uniform(128, 4096)), None)
     specs["huge"] = (0.95, 512.0, None)
     state = make_state(hosts, specs)
-    vm_ids = [v for v in specs if not v.startswith("bg")]
+    vm_ids = [state.index[v] for v in specs if not v.startswith("bg")]
     source = {v: int(rng.integers(0, hosts)) for v in vm_ids}
     thresholds = np.array([float(rng.uniform(0.7, 0.95)) for _ in range(hosts)])
     return state, vm_ids, source, thresholds
@@ -480,7 +493,7 @@ def test_dynso_matches_reattach_oracle(seed):
     for make in evaluators:
         r = dynso_place(vm_ids, range(6), state, thresholds=thresholds,
                         source=source, evaluator=make())
-        assert "huge" in r.unplaced
+        assert state.index["huge"] in r.unplaced
         assert (r.kind, r.placement, r.global_power) == reattach_oracle(
             vm_ids, state, thresholds, source, make())
 
@@ -496,7 +509,7 @@ def test_dynso_matches_reattach_oracle_with_fallback_outside_host_list(seed):
     for make in evaluators:
         r = dynso_place(vm_ids, range(4), state, thresholds=thresholds,
                         source=source, evaluator=make())
-        assert "huge" in r.unplaced
+        assert state.index["huge"] in r.unplaced
         assert (r.kind, r.placement, r.global_power) == reattach_oracle(
             vm_ids, state, thresholds, source, make(), host_list=range(4))
 
@@ -505,17 +518,17 @@ def reattached(state, placement, source):
     """A copy of the state with the placement attached in placement order,
     then every unplaced VM attached to its source host."""
     scratch = state.copy()
-    for vm_id, host_id in placement.items():
-        scratch.attach(vm_id, host_id)
-    for vm_id, host_id in source.items():
-        if vm_id not in placement:
-            scratch.attach(vm_id, host_id)
+    for i, host_id in placement.items():
+        scratch.attach(i, host_id)
+    for i, host_id in source.items():
+        if i not in placement:
+            scratch.attach(i, host_id)
     return scratch
 
 
 def assignment(fleet, vm_ids):
     """VM -> host of the given VMs in a fleet."""
-    return {vid: fleet.host[fleet.index[vid]] for vid in vm_ids}
+    return {i: fleet.host[i] for i in vm_ids}
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -551,11 +564,11 @@ def test_evaluator_receives_the_placed_state():
     r = dynso_place(vm_ids, range(6), state, so_list=[SoKind.SO1],
                     thresholds=thresholds, source=source, evaluator=keep)
     [fleet] = received
-    assert "huge" in r.unplaced
+    assert state.index["huge"] in r.unplaced
     # the placement in placement order, then unplaced VMs on their sources
     expected = reattached(state, r.placement, source)
-    for vm_id in vm_ids:
-        assert state.host[state.index[vm_id]] == -1
+    for i in vm_ids:
+        assert state.host[i] == -1
     for name in _ARRAYS:
         assert getattr(fleet, name).tolist() == \
             getattr(expected, name).tolist(), name
@@ -580,7 +593,7 @@ def test_lockstep_walk_equals_single_kind_walks(seed):
         assert list(row.placement.items()) == list(single.placement.items())
         assert row.unplaced == single.unplaced
         assert row.chosen_norm_values == single.chosen_norm_values
-        assert "huge" in row.unplaced
+        assert state.index["huge"] in row.unplaced
         assert set(row.placement.values()) <= set(host_list)
         assert all(row.placement.get(v) != h for v, h in source.items())
         placements.append(row.placement)
@@ -607,9 +620,9 @@ def random_fleet(seed, fan_map):
     state = DataCenterState.build(8, vms, params=params,
                                   setpoint=float(rng.choice([291.0, 297.0])))
     for i in range(9):
-        state.attach(f"bg{i}", int(rng.integers(0, 5)))
-    state.attach("bg9", 7)
-    state.detach("bg9")
+        state.attach(state.index[f"bg{i}"], int(rng.integers(0, 5)))
+    state.attach(state.index["bg9"], 7)
+    state.detach(state.index["bg9"])
     return state, rng
 
 
@@ -621,12 +634,12 @@ def test_fleet_place_equals_attach_and_refresh(fan_map, seed):
     assert fleet.total_p[0] == effective_it_power(state)
     total = fleet.total_p[0]
     for i in rng.permutation(12):
-        vid = f"v{i}"
+        vm = state.index[f"v{i}"]
         hid = int(rng.integers(0, 8))
         old = state.p_it[hid] if is_busy(state, hid) else 0.0
-        tab = fleet.table(state.vm(vid))
-        fleet.place(state.vm(vid), 0, hid, tab)
-        state.attach(vid, hid)
+        tab = fleet.table(vm)
+        fleet.place(0, hid, tab)
+        state.attach(vm, hid)
         # the candidate's cost is the cost the state charges, to the bit
         assert tab["p_after"][0, hid] == state.p_it[hid]
         total += state.p_it[hid] - old
