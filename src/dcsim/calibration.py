@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .policies import SoKind, SoSaModel
+from .policies import SoKind, SoSaModel, so_sa_combine
 
 
 class CollinearFeaturesError(ValueError):
@@ -118,6 +118,5 @@ def fit_sosa(samples: list[TrainingRecord], split: float = 0.8) -> tuple[SoSaMod
 
 
 def predict(model: SoSaModel, samples: list[TrainingRecord]) -> np.ndarray:
-    return np.array([model.a3 * s.norm_so3 * s.e_so3
-                     + model.a6 * s.norm_so6 * s.e_so6 + model.c
+    return np.array([so_sa_combine(s.norm_so3, s.e_so3, s.norm_so6, s.e_so6, model)
                      for s in samples])

@@ -14,7 +14,7 @@ from pathlib import Path
 from . import calibration, engine, report
 from .config import ConfigError, apply_config, cooling_from_name, parse_config
 from .engine import POLICY_NAMES, SimConfig
-from .policies import SoKind, SoSaModel
+from .policies import SoKind
 from .workload import (TraceError, Workload, load_traces, save_traces,
                        synth_workload, variability_score)
 
@@ -46,23 +46,19 @@ def _load_workload(args) -> Workload:
 
 
 def _build_config(args) -> SimConfig:
-    cfg = SimConfig(hosts=args.hosts)
+    """SimConfig's defaults, then the config file's values, then the flags':
+    flags win over file values."""
+    cfg = SimConfig()
     if args.config:
         cfg = apply_config(cfg, parse_config(args.config))
-    # flags win over config file values
-    if args.policy:
-        cfg = replace(cfg, policy=args.policy)
-    if args.cooling:
-        cfg = replace(cfg, cooling=cooling_from_name(args.cooling))
-    flags = {"iterations": args.sa_iterations, "k": args.sa_k, "seed": args.sa_seed,
-             "wall_time_cap": args.sa_timecap}
-    sa = {name: value for name, value in flags.items() if value is not None}
-    cfg = replace(cfg, sa=replace(cfg.sa, **sa))
+    flags = {"run.hosts": args.hosts, "run.policy": args.policy,
+             "run.cooling": args.cooling, "sa.iterations": args.sa_iterations,
+             "sa.k": args.sa_k, "sa.seed": args.sa_seed, "sa.timecap": args.sa_timecap}
     if args.sosa_model:
         params = json.loads(Path(args.sosa_model).read_text())
-        cfg = replace(cfg, sosa=SoSaModel(a3=params["a3"], a6=params["a6"],
-                                          c=params["c"]))
-    return cfg
+        flags.update({f"sosa.{name}": params[name] for name in ("a3", "a6", "c")})
+    return apply_config(cfg, {key: value for key, value in flags.items()
+                              if value is not None})
 
 
 def _add_run_args(p: argparse.ArgumentParser, policy_required: bool = True):
@@ -70,7 +66,7 @@ def _add_run_args(p: argparse.ArgumentParser, policy_required: bool = True):
     p.add_argument("--synth", help='synthetic spec, e.g. "vms=50,slots=288,var=280,seed=7"')
     p.add_argument("--fill", choices=("ffill", "drop"), default="ffill",
                    help="gap policy for loaded traces")
-    p.add_argument("--hosts", type=int, default=1200)
+    p.add_argument("--hosts", type=int, default=None)
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--sa-iterations", type=int, default=None)

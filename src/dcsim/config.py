@@ -100,8 +100,9 @@ def _replaced(obj, path: str, value):
                            if rest else value})
 
 
-def apply_config(cfg: SimConfig, values: dict[str, str]) -> SimConfig:
-    """Overlay flat config values onto a SimConfig.  A value its key's type
+def apply_config(cfg: SimConfig, values: dict) -> SimConfig:
+    """Overlay flat config values onto a SimConfig: strings read from a file,
+    or values a command-line flag has already typed.  A value its key's type
     cannot read, or that the config rejects, raises a ConfigError that
     names the key."""
     for key, value in values.items():

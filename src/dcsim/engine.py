@@ -92,7 +92,6 @@ class RunReport:
     avg_sla: float          # overload-time fraction x migration degradation
     pue: float              # (IT + cooling) / IT, boot energy excluded
     wall_time: float
-    policy: str = ""
     # per-slot mean normalized consolidation value and slot energy, consumed
     # by the calibration pipeline
     calib_values: list[float] = field(default_factory=list)
@@ -129,6 +128,11 @@ class _Ledger:
     vm_req: np.ndarray          # requested CPU-seconds
 
 
+def _overloaded(state: DataCenterState, thresholds: np.ndarray) -> list[int]:
+    """The hosts that are on with CPU at or above their overload threshold."""
+    return np.flatnonzero(state.on & (state.cpu_sum >= thresholds)).tolist()
+
+
 def _underload_cut(state: DataCenterState) -> float:
     """Utilization below which a host may be drained: ``UNDERLOAD_FRACTION``
     of the mean over the busy hosts, or 0.0 when no host is busy."""
@@ -156,8 +160,8 @@ def _drain_aware_evaluator(cfg: SimConfig, thresholds: np.ndarray):
         busy = state.busy
         power = left_sum(state.p_it[busy].tolist())
         if busy.any():
-            overloaded = np.flatnonzero(state.on & (state.cpu_sum >= thresholds))
-            drainable = _drain_sources(cfg, state, thresholds, set(overloaded.tolist()))
+            overloaded = set(_overloaded(state, thresholds))
+            drainable = _drain_sources(cfg, state, thresholds, overloaded)
             power -= left_sum(state.p_it[drainable].tolist())
         return power * (1.0 + 1.0 / models.cop(state.setpoint, state.params.cooling))
 
@@ -177,8 +181,7 @@ def _place(cfg: SimConfig, state: DataCenterState, vms: list[int],
         return policies.so_place(_SO_BY_NAME[name], vms, host_ids, plan,
                                  thresholds, source, cfg.sosa, cfg.slot_seconds)
     if name in ("mo1", "mo2"):
-        return policies.mo_place(name, vms, host_ids, plan, thresholds,
-                                 source, cfg.slot_seconds,
+        return policies.mo_place(name, vms, host_ids, plan, thresholds, source,
                                  prefer_utilization=_underload_cut(plan))
     if name == "dynso":
         return policies.dynso_place(
@@ -235,7 +238,7 @@ def _detect(cfg: SimConfig, state: DataCenterState, history: np.ndarray,
     filled[:] = np.where(on, filled + 1, 0)
     history[on, (filled[on] - 1) % cfg.mad.history_window] = state.u_cpu[on]
     thresholds = overload_threshold(history, filled, cfg.mad)
-    overloaded = np.flatnonzero(on & (state.cpu_sum >= thresholds)).tolist()
+    overloaded = _overloaded(state, thresholds)
     source = {i: h for h in overloaded
               for i in select_vms_mmt(h, thresholds.item(h), state)}
     unplaced = np.flatnonzero(state.host < 0).tolist()
@@ -354,7 +357,7 @@ def run(workload: Workload, cfg: SimConfig) -> RunReport:
     return RunReport(
         slots=slots, totals=totals, avg_sla=otf * pdm,
         pue=(totals.e_it + totals.e_cooling) / totals.e_it if totals.e_it > 0 else 0.0,
-        wall_time=time.monotonic() - t_start, policy=cfg.policy,
+        wall_time=time.monotonic() - t_start,
         calib_values=calib_values,
         calib_energy=[m.e_it + m.e_cooling for m in slots])
 

@@ -49,14 +49,18 @@ class SoSaModel:
     c: float = 0.0102
 
 
-def normalize_band(values: np.ndarray) -> np.ndarray:
-    """Map values onto [1, 2]: min -> 1, max -> 2, constant -> 1.5.
+def _flat(lo, hi) -> bool:
+    """Whether the spread from ``lo`` to ``hi`` is at rounding-noise level;
+    stretching such a spread onto [1, 2] would turn float dust into a
+    full-scale objective."""
+    return hi - lo <= 1e-9 * max(abs(lo), abs(hi), 1e-300)
 
-    A spread at rounding-noise level counts as constant; stretching it onto
-    [1, 2] would turn float dust into a full-scale objective.
-    """
+
+def normalize_band(values: np.ndarray) -> np.ndarray:
+    """Map values onto [1, 2]: min -> 1, max -> 2, constant (:func:`_flat`)
+    -> 1.5."""
     lo, hi = values.min(), values.max()
-    if hi - lo <= 1e-9 * max(abs(lo), abs(hi), 1e-300):
+    if _flat(lo, hi):
         return np.full_like(values, 1.5)
     return 1.0 + (values - lo) / (hi - lo)
 
@@ -220,9 +224,12 @@ def _reciprocals(tab: dict):
 
 
 def _values_for_kind(kind: SoKind, k: int, tab: dict, recip, fleet: _Fleet,
-                     sosa: SoSaModel, slot_seconds: float):
+                     sosa: SoSaModel | None = None,
+                     slot_seconds: float | None = None):
     """(values, valid_mask) of row ``k`` for one VM; ``recip`` is
-    :func:`_reciprocals` of the table, or None for a kind that reads none."""
+    :func:`_reciprocals` of the table, or None for a kind that reads none.
+    The only place the SO objectives are written; ``sosa`` and
+    ``slot_seconds`` are read by SO_SA alone."""
     feas = tab["feasible"][k]
     if kind == SoKind.SWFDVP:
         # minus the power increment, with the best host dropped when there
@@ -289,8 +296,7 @@ def _so_pick(kinds, sosa: SoSaModel, slot_seconds: float):
                 hosts[k] = -1
             # the chosen value is the row's minimum, so normalize_band maps
             # it to 1, or to 1.5 when the row's spread counts as constant
-            norms.append(1.5 if hi - lo <= 1e-9 * max(abs(lo), abs(hi), 1e-300)
-                         else 1.0)
+            norms.append(1.5 if _flat(lo, hi) else 1.0)
         return hosts, norms
 
     return pick
@@ -345,7 +351,6 @@ def so_place(kind: SoKind, vm_list, host_list, state: DataCenterState,
 def mo_place(kind: str, vm_list, host_list, state: DataCenterState,
              thresholds: np.ndarray | None = None,
              source: dict[int, int] | None = None,
-             slot_seconds: float = 300.0,
              prefer_utilization: float | None = None) -> PlacementResult:
     """Multi-objective placement over the Pareto front of the 7 SO values.
 
@@ -360,8 +365,11 @@ def mo_place(kind: str, vm_list, host_list, state: DataCenterState,
         raise ValueError(f"unknown MO kind {kind}")
 
     def pick(fleet, tab):
-        so3, valid3, so6, valid6 = (a[0] for a in _reciprocals(tab))
-        valid = valid3 & valid6
+        recip = _reciprocals(tab)
+        columns, masks = zip(*(_values_for_kind(so, 0, tab, recip, fleet)
+                               for so in PLAIN_KINDS))
+        # a candidate has every objective valid
+        valid = np.logical_and.reduce(masks)
         if (valid & fleet.active[0]).any():
             valid = valid & fleet.active[0]
             if prefer_utilization is not None:
@@ -370,16 +378,7 @@ def mo_place(kind: str, vm_list, host_list, state: DataCenterState,
                     valid = keep
         if not valid.any():
             return [-1], [1.5]
-        p_after = tab["p_after"][0]
-        raw = np.column_stack([
-            (p_after - tab["p_before"][0])[valid],
-            p_after[valid],
-            so3[valid],
-            tab["t_mem"][0][valid],
-            tab["dfreq"][0][valid],
-            so6[valid],
-            (p_after + tab["p_cool"][0])[valid],
-        ])
+        raw = np.column_stack(columns)[valid]
         front = pareto_front(raw)
         if kind == "mo1":
             score = fleet.global_power(tab, 0)[valid][front]

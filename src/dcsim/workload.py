@@ -8,6 +8,7 @@ missing samples are forward-filled by default.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 
@@ -30,6 +31,7 @@ class TraceError(Exception):
     pass
 
 
+@dataclass(eq=False)
 class Workload:
     """Per-VM demand series on a shared slot grid.
 
@@ -37,19 +39,15 @@ class Workload:
     remaining arrays carry MB, KB/s and MB/s as produced by the loader.
     """
 
-    def __init__(self, vm_ids: list[str], cpu: np.ndarray, ram: np.ndarray,
-                 disk_read: np.ndarray, disk_write: np.ndarray,
-                 net_bw: np.ndarray, cores: np.ndarray,
-                 ram_provisioned: np.ndarray, slot_seconds: int = 300):
-        self.vm_ids = vm_ids
-        self.cpu = cpu
-        self.ram = ram
-        self.disk_read = disk_read
-        self.disk_write = disk_write
-        self.net_bw = net_bw
-        self.cores = cores
-        self.ram_provisioned = ram_provisioned
-        self.slot_seconds = slot_seconds
+    vm_ids: list[str]
+    cpu: np.ndarray
+    ram: np.ndarray
+    disk_read: np.ndarray
+    disk_write: np.ndarray
+    net_bw: np.ndarray
+    cores: np.ndarray
+    ram_provisioned: np.ndarray
+    slot_seconds: int = 300
 
     @property
     def vm_count(self) -> int:

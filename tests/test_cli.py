@@ -142,6 +142,28 @@ def test_config_file_with_flag_override(tmp_path):
     assert manifest["cooling"] == "fixed297"
 
 
+def test_flags_win_over_config_values(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("run.hosts = 7\nrun.policy = so6\nrun.cooling = fixed297\n"
+                   "sa.iterations = 10\nsa.k = 0.5\nsa.seed = 1\nsa.timecap = 2.0\n"
+                   "sosa.a3 = 1.0\nsosa.a6 = 2.0\nsosa.c = 3.0\n"
+                   "detection.history_window = 6\n")
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"a3": 0.25, "a6": 0.5, "c": 0.75}))
+    args = cli.build_parser().parse_args([
+        "run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+        "--hosts", "50", "--policy", "pabfd", "--cooling", "fixed291",
+        "--sa-iterations", "20", "--sa-k", "0.25", "--sa-seed", "3",
+        "--sa-timecap", "4.0", "--sosa-model", str(model)])
+    built = cli._build_config(args)
+    assert (built.hosts, built.policy, built.cooling.setpoint) == (50, "pabfd", 291.0)
+    assert (built.sa.iterations, built.sa.k, built.sa.seed,
+            built.sa.wall_time_cap) == (20, 0.25, 3, 4.0)
+    assert (built.sosa.a3, built.sosa.a6, built.sosa.c) == (0.25, 0.5, 0.75)
+    # a key no flag sets keeps the file's value
+    assert built.mad.history_window == 6
+
+
 def test_config_unknown_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("run.bogus = 1\n")

@@ -163,3 +163,22 @@ def test_no_builtin_sum_in_the_package():
                     and node.func.id == "sum"):
                 calls.append(f"{path.name}:{node.lineno}")
     assert calls == []
+
+
+def test_each_placement_rule_is_written_once():
+    # the SO objectives live in policies._values_for_kind, which every placer
+    # reads, and the band-flatness tolerance in policies._flat
+    reads, floors = [], []
+    for path in sorted(Path(models.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owned = {id(node) for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "_values_for_kind"
+                 for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+                    and node.slice.value in ("t_mem", "p_cool") and id(node) not in owned):
+                reads.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.Constant) and node.value == 1e-300:
+                floors.append(f"{path.name}:{node.lineno}")
+    assert reads == []
+    assert len(floors) == 1, floors

@@ -318,7 +318,11 @@ def mo_oracle(kind, vm_ids, host_ids, state, thr=0.9):
         else:
             def score(i):
                 return sum(v * v for v in normalized[i]) ** 0.5
-        best = min(front, key=lambda i: (score(i), cands[i][0]))
+        # a score within rounding noise of the lowest ties with it; ties go
+        # to the lowest host id
+        low = min(score(i) for i in front)
+        best = min((i for i in front if score(i) - low <= 1e-9 * abs(low)),
+                   key=lambda i: cands[i][0])
         placement[vm.id] = cands[best][0]
         scratch.attach(scratch.index[vm.id], cands[best][0])
     return placement
@@ -337,6 +341,31 @@ def test_mo_place_matches_double_oracle(kind, seed):
     vm_ids = [f"v{i}" for i in range(4)]
     res = mo_place(kind, [state.index[v] for v in vm_ids], [0, 1, 2, 3], state)
     assert with_ids(state, res.placement) == mo_oracle(kind, vm_ids, [0, 1, 2, 3], state)
+
+
+@pytest.mark.parametrize("kind, seed", [
+    *((kind, seed) for kind in ("mo1", "mo2") for seed in (0, 2, 9)),
+    # hosts 0 and 5 tie for the second VM, but mo1's fleet powers of the two
+    # differ in the last bit, so host 5 wins
+    pytest.param("mo1", 7, marks=pytest.mark.xfail(
+        strict=True, reason="mo1 breaks a tie in global power on float dust")),
+])
+def test_mo_place_matches_double_oracle_on_a_tied_fleet(kind, seed):
+    # 10 hosts and 8 VMs with demands on a 0.05 CPU / 256 MB grid, so hosts
+    # and VMs tie on objectives and the tie-breaks decide
+    rng = np.random.default_rng(seed)
+
+    def demand():
+        return (round(float(rng.uniform(0.05, 0.4)) / 0.05) * 0.05,
+                round(float(rng.uniform(256, 2048)) / 256) * 256.0)
+
+    vm_specs = {f"v{i}": (*demand(), None) for i in range(8)}
+    vm_specs.update({f"bg{h}": (*demand(), h) for h in range(6)})
+    state = make_state(10, vm_specs)
+    vm_ids = [f"v{i}" for i in range(8)]
+    hosts = list(range(10))
+    res = mo_place(kind, [state.index[v] for v in vm_ids], hosts, state)
+    assert with_ids(state, res.placement) == mo_oracle(kind, vm_ids, hosts, state)
 
 
 def test_mo_agree_on_single_front():
