@@ -118,7 +118,7 @@ def _start(state: DataCenterState, vm_ids: list[str], solution, scale: float):
     costs = [cost(*load) for load in loads]
     power = models.left_sum(c[0] for c in costs)
     excess = models.left_sum(c[1] for c in costs)
-    cool = 1.0 + 1.0 / models.cop(state.setpoint, state.params.cooling)
+    cool = models.cooling_factor(state.setpoint, state.params.cooling)
     return (vms, cost, loads, costs, power, excess, cool,
             power * cool * (1.0 + scale * excess))
 

@@ -74,7 +74,6 @@ _KEYS = {
     "models.c_read": (float, "models.disk.c_read"),
     "models.c_write": (float, "models.disk.c_write"),
     "models.fan_map": (str, "models.fan_map"),
-    "run.slot_seconds": (int, "slot_seconds"),
     "run.hosts": (int, "hosts"),
     "run.policy": (str, "policy"),
     "run.cooling": (cooling_from_name, "cooling"),

@@ -22,32 +22,32 @@ from . import models
 from .models import ModelParams
 
 DEFAULT_FREQS_GHZ = (1.73, 1.86, 2.13, 2.26, 2.39, 2.40)
+# the default ladder's voltages (V) at the lowest and the highest frequency
+DEFAULT_V_LOW, DEFAULT_V_HIGH = 1.80, 1.92
 # a host takes RAM and bandwidth up to its capacity plus this much float dust
 CAPACITY_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
 class DvfsMode:
-    index: int
     f_op: float  # GHz
     v_dd: float  # V
 
 
-def default_dvfs_table(v_low: float = 1.80, v_high: float = 1.92) -> tuple[DvfsMode, ...]:
+def default_dvfs_table() -> tuple[DvfsMode, ...]:
     """Voltage ladder for the default frequency set: linear ramp in f_op.
 
-    The defaults are calibrated against the reference hardware's reported
-    behavior: with the published power coefficients, per-host draw then spans
-    the documented 170-200 W range and the worked allocation example's power
-    increments come out at the right magnitude.  Voltage is configuration,
-    not ground truth; pass your own ladder for a different part.
+    The end voltages are calibrated against the reference hardware's
+    reported behavior: with the published power coefficients, per-host draw
+    then spans the documented 170-200 W range and the worked allocation
+    example's power increments come out at the right magnitude.  Voltage is
+    configuration, not ground truth; pass ``ServerSpec(dvfs_table=...)`` for
+    a different part.
     """
     f_lo, f_hi = DEFAULT_FREQS_GHZ[0], DEFAULT_FREQS_GHZ[-1]
-    modes = []
-    for k, f in enumerate(DEFAULT_FREQS_GHZ):
-        v = v_low + (v_high - v_low) * (f - f_lo) / (f_hi - f_lo)
-        modes.append(DvfsMode(index=k, f_op=f, v_dd=v))
-    return tuple(modes)
+    span = DEFAULT_V_HIGH - DEFAULT_V_LOW
+    return tuple(DvfsMode(f_op=f, v_dd=DEFAULT_V_LOW + span * (f - f_lo) / (f_hi - f_lo))
+                 for f in DEFAULT_FREQS_GHZ)
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,6 @@ class SlotMetrics:
     sla_otf: float = 0.0
     sla_pdm: float = 0.0
     setpoint: float = 0.0      # K
-    wall_time: float = 0.0     # s, excluded from serialized artifacts
 
 
 # per-VM demand arrays; each host array of the same resource is named
@@ -165,7 +164,6 @@ class DataCenterState:
     vm_ids: tuple[str, ...]
     index: dict[str, int]   # VM id -> position in the per-VM arrays
     rank: np.ndarray        # built once and shared by every copy
-    _by_host: tuple[np.ndarray, list[int]] | None = None  # see positions_on
 
     @classmethod
     def build(cls, n_hosts: int, vms: dict[str, VmState] | None = None,
@@ -197,20 +195,15 @@ class DataCenterState:
         """This state with the given arrays in place of its own; everything
         else is shared."""
         new = object.__new__(DataCenterState)
-        new.__dict__.update(self.__dict__, _by_host=None, **arrays)
+        new.__dict__.update(self.__dict__, **arrays)
         return new
 
     def copy(self) -> "DataCenterState":
         return self._with(**{name: getattr(self, name).copy() for name in _ARRAYS})
 
     def positions_on(self, host: int) -> list[int]:
-        """Positions of the VMs on one host, in position order, sliced from one
-        grouping of the VMs by host that is kept until a VM moves."""
-        if self._by_host is None:
-            ends = np.cumsum(np.bincount(self.host + 1, minlength=len(self.on) + 1))
-            self._by_host = np.argsort(self.host, kind="stable"), [0, *ends.tolist()]
-        order, bounds = self._by_host
-        return order[bounds[host + 1]:bounds[host + 2]].tolist()
+        """Positions of the VMs on one host, in position order."""
+        return np.flatnonzero(self.host == host).tolist()
 
     def by_decreasing_cpu(self, positions) -> np.ndarray:
         """The given VM positions in decreasing CPU demand, ties in VM id
@@ -274,7 +267,6 @@ class DataCenterState:
         if host >= 0:
             self.on[host] = True
         self.host[i] = host
-        self._by_host = None
         return old
 
     def attach(self, i: int, host: int) -> None:

@@ -4,7 +4,6 @@ accounting."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -32,7 +31,8 @@ UNDERLOAD_FRACTION = 0.65
 
 @dataclass
 class SimConfig:
-    slot_seconds: int = 300
+    """A run's settings; the slot length is the workload's, not one of them."""
+
     hosts: int = 1200
     policy: str = "pabfd"
     cooling: CoolingStrategy = field(default_factory=lambda: FixedCooling(291.0))
@@ -49,8 +49,6 @@ class SimConfig:
     max_drains_per_slot: int = 1
 
     def __post_init__(self):
-        if self.slot_seconds <= 0:
-            raise ValueError("slot_seconds must be positive")
         if self.hosts < 1:
             raise ValueError("hosts must be >= 1")
         if self.policy not in POLICY_NAMES:
@@ -91,7 +89,6 @@ class RunReport:
     totals: RunTotals
     avg_sla: float          # overload-time fraction x migration degradation
     pue: float              # (IT + cooling) / IT, boot energy excluded
-    wall_time: float
     # per-slot mean normalized consolidation value and slot energy, consumed
     # by the calibration pipeline
     calib_values: list[float] = field(default_factory=list)
@@ -163,14 +160,14 @@ def _drain_aware_evaluator(cfg: SimConfig, thresholds: np.ndarray):
             overloaded = set(_overloaded(state, thresholds))
             drainable = _drain_sources(cfg, state, thresholds, overloaded)
             power -= left_sum(state.p_it[drainable].tolist())
-        return power * (1.0 + 1.0 / models.cop(state.setpoint, state.params.cooling))
+        return power * models.cooling_factor(state.setpoint, state.params.cooling)
 
     return evaluate
 
 
 def _place(cfg: SimConfig, state: DataCenterState, vms: list[int],
            host_ids: list[int], thresholds: np.ndarray, source: dict[int, int],
-           slot: int) -> policies.PlacementResult:
+           slot: int, slot_seconds: int) -> policies.PlacementResult:
     """Dispatch one slot's VM batch to the configured policy, on a copy of
     ``state`` with the batch taken off its hosts.  ``source`` maps each VM
     that leaves a host to that host."""
@@ -179,19 +176,19 @@ def _place(cfg: SimConfig, state: DataCenterState, vms: list[int],
     name = cfg.policy
     if name in _SO_BY_NAME:
         return policies.so_place(_SO_BY_NAME[name], vms, host_ids, plan,
-                                 thresholds, source, cfg.sosa, cfg.slot_seconds)
+                                 thresholds, source, cfg.sosa, slot_seconds)
     if name in ("mo1", "mo2"):
         return policies.mo_place(name, vms, host_ids, plan, thresholds, source,
                                  prefer_utilization=_underload_cut(plan))
     if name == "dynso":
         return policies.dynso_place(
             vms, host_ids, plan, DEFAULT_DYNSO_LIST, thresholds, source,
-            cfg.sosa, cfg.slot_seconds,
+            cfg.sosa, slot_seconds,
             evaluator=_drain_aware_evaluator(cfg, thresholds))
     if name == "sa":
         seed = policies.dynso_place(
             vms, host_ids, plan, policies.PLAIN_KINDS + (SoKind.SO8,),
-            thresholds, source, cfg.sosa, cfg.slot_seconds)
+            thresholds, source, cfg.sosa, slot_seconds)
         sa_vms = [i for i in vms if i in seed.placement]
         out = policies.PlacementResult(unplaced=seed.unplaced)
         if sa_vms:
@@ -208,7 +205,7 @@ def _place(cfg: SimConfig, state: DataCenterState, vms: list[int],
 
 
 def _apply(cfg: SimConfig, state: DataCenterState, placement: dict[int, int],
-           record: PassRecord) -> tuple[DataCenterState, PassRecord]:
+           record: PassRecord, slot_seconds: int) -> tuple[DataCenterState, PassRecord]:
     """The state after a placement; ``record`` takes its power-on count and
     migrations (a VM placed for the first time does not migrate).  A
     placement that breaks a capacity (an annealer edge case) is not applied."""
@@ -221,8 +218,8 @@ def _apply(cfg: SimConfig, state: DataCenterState, placement: dict[int, int],
     for i, src, dst in applied.moved:
         if src < 0:
             continue
-        duration = min(new.ram.item(i) / bw if bw > 0 else cfg.slot_seconds,
-                       cfg.slot_seconds)
+        duration = min(new.ram.item(i) / bw if bw > 0 else slot_seconds,
+                       slot_seconds)
         record.migrations.append(MigrationEvent(i, dst, duration, new.cpu.item(i)))
     record.power_on_events = applied.power_on_events
     return new, record
@@ -246,18 +243,18 @@ def _detect(cfg: SimConfig, state: DataCenterState, history: np.ndarray,
 
 
 def _first_pass(cfg: SimConfig, state: DataCenterState, det: Detection,
-                slot: int) -> tuple[DataCenterState, PassRecord]:
+                slot: int, slot_seconds: int) -> tuple[DataCenterState, PassRecord]:
     """Place the detected VMs on any host.  A VM never goes back to its
     source, and one that finds no host stays."""
     if not det.to_move:
         return state, PassRecord()
     result = _place(cfg, state, det.to_move, list(range(cfg.hosts)),
-                    det.thresholds, det.source, slot)
-    return _apply(cfg, state, result.placement, PassRecord(result))
+                    det.thresholds, det.source, slot, slot_seconds)
+    return _apply(cfg, state, result.placement, PassRecord(result), slot_seconds)
 
 
 def _drain_pass(cfg: SimConfig, state: DataCenterState, det: Detection,
-                slot: int) -> tuple[DataCenterState, PassRecord]:
+                slot: int, slot_seconds: int) -> tuple[DataCenterState, PassRecord]:
     """Underload repeat pass: one combined placement for the VMs of every
     drain source, with the sources excluded as targets (a host slated for
     power-off cannot receive).  Only hosts whose entire VM set found a new
@@ -269,28 +266,30 @@ def _drain_pass(cfg: SimConfig, state: DataCenterState, det: Detection,
     candidates = [h for h in np.flatnonzero(state.on).tolist() if h not in hosted]
     if not (candidates and source):
         return state, PassRecord()
-    result = _place(cfg, state, list(source), candidates, det.thresholds, source, slot)
+    result = _place(cfg, state, list(source), candidates, det.thresholds, source,
+                    slot, slot_seconds)
     placed: dict[int, list[int]] = {}
     for i in result.placement:
         placed.setdefault(source[i], []).append(i)
     drained = [hid for hid, vms in placed.items() if len(vms) == len(hosted[hid])]
     moves = {i: result.placement[i] for hid in drained for i in placed[hid]}
     record = PassRecord(result)
-    return _apply(cfg, state, moves, record) if moves else (state, record)
+    return _apply(cfg, state, moves, record, slot_seconds) if moves else (state, record)
 
 
 def _account(cfg: SimConfig, state: DataCenterState, first: PassRecord,
-             drain: PassRecord, slot: int, t0: float, ledger: _Ledger) -> SlotMetrics:
+             drain: PassRecord, slot: int, slot_seconds: int,
+             ledger: _Ledger) -> SlotMetrics:
     """Set the slot's cooling setpoint, then charge its energy and SLA terms."""
     sp = cooling_setpoint(state, cfg.cooling)
     state.set_setpoint(sp)
     migrations = first.migrations + drain.migrations
     power_on_events = first.power_on_events + drain.power_on_events
-    mig_energy, slot_pdm = migration_cost(migrations, state, cfg.slot_seconds,
+    mig_energy, slot_pdm = migration_cost(migrations, state, slot_seconds,
                                           cfg.migration_double_power)
     for ev in migrations:
         ledger.vm_deg[ev.vm] += ev.degradation
-    e_it = state.total_it_power() * cfg.slot_seconds * KWH_PER_WS + mig_energy
+    e_it = state.total_it_power() * slot_seconds * KWH_PER_WS + mig_energy
     e_cooling = e_it / models.cop(sp, state.params.cooling)
     e_boot = power_on_events * state.spec.e_boot
     totals = ledger.totals
@@ -302,14 +301,13 @@ def _account(cfg: SimConfig, state: DataCenterState, first: PassRecord,
     saturated = state.on & (state.cpu_sum >= 1.0 - 1e-12)
     ledger.host_active += state.on
     ledger.host_saturated += saturated
-    ledger.vm_req += state.cpu * cfg.slot_seconds
+    ledger.vm_req += state.cpu * slot_seconds
     active = int(np.count_nonzero(state.on))
     otf = int(np.count_nonzero(saturated)) / active if active else 0.0
     return SlotMetrics(
         slot=slot, e_it=e_it, e_cooling=e_cooling, e_boot=e_boot,
         power_on_events=power_on_events, migrations=len(migrations),
-        sla_otf=otf, sla_pdm=slot_pdm, setpoint=sp,
-        wall_time=time.monotonic() - t0)
+        sla_otf=otf, sla_pdm=slot_pdm, setpoint=sp)
 
 
 def run(workload: Workload, cfg: SimConfig) -> RunReport:
@@ -322,7 +320,6 @@ def run(workload: Workload, cfg: SimConfig) -> RunReport:
     deterministic for a fixed config (the annealer seeds each slot from its
     config seed), and a VM with no feasible host stays where it is.
     """
-    t_start = time.monotonic()
     initial_sp = (cfg.cooling.setpoint if isinstance(cfg.cooling, FixedCooling)
                   else cfg.cooling.ceiling)
     state = DataCenterState.build(cfg.hosts, {v: VmState(v) for v in workload.vm_ids},
@@ -333,18 +330,18 @@ def run(workload: Workload, cfg: SimConfig) -> RunReport:
     filled = np.zeros(cfg.hosts, dtype=int)
     slots: list[SlotMetrics] = []
     calib_values: list[float] = []
+    slot_seconds = workload.slot_seconds
 
     for t in range(workload.slot_count):
-        slot_t0 = time.monotonic()
         state.set_demand(workload.cpu[:, t], workload.ram[:, t], workload.net_bw[:, t],
                          workload.disk_read[:, t], workload.disk_write[:, t])
         det = _detect(cfg, state, history, filled)
-        state, first = _first_pass(cfg, state, det, t)
+        state, first = _first_pass(cfg, state, det, t, slot_seconds)
         # a slot that placed nothing logs 1.5, a constant row's band value
         norms = first.result.chosen_norm_values if first.result else {}
         calib_values.append(left_sum(norms.values()) / len(norms) if norms else 1.5)
-        state, drain = _drain_pass(cfg, state, det, t)
-        slots.append(_account(cfg, state, first, drain, t, slot_t0, ledger))
+        state, drain = _drain_pass(cfg, state, det, t, slot_seconds)
+        slots.append(_account(cfg, state, first, drain, t, slot_seconds, ledger))
 
     otf_values = [sat / act for sat, act in zip(ledger.host_saturated.tolist(),
                                                 ledger.host_active.tolist()) if act > 0]
@@ -357,7 +354,6 @@ def run(workload: Workload, cfg: SimConfig) -> RunReport:
     return RunReport(
         slots=slots, totals=totals, avg_sla=otf * pdm,
         pue=(totals.e_it + totals.e_cooling) / totals.e_it if totals.e_it > 0 else 0.0,
-        wall_time=time.monotonic() - t_start,
         calib_values=calib_values,
         calib_energy=[m.e_it + m.e_cooling for m in slots])
 

@@ -17,6 +17,7 @@ KWH_PER_WS = 1.0 / 3.6e6  # watt-seconds to kWh
 # Idle hosts still hold OS pages; the memory-load floor keeps the log term of
 # the memory temperature model defined (1 % maps to exactly k1 * t_inlet).
 U_MEM_FLOOR = 1.0
+FAN_LINEAR_MAX_RPM = 9000.0  # the "linear" fan map's speed at full utilization
 
 
 def left_sum(values) -> float:
@@ -48,17 +49,12 @@ class ThermalModelParams:
 
 @dataclass(frozen=True)
 class CoolingModelParams:
-    """Quadratic COP curve; the polynomial is evaluated in degrees Celsius.
-
-    The reference scenarios quote their Celsius setpoints as rounded Kelvin
-    values (291 K for 18 C, 297 K for 24 C), so the conversion subtracts 273;
-    only that offset reproduces the published IT-to-cooling energy ratios.
-    """
+    """Quadratic COP curve; the polynomial is evaluated in degrees Celsius
+    (see :data:`COP_T_OFFSET`)."""
 
     cop_a: float = 0.0068
     cop_b: float = 0.0008
     cop_c: float = 0.458
-    cop_t_offset: float = 273.0
 
 
 @dataclass(frozen=True)
@@ -76,13 +72,12 @@ class ModelParams:
     cooling: CoolingModelParams = field(default_factory=CoolingModelParams)
     disk: DiskModelParams = field(default_factory=DiskModelParams)
     # "constant" keeps fan speed at the server default; "linear" maps u_cpu in
-    # [0,1] onto [default, fan_linear_max] RPM.
+    # [0,1] onto [default, FAN_LINEAR_MAX_RPM] RPM.
     fan_map: str = "constant"
-    fan_linear_max: float = 9000.0
 
     def fan_speed(self, u_cpu, default_rpm):
         if self.fan_map == "linear":
-            return default_rpm + (self.fan_linear_max - default_rpm) * u_cpu
+            return default_rpm + (FAN_LINEAR_MAX_RPM - default_rpm) * u_cpu
         return default_rpm
 
 
@@ -152,6 +147,10 @@ def disk_power(read_kbs, write_kbs, p: DiskModelParams = DiskModelParams()):
 
 COP_T_MIN_K = 283.15
 COP_T_MAX_K = 313.15
+# Kelvin minus this is the COP polynomial's Celsius: the reference scenarios
+# quote 18 C and 24 C setpoints as 291 K and 297 K, and only this offset
+# reproduces the published IT-to-cooling energy ratios
+COP_T_OFFSET = 273.0
 
 
 def cop(t_inlet: float, p: CoolingModelParams = CoolingModelParams()) -> float:
@@ -165,5 +164,11 @@ def cop(t_inlet: float, p: CoolingModelParams = CoolingModelParams()) -> float:
         raise ValueError(
             f"inlet temperature {t_inlet} K outside supported range "
             f"[{COP_T_MIN_K}, {COP_T_MAX_K}] K")
-    t_c = t_inlet - p.cop_t_offset
+    t_c = t_inlet - COP_T_OFFSET
     return p.cop_a * t_c * t_c + p.cop_b * t_c + p.cop_c
+
+
+def cooling_factor(t_inlet: float,
+                   p: CoolingModelParams = CoolingModelParams()) -> float:
+    """Global power per watt of IT power at an inlet temperature (K): 1 + 1/COP."""
+    return 1.0 + 1.0 / cop(t_inlet, p)

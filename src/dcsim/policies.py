@@ -141,6 +141,7 @@ class _Fleet:
         self.params = state.params
         self.t_inlet = state.setpoint
         self.cop = models.cop(self.t_inlet, self.params.cooling)
+        self.cooling_factor = models.cooling_factor(self.t_inlet, self.params.cooling)
         self.total_p = np.full(rows, models.left_sum(p_before.tolist()))
 
     def place(self, k: int, j: int, tab: dict) -> None:
@@ -181,7 +182,7 @@ class _Fleet:
     def global_power(self, tab: dict, k: int) -> np.ndarray:
         """Fleet IT+cooling power (W) of row ``k`` with the VM on each host."""
         p_it = self.total_p[k] - tab["p_before"][k] + tab["p_after"][k]
-        return p_it * (1.0 + 1.0 / self.cop)
+        return p_it * self.cooling_factor
 
     def view(self, k: int, placement: dict[int, int],
              source: dict[int, int]) -> DataCenterState:
@@ -411,7 +412,7 @@ def evaluate_global_power(state: DataCenterState) -> float:
     """IT + cooling power (W) of a placed fleet; a host without VMs does not
     count, since the engine powers it off."""
     return (models.left_sum(state.p_it[state.busy].tolist())
-            * (1.0 + 1.0 / models.cop(state.setpoint, state.params.cooling)))
+            * models.cooling_factor(state.setpoint, state.params.cooling))
 
 
 def dynso_place(vm_list, host_list, state: DataCenterState,

@@ -25,6 +25,13 @@ TRACE_COLUMNS = (
 )
 
 KB_PER_MB = 1024.0
+SLOT_SECONDS = 300  # s: synthetic workloads' slot length, the trace loader's default
+SYNTH_MEAN_DEMAND = 0.13   # synth_workload's mean baseline, a fraction of a host's CPU
+SYNTH_AR_PHI = 0.9         # AR(1) coefficient around the baseline
+SYNTH_AR_SIGMA = 0.16      # AR(1) noise, relative to the baseline
+SYNTH_BURST_PROB = 0.02    # chance that a burst starts, per VM and slot
+SYNTH_BURST_SCALE = 3.0    # a burst multiplies demand by 1.6 to this + 0.6
+SYNTH_JITTER_SIGMA = 0.12  # log-scale of the per-slot lognormal jitter
 
 
 class TraceError(Exception):
@@ -47,7 +54,7 @@ class Workload:
     net_bw: np.ndarray
     cores: np.ndarray
     ram_provisioned: np.ndarray
-    slot_seconds: int = 300
+    slot_seconds: int = SLOT_SECONDS
 
     @property
     def vm_count(self) -> int:
@@ -120,7 +127,7 @@ def _is_number(s: str) -> bool:
         return False
 
 
-def load_traces(directory, slot_seconds: int = 300,
+def load_traces(directory, slot_seconds: int = SLOT_SECONDS,
                 fill: str = "ffill") -> Workload:
     """Load one trace file per VM from a directory into a Workload.
 
@@ -226,17 +233,14 @@ def save_traces(w: Workload, directory) -> None:
             "\n".join([header, *map(";".join, zip(*columns))]) + "\n")
 
 
-def synth_workload(vms: int, slots: int, variability: float, seed: int,
-                   slot_seconds: int = 300, mean_demand: float = 0.13,
-                   burst_prob: float = 0.02, burst_scale: float = 3.0,
-                   ar_phi: float = 0.9, ar_sigma: float = 0.16,
-                   jitter_sigma: float = 0.12) -> Workload:
+def synth_workload(vms: int, slots: int, variability: float, seed: int) -> Workload:
     """Deterministic synthetic workload with a target aggregate variability.
 
     Per-VM series follow an AR(1) around a random baseline with occasional
-    multiplicative bursts; the aggregate is then rescaled around its mean so
-    the realized variability score matches the request (within the +-10 %
-    contract; exact when no positivity clamping kicks in).
+    multiplicative bursts and per-slot jitter (the ``SYNTH_*`` constants);
+    the aggregate is then rescaled around its mean so the realized
+    variability score matches the request (within the +-10 % contract; exact
+    when no positivity clamping kicks in).  Slots last ``SLOT_SECONDS``.
     """
     if vms <= 0 or slots <= 0:
         raise ValueError("vms and slots must be positive")
@@ -244,7 +248,7 @@ def synth_workload(vms: int, slots: int, variability: float, seed: int,
         raise ValueError(f"variability {variability} outside [0, 1000] %")
     rng = np.random.default_rng(seed)
 
-    base = rng.uniform(0.4, 1.6, size=vms) * mean_demand
+    base = rng.uniform(0.4, 1.6, size=vms) * SYNTH_MEAN_DEMAND
     x = np.empty((vms, slots))
     x[:, 0] = base
     if variability == 0.0 or slots == 1:
@@ -252,15 +256,15 @@ def synth_workload(vms: int, slots: int, variability: float, seed: int,
     else:
         noise = rng.normal(0.0, 1.0, size=(vms, slots))
         for t in range(1, slots):
-            x[:, t] = base + ar_phi * (x[:, t - 1] - base) \
-                + ar_sigma * base * noise[:, t]
+            x[:, t] = base + SYNTH_AR_PHI * (x[:, t - 1] - base) \
+                + SYNTH_AR_SIGMA * base * noise[:, t]
         # freeing each draw once used, and scaling x in place, bounds the peak
         del noise
         # occasional demand bursts: these drive per-VM dynamics (overload
         # detection) while mostly cancelling in the aggregate
-        starts = rng.random(size=(vms, slots)) < burst_prob
+        starts = rng.random(size=(vms, slots)) < SYNTH_BURST_PROB
         lengths = rng.geometric(0.25, size=(vms, slots))
-        factors = rng.uniform(1.6, burst_scale + 0.6, size=(vms, slots))
+        factors = rng.uniform(1.6, SYNTH_BURST_SCALE + 0.6, size=(vms, slots))
         mult = np.ones((vms, slots))
         for i, t in zip(*np.nonzero(starts)):
             mult[i, t:t + lengths[i, t]] = np.maximum(
@@ -268,12 +272,11 @@ def synth_workload(vms: int, slots: int, variability: float, seed: int,
         del starts, lengths, factors
         x *= mult
         del mult
-        if jitter_sigma > 0:
-            # fast per-slot noise: drives adaptive-threshold dispersion the
-            # way spiky production traces do; lognormal exponentiates with
-            # libm's exp, which gives the same bits on every CPU
-            x *= rng.lognormal(-0.5 * jitter_sigma ** 2, jitter_sigma,
-                               size=(vms, slots))
+        # fast per-slot noise: drives adaptive-threshold dispersion the way
+        # spiky production traces do; lognormal exponentiates with libm's
+        # exp, which gives the same bits on every CPU
+        x *= rng.lognormal(-0.5 * SYNTH_JITTER_SIGMA ** 2, SYNTH_JITTER_SIGMA,
+                           size=(vms, slots))
         np.clip(x, 0.005, 0.98, out=x)
 
         agg = x.sum(axis=0)
@@ -295,7 +298,7 @@ def synth_workload(vms: int, slots: int, variability: float, seed: int,
     net = np.repeat(rng.uniform(0.5, 8.0, size=vms)[:, None], slots, axis=1)
 
     vm_ids = [f"vm{i:04d}" for i in range(vms)]
-    w = Workload(vm_ids, x, ram, disk_r, disk_w, net, cores, ram_prov, slot_seconds)
+    w = Workload(vm_ids, x, ram, disk_r, disk_w, net, cores, ram_prov)
 
     if variability > 0 and slots > 1:
         realized = variability_score(w)

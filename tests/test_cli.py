@@ -210,6 +210,27 @@ def test_config_fingerprint_covers_the_whole_config():
         config_fingerprint(base)
 
 
+def test_every_model_parameter_has_one_config_key():
+    from dataclasses import fields, is_dataclass
+
+    from dcsim.config import _KEYS
+    from dcsim.models import ModelParams
+
+    def leaves(params, prefix):
+        for f in fields(params):
+            value = getattr(params, f.name)
+            if is_dataclass(value):
+                yield from leaves(value, f"{prefix}.{f.name}")
+            else:
+                yield f"{prefix}.{f.name}"
+
+    # a setting no key reaches cannot be set, and a config of two keys for
+    # one setting could contradict itself
+    targets = [path for _, path in _KEYS.values()]
+    paths = list(leaves(ModelParams(), "models"))
+    assert {path: targets.count(path) for path in paths} == dict.fromkeys(paths, 1)
+
+
 @pytest.mark.parametrize("name", ["fixed283.1", "fixed313.2", "fixed400"])
 def test_fixed_cooling_outside_the_cop_range_fails_at_parse_time(name):
     from dcsim.config import ConfigError, cooling_from_name
@@ -244,7 +265,7 @@ def test_config_flags_accept_the_boolean_words(word, expected):
 @pytest.mark.parametrize("key, value", [
     ("run.oversubscription", "ture"), ("run.migration_double_power", ""),
     ("run.migration_double_power", "2"), ("run.hosts", "12x"),
-    ("run.slot_seconds", "300.0"), ("detection.safety", "2,5"),
+    ("detection.history_window", "3.5"), ("detection.safety", "2,5"),
     ("models.c_mem", "high"), ("sa.k", "0"), ("run.hosts", "0"),
     ("detection.safety", "nan"), ("detection.fallback_threshold", "nan"),
     ("detection.fallback_threshold", "0")])
@@ -264,6 +285,18 @@ def test_config_malformed_value_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path / "o"))
     assert rc == 2
     assert "run.hosts" in capsys.readouterr().err
+
+
+def test_config_slot_seconds_is_an_unknown_key(tmp_path, capsys):
+    # the slot length is the workload's; a config cannot contradict it
+    cfg = tmp_path / "slot.cfg"
+    cfg.write_text("run.slot_seconds = 600\n")
+    rc = run_cli("run", "--policy", "pabfd", "--config", str(cfg),
+                 "--synth", "vms=4,slots=4,var=50,seed=0",
+                 "--out", str(tmp_path / "o"))
+    assert rc == 2
+    assert "run.slot_seconds" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_zero_hosts_flag_exits_2(tmp_path, capsys):

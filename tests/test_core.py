@@ -177,8 +177,8 @@ def test_state_copy_is_equal_and_independent():
 
 
 def test_positions_on_follows_every_move():
-    # positions_on serves a grouping of the VMs by host that a move, or a
-    # state made with other hosts (as a placer's view is), must not reuse
+    # positions_on follows every move, and a state made with other hosts (as
+    # a placer's view is) answers from its own
     rng = np.random.default_rng(2)
     ids = [f"v{i}" for i in range(12)]
     state = make_state(4, {v: VmState(id=v, cpu_demand=0.05) for v in ids})

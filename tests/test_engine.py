@@ -61,6 +61,24 @@ def test_steady_state_energy_matches_hand_integration():
         assert m.e_cooling == pytest.approx(e_it_slot / models.cop(291.0), rel=1e-9)
 
 
+def test_slot_length_comes_from_the_workload():
+    # one host runs both VMs in every slot, so each 600 s slot charges that
+    # host's IT power for 600 s: twice what the same slots charge at 300 s
+    demands, rams = [0.4, 0.35], [1024.0, 2048.0]
+    cfg = SimConfig(hosts=2, policy="so6", cooling=FixedCooling(291.0))
+    r600 = run(constant_workload(demands, 6, rams, slot_seconds=600), cfg)
+    r300 = run(constant_workload(demands, 6, rams), cfg)
+    spec = default_server_spec()
+    mode = governor_frequency(0.75, spec.dvfs_table)
+    t_mem = models.mem_temperature(291.0, 100.0 * 3072.0 / spec.ram_capacity)
+    p_host = models.host_power_terms(mode.v_dd, mode.f_op, 0.75, t_mem,
+                                     spec.fan_speed_default)
+    assert r600.totals.migrations == 0
+    for m600, m300 in zip(r600.slots, r300.slots, strict=True):
+        assert m600.e_it == pytest.approx(p_host * 600.0 * models.KWH_PER_WS, rel=1e-12)
+        assert m600.e_it == 2.0 * m300.e_it
+
+
 def test_totals_equal_slot_sums():
     w = synth_workload(vms=20, slots=30, variability=150.0, seed=4)
     r = run(w, SimConfig(hosts=10, policy="so3"))
@@ -181,8 +199,6 @@ def test_sla_components_multiply():
 def test_bad_policy_rejected():
     with pytest.raises(ValueError):
         SimConfig(policy="nope")
-    with pytest.raises(ValueError):
-        SimConfig(slot_seconds=0)
 
 
 def test_negative_max_drains_rejected():
@@ -300,7 +316,7 @@ def test_drain_pass_drains_only_hosts_whose_every_vm_was_placed(monkeypatch):
     placed = []
     ix = state.index
 
-    def stub_place(cfg, state, vms, host_ids, thresholds, source, slot):
+    def stub_place(cfg, state, vms, host_ids, thresholds, source, slot, slot_seconds):
         placed.append((sorted(state.vm_ids[i] for i in vms), host_ids))
         return policies.PlacementResult(
             placement={ix["a1"]: 2, ix["b1"]: 2, ix["b2"]: 2}, unplaced=[ix["a2"]])
@@ -308,7 +324,8 @@ def test_drain_pass_drains_only_hosts_whose_every_vm_was_placed(monkeypatch):
     monkeypatch.setattr(engine, "find_underloaded", lambda *a, **k: [0, 1])
     monkeypatch.setattr(engine, "_place", stub_place)
     det = engine.Detection(np.full(3, 0.9), [], [], {})
-    new, record = engine._drain_pass(SimConfig(hosts=3), state, det, slot=0)
+    new, record = engine._drain_pass(SimConfig(hosts=3), state, det, slot=0,
+                                     slot_seconds=300)
 
     assert placed == [(["a1", "a2", "b1", "b2"], [2])]
     assert ids_on(new, 0) == ["a1", "a2"] and new.on[0]
@@ -332,12 +349,12 @@ def test_drain_pass_hands_over_each_sources_vms_in_id_order(monkeypatch):
         state.attach(state.index[vid], host)
     handed = []
 
-    def stub_place(cfg, state, vms, host_ids, thresholds, source, slot):
+    def stub_place(cfg, state, vms, host_ids, thresholds, source, slot, slot_seconds):
         handed.append([state.vm_ids[i] for i in vms])
         return policies.PlacementResult()
 
     monkeypatch.setattr(engine, "find_underloaded", lambda *a, **k: [1, 0])
     monkeypatch.setattr(engine, "_place", stub_place)
     det = engine.Detection(np.full(3, 0.9), [], [], {})
-    engine._drain_pass(SimConfig(hosts=3), state, det, slot=0)
+    engine._drain_pass(SimConfig(hosts=3), state, det, slot=0, slot_seconds=300)
     assert handed == [["b1", "b2", "a1", "a2"]]

@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -182,3 +183,23 @@ def test_each_placement_rule_is_written_once():
                 floors.append(f"{path.name}:{node.lineno}")
     assert reads == []
     assert len(floors) == 1, floors
+
+
+def test_cooling_factor_is_written_once():
+    # global power is IT x (1 + 1/COP); every reader calls models.cooling_factor
+    spellings, owned = [], 0
+    for path in sorted(Path(models.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {id(node) for fn in ast.walk(tree)
+                  if path.name == "models.py" and isinstance(fn, ast.FunctionDef)
+                  and fn.name == "cooling_factor" for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.BinOp)
+                    and re.fullmatch(r"1\.0 \+ 1\.0 / .*cop.*", ast.unparse(node))):
+                if id(node) in inside:
+                    owned += 1
+                else:
+                    spellings.append(f"{path.name}:{node.lineno}")
+    assert spellings == []
+    assert owned == 1
+    assert models.cooling_factor(291.0) == 1.0 + 1.0 / models.cop(291.0)
