@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -80,15 +80,61 @@ def variability_score(w: Workload) -> float:
 def _parse_trace_file(path: Path) -> np.ndarray:
     """A trace file's data rows, in file order, as one (rows, 11) array.
 
+    A well-formed file is read by numpy's C reader in one call; any other
+    goes through the line parser, which holds the rules and writes every
+    ``TraceError``.  Both read a number with CPython's correctly rounded
+    conversion, so a file reads to the same bits either way.
+    """
+    text = path.read_text()
+    # ";" unless "," is the more frequent; the "in" test spares the counts
+    delim = ";" if "," not in text or text.count(";") >= text.count(",") else ","
+    lines = text.splitlines()
+    samples = _read_well_formed(lines, delim)
+    if samples is None:
+        samples = _parse_trace_lines(lines, delim, path.name)
+    return samples
+
+
+def _read_well_formed(lines: list[str], delim: str) -> np.ndarray | None:
+    """The rows of a file that needs none of the line parser's rules, read
+    by ``np.loadtxt``; None for any other file.
+
+    Such a file has an optional header on line 1, at least one data row,
+    and rows of the same 9 or more columns, each a finite number that
+    numpy's reader takes: no empty field, no underscore, non-ASCII digit or
+    whitespace-only line.  The line parser reads these rows to the same
+    values, and rejects or reads every other file itself.
+    """
+    if not lines:
+        return None
+    skip = 0 if _is_number(lines[0].split(delim, 1)[0].strip()) else 1
+    if not any(map(str.strip, islice(lines, skip, None))):
+        return None  # no data rows, on which numpy would warn
+    try:
+        rows = np.loadtxt(lines, delimiter=delim, comments=None,
+                          skiprows=skip, ndmin=2)
+    except ValueError:
+        return None
+    if rows.shape[1] < 9 or not np.isfinite(rows).all():
+        return None
+    if rows.shape[1] != 11:
+        cols = min(rows.shape[1], 11)
+        out = np.zeros((len(rows), 11))
+        out[:, :cols] = rows[:, :cols]
+        rows = out
+    return rows
+
+
+def _parse_trace_lines(lines: list[str], delim: str, name: str) -> np.ndarray:
+    """The line parser behind ``_parse_trace_file``.
+
     A line of numbers is read with ``float`` alone, which ignores the spaces
     around a field.  Only a line that fails takes the careful path: it is
     stripped, skipped if blank or if it is the header (line 1 only), and an
     empty field reads 0.0.  Columns past the 11th are ignored.
     """
-    text = path.read_text()
-    delim = ";" if text.count(";") >= text.count(",") else ","
     flat, linenos = [], []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         try:
             vals = list(map(float, line.split(delim)))
         except ValueError:
@@ -101,21 +147,21 @@ def _parse_trace_file(path: Path) -> np.ndarray:
             try:
                 vals = [float(f) if f else 0.0 for f in fields]
             except ValueError as e:
-                raise TraceError(f"{path.name}:{lineno}: {e}") from None
+                raise TraceError(f"{name}:{lineno}: {e}") from None
         if len(vals) != 11:
             if len(vals) < 9:
                 raise TraceError(
-                    f"{path.name}:{lineno}: expected >=9 columns, got {len(vals)}")
+                    f"{name}:{lineno}: expected >=9 columns, got {len(vals)}")
             vals = (vals + [0.0, 0.0])[:11]
         flat.extend(vals)
         linenos.append(lineno)
     if not flat:
-        raise TraceError(f"{path.name}: no data rows")
+        raise TraceError(f"{name}: no data rows")
     samples = np.array(flat).reshape(-1, 11)
     finite = np.isfinite(samples).all(axis=1)
     if not finite.all():
         lineno = linenos[int(np.argmin(finite))]
-        raise TraceError(f"{path.name}:{lineno}: non-finite value")
+        raise TraceError(f"{name}:{lineno}: non-finite value")
     return samples
 
 

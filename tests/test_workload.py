@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -386,6 +387,141 @@ def test_load_traces_matches_rowwise_reference_on_a_ragged_day(tmp_path):
                         ("drop", min(lasts) - max(firsts) + 1)):
         _assert_same_load(tmp_path, fill=fill)
         assert load_traces(tmp_path, fill=fill).slot_count == slots
+
+
+# -- fields that float reads but numpy's reader may not ----------------------
+
+_EXTREMES = ("5e-324", "2.2250738585072014e-308", "1.7976931348623157e308",
+             "-0.0", "4.9406564584124654E-324", "1.7976931348623157e+308", "-0")
+_DIGITS = ("٠١٢٣٤٥٦٧٨٩", "０１２３４５６７８９", "०१२३४५६७८९")
+_SPACES = ("\xa0", "\u2003", "\u3000", "\u202f", "\x1f")
+_ODD = ("underscore", "digits", "padding", "trailing", "blank", "extreme")
+
+
+def _odd_field(rng, text, kind):
+    """``text`` rewritten the ``kind`` way, which ``float`` still reads."""
+    if kind == "underscore":
+        at = [i for i in range(1, len(text))
+              if text[i - 1].isdigit() and text[i].isdigit()]
+        if not at:
+            return text
+        i = rng.choice(at)
+        return text[:i] + "_" + text[i:]
+    if kind == "digits":
+        return text.translate(str.maketrans("0123456789", rng.choice(_DIGITS)))
+    return rng.choice(_SPACES) + text + rng.choice(("", *_SPACES))
+
+
+def _odd_trace_file(rng, slot, base):
+    """A trace file's text with one to three odd kinds planted in it:
+    underscores, non-ASCII digits, Unicode space padding, a trailing
+    delimiter, whitespace-only lines, extreme magnitudes; or none."""
+    delim = rng.choice(";,")
+    width = rng.choice([11, 11, 11, 9, 10, 12])
+    kinds = rng.sample(_ODD, rng.randrange(0, 4))
+    rows = []
+    for k in sorted(rng.sample(range(12), rng.randrange(1, 9))):
+        vals = [base + k * slot, rng.choice([1, 2, 4]), rng.uniform(0, 5000),
+                rng.uniform(0, 5000), rng.uniform(0, 100),
+                *(rng.uniform(0, 1e7) for _ in range(2)),
+                *(rng.uniform(0, 2e3) for _ in range(2)),
+                *(rng.uniform(0, 1e4) for _ in range(3))]
+        fields = [repr(v) for v in vals[:width]]
+        if "extreme" in kinds and rng.random() < 0.5:
+            fields[rng.randrange(5, 9)] = rng.choice(_EXTREMES)
+        for kind in ("underscore", "digits", "padding"):
+            if kind in kinds and rng.random() < 0.4:
+                j = rng.randrange(width)
+                fields[j] = _odd_field(rng, fields[j], kind)
+        line = delim.join(fields)
+        if "trailing" in kinds and rng.random() < 0.5:
+            line += delim
+        rows.append(line)
+    if "blank" in kinds:
+        for _ in range(rng.randrange(1, 3)):
+            rows.insert(rng.randrange(1, len(rows) + 1),
+                        rng.choice([" ", "\t", "\xa0", " \u3000 "]))
+    if rng.random() < 0.5:
+        rows.insert(0, delim.join(TRACE_COLUMNS))
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("chunk", range(2))
+def test_load_traces_matches_rowwise_reference_on_odd_fields(tmp_path, chunk):
+    for seed in range(chunk * 100, chunk * 100 + 100):
+        rng = random.Random(seed)
+        directory = tmp_path / f"d{seed}"
+        directory.mkdir()
+        slot = rng.choice([300, 60])
+        for name in rng.sample(["a.csv", "b.csv", "c.txt"], rng.randrange(1, 4)):
+            (directory / name).write_text(
+                _odd_trace_file(rng, slot, slot * rng.randrange(0, 4)))
+        for fill in ("ffill", "drop"):
+            _assert_same_load(directory, slot_seconds=slot, fill=fill)
+
+
+def _line_parser_calls(monkeypatch):
+    """Patch the line parser to record the name of each file it reads."""
+    names, parse = [], dcsim.workload._parse_trace_lines
+
+    def record(lines, delim, name):
+        names.append(name)
+        return parse(lines, delim, name)
+    monkeypatch.setattr(dcsim.workload, "_parse_trace_lines", record)
+    return names
+
+
+ROW = "0;1;2400;1200;50;1048576;524288;1;2;3;4"
+
+
+@pytest.mark.parametrize("text", [
+    "0;1;;1200;50;1048576;524288;1;2;3;4\n",             # empty field
+    "0;1;2400;1_200;50;1048576;524288;1;2;3;4\n",        # underscore
+    "0;1;2400;١٢٠٠;50;1048576;524288;1;2;3;4\n",         # non-ASCII digits
+    f"{ROW};\n",                                         # trailing delimiter
+    f"{ROW}\n  \n",                                      # whitespace-only line
+    f"\n{';'.join(TRACE_COLUMNS)}\n{ROW}\n",             # late header
+    f"{ROW}\n300;1;2400;1200;50;1048576;524288;1;2\n",   # ragged rows
+    "0;1;2400;1200;50;1048576;524288;1\n",               # fewer than 9 columns
+    "0;1;2400;1200;nan;1048576;524288;1;2;3;4\n",        # non-finite value
+    "",                                                  # empty file
+    ";".join(TRACE_COLUMNS) + "\n",                      # header only
+    ";".join(TRACE_COLUMNS) + "\n\n \n",                 # header and blanks
+])
+def test_trace_files_numpy_rejects_reach_the_line_parser(tmp_path, monkeypatch,
+                                                         text):
+    calls = _line_parser_calls(monkeypatch)
+    (tmp_path / "a.csv").write_text(text)
+    try:
+        _parse_trace_file(tmp_path / "a.csv")
+    except TraceError:
+        pass
+    assert calls == ["a.csv"]
+
+
+def test_well_formed_trace_files_skip_the_line_parser(tmp_path, monkeypatch):
+    calls = _line_parser_calls(monkeypatch)
+    save_traces(synth_workload(vms=12, slots=288, variability=280.0, seed=3),
+                tmp_path)
+    # headerless, padded with spaces, 9 and 12 columns
+    (tmp_path / "extra.csv").write_text(
+        "0 ;1;2400;1200;50;1048576;524288;1;2\n"
+        " 300;1;2400;1200;50;1048576;524288;1;2\n")
+    (tmp_path / "wide.csv").write_text(f"{ROW};5\n\n300{ROW[1:]};5\n")
+    w = load_traces(tmp_path)
+    assert calls == []
+    assert w.vm_count == 14
+
+
+@pytest.mark.parametrize("text", [
+    "", "\n\n", ";".join(TRACE_COLUMNS) + "\n",
+    ",".join(TRACE_COLUMNS) + "\r\n\r\n  \r\n"])
+def test_trace_file_without_rows_fails_without_a_numpy_warning(tmp_path, text):
+    (tmp_path / "a.csv").write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TraceError, match=r"^a\.csv: no data rows$"):
+            load_traces(tmp_path)
 
 
 def test_load_traces_holds_about_one_copy_of_the_rows(tmp_path):
