@@ -15,8 +15,8 @@ from . import calibration, engine, report
 from .config import ConfigError, apply_config, cooling_from_name, parse_config
 from .engine import POLICY_NAMES, SimConfig
 from .policies import SoKind
-from .workload import (SLOT_SECONDS, TraceError, Workload, load_traces,
-                       save_traces, synth_workload, variability_score)
+from .workload import (TraceError, Workload, load_traces, save_traces,
+                       synth_workload, variability_score)
 
 
 def _parse_synth_spec(spec: str) -> dict:
@@ -39,12 +39,9 @@ def _parse_synth_spec(spec: str) -> dict:
 
 def _load_workload(args) -> Workload:
     if args.traces:
-        return load_traces(args.traces, slot_seconds=args.slot_seconds,
-                           fill=args.fill)
+        return load_traces(args.traces, slot_seconds=None,
+                           fill=getattr(args, "fill", "ffill"))
     if args.synth:
-        if args.slot_seconds != SLOT_SECONDS:
-            raise ConfigError(f"--slot-seconds applies to --traces; synthetic "
-                              f"workloads have {SLOT_SECONDS} s slots")
         return synth_workload(**_parse_synth_spec(args.synth))
     raise ConfigError("one of --traces or --synth is required")
 
@@ -70,9 +67,6 @@ def _add_run_args(p: argparse.ArgumentParser, policy_required: bool = True):
     p.add_argument("--synth", help='synthetic spec, e.g. "vms=50,slots=288,var=280,seed=7"')
     p.add_argument("--fill", choices=("ffill", "drop"), default="ffill",
                    help="gap policy for loaded traces")
-    p.add_argument("--slot-seconds", type=int, default=SLOT_SECONDS,
-                   help="slot length of the --traces files' grid, in seconds "
-                        f"(default {SLOT_SECONDS}, the only length --synth makes)")
     p.add_argument("--hosts", type=int, default=None)
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--out", required=True, help="output directory")

@@ -86,8 +86,7 @@ def _parse_trace_file(path: Path) -> np.ndarray:
     conversion, so a file reads to the same bits either way.
     """
     text = path.read_text()
-    # ";" unless "," is the more frequent; the "in" test spares the counts
-    delim = ";" if "," not in text or text.count(";") >= text.count(",") else ","
+    delim = ";" if text.count(";") >= text.count(",") else ","
     lines = text.splitlines()
     samples = _read_well_formed(lines, delim)
     if samples is None:
@@ -173,7 +172,27 @@ def _is_number(s: str) -> bool:
         return False
 
 
-def load_traces(directory, slot_seconds: int = SLOT_SECONDS,
+def _check_aligned(name: str, ts: np.ndarray, slot_seconds: int) -> None:
+    off = (ts - ts[0]) / slot_seconds
+    misaligned = ~(np.abs(off - np.rint(off)) <= 1e-6)
+    if misaligned.any():
+        raise TraceError(
+            f"{name}: timestamp {ts.item(np.argmax(misaligned))} not "
+            f"aligned to the {slot_seconds} s grid")
+
+
+def _smallest_step(timestamps) -> int:
+    """The smallest step between two distinct timestamps of one file, in
+    whole seconds; ``SLOT_SECONDS`` when no file has two."""
+    step = min((np.diff(u).min().item() for u in map(np.unique, timestamps)
+                if len(u) > 1), default=SLOT_SECONDS)
+    if not float(step).is_integer():
+        raise TraceError(
+            f"smallest timestamp step {step} s is not a whole number of seconds")
+    return int(step)
+
+
+def load_traces(directory, slot_seconds: int | None = SLOT_SECONDS,
                 fill: str = "ffill") -> Workload:
     """Load one trace file per VM from a directory into a Workload.
 
@@ -182,11 +201,14 @@ def load_traces(directory, slot_seconds: int = SLOT_SECONDS,
     ``fill`` selects the gap policy: "ffill" forward-fills each VM onto the
     union grid (leading gaps repeat the file's first row); "drop" restricts
     the grid to slots covered by every VM.  Rows may come in any order; of
-    two rows on one slot the later one wins.
+    two rows on one slot the later one wins.  ``slot_seconds=None`` takes
+    the grid from the timestamps: the smallest step between two distinct
+    timestamps of one file.  A given length is the grid, and a directory on
+    a coarser one loads with its gaps filled.
     """
     if fill not in ("ffill", "drop"):
         raise ValueError(f"unknown fill {fill!r}: expected 'ffill' or 'drop'")
-    if not slot_seconds > 0:
+    if slot_seconds is not None and not slot_seconds > 0:
         raise ValueError(f"slot_seconds must be positive, got {slot_seconds}")
     directory = Path(directory)
     if not directory.is_dir():
@@ -196,19 +218,22 @@ def load_traces(directory, slot_seconds: int = SLOT_SECONDS,
     if not files:
         raise TraceError(f"no trace files in {directory}")
 
-    per_vm = {}
+    per_vm, unchecked = {}, []
     for path in files:
         samples = _parse_trace_file(path)
         ts = samples[:, 0]
-        if len(ts) >= 2 and ts[1] - ts[0] >= slot_seconds * 999:
+        if len(ts) >= 2 and ts[1] - ts[0] >= (slot_seconds or SLOT_SECONDS) * 999:
             ts /= 1000.0  # milliseconds
-        off = (ts - ts[0]) / slot_seconds
-        misaligned = ~(np.abs(off - np.rint(off)) <= 1e-6)
-        if misaligned.any():
-            raise TraceError(
-                f"{path.name}: timestamp {ts.item(np.argmax(misaligned))} not "
-                f"aligned to the {slot_seconds} s grid")
+        if slot_seconds is None:  # the grid is known once every file is read
+            unchecked.append((path.name, ts))
+        else:
+            _check_aligned(path.name, ts, slot_seconds)
         per_vm[path.stem] = samples
+    if slot_seconds is None:
+        slot_seconds = _smallest_step(ts for _, ts in unchecked)
+        for name, ts in unchecked:
+            _check_aligned(name, ts, slot_seconds)
+        del unchecked
 
     firsts = [s.item(0, 0) for s in per_vm.values()]
     lasts = [s.item(-1, 0) for s in per_vm.values()]

@@ -7,8 +7,8 @@ import pytest
 from dcsim import cli
 from dcsim.cli import main
 from dcsim.config import ConfigError
-from dcsim.report import savings_pct
-from dcsim.workload import save_traces, synth_workload
+from dcsim.report import savings_pct, workload_fingerprint
+from dcsim.workload import load_traces, save_traces, synth_workload
 
 
 def run_cli(*args):
@@ -126,25 +126,22 @@ def test_synth_subcommand_and_traces_roundtrip(tmp_path):
     assert manifest["slots"] == 12
 
 
-def test_slot_seconds_flag_sets_the_trace_grid(tmp_path, monkeypatch, capsys):
+def test_trace_grid_comes_from_the_timestamps(tmp_path, monkeypatch):
     # one 48-slot workload written on a 600 s and on a 300 s grid
     monkeypatch.setenv("DCSIM_THREADS", "1")
     w = synth_workload(vms=8, slots=48, variability=150.0, seed=2)
     save_traces(w, tmp_path / "t300")
     save_traces(replace(w, slot_seconds=600), tmp_path / "t600")
-    common = ["--cooling", "fixed291", "--hosts", "5"]
-    runs = {"600": ["--traces", str(tmp_path / "t600"), "--slot-seconds", "600"],
-            "300": ["--traces", str(tmp_path / "t300")],
-            "300flag": ["--traces", str(tmp_path / "t300"), "--slot-seconds", "300"]}
-    for name, args in runs.items():
-        assert run_cli("run", "--policy", "pabfd", *common, *args,
-                       "--out", str(tmp_path / name)) == 0
+    common = ["--policy", "pabfd", "--cooling", "fixed291", "--hosts", "5"]
+    for name in ("t300", "t600"):
+        assert run_cli("run", *common, "--traces", str(tmp_path / name),
+                       "--out", str(tmp_path / f"run{name}")) == 0
 
     def rows(name):
         text = (tmp_path / name / "slots.csv").read_text()
         return [line.split(",") for line in text.splitlines()[1:]]
 
-    long, short = rows("600"), rows("300")
+    long, short = rows("runt600"), rows("runt300")
     assert len(long) == len(short) == 48
     # the same placements, each slot charged for 600 s: twice the IT and
     # cooling energy of a 300 s slot wherever no migration adds its own
@@ -153,19 +150,16 @@ def test_slot_seconds_flag_sets_the_trace_grid(tmp_path, monkeypatch, capsys):
     assert still
     for a, b in still:
         assert (float(a[1]), float(a[2])) == (2 * float(b[1]), 2 * float(b[2]))
-    # a 300 s directory reads as before without the flag
-    assert (tmp_path / "300" / "slots.csv").read_bytes() == \
-        (tmp_path / "300flag" / "slots.csv").read_bytes()
-    # the grid takes the flag too
+    # a 300 s directory reads as on the library's default 300 s grid
+    manifest = json.loads((tmp_path / "runt300" / "manifest.json").read_text())
+    assert manifest["workload_hash"] == \
+        workload_fingerprint(load_traces(tmp_path / "t300"))
+    # the grid reads its directory the same way
     assert run_cli("grid", "--policies", "pabfd", "--coolings", "fixed291",
-                   "--hosts", "5", *runs["600"], "--out", str(tmp_path / "grid")) == 0
+                   "--hosts", "5", "--traces", str(tmp_path / "t600"),
+                   "--out", str(tmp_path / "grid")) == 0
     assert (tmp_path / "grid" / "pabfd_fixed291" / "manifest.json").read_bytes() == \
-        (tmp_path / "600" / "manifest.json").read_bytes()
-    # a synthetic workload has 300 s slots, so the flag cannot apply to it
-    assert run_cli("run", "--policy", "pabfd", *common, "--slot-seconds", "600",
-                   "--synth", "vms=4,slots=4,var=50,seed=0",
-                   "--out", str(tmp_path / "synth")) == 2
-    assert "--slot-seconds applies to --traces" in capsys.readouterr().err
+        (tmp_path / "runt600" / "manifest.json").read_bytes()
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +203,48 @@ def test_load_traces_rejects_non_positive_slot(tmp_path, slot_seconds):
     (tmp_path / "a.csv").write_text("0;1;2400;0;10;1024;512;1;1\n")
     with pytest.raises(ValueError, match="slot_seconds must be positive"):
         load_traces(tmp_path, slot_seconds=slot_seconds)
+
+
+def _rows(*timestamps):
+    return "".join(f"{t};1;2400;0;10;1024;512;1;1\n" for t in timestamps)
+
+
+def test_load_traces_takes_the_grid_from_the_timestamps(tmp_path):
+    w = synth_workload(vms=6, slots=48, variability=150.0, seed=2)
+    save_traces(w, tmp_path / "t300")
+    save_traces(replace(w, slot_seconds=600), tmp_path / "t600")
+    short = load_traces(tmp_path / "t300")
+    long = load_traces(tmp_path / "t600", slot_seconds=None)
+    assert (long.slot_seconds, long.slot_count) == (600, 48)
+    assert workload_fingerprint(replace(long, slot_seconds=300)) == \
+        workload_fingerprint(short)
+    again = load_traces(tmp_path / "t300", slot_seconds=None)
+    assert workload_fingerprint(again) == workload_fingerprint(short)
+    # the smallest step of any one file, in milliseconds too
+    (tmp_path / "ms").mkdir()
+    (tmp_path / "ms" / "a.csv").write_text(_rows(0, 1_200_000))
+    (tmp_path / "ms" / "b.csv").write_text(_rows(0, 600_000, 1_800_000))
+    w = load_traces(tmp_path / "ms", slot_seconds=None)
+    assert (w.slot_seconds, w.slot_count) == (600, 4)
+    # no file with two timestamps: the default grid
+    (tmp_path / "one").mkdir()
+    (tmp_path / "one" / "a.csv").write_text(_rows(0, 0))
+    (tmp_path / "one" / "b.csv").write_text(_rows(600))
+    w = load_traces(tmp_path / "one", slot_seconds=None)
+    assert (w.slot_seconds, w.slot_count) == (300, 3)
+
+
+@pytest.mark.parametrize("timestamps, message", [
+    ((0, 600, 1500), r"^a\.csv: timestamp 1500\.0 not aligned to the 600 s grid$"),
+    ((0, 0.5, 1), r"^smallest timestamp step 0\.5 s is not a whole number"),
+])
+def test_load_traces_rejects_a_grid_the_timestamps_do_not_fit(tmp_path,
+                                                              timestamps,
+                                                              message):
+    (tmp_path / "a.csv").write_text(_rows(*timestamps))
+    (tmp_path / "b.csv").write_text(_rows(0, 1200))
+    with pytest.raises(TraceError, match=message):
+        load_traces(tmp_path, slot_seconds=None)
 
 
 @pytest.mark.parametrize("token", ["nan", "-inf", "Infinity", "1e999"])
