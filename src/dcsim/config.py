@@ -48,17 +48,6 @@ def cooling_from_name(name: str):
     raise ConfigError(f"unknown cooling strategy {name!r}")
 
 
-_FLAGS = {"1": True, "true": True, "yes": True, "on": True,
-          "0": False, "false": False, "no": False, "off": False}
-
-
-def _flag(value: str) -> bool:
-    try:
-        return _FLAGS[value.lower()]
-    except KeyError:
-        raise ValueError(f"expected one of {', '.join(_FLAGS)}") from None
-
-
 # config key -> (parser of its value, dotted path of the SimConfig field)
 _KEYS = {
     "models.c_dyn": (float, "models.power.c_dyn"),
@@ -77,8 +66,6 @@ _KEYS = {
     "run.hosts": (int, "hosts"),
     "run.policy": (str, "policy"),
     "run.cooling": (cooling_from_name, "cooling"),
-    "run.oversubscription": (_flag, "oversubscription"),
-    "run.migration_double_power": (_flag, "migration_double_power"),
     "detection.safety": (float, "mad.safety"),
     "detection.history_window": (int, "mad.history_window"),
     "detection.fallback_threshold": (float, "mad.fallback_threshold"),

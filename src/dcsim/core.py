@@ -2,10 +2,11 @@
 
 :class:`DataCenterState` keeps the fleet as numpy arrays: per VM its demand
 and its host, per host the on-mask, the resource sums of its VMs and the
-utilization, DVFS mode and IT power derived from them.  ``attach``/``detach``
-update the sums VM by VM, :meth:`DataCenterState.set_demand` rebuilds every
-sum at once, and each re-costs the hosts it touched in one call of the array
-server model ``models.host_operating_point``.  Inside the slot loop a VM
+utilization, DVFS mode and IT power derived from them.
+:meth:`DataCenterState.move`, the one code that changes a VM's host, updates
+the sums VM by VM, :meth:`DataCenterState.set_demand` rebuilds every sum at
+once, and each re-costs the hosts it touched in one call of the array server
+model ``models.host_operating_point``.  Inside the slot loop a VM
 is its position in the per-VM arrays; its id serves only the workload, the
 report and the annealer, and, as ``rank``, every tie between VMs.
 :func:`within_capacity` is the one RAM and bandwidth fit rule.
@@ -242,7 +243,7 @@ class DataCenterState:
         """Take new per-VM demands and rebuild every host's sums from them.
 
         ``np.bincount`` adds each host's VMs in VM order, starting from 0.0:
-        the same additions as attaching the VMs one at a time.
+        the same additions as moving the VMs on one at a time.
         """
         placed = self.host >= 0
         hosts = self.host[placed]
@@ -254,30 +255,31 @@ class DataCenterState:
                 hosts, values[placed], len(self.on)).astype(float, copy=False))
         self.refresh(np.arange(len(self.on)))
 
-    def _move(self, i: int, host: int) -> int:
-        """Put VM ``i`` on ``host`` (-1: on none) without re-costing either
-        host; powers the target on.  Returns the VM's previous host."""
-        old = self.host.item(i)
-        for name in _DEMANDS:
-            sums, demand = getattr(self, f"{name}_sum"), getattr(self, name)[i]
-            if old >= 0:
-                sums[old] -= demand
-            if host >= 0:
-                sums[host] += demand
-        if host >= 0:
-            self.on[host] = True
-        self.host[i] = host
-        return old
-
-    def attach(self, i: int, host: int) -> None:
-        """Put VM ``i`` on a host, off the host it was on, and re-cost both."""
-        old = self._move(i, host)
-        self.refresh([old, host] if old >= 0 else [host])
-
-    def detach(self, *positions: int) -> None:
-        """Take VMs off their hosts, in order, then re-cost each host once."""
-        touched = {self._move(i, -1) for i in positions}
-        self.refresh(sorted(touched - {-1}))
+    def move(self, placement: dict[int, int]) -> list[tuple[int, int, int]]:
+        """Put each VM of a position -> host mapping (-1: no host) on its
+        host, in the mapping's order, powering each target on, then re-cost
+        every host it touched in one call.  The one place a VM changes host.
+        Returns the moves as (VM position, source or -1, target); a VM
+        already on its target is not moved."""
+        moves = []
+        for i, target in placement.items():
+            source = self.host.item(i)
+            if source == target:
+                continue
+            for name in _DEMANDS:
+                sums, demand = getattr(self, f"{name}_sum"), getattr(self, name)[i]
+                if source >= 0:
+                    sums[source] -= demand
+                if target >= 0:
+                    sums[target] += demand
+            if target >= 0:
+                self.on[target] = True
+            self.host[i] = target
+            moves.append((i, source, target))
+        touched = {h for _, source, target in moves for h in (source, target)} - {-1}
+        if touched:
+            self.refresh(sorted(touched))
+        return moves
 
     def total_it_power(self) -> float:
         """Fleet IT power (W), summed in host-id order with Python floats."""
@@ -291,44 +293,32 @@ class ApplyResult:
     moved: list[tuple[int, int, int]]  # (VM position, source or -1, target)
 
 
-def apply_placement(state: DataCenterState, placement: dict[int, int],
-                    enforce_cpu: bool = False) -> ApplyResult:
+def apply_placement(state: DataCenterState, placement: dict[int, int]) -> ApplyResult:
     """Apply a VM position -> host mapping to a copy of the state.
 
     Capacity is validated on the net post-move aggregates of the hosts that
-    receive VMs: RAM and bandwidth are hard limits, CPU only when
-    oversubscription is disabled (``enforce_cpu``).  A host that only keeps
+    receive VMs: RAM and bandwidth are hard limits, CPU never is (a host past
+    full CPU runs clamped at 1.0 and pays in SLA).  A host that only keeps
     or loses VMs is not checked, so a demand increase alone never makes a
     placement (or the empty one) fail.  Hosts left without VMs power off;
     cold targets power on and are counted as power-on events.  Re-applying
     an already-applied placement is a no-op.
     """
     new = state.copy()
-    moves = []
-    power_on = 0
-    touched = set()
-    for i, target in placement.items():
-        source = new.host.item(i)
-        if source == target:
-            continue
-        if not new.on[target]:
-            power_on += 1
-        new._move(i, target)
-        touched.update((source, target))
-        moves.append((i, source, target))
-
+    moves = new.move(placement)
+    targets = sorted({target for _, _, target in moves})
     spec = new.spec
-    for host in sorted({target for _, _, target in moves}):
-        ram, bw, cpu = (s.item(host) for s in (new.ram_sum, new.bw_sum, new.cpu_sum))
+    for host in targets:
+        ram, bw = new.ram_sum.item(host), new.bw_sum.item(host)
         ram_fits, bw_fits = within_capacity(spec, ram, bw)
         if not ram_fits:
             raise CapacityError(host, "ram", ram, spec.ram_capacity)
         if not bw_fits:
             raise CapacityError(host, "bandwidth", bw, spec.bw_capacity)
-        if enforce_cpu and cpu > 1.0 + CAPACITY_SLACK:
-            raise CapacityError(host, "cpu", cpu, 1.0)
 
-    idle = new.on & (new.vm_counts() == 0)
-    new.on[idle] = False
-    new.refresh(sorted((touched - {-1}) | set(np.flatnonzero(idle).tolist())))
+    idle = np.flatnonzero(new.on & (new.vm_counts() == 0))
+    if idle.size:
+        new.on[idle] = False
+        new.refresh(idle)
+    power_on = int(np.count_nonzero(~state.on[targets]))
     return ApplyResult(state=new, power_on_events=power_on, moved=moves)

@@ -36,13 +36,11 @@ class SimConfig:
     hosts: int = 1200
     policy: str = "pabfd"
     cooling: CoolingStrategy = field(default_factory=lambda: FixedCooling(291.0))
-    oversubscription: bool = True
     mad: MadConfig = field(default_factory=MadConfig)
     server: ServerSpec | None = None
     models: ModelParams = field(default_factory=ModelParams)
     sosa: SoSaModel = field(default_factory=SoSaModel)
     sa: annealer.SaConfig = field(default_factory=annealer.SaConfig)
-    migration_double_power: bool = True
     # the repeat pass is time-boxed like the rest of the slot optimization:
     # only the lightest few hosts are drained per slot; 0 turns the pass off,
     # in the engine and in dynso's drain-aware evaluator alike
@@ -172,7 +170,7 @@ def _place(cfg: SimConfig, state: DataCenterState, vms: list[int],
     ``state`` with the batch taken off its hosts.  ``source`` maps each VM
     that leaves a host to that host."""
     plan = state.copy()
-    plan.detach(*vms)
+    plan.move(dict.fromkeys(vms, -1))
     name = cfg.policy
     if name in _SO_BY_NAME:
         return policies.so_place(_SO_BY_NAME[name], vms, host_ids, plan,
@@ -210,7 +208,7 @@ def _apply(cfg: SimConfig, state: DataCenterState, placement: dict[int, int],
     migrations (a VM placed for the first time does not migrate).  A
     placement that breaks a capacity (an annealer edge case) is not applied."""
     try:
-        applied = apply_placement(state, placement, enforce_cpu=not cfg.oversubscription)
+        applied = apply_placement(state, placement)
     except CapacityError:
         return state, record
     new = applied.state
@@ -285,8 +283,7 @@ def _account(cfg: SimConfig, state: DataCenterState, first: PassRecord,
     state.set_setpoint(sp)
     migrations = first.migrations + drain.migrations
     power_on_events = first.power_on_events + drain.power_on_events
-    mig_energy, slot_pdm = migration_cost(migrations, state, slot_seconds,
-                                          cfg.migration_double_power)
+    mig_energy, slot_pdm = migration_cost(migrations, state, slot_seconds)
     for ev in migrations:
         ledger.vm_deg[ev.vm] += ev.degradation
     e_it = state.total_it_power() * slot_seconds * KWH_PER_WS + mig_energy
@@ -359,7 +356,7 @@ def run(workload: Workload, cfg: SimConfig) -> RunReport:
 
 
 def migration_cost(events: list[MigrationEvent], state: DataCenterState,
-                   slot_seconds: float, double_power: bool = True) -> tuple[float, float]:
+                   slot_seconds: float) -> tuple[float, float]:
     """Energy overhead (kWh) and slot-level degradation of a migration batch.
 
     During a migration the VM effectively runs on both sides, so its dynamic
@@ -371,11 +368,9 @@ def migration_cost(events: list[MigrationEvent], state: DataCenterState,
     extra_ws = 0.0
     deg = 0.0
     for ev in events:
-        if double_power:
-            mode = state.spec.dvfs_table[state.mode[ev.target]]
-            p_dyn = models.dynamic_power(mode.v_dd, mode.f_op, ev.cpu_demand,
-                                         p.power)
-            extra_ws += p_dyn * ev.duration
+        mode = state.spec.dvfs_table[state.mode[ev.target]]
+        p_dyn = models.dynamic_power(mode.v_dd, mode.f_op, ev.cpu_demand, p.power)
+        extra_ws += p_dyn * ev.duration
         deg += ev.degradation
     requested = left_sum(state.cpu.tolist()) * slot_seconds
     pdm = deg / requested if requested > 0 else 0.0

@@ -20,6 +20,7 @@ from . import models
 from .core import DataCenterState, within_capacity
 from .detection import MadConfig
 from .models import KWH_PER_WS
+from .workload import SLOT_SECONDS
 
 
 class SoKind(str, Enum):
@@ -202,13 +203,7 @@ class _Fleet:
             u_cpu=self.u_cpu[k], mode=self.mode[k],
             # p_before is 0 W on a host without VMs; the state has its power
             p_it=np.where(busy, self.p_before[k], state.p_it))
-        touched = set()
-        for i, host_id in source.items():
-            if i not in placement:
-                view._move(i, host_id)
-                touched.add(host_id)
-        if touched:
-            view.refresh(sorted(touched))
+        view.move({i: h for i, h in source.items() if i not in placement})
         return view
 
 
@@ -335,7 +330,7 @@ def so_place(kind: SoKind, vm_list, host_list, state: DataCenterState,
              thresholds: np.ndarray | None = None,
              source: dict[int, int] | None = None,
              sosa: SoSaModel | None = None,
-             slot_seconds: float = 300.0) -> PlacementResult:
+             slot_seconds: float = SLOT_SECONDS) -> PlacementResult:
     """Best-fit-decreasing placement under one SO consolidation value.
 
     ``state`` must hold the VMs of ``vm_list`` detached from any host and is
@@ -420,7 +415,7 @@ def dynso_place(vm_list, host_list, state: DataCenterState,
                 thresholds: np.ndarray | None = None,
                 source: dict[int, int] | None = None,
                 sosa: SoSaModel | None = None,
-                slot_seconds: float = 300.0,
+                slot_seconds: float = SLOT_SECONDS,
                 evaluator=None) -> DynSoResult:
     """Place under every SO kind and keep the one with the lowest global power.
 

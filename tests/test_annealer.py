@@ -48,7 +48,7 @@ def test_feasible_objective_is_power_exactly():
     val = sa_objective(sol, VM_IDS, state)
     scratch = state.copy()
     for vid, hid in zip(VM_IDS, sol):
-        scratch.attach(scratch.index[vid], hid)
+        scratch.move({scratch.index[vid]: hid})
     power = scratch.total_it_power() * (1 + 1 / models.cop(state.setpoint))
     assert val == pytest.approx(power, rel=1e-12)
 
@@ -66,7 +66,7 @@ def test_infeasible_objective_blows_up():
 def test_empty_vm_list_gives_static_power_of_on_hosts():
     vms = {"fixed": VmState(id="fixed", cpu_demand=0.3, ram_used=1024.0)}
     state = DataCenterState.build(3, vms)
-    state.attach(state.index["fixed"], 1)
+    state.move({state.index["fixed"]: 1})
     val = sa_objective([], [], state)
     expected = state.total_it_power() * (1 + 1 / models.cop(state.setpoint))
     assert val == pytest.approx(expected, rel=1e-12)
@@ -98,13 +98,13 @@ def test_host_power_equals_the_state_to_the_last_bit():
         n_hosts = len(state.on)
         fixed = [v for v in state.vm_ids if rng.random() < 0.3]
         for vid in fixed:
-            state.attach(state.index[vid], rng.randrange(n_hosts))
+            state.move({state.index[vid]: rng.randrange(n_hosts)})
         chain = [v for v in state.vm_ids if v not in fixed]
         rng.shuffle(chain)
         solution = [rng.randrange(n_hosts) for _ in chain]
         placed = state.copy()
         for vid, host in zip(chain, solution):
-            placed.attach(placed.index[vid], host)
+            placed.move({placed.index[vid]: host})
         costs = _start(state, chain, solution, 1e6)[3]
         assert [c[0] for c in costs] == placed.p_it.tolist()
         used = placed.vm_counts() > 0
@@ -118,7 +118,7 @@ def test_host_power_equals_the_state_to_the_last_bit():
 
 def test_attached_chain_vm_raises():
     state = toy_state()
-    state.attach(state.index["v2"], 1)
+    state.move({state.index["v2"]: 1})
     with pytest.raises(ValueError, match="detached"):
         sa_objective([0, 0, 0, 0, 0, 0], VM_IDS, state)
     with pytest.raises(ValueError, match="detached"):

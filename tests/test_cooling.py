@@ -12,7 +12,7 @@ def state_with_utils(utils):
            for i, u in enumerate(utils)}
     state = DataCenterState.build(len(utils), vms, setpoint=297.0)
     for i in range(len(utils)):
-        state.attach(state.index[f"v{i}"], i)
+        state.move({state.index[f"v{i}"]: i})
     return state
 
 

@@ -23,7 +23,7 @@ def place_all(state, mapping):
 
 def test_empty_placement_is_identity():
     state = make_state(2, {"a": VmState(id="a", cpu_demand=0.4, ram_used=1024.0)})
-    state.attach(state.index["a"], 0)
+    state.move({state.index["a"]: 0})
     res = apply_placement(state, {})
     assert res.power_on_events == 0
     assert res.moved == []
@@ -37,8 +37,8 @@ def test_move_to_cold_host_counts_power_on():
         "mv": VmState(id="mv", cpu_demand=0.30, ram_used=1024.0),
     }
     state = make_state(3, vms)
-    state.attach(state.index["big"], 0)
-    state.attach(state.index["mv"], 0)
+    state.move({state.index["big"]: 0})
+    state.move({state.index["mv"]: 0})
     assert state.u_cpu[0] == pytest.approx(0.95)
 
     res = apply_placement(state, {state.index["mv"]: 2})
@@ -65,9 +65,9 @@ def test_capacity_checked_only_on_receiving_hosts():
            "b": VmState(id="b", cpu_demand=0.1, ram_used=half),
            "c": VmState(id="c", cpu_demand=0.1, ram_used=64.0)}
     state = make_state(3, vms)
-    state.attach(state.index["a"], 1)
-    state.attach(state.index["b"], 1)
-    state.attach(state.index["c"], 0)
+    state.move({state.index["a"]: 1})
+    state.move({state.index["b"]: 1})
+    state.move({state.index["c"]: 0})
     # host 1 is over its RAM but receives nothing: the move and the empty
     # placement both apply
     res = apply_placement(state, {state.index["c"]: 2})
@@ -84,19 +84,17 @@ def test_cpu_enforced_only_without_oversubscription():
         "b": VmState(id="b", cpu_demand=0.7, ram_used=10.0),
     }
     state = make_state(2, vms)
-    state.attach(state.index["a"], 0)
-    # oversubscription on (default): CPU sum over 1.0 is allowed, u clamps
+    state.move({state.index["a"]: 0})
+    # CPU is never a hard limit: a sum over 1.0 is allowed, u clamps
     res = apply_placement(state, {state.index["b"]: 0})
     assert res.state.cpu_sum[0] == pytest.approx(1.4)
     assert res.state.u_cpu[0] == 1.0
-    with pytest.raises(CapacityError):
-        apply_placement(state, {state.index["b"]: 0}, enforce_cpu=True)
 
 
 def test_emptied_host_powers_off():
     vms = {"only": VmState(id="only", cpu_demand=0.2, ram_used=64.0)}
     state = make_state(2, vms)
-    state.attach(state.index["only"], 0)
+    state.move({state.index["only"]: 0})
     res = apply_placement(state, {state.index["only"]: 1})
     assert not res.state.on[0]
     assert res.state.u_cpu[0] == 0.0
@@ -110,8 +108,8 @@ def test_apply_placement_idempotent():
         "b": VmState(id="b", cpu_demand=0.2, ram_used=256.0),
     }
     state = make_state(3, vms)
-    state.attach(state.index["a"], 0)
-    state.attach(state.index["b"], 0)
+    state.move({state.index["a"]: 0})
+    state.move({state.index["b"]: 0})
     placement = {state.index["a"]: 1, state.index["b"]: 2}
     once = apply_placement(state, placement)
     twice = apply_placement(once.state, placement)
@@ -153,8 +151,8 @@ def test_state_copy_is_equal_and_independent():
                         disk_read=3.0, disk_write=4.0, net_bw=2.0),
            "b": VmState(id="b", cpu_demand=0.2, ram_used=512.0)}
     state = make_state(3, vms)
-    state.attach(state.index["a"], 0)
-    state.attach(state.index["b"], 2)
+    state.move({state.index["a"]: 0})
+    state.move({state.index["b"]: 2})
     new = state.copy()
     assert set(vars(new)) == set(vars(state))
     for name, value in vars(state).items():
@@ -167,7 +165,7 @@ def test_state_copy_is_equal_and_independent():
             # the spec, model parameters, setpoint, VM ids and id ranks are
             # shared
             assert getattr(new, name) is value, name
-    new.detach(new.index["a"])
+    new.move({new.index["a"]: -1})
     new.set_demand(cpu=[0.9, 0.1], ram=[1.0, 2.0], bw=[0.0, 0.0],
                    disk_read=[0.0, 0.0], disk_write=[0.0, 0.0])
     assert ids_on(state, 0) == ["a"]
@@ -189,11 +187,11 @@ def test_positions_on_follows_every_move():
     for _ in range(40):
         i = int(rng.integers(len(ids)))
         if rng.random() < 0.2:
-            state.detach(i)
+            state.move({i: -1})
         elif rng.random() < 0.2:
             state = apply_placement(state, {i: int(rng.integers(4))}).state
         else:
-            state.attach(i, int(rng.integers(4)))
+            state.move({i: int(rng.integers(4))})
         state.positions_on(0)
         for s in (state, state.copy(), state._with(host=np.roll(state.host, 1))):
             for h in range(4):
@@ -202,7 +200,7 @@ def test_positions_on_follows_every_move():
 
 def test_setpoint_change_recosts_and_same_setpoint_is_a_no_op(monkeypatch):
     state = make_state(2, {"a": VmState(id="a", cpu_demand=0.4, ram_used=1024.0)})
-    state.attach(state.index["a"], 0)
+    state.move({state.index["a"]: 0})
     p_it = state.p_it.copy()
     recosts = []
     refresh = DataCenterState.refresh
@@ -241,16 +239,83 @@ def test_set_demand_equals_attaching_one_at_a_time(seed):
         demands["disk_write"][i], demands["bw"][i]) for i, vid in enumerate(ids)})
     for vid, h in zip(ids, hosts):
         if h >= 0:
-            attached.attach(attached.index[vid], h)
+            attached.move({attached.index[vid]: h})
     # the same assignment, made before the demands are known
     updated = make_state(8, {vid: VmState(vid) for vid in ids})
     for vid, h in zip(ids, hosts):
         if h >= 0:
-            updated.attach(updated.index[vid], h)
+            updated.move({updated.index[vid]: h})
     updated.set_demand(**demands)
     for name in _ARRAYS:
         assert getattr(updated, name).tolist() == \
             getattr(attached, name).tolist(), name
+
+
+def random_state(rng, n_hosts, n_vms):
+    """A state with random demands and a random host (or none) per VM."""
+    demands = random_demands(rng, n_vms)
+    state = make_state(n_hosts, {f"v{i}": VmState(f"v{i}") for i in range(n_vms)})
+    state.set_demand(**demands)
+    state.move({i: int(h) for i, h in enumerate(rng.integers(-1, n_hosts, n_vms))})
+    return state
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_move_equals_moving_one_vm_at_a_time(seed):
+    # one call adds and takes the demands in the mapping's order and
+    # re-costs once: the very floats of one call per VM
+    rng = np.random.default_rng(seed)
+    n_hosts, n_vms = 6, int(rng.integers(1, 40))
+    state = random_state(rng, n_hosts, n_vms)
+    positions = rng.permutation(n_vms)[:int(rng.integers(1, n_vms + 1))]
+    placement = {int(i): int(h) for i, h in
+                 zip(positions, rng.integers(-1, n_hosts, len(positions)))}
+    together, apart = state.copy(), state.copy()
+    moves = together.move(placement)
+    one_by_one = [m for i, h in placement.items() for m in apart.move({i: h})]
+    assert moves == one_by_one
+    for name in _ARRAYS:
+        assert getattr(together, name).tolist() == getattr(apart, name).tolist(), name
+
+
+def test_move_skips_a_vm_already_on_its_target(monkeypatch):
+    state = make_state(3, {v: VmState(id=v, cpu_demand=0.2) for v in ("a", "b")})
+    state.move({0: 1, 1: 2})
+    before = {name: getattr(state, name).tolist() for name in _ARRAYS}
+    recosts = []
+    monkeypatch.setattr(DataCenterState, "refresh",
+                        lambda self, hosts: recosts.append(list(hosts)))
+    assert state.move({0: 1}) == []
+    assert recosts == []
+    assert {name: getattr(state, name).tolist() for name in _ARRAYS} == before
+    # only the VM that changes host moves, and only its hosts are re-costed
+    assert state.move({0: 1, 1: -1}) == [(1, 2, -1)]
+    assert recosts == [[2]]
+    assert state.host.tolist() == [1, -1]
+
+
+def test_one_move_recosts_once(monkeypatch):
+    rng = np.random.default_rng(5)
+    state = random_state(rng, 6, 30)
+    recosts = []
+    refresh = DataCenterState.refresh
+
+    def counted(self, hosts):
+        recosts.append(list(hosts))
+        refresh(self, hosts)
+
+    monkeypatch.setattr(DataCenterState, "refresh", counted)
+    moves = state.move({i: (state.host.item(i) + 2) % 6 for i in range(30)})
+    assert len(moves) == 30
+    assert recosts == [sorted({h for _, s, t in moves for h in (s, t)} - {-1})]
+
+
+def test_two_vms_on_one_cold_host_power_it_on_once():
+    state = make_state(3, {v: VmState(id=v, cpu_demand=0.2) for v in ("a", "b")})
+    res = apply_placement(state, {0: 1, 1: 1})
+    assert res.power_on_events == 1
+    assert res.moved == [(0, -1, 1), (1, -1, 1)]
+    assert res.state.on.tolist() == [False, True, False]
 
 
 def test_ties_between_vms_go_by_id_in_string_order():

@@ -105,7 +105,7 @@ def mmt_state():
     }
     state = DataCenterState.build(2, vms)
     for vid in vms:
-        state.attach(state.index[vid], 0)
+        state.move({state.index[vid]: 0})
     return state
 
 
@@ -124,7 +124,7 @@ def test_mmt_empty_below_threshold():
 def test_mmt_single_vm_host():
     vms = {"solo": VmState(id="solo", cpu_demand=0.95, ram_used=512.0)}
     state = DataCenterState.build(1, vms)
-    state.attach(state.index["solo"], 0)
+    state.move({state.index["solo"]: 0})
     assert select_vms_mmt(0, 0.9, state) == [state.index["solo"]]
 
 
@@ -138,7 +138,7 @@ def test_mmt_projection_drops_below_threshold(vm_specs):
            for i, (d, r) in enumerate(vm_specs)}
     state = DataCenterState.build(1, vms)
     for vid in vms:
-        state.attach(state.index[vid], 0)
+        state.move({state.index[vid]: 0})
     threshold = 0.5
     picked = [state.vm_ids[i] for i in select_vms_mmt(0, threshold, state)]
     remaining = sum(vm.cpu_demand for vid, vm in vms.items()
@@ -152,7 +152,7 @@ def build_attached(n_hosts, placed):
     state = DataCenterState.build(n_hosts, {vm.id: vm for vm, _ in placed},
                                   setpoint=291.0)
     for vm, host in placed:
-        state.attach(state.index[vm.id], host)
+        state.move({state.index[vm.id]: host})
     return state
 
 
@@ -293,7 +293,7 @@ def test_fit_test_takes_ram_up_to_the_placers_limit():
     thresholds = np.array([0.55, 0.9])
     v = state.index["v"]
     plan = state.copy()
-    plan.detach(v)
+    plan.move({v: -1})
     placed = so_place(SoKind.SO1, [v], [1], plan, thresholds, {v: 0})
     assert placed.placement == {v: 1}
     assert find_underloaded(state, thresholds) == [0]

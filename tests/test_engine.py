@@ -158,14 +158,14 @@ def test_vm_that_fits_nowhere_stays_on_its_source(policy):
 
 def test_migration_cost_no_events():
     state = DataCenterState.build(2, {"v": VmState(id="v", cpu_demand=0.5)})
-    state.attach(state.index["v"], 0)
+    state.move({state.index["v"]: 0})
     assert migration_cost([], state, 300.0) == (0.0, 0.0)
 
 
 def test_migration_cost_double_power_charge():
     vms = {"v": VmState(id="v", cpu_demand=0.5, ram_used=1024.0)}
     state = DataCenterState.build(2, vms)
-    state.attach(state.index["v"], 1)
+    state.move({state.index["v"]: 1})
     ev = MigrationEvent(vm=state.index["v"], target=1, duration=60.0,
                         cpu_demand=0.5)
     energy, pdm = migration_cost([ev], state, 300.0)
@@ -174,16 +174,12 @@ def test_migration_cost_double_power_charge():
     assert energy == pytest.approx(p_dyn * 60.0 / 3.6e6, rel=1e-12)
     # degradation: 10 % of demand over the migration vs requested this slot
     assert pdm == pytest.approx((0.1 * 0.5 * 60.0) / (0.5 * 300.0), rel=1e-12)
-    # charging can be disabled but degradation still accrues
-    energy_off, pdm_off = migration_cost([ev], state, 300.0, double_power=False)
-    assert energy_off == 0.0
-    assert pdm_off == pdm
 
 
 def test_migration_cost_zero_cpu_vm():
     vms = {"v": VmState(id="v", cpu_demand=0.0, ram_used=128.0)}
     state = DataCenterState.build(2, vms)
-    state.attach(state.index["v"], 1)
+    state.move({state.index["v"]: 1})
     ev = MigrationEvent(vm=state.index["v"], target=1, duration=30.0,
                         cpu_demand=0.0)
     _, pdm = migration_cost([ev], state, 300.0)
@@ -231,8 +227,8 @@ def test_zero_max_drains_counts_no_drains_in_dynso_evaluator():
     vms = {"light": VmState(id="light", cpu_demand=0.05, ram_used=256.0),
            "heavy": VmState(id="heavy", cpu_demand=0.5, ram_used=256.0)}
     state = DataCenterState.build(2, vms)
-    state.attach(state.index["light"], 0)
-    state.attach(state.index["heavy"], 1)
+    state.move({state.index["light"]: 0})
+    state.move({state.index["heavy"]: 1})
     thresholds = np.full(2, 0.9)
     full = (state.total_it_power()
             * (1.0 + 1.0 / models.cop(state.setpoint)))
@@ -312,7 +308,7 @@ def test_drain_pass_drains_only_hosts_whose_every_vm_was_placed(monkeypatch):
            for vid in ("a1", "a2", "b1", "b2", "c")}
     state = DataCenterState.build(3, vms)
     for vid, host in (("a1", 0), ("a2", 0), ("b1", 1), ("b2", 1), ("c", 2)):
-        state.attach(state.index[vid], host)
+        state.move({state.index[vid]: host})
     placed = []
     ix = state.index
 
@@ -346,7 +342,7 @@ def test_drain_pass_hands_over_each_sources_vms_in_id_order(monkeypatch):
            for vid in ("b2", "a1", "b1", "a2", "c")}
     state = DataCenterState.build(3, vms)
     for vid, host in (("b2", 1), ("a1", 0), ("b1", 1), ("a2", 0), ("c", 2)):
-        state.attach(state.index[vid], host)
+        state.move({state.index[vid]: host})
     handed = []
 
     def stub_place(cfg, state, vms, host_ids, thresholds, source, slot, slot_seconds):

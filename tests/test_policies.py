@@ -65,7 +65,7 @@ def make_state(n_hosts, vm_specs, setpoint=291.0):
     state = DataCenterState.build(n_hosts, vms, setpoint=setpoint)
     for vid, (_, _, host) in vm_specs.items():
         if host is not None:
-            state.attach(state.index[vid], host)
+            state.move({state.index[vid]: host})
     return state
 
 
@@ -130,7 +130,7 @@ def greedy_oracle(kind, vm_ids, host_ids, state, thr=0.9):
                 best_val, best_host = val, hid
         if best_host is not None:
             placement[vm.id] = best_host
-            scratch.attach(scratch.index[vm.id], best_host)
+            scratch.move({scratch.index[vm.id]: best_host})
     return placement
 
 
@@ -207,8 +207,8 @@ def test_so_sa_prefers_cheaper_energy_at_equal_so_values():
         "v": VmState(id="v", cpu_demand=0.2, ram_used=256.0),
     }
     state = DataCenterState.build(2, vms)
-    state.attach(state.index["bg0"], 0)
-    state.attach(state.index["bg1"], 1)
+    state.move({state.index["bg0"]: 0})
+    state.move({state.index["bg1"]: 1})
     v = state.index["v"]
     res = so_place(SoKind.SO_SA, [v], [0, 1], state)
     assert res.placement[v] == 0
@@ -324,7 +324,7 @@ def mo_oracle(kind, vm_ids, host_ids, state, thr=0.9):
         best = min((i for i in front if score(i) - low <= 1e-9 * abs(low)),
                    key=lambda i: cands[i][0])
         placement[vm.id] = cands[best][0]
-        scratch.attach(scratch.index[vm.id], cands[best][0])
+        scratch.move({scratch.index[vm.id]: cands[best][0]})
     return placement
 
 
@@ -378,8 +378,8 @@ def test_mo_agree_on_single_front():
         "v": VmState(id="v", cpu_demand=0.2, ram_used=128.0),
     }
     state = DataCenterState.build(2, vms)
-    state.attach(state.index["bg0"], 0)
-    state.attach(state.index["bg1"], 1)
+    state.move({state.index["bg0"]: 0})
+    state.move({state.index["bg1"]: 1})
     v = state.index["v"]
     assert mo_place("mo1", [v], [0, 1], state).placement[v] == 0
     assert mo_place("mo2", [v], [0, 1], state).placement[v] == 0
@@ -395,7 +395,7 @@ def test_swfdvp_second_best_rule():
     }
     state = DataCenterState.build(3, vms)
     for i in range(3):
-        state.attach(state.index[f"bg{i}"], i)
+        state.move({state.index[f"bg{i}"]: i})
     v = state.index["v"]
     res = swfdvp_place([v], [0, 1, 2], state)
     # oracle: rank by decreasing power increment, take the second
@@ -548,10 +548,10 @@ def reattached(state, placement, source):
     then every unplaced VM attached to its source host."""
     scratch = state.copy()
     for i, host_id in placement.items():
-        scratch.attach(i, host_id)
+        scratch.move({i: host_id})
     for i, host_id in source.items():
         if i not in placement:
-            scratch.attach(i, host_id)
+            scratch.move({i: host_id})
     return scratch
 
 
@@ -649,9 +649,9 @@ def random_fleet(seed, fan_map):
     state = DataCenterState.build(8, vms, params=params,
                                   setpoint=float(rng.choice([291.0, 297.0])))
     for i in range(9):
-        state.attach(state.index[f"bg{i}"], int(rng.integers(0, 5)))
-    state.attach(state.index["bg9"], 7)
-    state.detach(state.index["bg9"])
+        state.move({state.index[f"bg{i}"]: int(rng.integers(0, 5))})
+    state.move({state.index["bg9"]: 7})
+    state.move({state.index["bg9"]: -1})
     return state, rng
 
 
@@ -668,7 +668,7 @@ def test_fleet_place_equals_attach_and_refresh(fan_map, seed):
         old = state.p_it[hid] if is_busy(state, hid) else 0.0
         tab = fleet.table(vm)
         fleet.place(0, hid, tab)
-        state.attach(vm, hid)
+        state.move({vm: hid})
         # the candidate's cost is the cost the state charges, to the bit
         assert tab["p_after"][0, hid] == state.p_it[hid]
         total += state.p_it[hid] - old
