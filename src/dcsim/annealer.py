@@ -61,12 +61,12 @@ def _host_cost(state: DataCenterState):
     ram_cap = spec.ram_capacity
     bw_cap = spec.bw_capacity
     t_inlet = state.setpoint
-    fan_default = spec.fan_speed_default
+    fan_speed = spec.fan_speed_default
     # bound once: the chain costs two hosts per move
     mem_temperature, power_terms, disk_power = (
         models.mem_temperature_unchecked, models.host_power_terms,
         models.disk_power)
-    thermal, power, disk, fan_speed = p.thermal, p.power, p.disk, p.fan_speed
+    thermal, power, disk = p.thermal, p.power, p.disk
     floor = models.U_MEM_FLOOR
 
     def cost(n, cpu, ram, bw, read, write):
@@ -79,8 +79,7 @@ def _host_cost(state: DataCenterState):
         u_mem = 100.0 * ram / ram_cap
         u_mem = 100.0 if u_mem > 100.0 else u_mem if u_mem > floor else floor
         t_mem = float(mem_temperature(t_inlet, u_mem, thermal))
-        watts = (power_terms(volts[i], freqs[i], u, t_mem,
-                             fan_speed(u, fan_default), power)
+        watts = (power_terms(volts[i], freqs[i], u, t_mem, fan_speed, power)
                  + disk_power(read, write, disk))
         excess = cpu - 1.0 if cpu > 1.0 else 0.0
         r = ram / ram_cap - 1.0

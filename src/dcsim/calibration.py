@@ -68,25 +68,6 @@ def collect_training(sa_log, so_logs: dict[SoKind, tuple]) -> list[TrainingRecor
     return records
 
 
-def collect_from_workload(workload, cfg, sa_iterations: int = 2000,
-                          kinds=(SoKind.SO3, SoKind.SO6)) -> list[TrainingRecord]:
-    """Run the annealer and the given BFD policies on one workload and collect
-    the aligned training set.  Meant for small scenarios; trims the annealer's
-    iteration budget so the paired runs stay cheap."""
-    from dataclasses import replace as _replace
-
-    from . import engine
-
-    so_logs = {}
-    for kind in kinds:
-        r = engine.run(workload, _replace(cfg, policy=kind.value))
-        so_logs[kind] = (r.calib_values, r.calib_energy)
-    sa_cfg = _replace(cfg, policy="sa",
-                      sa=_replace(cfg.sa, iterations=sa_iterations))
-    r_sa = engine.run(workload, sa_cfg)
-    return collect_training((r_sa.calib_values, r_sa.calib_energy), so_logs)
-
-
 def fit_sosa(samples: list[TrainingRecord], split: float = 0.8) -> tuple[SoSaModel, FitReport]:
     """Fit e_sa ~ a3 * |so3| * e_so3 + a6 * |so6| * e_so6 + c.
 

@@ -62,7 +62,6 @@ _KEYS = {
     "models.cop_c": (float, "models.cooling.cop_c"),
     "models.c_read": (float, "models.disk.c_read"),
     "models.c_write": (float, "models.disk.c_write"),
-    "models.fan_map": (str, "models.fan_map"),
     "run.hosts": (int, "hosts"),
     "run.policy": (str, "policy"),
     "run.cooling": (cooling_from_name, "cooling"),

@@ -87,10 +87,9 @@ class RunReport:
     totals: RunTotals
     avg_sla: float          # overload-time fraction x migration degradation
     pue: float              # (IT + cooling) / IT, boot energy excluded
-    # per-slot mean normalized consolidation value and slot energy, consumed
-    # by the calibration pipeline
+    # per-slot mean normalized consolidation value, consumed by the
+    # calibration pipeline
     calib_values: list[float] = field(default_factory=list)
-    calib_energy: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -351,8 +350,7 @@ def run(workload: Workload, cfg: SimConfig) -> RunReport:
     return RunReport(
         slots=slots, totals=totals, avg_sla=otf * pdm,
         pue=(totals.e_it + totals.e_cooling) / totals.e_it if totals.e_it > 0 else 0.0,
-        calib_values=calib_values,
-        calib_energy=[m.e_it + m.e_cooling for m in slots])
+        calib_values=calib_values)
 
 
 def migration_cost(events: list[MigrationEvent], state: DataCenterState,

@@ -17,7 +17,6 @@ KWH_PER_WS = 1.0 / 3.6e6  # watt-seconds to kWh
 # Idle hosts still hold OS pages; the memory-load floor keeps the log term of
 # the memory temperature model defined (1 % maps to exactly k1 * t_inlet).
 U_MEM_FLOOR = 1.0
-FAN_LINEAR_MAX_RPM = 9000.0  # the "linear" fan map's speed at full utilization
 
 
 def left_sum(values) -> float:
@@ -65,20 +64,12 @@ class DiskModelParams:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Bundle of every model parameter set plus the fan-speed convention."""
+    """Bundle of every model parameter set."""
 
     power: PowerModelParams = field(default_factory=PowerModelParams)
     thermal: ThermalModelParams = field(default_factory=ThermalModelParams)
     cooling: CoolingModelParams = field(default_factory=CoolingModelParams)
     disk: DiskModelParams = field(default_factory=DiskModelParams)
-    # "constant" keeps fan speed at the server default; "linear" maps u_cpu in
-    # [0,1] onto [default, FAN_LINEAR_MAX_RPM] RPM.
-    fan_map: str = "constant"
-
-    def fan_speed(self, u_cpu, default_rpm):
-        if self.fan_map == "linear":
-            return default_rpm + (FAN_LINEAR_MAX_RPM - default_rpm) * u_cpu
-        return default_rpm
 
 
 def dynamic_power(v_dd, f_op, u_cpu, p: PowerModelParams = PowerModelParams()):
@@ -114,8 +105,7 @@ def host_operating_point(cpu_sum, ram_sum, disk_read, disk_write, t_inlet,
                       len(freqs) - 1)
     t_mem = mem_temperature_unchecked(t_inlet, u_mem, p.thermal)
     p_it = (host_power_terms(volts[mode], freqs[mode], u_cpu, t_mem,
-                             p.fan_speed(u_cpu, spec.fan_speed_default),
-                             p.power)
+                             spec.fan_speed_default, p.power)
             + disk_power(disk_read, disk_write, p.disk))
     return u_cpu, mode, t_mem, p_it
 

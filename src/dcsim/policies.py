@@ -178,7 +178,7 @@ class _Fleet:
         dfreq = (freqs[mode] - freqs[self.mode]) / freqs[-1]
         return dict(demand=demand, feasible=feasible, u_after=u_after, mode=mode,
                     dfreq=dfreq, p_before=self.p_before, p_after=p_after,
-                    t_mem=t_mem, p_cool=p_after / self.cop)
+                    t_mem=t_mem)
 
     def global_power(self, tab: dict, k: int) -> np.ndarray:
         """Fleet IT+cooling power (W) of row ``k`` with the VM on each host."""
@@ -245,7 +245,8 @@ def _values_for_kind(kind: SoKind, k: int, tab: dict, recip, fleet: _Fleet,
     if kind == SoKind.SO5:
         return tab["dfreq"][k], feas
     if kind == SoKind.SO7:
-        return tab["p_after"][k] + tab["p_cool"][k], feas
+        p_after = tab["p_after"][k]
+        return p_after + p_after / fleet.cop, feas
 
     so3, valid3, so6, valid6 = (a[k] for a in recip)
     if kind == SoKind.SO3:

@@ -68,8 +68,8 @@ def summary_csv(rows: list[tuple[str, RunReport]]) -> str:
 
 def calib_csv(report: RunReport) -> str:
     lines = ["slot,norm_value_mean,e_total_kwh"]
-    for t, (v, e) in enumerate(zip(report.calib_values, report.calib_energy)):
-        lines.append(f"{t},{v!r},{e!r}")
+    for t, (v, m) in enumerate(zip(report.calib_values, report.slots)):
+        lines.append(f"{t},{v!r},{(m.e_it + m.e_cooling)!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -96,11 +96,11 @@ def manifest_dict(report: RunReport, cfg: SimConfig, workload_hash: str) -> dict
 
 
 def write_run_artifacts(out_dir, report: RunReport, cfg: SimConfig,
-                        workload_hash: str, name: str | None = None) -> Path:
+                        workload_hash: str) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "slots.csv").write_text(slots_csv(report))
-    (out / "summary.csv").write_text(summary_csv([(name or cfg.policy, report)]))
+    (out / "summary.csv").write_text(summary_csv([(cfg.policy, report)]))
     (out / "calib.csv").write_text(calib_csv(report))
     (out / "manifest.json").write_text(
         json.dumps(manifest_dict(report, cfg, workload_hash), indent=2,

@@ -71,7 +71,7 @@ def scalar_operating_point(cpu_sum: float, ram_sum: float, disk_read: float,
     u_cpu = min(1.0, max(0.0, cpu_sum))
     u_mem = min(100.0, max(models.U_MEM_FLOOR, 100.0 * ram_sum / spec.ram_capacity))
     mode = governor_frequency(u_cpu, spec.dvfs_table)
-    fan = p.fan_speed(u_cpu, spec.fan_speed_default)
+    fan = spec.fan_speed_default
     t_mem = p.thermal.mem_k1 * t_inlet + p.thermal.mem_k2 * math.log(u_mem * u_mem)
     pw = p.power
     p_it = (pw.c_dyn * mode.v_dd * mode.v_dd * mode.f_op * u_cpu

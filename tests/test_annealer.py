@@ -74,10 +74,8 @@ def test_empty_vm_list_gives_static_power_of_on_hosts():
 
 
 def random_fleet(rng: random.Random):
-    """A small fleet of random VMs, all detached, with a random fan map and
-    setpoint; several VMs on one host overload its CPU and RAM."""
-    fan_map = rng.choice(("constant", "linear"))
-    params = models.ModelParams(fan_map=fan_map)
+    """A small fleet of random VMs, all detached, with a random setpoint;
+    several VMs on one host overload its CPU and RAM."""
     vms = {}
     for i in range(rng.randint(1, 14)):
         vms[f"v{i}"] = VmState(
@@ -86,8 +84,7 @@ def random_fleet(rng: random.Random):
             disk_read=rng.uniform(0.0, 5e4), disk_write=rng.uniform(0.0, 5e4),
             net_bw=rng.uniform(0.0, 60.0))
     setpoint = rng.choice((283.15, 291.0, 297.0, 303.15, 313.15))
-    return DataCenterState.build(rng.randint(1, 5), vms, params=params,
-                                 setpoint=setpoint)
+    return DataCenterState.build(rng.randint(1, 5), vms, setpoint=setpoint)
 
 
 def test_host_power_equals_the_state_to_the_last_bit():
@@ -112,8 +109,7 @@ def test_host_power_equals_the_state_to_the_last_bit():
                  "no ram": placed.ram_sum[used] == 0.0,
                  "ram > capacity": placed.ram_sum > placed.spec.ram_capacity}
         seen.update(name for name, hosts in cases.items() if hosts.any())
-        seen.add(placed.params.fan_map)
-    assert seen == {"cpu > 1", "no ram", "ram > capacity", "constant", "linear"}
+    assert seen == {"cpu > 1", "no ram", "ram > capacity"}
 
 
 def test_attached_chain_vm_raises():

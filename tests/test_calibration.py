@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from dcsim.calibration import (CollinearFeaturesError, TrainingRecord,
-                               avg_error_pct, collect_from_workload,
-                               collect_training, fit_sosa, predict)
-from dcsim.engine import SimConfig
+                               avg_error_pct, collect_training, fit_sosa,
+                               predict)
 from dcsim.policies import SoKind, SoSaModel
-from dcsim.workload import synth_workload
 
 PAPER = SoSaModel()  # a3=0.1603, a6=0.7724, c=0.0102
 
@@ -109,13 +107,3 @@ def test_collect_training_rejects_misaligned_logs():
                          {SoKind.SO3: ([1.5], [0.9]),
                           SoKind.SO6: ([1.5, 1.5], [0.8, 0.8])})
 
-
-def test_collect_from_workload_runs_end_to_end():
-    w = synth_workload(vms=12, slots=40, variability=200.0, seed=5)
-    cfg = SimConfig(hosts=6, policy="pabfd")
-    records = collect_from_workload(w, cfg, sa_iterations=4000)
-    assert 0 < len(records) <= 40
-    for r in records:
-        assert 1.0 <= r.norm_so3 <= 2.0
-        assert 1.0 <= r.norm_so6 <= 2.0
-        assert r.e_sa > 0

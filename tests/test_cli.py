@@ -31,6 +31,24 @@ def test_run_writes_artifacts_and_is_deterministic(tmp_path):
     assert manifest["totals"]["energy_kwh"] > 0
 
 
+def test_calib_csv_rows_are_the_slot_energies(tmp_path):
+    # each row pairs the slot's mean consolidation value with its IT plus
+    # cooling energy, both to the last digit; the summary row is the policy
+    from dcsim.engine import SimConfig, run
+    from dcsim.report import write_run_artifacts
+
+    w = synth_workload(vms=12, slots=10, variability=120.0, seed=7)
+    cfg = SimConfig(hosts=6, policy="pabfd")
+    r = run(w, cfg)
+    out = write_run_artifacts(tmp_path / "r", r, cfg, workload_fingerprint(w))
+    header, *rows = (out / "calib.csv").read_text().splitlines()
+    assert header == "slot,norm_value_mean,e_total_kwh"
+    assert len(r.slots) == 10
+    assert rows == [f"{t},{r.calib_values[t]!r},{(m.e_it + m.e_cooling)!r}"
+                    for t, m in enumerate(r.slots)]
+    assert (out / "summary.csv").read_text().splitlines()[1].startswith("pabfd,")
+
+
 def test_run_missing_trace_dir_exits_2(tmp_path, capsys):
     rc = run_cli("run", "--policy", "pabfd", "--cooling", "fixed291",
                  "--traces", str(tmp_path / "nope"), "--out", str(tmp_path / "o"))
@@ -328,10 +346,12 @@ def test_config_slot_seconds_is_an_unknown_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value", [("run.oversubscription", 0),
-                                        ("run.migration_double_power", 1)])
+                                        ("run.migration_double_power", 1),
+                                        ("models.fan_map", "linear")])
 def test_config_dropped_switches_are_unknown_keys(tmp_path, capsys, key, value):
-    # CPU is never a hard limit and every migration is charged: neither
-    # switch exists, so setting one fails before the run writes anything
+    # CPU is never a hard limit, every migration is charged and fans run at
+    # the server's speed: no such switch exists, so setting one fails before
+    # the run writes anything
     assert_unknown_key(tmp_path, capsys, key, value)
 
 

@@ -21,7 +21,6 @@ import pytest
 from dcsim.annealer import SaConfig
 from dcsim.config import cooling_from_name
 from dcsim.engine import SimConfig, run
-from dcsim.models import ModelParams
 from dcsim.workload import Workload, synth_workload
 
 # (e_it, e_cooling, e_boot, power_on_events, migrations)
@@ -42,15 +41,12 @@ GOLDEN = {
     "mo1": "(2.667672855100262, 0.9970372458888704, 0.28379400000000005, 21, 94)",
 }
 
-# the same workload under the adaptive setpoint and the linear fan map:
-# (policy, cooling, fan map) -> totals
+# the same workload under the adaptive setpoint: (policy, cooling) -> totals
 GOLDEN_VARIANTS = {
-    ("pabfd", "varinlet", "constant"):
+    ("pabfd", "varinlet"):
         "(3.00318030261167, 0.4522459335812238, 0.256766, 19, 68)",
-    ("dynso", "varinlet", "constant"):
+    ("dynso", "varinlet"):
         "(2.8882929199096767, 0.4334515829672726, 0.28379400000000005, 21, 84)",
-    ("dynso", "fixed291", "linear"):
-        "(3.0748487967267573, 1.1492184170753317, 0.31082200000000004, 23, 83)",
 }
 
 # the same workload with its VMs renamed in a shuffled order (id order is no
@@ -84,10 +80,9 @@ def test_totals_are_bit_identical(policy):
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_VARIANTS))
 def test_variant_totals_are_bit_identical(case):
-    policy, cooling, fan_map = case
+    policy, cooling = case
     w = synth_workload(vms=72, slots=12, variability=120.0, seed=4)
-    cfg = SimConfig(hosts=30, policy=policy, cooling=cooling_from_name(cooling),
-                    models=ModelParams(fan_map=fan_map))
+    cfg = SimConfig(hosts=30, policy=policy, cooling=cooling_from_name(cooling))
     t = run(w, cfg).totals
     got = (t.e_it, t.e_cooling, t.e_boot, t.power_on_events, t.migrations)
     assert repr(got) == GOLDEN_VARIANTS[case]

@@ -40,8 +40,7 @@ def test_governor_monotone_and_idempotent(u):
         assert governor_f_op(v) <= f_op
 
 
-@pytest.mark.parametrize("fan_map", ["constant", "linear"])
-def test_array_model_matches_the_scalar_reference(fan_map):
+def test_array_model_matches_the_scalar_reference():
     # random hosts, some over-committed (cpu sum above 1) and some without
     # RAM in use, costed in one array call and one host at a time
     rng = np.random.default_rng(3)
@@ -53,7 +52,7 @@ def test_array_model_matches_the_scalar_reference(fan_map):
     disk_r = rng.uniform(0.0, 5e4, n)
     disk_w = rng.uniform(0.0, 5e4, n)
     t_inlet = float(rng.choice([283.15, 291.0, 297.0, 303.15]))
-    params = models.ModelParams(fan_map=fan_map)
+    params = models.ModelParams()
     u_cpu, mode, t_mem, p_it = models.host_operating_point(
         cpu, ram, disk_r, disk_w, t_inlet, SPEC, params)
     refs = [scalar_operating_point(*host, t_inlet, SPEC, params) for host in
@@ -177,7 +176,7 @@ def test_each_placement_rule_is_written_once():
                  for node in ast.walk(fn)}
         for node in ast.walk(tree):
             if (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
-                    and node.slice.value in ("t_mem", "p_cool") and id(node) not in owned):
+                    and node.slice.value == "t_mem" and id(node) not in owned):
                 reads.append(f"{path.name}:{node.lineno}")
             if isinstance(node, ast.Constant) and node.value == 1e-300:
                 floors.append(f"{path.name}:{node.lineno}")

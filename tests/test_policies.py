@@ -630,7 +630,7 @@ def test_lockstep_walk_equals_single_kind_walks(seed):
     assert len({frozenset(p.items()) for p in placements}) > 1
 
 
-def random_fleet(seed, fan_map):
+def random_fleet(seed):
     """Eight hosts: some cold, some running VMs, one powered on but emptied
     (as the engine's plan leaves a host whose VMs all move), and twelve
     detached VMs."""
@@ -645,8 +645,7 @@ def random_fleet(seed, fan_map):
 
     vms = {f"bg{i}": vm(f"bg{i}") for i in range(10)}
     vms.update({f"v{i}": vm(f"v{i}") for i in range(12)})
-    params = models.ModelParams(fan_map=fan_map)
-    state = DataCenterState.build(8, vms, params=params,
+    state = DataCenterState.build(8, vms,
                                   setpoint=float(rng.choice([291.0, 297.0])))
     for i in range(9):
         state.move({state.index[f"bg{i}"]: int(rng.integers(0, 5))})
@@ -655,10 +654,9 @@ def random_fleet(seed, fan_map):
     return state, rng
 
 
-@pytest.mark.parametrize("fan_map", ["constant", "linear"])
 @pytest.mark.parametrize("seed", range(6))
-def test_fleet_place_equals_attach_and_refresh(fan_map, seed):
-    state, rng = random_fleet(seed, fan_map)
+def test_fleet_place_equals_attach_and_refresh(seed):
+    state, rng = random_fleet(seed)
     fleet = _Fleet(state, 1, range(8), None)
     assert fleet.total_p[0] == effective_it_power(state)
     total = fleet.total_p[0]
