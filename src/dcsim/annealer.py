@@ -54,14 +54,13 @@ def _host_cost(state: DataCenterState):
     nothing.  The excess is the load above each capacity, normalized by it.
     """
     p = state.params
-    spec = state.spec
-    freqs, volts = (a.tolist() for a in spec.dvfs_arrays)
+    freqs, volts = models.FREQS_GHZ.tolist(), models.VOLTS.tolist()
     top = len(freqs) - 1
     f_max = freqs[top]
-    ram_cap = spec.ram_capacity
-    bw_cap = spec.bw_capacity
+    ram_cap = models.RAM_CAPACITY
+    bw_cap = models.BW_CAPACITY
     t_inlet = state.setpoint
-    fan_speed = spec.fan_speed_default
+    fan_speed = models.FAN_SPEED
     # bound once: the chain costs two hosts per move
     mem_temperature, power_terms, disk_power = (
         models.mem_temperature_unchecked, models.host_power_terms,

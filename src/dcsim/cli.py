@@ -19,14 +19,14 @@ from .workload import (TraceError, Workload, load_traces, save_traces,
                        synth_workload, variability_score)
 
 
-def _parse_synth_spec(spec: str) -> dict:
+def _parse_synth(text: str) -> dict:
     out = {}
-    for part in spec.split(","):
+    for part in text.split(","):
         part = part.strip()
         if not part:
             continue
         if "=" not in part:
-            raise ConfigError(f"bad synth spec element {part!r}")
+            raise ConfigError(f"bad --synth element {part!r}")
         k, v = part.split("=", 1)
         out[k.strip()] = v.strip()
     kwargs = dict(vms=int(out.pop("vms", 50)), slots=int(out.pop("slots", 288)),
@@ -42,7 +42,7 @@ def _load_workload(args) -> Workload:
         return load_traces(args.traces, slot_seconds=None,
                            fill=getattr(args, "fill", "ffill"))
     if args.synth:
-        return synth_workload(**_parse_synth_spec(args.synth))
+        return synth_workload(**_parse_synth(args.synth))
     raise ConfigError("one of --traces or --synth is required")
 
 
@@ -57,7 +57,10 @@ def _build_config(args) -> SimConfig:
              "sa.k": args.sa_k, "sa.seed": args.sa_seed, "sa.timecap": args.sa_timecap}
     if args.sosa_model:
         params = json.loads(Path(args.sosa_model).read_text())
-        flags.update({f"sosa.{name}": params[name] for name in ("a3", "a6", "c")})
+        for name in ("a3", "a6", "c"):
+            if not isinstance(params, dict) or params.get(name) is None:
+                raise ConfigError(f"{args.sosa_model}: no coefficient {name!r}")
+            flags[f"sosa.{name}"] = params[name]
     return apply_config(cfg, {key: value for key, value in flags.items()
                               if value is not None})
 

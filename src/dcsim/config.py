@@ -96,6 +96,6 @@ def apply_config(cfg: SimConfig, values: dict) -> SimConfig:
         parse, path = _KEYS[key]
         try:
             cfg = _replaced(cfg, path, parse(value))
-        except ValueError as e:
+        except (TypeError, ValueError) as e:
             raise ConfigError(f"{key} = {value}: {e}") from None
     return cfg

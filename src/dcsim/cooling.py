@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ThermalModelParams
+from .models import T_INLET_MAX, ThermalModelParams
 
 
 @dataclass(frozen=True)
@@ -37,16 +37,15 @@ CoolingStrategy = FixedCooling | VarInletCooling
 
 
 def max_inlet_for_host(u_cpu, t_cpu_max: float,
-                       thermal: ThermalModelParams = ThermalModelParams(),
-                       t_inlet_max: float = 303.15):
+                       thermal: ThermalModelParams = ThermalModelParams()):
     """Highest inlet temperature keeping the CPU at or below ``t_cpu_max``,
     element-wise over a utilization or an array of them.
 
     Inverts the steady-state CPU temperature model and clamps to the server's
-    inlet bound.
+    inlet bound ``T_INLET_MAX``.
     """
     raw = (t_cpu_max - thermal.cpu_k2 * u_cpu) / thermal.cpu_k1
-    return np.minimum(raw, t_inlet_max)
+    return np.minimum(raw, T_INLET_MAX)
 
 
 def cooling_setpoint(state, strategy: CoolingStrategy) -> float:
@@ -61,6 +60,6 @@ def cooling_setpoint(state, strategy: CoolingStrategy) -> float:
     active = state.u_cpu[state.on]
     if not active.size:
         return strategy.ceiling
-    lowest = max_inlet_for_host(active, strategy.t_cpu_max, state.params.thermal,
-                                state.spec.t_inlet_max).min().item()
+    lowest = max_inlet_for_host(active, strategy.t_cpu_max,
+                                state.params.thermal).min().item()
     return min(max(lowest, strategy.floor), strategy.ceiling)

@@ -1,5 +1,6 @@
-"""Domain model: servers, VMs, the data-center state and placement application.
+"""Domain model: VMs, the data-center state and placement application.
 
+Every host is the one server model whose constants ``models`` holds.
 :class:`DataCenterState` keeps the fleet as numpy arrays: per VM its demand
 and its host, per host the on-mask, the resource sums of its VMs and the
 utilization, DVFS mode and IT power derived from them.
@@ -14,7 +15,6 @@ report and the annealer, and, as ``rank``, every tie between VMs.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,74 +22,8 @@ import numpy as np
 from . import models
 from .models import ModelParams
 
-DEFAULT_FREQS_GHZ = (1.73, 1.86, 2.13, 2.26, 2.39, 2.40)
-# the default ladder's voltages (V) at the lowest and the highest frequency
-DEFAULT_V_LOW, DEFAULT_V_HIGH = 1.80, 1.92
 # a host takes RAM and bandwidth up to its capacity plus this much float dust
 CAPACITY_SLACK = 1e-9
-
-
-@dataclass(frozen=True)
-class DvfsMode:
-    f_op: float  # GHz
-    v_dd: float  # V
-
-
-def default_dvfs_table() -> tuple[DvfsMode, ...]:
-    """Voltage ladder for the default frequency set: linear ramp in f_op.
-
-    The end voltages are calibrated against the reference hardware's
-    reported behavior: with the published power coefficients, per-host draw
-    then spans the documented 170-200 W range and the worked allocation
-    example's power increments come out at the right magnitude.  Voltage is
-    configuration, not ground truth; pass ``ServerSpec(dvfs_table=...)`` for
-    a different part.
-    """
-    f_lo, f_hi = DEFAULT_FREQS_GHZ[0], DEFAULT_FREQS_GHZ[-1]
-    span = DEFAULT_V_HIGH - DEFAULT_V_LOW
-    return tuple(DvfsMode(f_op=f, v_dd=DEFAULT_V_LOW + span * (f - f_lo) / (f_hi - f_lo))
-                 for f in DEFAULT_FREQS_GHZ)
-
-
-@dataclass(frozen=True)
-class ServerSpec:
-    """Static description of one server model."""
-
-    dvfs_table: tuple[DvfsMode, ...]
-    cores: int = 4
-    ram_capacity: float = 16384.0        # MB
-    bw_capacity: float = 125.0           # MB/s
-    e_boot: float = 13.514e-3            # kWh per power-on event
-    t_inlet_max: float = 303.15          # K (30 C fan-failure bound)
-    fan_speed_default: float = 5000.0    # RPM
-
-    def __post_init__(self):
-        if not self.dvfs_table:
-            raise ValueError("dvfs_table must not be empty")
-        if self.e_boot < 0:
-            raise ValueError("e_boot must be >= 0")
-        freqs = [m.f_op for m in self.dvfs_table]
-        if freqs != sorted(freqs) or len(set(freqs)) != len(freqs):
-            raise ValueError("dvfs_table must be strictly increasing in f_op")
-
-    @property
-    def f_max(self) -> float:
-        return self.dvfs_table[-1].f_op
-
-    @functools.cached_property
-    def dvfs_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The table's ``f_op`` and ``v_dd`` values, as arrays indexed by mode."""
-        return (np.array([m.f_op for m in self.dvfs_table]),
-                np.array([m.v_dd for m in self.dvfs_table]))
-
-    @property
-    def cpu_capacity_mhz(self) -> float:
-        # Full capacity at top frequency; VM demand fractions refer to this.
-        return self.cores * self.f_max * 1000.0
-
-
-def default_server_spec() -> ServerSpec:
-    return ServerSpec(dvfs_table=default_dvfs_table())
 
 
 @dataclass
@@ -137,12 +71,12 @@ _ARRAYS = (*_DEMANDS, "host", "on", *(f"{d}_sum" for d in _DEMANDS),
            "u_cpu", "mode", "p_it")
 
 
-def within_capacity(spec: ServerSpec, ram, bw):
+def within_capacity(ram, bw):
     """Whether RAM (MB) and bandwidth (MB/s) loads fit a host, as the pair
     (RAM fits, bandwidth fits): each load at most its capacity plus
     ``CAPACITY_SLACK``.  Takes floats or arrays, elementwise."""
-    return (ram <= spec.ram_capacity + CAPACITY_SLACK,
-            bw <= spec.bw_capacity + CAPACITY_SLACK)
+    return (ram <= models.RAM_CAPACITY + CAPACITY_SLACK,
+            bw <= models.BW_CAPACITY + CAPACITY_SLACK)
 
 
 class DataCenterState:
@@ -154,12 +88,12 @@ class DataCenterState:
     none, and ``rank``, the VM's place in string order of the ids.  Per host,
     indexed by host id: ``on``, the sums of its VMs' demands (``cpu_sum``
     and so on; ``cpu_sum`` may exceed 1) and the figures derived from them:
-    ``u_cpu`` (clamped to [0, 1]), ``mode`` (index into the DVFS table) and
-    ``p_it`` (W, disk included, 0 when off).  Every host shares ``spec`` and
-    the inlet ``setpoint``.
+    ``u_cpu`` (clamped to [0, 1]), ``mode`` (index into
+    ``models.FREQS_GHZ``) and ``p_it`` (W, disk included, 0 when off).  Every
+    host is the server model of ``models`` and shares the inlet
+    ``setpoint``.
     """
 
-    spec: ServerSpec
     params: ModelParams
     setpoint: float
     vm_ids: tuple[str, ...]
@@ -168,12 +102,11 @@ class DataCenterState:
 
     @classmethod
     def build(cls, n_hosts: int, vms: dict[str, VmState] | None = None,
-              spec: ServerSpec | None = None, params: ModelParams | None = None,
+              params: ModelParams | None = None,
               setpoint: float = 291.0) -> "DataCenterState":
         """A fleet of powered-off hosts and the given VMs, all unassigned."""
         records = list((vms or {}).values())
         state = object.__new__(cls)
-        state.spec = spec or default_server_spec()
         state.params = params or ModelParams()
         state.setpoint = setpoint
         state.vm_ids = tuple(vm.id for vm in records)
@@ -228,7 +161,7 @@ class DataCenterState:
         on = self.on[hosts]
         u_cpu, mode, _, p_it = models.host_operating_point(
             self.cpu_sum[hosts], self.ram_sum[hosts], self.disk_read_sum[hosts],
-            self.disk_write_sum[hosts], self.setpoint, self.spec, self.params)
+            self.disk_write_sum[hosts], self.setpoint, self.params)
         self.u_cpu[hosts] = np.where(on, u_cpu, 0.0)
         self.mode[hosts] = np.where(on, mode, 0)
         self.p_it[hosts] = np.where(on, p_it, 0.0)
@@ -307,14 +240,13 @@ def apply_placement(state: DataCenterState, placement: dict[int, int]) -> ApplyR
     new = state.copy()
     moves = new.move(placement)
     targets = sorted({target for _, _, target in moves})
-    spec = new.spec
     for host in targets:
         ram, bw = new.ram_sum.item(host), new.bw_sum.item(host)
-        ram_fits, bw_fits = within_capacity(spec, ram, bw)
+        ram_fits, bw_fits = within_capacity(ram, bw)
         if not ram_fits:
-            raise CapacityError(host, "ram", ram, spec.ram_capacity)
+            raise CapacityError(host, "ram", ram, models.RAM_CAPACITY)
         if not bw_fits:
-            raise CapacityError(host, "bandwidth", bw, spec.bw_capacity)
+            raise CapacityError(host, "bandwidth", bw, models.BW_CAPACITY)
 
     idle = np.flatnonzero(new.on & (new.vm_counts() == 0))
     if idle.size:

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataCenterState, ServerSpec, within_capacity
-from .models import left_sum
+from .core import DataCenterState, within_capacity
+from .models import BW_CAPACITY, left_sum
 
 
 @dataclass(frozen=True)
@@ -47,11 +47,7 @@ def overload_threshold(history: np.ndarray, filled: np.ndarray,
 
 # share of a host's network link reserved for live migration
 MIGRATION_RESERVE = 0.5
-
-
-def migration_bandwidth(spec: ServerSpec) -> float:
-    """Bandwidth available to live migration, MB/s."""
-    return spec.bw_capacity * MIGRATION_RESERVE
+MIGRATION_BW = BW_CAPACITY * MIGRATION_RESERVE  # MB/s
 
 
 def select_vms_mmt(host: int, threshold: float,
@@ -71,11 +67,11 @@ def select_vms_mmt(host: int, threshold: float,
     """
     if state.cpu_sum.item(host) < threshold:
         return []
-    bw = migration_bandwidth(state.spec)
     rank, ram, cpu = state.rank, state.ram, state.cpu
     staying = state.positions_on(host)
     picked = []
-    for i in sorted(staying, key=lambda i: (ram.item(i) / bw, rank.item(i))):
+    for i in sorted(staying,
+                    key=lambda i: (ram.item(i) / MIGRATION_BW, rank.item(i))):
         picked.append(i)
         staying.remove(i)
         if left_sum(cpu.item(j) for j in staying) < threshold:
@@ -94,7 +90,7 @@ def _fits_elsewhere(host_id: int, state: DataCenterState, thr: np.ndarray,
     bw = state.bw_sum.copy()
     order = state.by_decreasing_cpu(state.positions_on(host_id))
     for c, r, b in zip(*(a[order].tolist() for a in (state.cpu, state.ram, state.bw))):
-        ram_fits, bw_fits = within_capacity(state.spec, ram + r, bw + b)
+        ram_fits, bw_fits = within_capacity(ram + r, bw + b)
         fits = targets & (cpu + c < thr) & ram_fits & bw_fits
         if not fits.any():
             return False

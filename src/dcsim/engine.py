@@ -10,9 +10,9 @@ import numpy as np
 
 from . import annealer, models, policies
 from .cooling import CoolingStrategy, FixedCooling, cooling_setpoint
-from .core import (CapacityError, DataCenterState, ServerSpec, SlotMetrics,
-                   VmState, apply_placement)
-from .detection import MadConfig, find_underloaded, migration_bandwidth, \
+from .core import (CapacityError, DataCenterState, SlotMetrics, VmState,
+                   apply_placement)
+from .detection import MIGRATION_BW, MadConfig, find_underloaded, \
     overload_threshold, select_vms_mmt
 from .models import KWH_PER_WS, ModelParams, left_sum
 from .policies import DEFAULT_DYNSO_LIST, SoKind, SoSaModel
@@ -37,7 +37,6 @@ class SimConfig:
     policy: str = "pabfd"
     cooling: CoolingStrategy = field(default_factory=lambda: FixedCooling(291.0))
     mad: MadConfig = field(default_factory=MadConfig)
-    server: ServerSpec | None = None
     models: ModelParams = field(default_factory=ModelParams)
     sosa: SoSaModel = field(default_factory=SoSaModel)
     sa: annealer.SaConfig = field(default_factory=annealer.SaConfig)
@@ -211,12 +210,10 @@ def _apply(cfg: SimConfig, state: DataCenterState, placement: dict[int, int],
     except CapacityError:
         return state, record
     new = applied.state
-    bw = migration_bandwidth(new.spec)
     for i, src, dst in applied.moved:
         if src < 0:
             continue
-        duration = min(new.ram.item(i) / bw if bw > 0 else slot_seconds,
-                       slot_seconds)
+        duration = min(new.ram.item(i) / MIGRATION_BW, slot_seconds)
         record.migrations.append(MigrationEvent(i, dst, duration, new.cpu.item(i)))
     record.power_on_events = applied.power_on_events
     return new, record
@@ -287,7 +284,7 @@ def _account(cfg: SimConfig, state: DataCenterState, first: PassRecord,
         ledger.vm_deg[ev.vm] += ev.degradation
     e_it = state.total_it_power() * slot_seconds * KWH_PER_WS + mig_energy
     e_cooling = e_it / models.cop(sp, state.params.cooling)
-    e_boot = power_on_events * state.spec.e_boot
+    e_boot = power_on_events * models.E_BOOT
     totals = ledger.totals
     totals.e_it += e_it
     totals.e_cooling += e_cooling
@@ -319,7 +316,7 @@ def run(workload: Workload, cfg: SimConfig) -> RunReport:
     initial_sp = (cfg.cooling.setpoint if isinstance(cfg.cooling, FixedCooling)
                   else cfg.cooling.ceiling)
     state = DataCenterState.build(cfg.hosts, {v: VmState(v) for v in workload.vm_ids},
-                                  cfg.server, cfg.models, initial_sp)
+                                  cfg.models, initial_sp)
     ledger = _Ledger(RunTotals(), *np.zeros((2, cfg.hosts), dtype=int),
                      *np.zeros((2, workload.vm_count)))
     history = np.zeros((cfg.hosts, cfg.mad.history_window))
@@ -366,8 +363,10 @@ def migration_cost(events: list[MigrationEvent], state: DataCenterState,
     extra_ws = 0.0
     deg = 0.0
     for ev in events:
-        mode = state.spec.dvfs_table[state.mode[ev.target]]
-        p_dyn = models.dynamic_power(mode.v_dd, mode.f_op, ev.cpu_demand, p.power)
+        mode = state.mode.item(ev.target)
+        p_dyn = models.dynamic_power(models.VOLTS.item(mode),
+                                     models.FREQS_GHZ.item(mode), ev.cpu_demand,
+                                     p.power)
         extra_ws += p_dyn * ev.duration
         deg += ev.degradation
     requested = left_sum(state.cpu.tolist()) * slot_seconds

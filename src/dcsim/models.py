@@ -1,4 +1,5 @@
-"""Closed-form power, thermal and cooling models of the simulated server fleet.
+"""Closed-form power, thermal and cooling models of the simulated server fleet,
+and the constants of its one server model.
 
 All functions are pure.  The server model takes floats or numpy arrays of
 any shape, element by element, so one formula costs a single host or a
@@ -17,6 +18,24 @@ KWH_PER_WS = 1.0 / 3.6e6  # watt-seconds to kWh
 # Idle hosts still hold OS pages; the memory-load floor keeps the log term of
 # the memory temperature model defined (1 % maps to exactly k1 * t_inlet).
 U_MEM_FLOOR = 1.0
+
+# The fleet's one server model.  Its DVFS ladder's voltages ramp linearly in
+# frequency between two end values, calibrated against the reference
+# hardware's reported behavior: with the published power coefficients,
+# per-host draw then spans the documented 170-200 W range and the worked
+# allocation example's power increments come out at the right magnitude.
+FREQS_GHZ = np.array([1.73, 1.86, 2.13, 2.26, 2.39, 2.40])
+_V_LOW, _V_HIGH = 1.80, 1.92  # V at the lowest and the highest frequency
+VOLTS = (_V_LOW + (_V_HIGH - _V_LOW) * (FREQS_GHZ - FREQS_GHZ[0])
+         / (FREQS_GHZ[-1] - FREQS_GHZ[0]))
+CORES = 4
+# full capacity at top frequency; VM CPU demand is a fraction of it
+CPU_CAPACITY_MHZ = CORES * FREQS_GHZ[-1].item() * 1000.0
+RAM_CAPACITY = 16384.0   # MB
+BW_CAPACITY = 125.0      # MB/s
+E_BOOT = 13.514e-3       # kWh per power-on event
+T_INLET_MAX = 303.15     # K (30 C fan-failure bound)
+FAN_SPEED = 5000.0       # RPM
 
 
 def left_sum(values) -> float:
@@ -87,25 +106,24 @@ def host_power_terms(v_dd, f_op, u_cpu, t_mem, fan_speed,
 
 
 def host_operating_point(cpu_sum, ram_sum, disk_read, disk_write, t_inlet,
-                         spec, p: ModelParams):
+                         p: ModelParams):
     """Operating point of powered-on servers from their resource sums.
 
     The sums are numpy arrays of any one shape (or floats), one element per
-    server; ``spec`` supplies ``dvfs_arrays``, ``ram_capacity`` and
-    ``fan_speed_default``.  Returns ``(u_cpu, mode, t_mem, p_it)`` of that
-    shape: utilization clamped to [0, 1] (sums carry float dust), the index
-    of the governor's DVFS mode, the lowest whose f_op covers u_cpu * f_max,
-    memory temperature (K) and IT power including disk (W).
+    server.  Returns ``(u_cpu, mode, t_mem, p_it)`` of that shape:
+    utilization clamped to [0, 1] (sums carry float dust), the index into
+    ``FREQS_GHZ`` of the governor's DVFS mode, the lowest frequency that
+    covers u_cpu * f_max, memory temperature (K) and IT power including
+    disk (W).
     """
-    freqs, volts = spec.dvfs_arrays
     u_cpu = np.minimum(1.0, np.maximum(0.0, cpu_sum))
     u_mem = np.minimum(100.0, np.maximum(U_MEM_FLOOR,
-                                         100.0 * ram_sum / spec.ram_capacity))
-    mode = np.minimum(np.searchsorted(freqs, u_cpu * freqs[-1] - 1e-12),
-                      len(freqs) - 1)
+                                         100.0 * ram_sum / RAM_CAPACITY))
+    mode = np.minimum(np.searchsorted(FREQS_GHZ, u_cpu * FREQS_GHZ[-1] - 1e-12),
+                      len(FREQS_GHZ) - 1)
     t_mem = mem_temperature_unchecked(t_inlet, u_mem, p.thermal)
-    p_it = (host_power_terms(volts[mode], freqs[mode], u_cpu, t_mem,
-                             spec.fan_speed_default, p.power)
+    p_it = (host_power_terms(VOLTS[mode], FREQS_GHZ[mode], u_cpu, t_mem,
+                             FAN_SPEED, p.power)
             + disk_power(disk_read, disk_write, p.disk))
     return u_cpu, mode, t_mem, p_it
 

@@ -116,7 +116,6 @@ class _Fleet:
                  thresholds: np.ndarray | None):
         n = len(state.on)
         self.state = state
-        self.spec = state.spec
         # an empty host is costed like a cold one: the engine powers it off
         busy = state.busy
         p_before = np.where(busy, state.p_it, 0.0)
@@ -167,14 +166,14 @@ class _Fleet:
                                 state.disk_write)]
         u_raw = self.cpu_sum + cpu
         ram_after = self.ram_sum + ram
-        ram_fits, bw_fits = within_capacity(self.spec, ram_after, self.bw_sum + bw)
+        ram_fits, bw_fits = within_capacity(ram_after, self.bw_sum + bw)
         feasible = (u_raw < self.thr) & ram_fits & bw_fits
         if source >= 0:
             feasible[:, source] = False
         u_after, mode, t_mem, p_after = models.host_operating_point(
             u_raw, ram_after, self.disk_r + read, self.disk_w + write,
-            self.t_inlet, self.spec, self.params)
-        freqs = self.spec.dvfs_arrays[0]
+            self.t_inlet, self.params)
+        freqs = models.FREQS_GHZ
         dfreq = (freqs[mode] - freqs[self.mode]) / freqs[-1]
         return dict(demand=demand, feasible=feasible, u_after=u_after, mode=mode,
                     dfreq=dfreq, p_before=self.p_before, p_after=p_after,

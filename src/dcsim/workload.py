@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import default_server_spec
+from . import models
 
 TRACE_COLUMNS = (
     "Timestamp [s]", "CPU cores", "CPU capacity provisioned [MHZ]",
@@ -181,11 +181,19 @@ def _check_aligned(name: str, ts: np.ndarray, slot_seconds: int) -> None:
             f"aligned to the {slot_seconds} s grid")
 
 
+def _distinct_steps(ts: np.ndarray) -> np.ndarray:
+    """The steps between one file's distinct timestamps, in time order: the
+    differences of ``np.unique``, which would import ``numpy.ma`` on its
+    first call."""
+    steps = np.diff(np.sort(ts))
+    return steps[steps > 0]
+
+
 def _smallest_step(timestamps) -> int:
     """The smallest step between two distinct timestamps of one file, in
     whole seconds; ``SLOT_SECONDS`` when no file has two."""
-    step = min((np.diff(u).min().item() for u in map(np.unique, timestamps)
-                if len(u) > 1), default=SLOT_SECONDS)
+    step = min((s.min().item() for s in map(_distinct_steps, timestamps)
+                if s.size), default=SLOT_SECONDS)
     if not float(step).is_integer():
         raise TraceError(
             f"smallest timestamp step {step} s is not a whole number of seconds")
@@ -196,15 +204,18 @@ def load_traces(directory, slot_seconds: int | None = SLOT_SECONDS,
                 fill: str = "ffill") -> Workload:
     """Load one trace file per VM from a directory into a Workload.
 
-    CPU demand is normalized against the default server's full capacity at
-    top frequency: demand = usage% * provisioned MHz / host capacity MHz.
+    CPU demand is normalized against the server's full capacity at top
+    frequency: demand = usage% * provisioned MHz / ``models.CPU_CAPACITY_MHZ``.
     ``fill`` selects the gap policy: "ffill" forward-fills each VM onto the
     union grid (leading gaps repeat the file's first row); "drop" restricts
-    the grid to slots covered by every VM.  Rows may come in any order; of
-    two rows on one slot the later one wins.  ``slot_seconds=None`` takes
-    the grid from the timestamps: the smallest step between two distinct
-    timestamps of one file.  A given length is the grid, and a directory on
-    a coarser one loads with its gaps filled.
+    the grid to slots covered by every VM.  Rows may come in any order: the
+    grid spans every file's earliest to latest timestamp, and of two rows on
+    one slot the later one wins.  ``slot_seconds=None`` takes the grid from
+    the timestamps: the smallest step between two distinct timestamps of one
+    file.  A given length is the grid, and a directory on a coarser one
+    loads with its gaps filled.  A file whose smallest step between two
+    distinct timestamps is at least 999 slots (of the given length, else of
+    ``SLOT_SECONDS``) has its timestamps in milliseconds.
     """
     if fill not in ("ffill", "drop"):
         raise ValueError(f"unknown fill {fill!r}: expected 'ffill' or 'drop'")
@@ -222,7 +233,8 @@ def load_traces(directory, slot_seconds: int | None = SLOT_SECONDS,
     for path in files:
         samples = _parse_trace_file(path)
         ts = samples[:, 0]
-        if len(ts) >= 2 and ts[1] - ts[0] >= (slot_seconds or SLOT_SECONDS) * 999:
+        steps = _distinct_steps(ts)
+        if steps.size and steps.min() >= (slot_seconds or SLOT_SECONDS) * 999:
             ts /= 1000.0  # milliseconds
         if slot_seconds is None:  # the grid is known once every file is read
             unchecked.append((path.name, ts))
@@ -235,8 +247,8 @@ def load_traces(directory, slot_seconds: int | None = SLOT_SECONDS,
             _check_aligned(name, ts, slot_seconds)
         del unchecked
 
-    firsts = [s.item(0, 0) for s in per_vm.values()]
-    lasts = [s.item(-1, 0) for s in per_vm.values()]
+    firsts = [s[:, 0].min().item() for s in per_vm.values()]
+    lasts = [s[:, 0].max().item() for s in per_vm.values()]
     t0, t1 = min(firsts), max(lasts)
     if fill == "drop":
         t0, t1 = max(firsts), min(lasts)
@@ -250,7 +262,6 @@ def load_traces(directory, slot_seconds: int | None = SLOT_SECONDS,
     n = len(vm_ids)
     cpu, ram, disk_r, disk_w, net = (np.empty((n, n_slots)) for _ in range(5))
     cores, ram_prov = np.empty(n, dtype=int), np.empty(n)
-    host_capacity_mhz = default_server_spec().cpu_capacity_mhz
     grid = np.arange(n_slots)
     for i, vid in enumerate(vm_ids):
         s = per_vm.pop(vid)
@@ -263,7 +274,7 @@ def load_traces(directory, slot_seconds: int | None = SLOT_SECONDS,
         latest = np.where(last >= 0, grid, 0)
         np.maximum.accumulate(latest, out=latest)
         row = np.maximum(last[latest], 0)
-        cpu[i] = ((s[:, 4] / 100.0) * s[:, 2] / host_capacity_mhz)[row]
+        cpu[i] = ((s[:, 4] / 100.0) * s[:, 2] / models.CPU_CAPACITY_MHZ)[row]
         ram[i] = (s[:, 6] / KB_PER_MB)[row]
         disk_r[i] = s[row, 7]
         disk_w[i] = s[row, 8]
@@ -277,21 +288,19 @@ def load_traces(directory, slot_seconds: int | None = SLOT_SECONDS,
 
 def save_traces(w: Workload, directory) -> None:
     """Re-export a workload as one delimited trace file per VM, each VM
-    provisioned with its cores at the default server's top frequency.
+    provisioned with its cores at the server's top frequency.
 
     Each column is computed on the VM's whole row and written from Python
     numbers (``str`` of a float is its ``repr``)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    spec = default_server_spec()
-    cap_mhz = spec.cpu_capacity_mhz
-    core_mhz = spec.f_max * 1000.0
+    core_mhz = models.FREQS_GHZ[-1].item() * 1000.0
     header = ";".join(TRACE_COLUMNS)
     times = [str(t * w.slot_seconds) for t in range(w.slot_count)]
     for i, vid in enumerate(w.vm_ids):
         cores = w.cores[i].item()
         prov_mhz = cores * core_mhz
-        usage_pct = 100.0 * w.cpu[i] * cap_mhz / prov_mhz
+        usage_pct = 100.0 * w.cpu[i] * models.CPU_CAPACITY_MHZ / prov_mhz
         net = list(map(str, (w.net_bw[i] * KB_PER_MB / 2).tolist()))
         columns = (times, repeat(f"{cores};{prov_mhz}"),
                    map(str, (usage_pct / 100.0 * prov_mhz).tolist()),

@@ -27,7 +27,7 @@ from statistics import median
 import numpy as np
 
 from dcsim import models
-from dcsim.core import DataCenterState, VmState, default_server_spec
+from dcsim.core import DataCenterState, VmState
 from dcsim.models import KWH_PER_WS
 from dcsim.policies import SoKind, SoSaModel, normalize_band, so_sa_combine
 from dcsim.workload import KB_PER_MB, TRACE_COLUMNS, TraceError, Workload
@@ -45,23 +45,36 @@ def ids_on(state: DataCenterState, host: int) -> list[str]:
     return [state.vm_ids[i] for i in state.positions_on(host)]
 
 
-def governor_frequency(u_cpu: float, table):
-    """Pick the DVFS mode for a utilization: lowest f_op covering u_cpu * f_max.
+@dataclass(frozen=True)
+class DvfsMode:
+    f_op: float  # GHz
+    v_dd: float  # V
 
-    ``table`` is an ordered (ascending f_op) sequence of modes with an ``f_op``
-    attribute.  Falls back to the top mode when no frequency qualifies.
-    """
+
+# the server's DVFS ladder on Python floats, ascending in f_op: the voltage
+# ramps linearly from 1.80 V at the lowest frequency to 1.92 V at the highest
+_FREQS_GHZ = (1.73, 1.86, 2.13, 2.26, 2.39, 2.40)
+DVFS_TABLE = tuple(
+    DvfsMode(f, 1.80 + (1.92 - 1.80) * (f - _FREQS_GHZ[0])
+             / (_FREQS_GHZ[-1] - _FREQS_GHZ[0]))
+    for f in _FREQS_GHZ)
+
+
+def governor_frequency(u_cpu: float) -> DvfsMode:
+    """Pick the DVFS mode of ``DVFS_TABLE`` for a utilization: the lowest
+    f_op covering u_cpu * f_max.  Falls back to the top mode when no
+    frequency qualifies."""
     if not 0.0 <= u_cpu <= 1.0 + 1e-12:
         raise ValueError(f"u_cpu out of range [0,1]: {u_cpu}")
-    needed = u_cpu * table[-1].f_op
-    for mode in table:
+    needed = u_cpu * DVFS_TABLE[-1].f_op
+    for mode in DVFS_TABLE:
         if mode.f_op >= needed - 1e-12:
             return mode
-    return table[-1]
+    return DVFS_TABLE[-1]
 
 
 def scalar_operating_point(cpu_sum: float, ram_sum: float, disk_read: float,
-                           disk_write: float, t_inlet: float, spec,
+                           disk_write: float, t_inlet: float,
                            p: models.ModelParams):
     """``models.host_operating_point`` for one host on Python floats:
     ``(u_cpu, mode, t_mem, p_it)``, with the governor's ``DvfsMode`` as
@@ -69,9 +82,9 @@ def scalar_operating_point(cpu_sum: float, ram_sum: float, disk_read: float,
     speed from ``**``, where the array model uses numpy's ``log`` and two
     products, so the two can differ in the last bits."""
     u_cpu = min(1.0, max(0.0, cpu_sum))
-    u_mem = min(100.0, max(models.U_MEM_FLOOR, 100.0 * ram_sum / spec.ram_capacity))
-    mode = governor_frequency(u_cpu, spec.dvfs_table)
-    fan = spec.fan_speed_default
+    u_mem = min(100.0, max(models.U_MEM_FLOOR, 100.0 * ram_sum / models.RAM_CAPACITY))
+    mode = governor_frequency(u_cpu)
+    fan = models.FAN_SPEED
     t_mem = p.thermal.mem_k1 * t_inlet + p.thermal.mem_k2 * math.log(u_mem * u_mem)
     pw = p.power
     p_it = (pw.c_dyn * mode.v_dd * mode.v_dd * mode.f_op * u_cpu
@@ -182,17 +195,16 @@ def effective_it_power(state: DataCenterState) -> float:
 
 def evaluate_candidate(vm: VmState, host: int, state: DataCenterState) -> CandidateView:
     """Predict the post-allocation view of one host for one VM."""
-    spec = state.spec
     u_after, mode_after, t_mem_after, p_after = scalar_operating_point(
         state.cpu_sum.item(host) + vm.cpu_demand,
         state.ram_sum.item(host) + vm.ram_used,
         state.disk_read_sum.item(host) + vm.disk_read,
         state.disk_write_sum.item(host) + vm.disk_write,
-        state.setpoint, spec, state.params)
-    f_before = spec.dvfs_table[state.mode[host]].f_op
+        state.setpoint, state.params)
+    f_before = DVFS_TABLE[state.mode[host]].f_op
     # frequency increment normalized by the top frequency, so it shares the
     # [0,1] scale of the utilization it is traded against
-    dfreq = (mode_after.f_op - f_before) / spec.dvfs_table[-1].f_op
+    dfreq = (mode_after.f_op - f_before) / DVFS_TABLE[-1].f_op
     p_before = state.p_it.item(host) if is_busy(state, host) else 0.0
     p_cooling = p_after / models.cop(state.setpoint, state.params.cooling)
     return CandidateView(host_id=host, u_after=u_after, dfreq=dfreq,
@@ -324,7 +336,9 @@ def _is_number(s: str) -> bool:
 def _normalize_timestamps(samples: list[TraceSample], slot_seconds: int,
                           name: str) -> list[TraceSample]:
     ts = [s.timestamp for s in samples]
-    if len(ts) >= 2 and ts[1] - ts[0] >= slot_seconds * 999:
+    distinct = sorted(set(ts))
+    if len(distinct) >= 2 and min(b - a for a, b in zip(distinct, distinct[1:])) \
+            >= slot_seconds * 999:
         ts = [t / 1000.0 for t in ts]  # milliseconds
     base = ts[0]
     out = []
@@ -346,8 +360,8 @@ def load_traces_rowwise(directory, slot_seconds: int = 300,
     """Row-by-row reference for ``workload.load_traces``: one
     ``TraceSample`` per row, the slot grid filled one cell at a time.
 
-    CPU demand is normalized against the default server's full capacity at
-    top frequency: demand = usage% * provisioned MHz / host capacity MHz.
+    CPU demand is normalized against the server's full capacity at top
+    frequency: demand = usage% * provisioned MHz / host capacity MHz.
     ``fill`` selects the gap policy: "ffill" forward-fills each VM onto the
     union grid (leading gaps repeat the first sample); "drop" restricts the
     grid to slots covered by every VM.
@@ -365,16 +379,17 @@ def load_traces_rowwise(directory, slot_seconds: int = 300,
         samples = _normalize_timestamps(_parse_trace_rows(path), slot_seconds, path.name)
         per_vm[path.stem] = samples
 
-    t0 = min(s[0].timestamp for s in per_vm.values())
-    t1 = max(s[-1].timestamp for s in per_vm.values())
+    # each file's earliest and latest timestamp
+    firsts = [min(s.timestamp for s in samples) for samples in per_vm.values()]
+    lasts = [max(s.timestamp for s in samples) for samples in per_vm.values()]
+    t0, t1 = min(firsts), max(lasts)
     if fill == "drop":
-        t0 = max(s[0].timestamp for s in per_vm.values())
-        t1 = min(s[-1].timestamp for s in per_vm.values())
+        t0, t1 = max(firsts), min(lasts)
         if t1 < t0:
             raise TraceError("no common slot window across VMs (fill=drop)")
     n_slots = int(round((t1 - t0) / slot_seconds)) + 1
 
-    host_capacity_mhz = default_server_spec().cpu_capacity_mhz
+    host_capacity_mhz = models.CPU_CAPACITY_MHZ
     vm_ids = list(per_vm)
     n = len(vm_ids)
     cpu = np.zeros((n, n_slots))
@@ -409,9 +424,8 @@ def save_traces_rowwise(w: Workload, directory) -> None:
     a numpy scalar, every float written with ``repr``."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    spec = default_server_spec()
-    cap_mhz = spec.cpu_capacity_mhz
-    core_mhz = spec.f_max * 1000.0
+    cap_mhz = models.CPU_CAPACITY_MHZ
+    core_mhz = DVFS_TABLE[-1].f_op * 1000.0
     for i, vid in enumerate(w.vm_ids):
         prov_mhz = w.cores[i] * core_mhz
         lines = [";".join(TRACE_COLUMNS)]

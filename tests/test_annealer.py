@@ -107,7 +107,7 @@ def test_host_power_equals_the_state_to_the_last_bit():
         used = placed.vm_counts() > 0
         cases = {"cpu > 1": placed.cpu_sum[used] > 1.0,
                  "no ram": placed.ram_sum[used] == 0.0,
-                 "ram > capacity": placed.ram_sum > placed.spec.ram_capacity}
+                 "ram > capacity": placed.ram_sum > models.RAM_CAPACITY}
         seen.update(name for name, hosts in cases.items() if hosts.any())
     assert seen == {"cpu > 1", "no ram", "ram > capacity"}
 

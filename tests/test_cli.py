@@ -363,6 +363,25 @@ def test_zero_hosts_flag_exits_2(tmp_path, capsys):
     assert "hosts" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model, named", [
+    ({"a3": 0.1603, "c": 0.0102}, "'a6'"),
+    ([0.1603, 0.7724, 0.0102], "model.json"),
+    ({"a3": 0.1603, "a6": None, "c": 0.0102}, "'a6'"),
+    ({"a3": 0.1603, "a6": [0.7724], "c": 0.0102}, "sosa.a6"),
+])
+def test_malformed_sosa_model_exits_2(tmp_path, capsys, model, named):
+    # a coefficient file without a coefficient, or not a JSON object at
+    # all, fails like any bad config: exit 2, before the run writes anything
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    rc = run_cli("run", "--policy", "sosa", "--sosa-model", str(path),
+                 "--synth", "vms=4,slots=4,var=50,seed=0",
+                 "--out", str(tmp_path / "o"))
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("args, message", [
     (["run", "--policy", "pabfd", "--hosts", "0"], "hosts must be >= 1"),
     (["grid", "--policies", "pabfd", "--coolings", "fixed291", "--hosts", "0"],

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dcsim import core
+from dcsim import core, models
 from dcsim.cooling import VarInletCooling
 from dcsim.core import (_ARRAYS, CapacityError, DataCenterState, VmState,
-                        apply_placement, default_server_spec)
-from oracles import ids_on
+                        apply_placement)
+from oracles import DVFS_TABLE, ids_on
 
 
 def make_state(n_hosts=3, vms=None):
@@ -49,8 +49,7 @@ def test_move_to_cold_host_counts_power_on():
 
 
 def test_ram_capacity_violation_names_host_and_resource():
-    spec = default_server_spec()
-    vms = {"fat": VmState(id="fat", cpu_demand=0.1, ram_used=spec.ram_capacity + 1.0)}
+    vms = {"fat": VmState(id="fat", cpu_demand=0.1, ram_used=models.RAM_CAPACITY + 1.0)}
     state = make_state(2, vms)
     with pytest.raises(CapacityError) as err:
         apply_placement(state, {state.index["fat"]: 1})
@@ -59,8 +58,7 @@ def test_ram_capacity_violation_names_host_and_resource():
 
 
 def test_capacity_checked_only_on_receiving_hosts():
-    spec = default_server_spec()
-    half = spec.ram_capacity / 2 + 1.0
+    half = models.RAM_CAPACITY / 2 + 1.0
     vms = {"a": VmState(id="a", cpu_demand=0.1, ram_used=half),
            "b": VmState(id="b", cpu_demand=0.1, ram_used=half),
            "c": VmState(id="c", cpu_demand=0.1, ram_used=64.0)}
@@ -138,12 +136,12 @@ def test_host_utilization_is_clamped_demand_sum(assignments):
 
 
 def test_default_spec_invariants():
-    spec = default_server_spec()
-    freqs = [m.f_op for m in spec.dvfs_table]
-    assert freqs == [1.73, 1.86, 2.13, 2.26, 2.39, 2.40]
-    assert all(m.v_dd > 0 for m in spec.dvfs_table)
-    assert VarInletCooling().t_cpu_max > spec.t_inlet_max
-    assert spec.e_boot == pytest.approx(13.514e-3)
+    assert models.FREQS_GHZ.tolist() == [1.73, 1.86, 2.13, 2.26, 2.39, 2.40]
+    assert (models.VOLTS > 0).all()
+    assert models.VOLTS.tolist() == [m.v_dd for m in DVFS_TABLE]
+    assert VarInletCooling().t_cpu_max > models.T_INLET_MAX
+    assert models.E_BOOT == pytest.approx(13.514e-3)
+    assert models.CPU_CAPACITY_MHZ == 9600.0
 
 
 def test_state_copy_is_equal_and_independent():
@@ -162,8 +160,7 @@ def test_state_copy_is_equal_and_independent():
             assert copied.dtype == value.dtype, name
             assert not np.shares_memory(copied, value), name
         else:
-            # the spec, model parameters, setpoint, VM ids and id ranks are
-            # shared
+            # the model parameters, setpoint, VM ids and id ranks are shared
             assert getattr(new, name) is value, name
     new.move({new.index["a"]: -1})
     new.set_demand(cpu=[0.9, 0.1], ram=[1.0, 2.0], bw=[0.0, 0.0],

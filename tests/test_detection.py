@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import dcsim
-from dcsim.core import DataCenterState, VmState, default_server_spec
+from dcsim import models
+from dcsim.core import DataCenterState, VmState
 from dcsim.detection import (MadConfig, find_underloaded, overload_threshold,
                              select_vms_mmt)
 from dcsim.policies import SoKind, so_place
@@ -230,7 +231,6 @@ def test_bounded_underload_search_equals_filter_then_truncate():
 
 def scalar_underloaded(state, exclude, thresholds):
     """Unbounded underload search, one host and one VM at a time."""
-    spec = state.spec
     on = [h for h in range(len(state.on)) if state.on[h]]
     out = []
     for h in sorted((h for h in on if h not in exclude and state.positions_on(h)),
@@ -244,8 +244,8 @@ def scalar_underloaded(state, exclude, thresholds):
             for t in targets:
                 cpu, ram, bw = load[t]
                 if (cpu + vm.cpu_demand < thresholds[t]
-                        and ram + vm.ram_used <= spec.ram_capacity
-                        and bw + vm.net_bw <= spec.bw_capacity):
+                        and ram + vm.ram_used <= models.RAM_CAPACITY
+                        and bw + vm.net_bw <= models.BW_CAPACITY):
                     load[t] = [cpu + vm.cpu_demand, ram + vm.ram_used,
                                bw + vm.net_bw]
                     break
@@ -270,7 +270,7 @@ def test_fit_test_breaks_demand_ties_by_vm_id():
     # fits nowhere, while "b" first would succeed; the order must not come
     # from the iteration order of the host's VM set, nor from the VMs'
     # positions ("b" comes first there).
-    cap = default_server_spec().ram_capacity
+    cap = models.RAM_CAPACITY
     state = build_attached(3, [
         (VmState(id=vid, cpu_demand=0.1 if host == 0 else 0.3, ram_used=ram),
          host)
@@ -284,7 +284,7 @@ def test_fit_test_takes_ram_up_to_the_placers_limit():
     # moving "v" puts host 1's RAM sum just past its capacity, inside the
     # float slack the placers and apply_placement allow: the drain check
     # must find host 0 drainable exactly when a placer would move "v"
-    cap = default_server_spec().ram_capacity
+    cap = models.RAM_CAPACITY
     state = build_attached(2, [
         (VmState(id="v", cpu_demand=0.1, ram_used=1000.0), 0),
         (VmState(id="fill", cpu_demand=0.5, ram_used=cap - 1000.0 + 5e-10), 1)])

@@ -5,7 +5,7 @@ import pytest
 
 from dcsim import engine, models, policies
 from dcsim.cooling import FixedCooling, VarInletCooling
-from dcsim.core import DataCenterState, VmState, default_server_spec
+from dcsim.core import DataCenterState, VmState
 from dcsim.detection import MadConfig
 from dcsim.engine import MigrationEvent, SimConfig, migration_cost, run
 from dcsim.report import slots_csv, summary_csv
@@ -48,13 +48,12 @@ def test_steady_state_energy_matches_hand_integration():
     w = constant_workload([0.4, 0.35], slots=6, rams=[1024.0, 2048.0])
     cfg = SimConfig(hosts=2, policy="so6", cooling=FixedCooling(291.0))
     r = run(w, cfg)
-    spec = default_server_spec()
     u = 0.75
-    mode = governor_frequency(u, spec.dvfs_table)
-    u_mem = max(1.0, 100.0 * (1024.0 + 2048.0) / spec.ram_capacity)
+    mode = governor_frequency(u)
+    u_mem = max(1.0, 100.0 * (1024.0 + 2048.0) / models.RAM_CAPACITY)
     t_mem = models.mem_temperature(291.0, u_mem)
     p_host = models.host_power_terms(mode.v_dd, mode.f_op, u, t_mem,
-                                     spec.fan_speed_default)
+                                     models.FAN_SPEED)
     e_it_slot = p_host * 300.0 / 3.6e6
     for m in r.slots[1:]:
         assert m.e_it == pytest.approx(e_it_slot, rel=1e-9)
@@ -68,11 +67,10 @@ def test_slot_length_comes_from_the_workload():
     cfg = SimConfig(hosts=2, policy="so6", cooling=FixedCooling(291.0))
     r600 = run(constant_workload(demands, 6, rams, slot_seconds=600), cfg)
     r300 = run(constant_workload(demands, 6, rams), cfg)
-    spec = default_server_spec()
-    mode = governor_frequency(0.75, spec.dvfs_table)
-    t_mem = models.mem_temperature(291.0, 100.0 * 3072.0 / spec.ram_capacity)
+    mode = governor_frequency(0.75)
+    t_mem = models.mem_temperature(291.0, 100.0 * 3072.0 / models.RAM_CAPACITY)
     p_host = models.host_power_terms(mode.v_dd, mode.f_op, 0.75, t_mem,
-                                     spec.fan_speed_default)
+                                     models.FAN_SPEED)
     assert r600.totals.migrations == 0
     for m600, m300 in zip(r600.slots, r300.slots, strict=True):
         assert m600.e_it == pytest.approx(p_host * 600.0 * models.KWH_PER_WS, rel=1e-12)
@@ -169,8 +167,8 @@ def test_migration_cost_double_power_charge():
     ev = MigrationEvent(vm=state.index["v"], target=1, duration=60.0,
                         cpu_demand=0.5)
     energy, pdm = migration_cost([ev], state, 300.0)
-    mode = state.spec.dvfs_table[state.mode[1]]
-    p_dyn = models.dynamic_power(mode.v_dd, mode.f_op, 0.5)
+    mode = state.mode[1]
+    p_dyn = models.dynamic_power(models.VOLTS[mode], models.FREQS_GHZ[mode], 0.5)
     assert energy == pytest.approx(p_dyn * 60.0 / 3.6e6, rel=1e-12)
     # degradation: 10 % of demand over the migration vs requested this slot
     assert pdm == pytest.approx((0.1 * 0.5 * 60.0) / (0.5 * 300.0), rel=1e-12)

@@ -8,17 +8,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dcsim import models
-from dcsim.core import default_server_spec
-from oracles import scalar_operating_point
+from oracles import DVFS_TABLE, scalar_operating_point
 
-SPEC = default_server_spec()
-FREQS = SPEC.dvfs_arrays[0]
+FREQS = models.FREQS_GHZ
 
 
 def governor_f_op(u_cpu):
     """The frequency the server model's governor picks for a utilization."""
     _, mode, _, _ = models.host_operating_point(
-        u_cpu, 0.0, 0.0, 0.0, 291.0, SPEC, models.ModelParams())
+        u_cpu, 0.0, 0.0, 0.0, 291.0, models.ModelParams())
     return FREQS[mode]
 
 
@@ -47,18 +45,18 @@ def test_array_model_matches_the_scalar_reference():
     n = 20_000
     cpu = rng.uniform(0.0, 1.3, n)
     cpu[::50] = 0.0
-    ram = rng.uniform(0.0, 1.1 * SPEC.ram_capacity, n)
+    ram = rng.uniform(0.0, 1.1 * models.RAM_CAPACITY, n)
     ram[::7] = 0.0
     disk_r = rng.uniform(0.0, 5e4, n)
     disk_w = rng.uniform(0.0, 5e4, n)
     t_inlet = float(rng.choice([283.15, 291.0, 297.0, 303.15]))
     params = models.ModelParams()
     u_cpu, mode, t_mem, p_it = models.host_operating_point(
-        cpu, ram, disk_r, disk_w, t_inlet, SPEC, params)
-    refs = [scalar_operating_point(*host, t_inlet, SPEC, params) for host in
+        cpu, ram, disk_r, disk_w, t_inlet, params)
+    refs = [scalar_operating_point(*host, t_inlet, params) for host in
             zip(cpu.tolist(), ram.tolist(), disk_r.tolist(), disk_w.tolist())]
     assert u_cpu.tolist() == [r[0] for r in refs]
-    assert mode.tolist() == [SPEC.dvfs_table.index(r[1]) for r in refs]
+    assert mode.tolist() == [DVFS_TABLE.index(r[1]) for r in refs]
     # numpy's log may differ from math.log by one ulp, which p_it carries on
     ref_t = np.array([r[2] for r in refs])
     ref_p = np.array([r[3] for r in refs])

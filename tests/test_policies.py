@@ -137,8 +137,8 @@ def greedy_oracle(kind, vm_ids, host_ids, state, thr=0.9):
 def fits(state, vm, hid, thr):
     """The placers' feasibility rule for one VM on one host."""
     return (state.cpu_sum[hid] + vm.cpu_demand < thr
-            and state.ram_sum[hid] + vm.ram_used <= state.spec.ram_capacity + 1e-9
-            and state.bw_sum[hid] + vm.net_bw <= state.spec.bw_capacity + 1e-9)
+            and state.ram_sum[hid] + vm.ram_used <= models.RAM_CAPACITY + 1e-9
+            and state.bw_sum[hid] + vm.net_bw <= models.BW_CAPACITY + 1e-9)
 
 
 def toy_instance(seed):
@@ -176,8 +176,8 @@ def test_placements_respect_capacity_for_all_policies():
     results.append(swfdvp_place(vm_ids, [0, 1, 2], state).placement)
     for placement in results:
         placed = apply_placement(state, placement).state
-        assert (placed.ram_sum <= placed.spec.ram_capacity + 1e-9).all()
-        assert (placed.bw_sum <= placed.spec.bw_capacity + 1e-9).all()
+        assert (placed.ram_sum <= models.RAM_CAPACITY + 1e-9).all()
+        assert (placed.bw_sum <= models.BW_CAPACITY + 1e-9).all()
         assert (placed.cpu_sum < 0.9 + 1e-9).all()
 
 
@@ -442,12 +442,12 @@ def test_dynso_power_matches_recomputation_oracle():
     p_it = 0.0
     for h in np.flatnonzero(placed.on).tolist():
         u_cpu = min(1.0, placed.cpu_sum[h])
-        mode = governor_frequency(u_cpu, placed.spec.dvfs_table)
-        u_mem = max(1.0, 100.0 * placed.ram_sum[h] / placed.spec.ram_capacity)
+        mode = governor_frequency(u_cpu)
+        u_mem = max(1.0, 100.0 * placed.ram_sum[h] / models.RAM_CAPACITY)
         p_it += (models.host_power_terms(
             mode.v_dd, mode.f_op, u_cpu,
             models.mem_temperature(placed.setpoint, u_mem),
-            placed.spec.fan_speed_default)
+            models.FAN_SPEED)
                  + models.disk_power(placed.disk_read_sum[h],
                                      placed.disk_write_sum[h]))
     expected = p_it * (1 + 1 / models.cop(state.setpoint))
@@ -601,8 +601,8 @@ def test_evaluator_receives_the_placed_state():
     for name in _ARRAYS:
         assert getattr(fleet, name).tolist() == \
             getattr(expected, name).tolist(), name
-    assert (fleet.spec, fleet.params, fleet.setpoint, fleet.vm_ids) == (
-        state.spec, state.params, state.setpoint, state.vm_ids)
+    assert (fleet.params, fleet.setpoint, fleet.vm_ids) == (
+        state.params, state.setpoint, state.vm_ids)
     cool = models.cop(state.setpoint)
     assert r.global_power == effective_it_power(expected) * (1.0 + 1.0 / cool)
 

@@ -234,6 +234,39 @@ def test_load_traces_takes_the_grid_from_the_timestamps(tmp_path):
     assert (w.slot_seconds, w.slot_count) == (300, 3)
 
 
+@pytest.mark.parametrize("slot_seconds", [300, None])
+@pytest.mark.parametrize("order", ["day five second", "reversed"])
+def test_load_traces_reads_a_week_in_any_row_order(tmp_path, order,
+                                                   slot_seconds):
+    # a week on a 300 s grid, its rows out of order: the first two are
+    # 345 600 s apart, or the first is the last slot, but the file's
+    # smallest step is 300 s and its rows span the week
+    rows = {t * 300: f"{t * 300};2;4800;0;{t % 97};2097152;{t % 89};0;0\n"
+            for t in range(2016)}
+    week = list(rows)
+    if order == "reversed":
+        week.reverse()
+    else:
+        week.insert(1, week.pop(1152))
+    for name, times in (("ordered", rows), ("shuffled", week)):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "a.csv").write_text("".join(rows[t] for t in times))
+    w = load_traces(tmp_path / "shuffled", slot_seconds=slot_seconds)
+    assert (w.slot_seconds, w.slot_count) == (300, 2016)
+    assert workload_fingerprint(w) == \
+        workload_fingerprint(load_traces(tmp_path / "ordered"))
+
+
+@pytest.mark.parametrize("slot_seconds", [300, None])
+def test_load_traces_reads_milliseconds_past_a_repeated_slot(tmp_path,
+                                                              slot_seconds):
+    # the first two rows share a timestamp; the smallest step between two
+    # distinct ones is 300 000, so the file is in milliseconds
+    (tmp_path / "a.csv").write_text(_rows(0, 0, 300_000, 600_000))
+    w = load_traces(tmp_path, slot_seconds=slot_seconds)
+    assert (w.slot_seconds, w.slot_count) == (300, 3)
+
+
 @pytest.mark.parametrize("timestamps, message", [
     ((0, 600, 1500), r"^a\.csv: timestamp 1500\.0 not aligned to the 600 s grid$"),
     ((0, 0.5, 1), r"^smallest timestamp step 0\.5 s is not a whole number"),
