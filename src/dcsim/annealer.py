@@ -46,7 +46,8 @@ class SaSolution:
 
 def _host_cost(state: DataCenterState):
     """One host's ``(IT power W, resource excess)`` from its load
-    ``(VMs, cpu, ram, bw, disk read, disk write)``, the sums the state keeps.
+    ``(VMs, cpu, ram, bw, disk read, disk write)``: its VM count, then its
+    column of the state's ``sums``, in the order of the resource axis.
 
     The power is :func:`models.host_operating_point` on Python floats, with
     the clamps and the governor's ``np.searchsorted`` spelled as scalars, so
@@ -104,11 +105,8 @@ def _start(state: DataCenterState, vm_ids: list[str], solution, scale: float):
     index = [state.index[v] for v in vm_ids]
     if (state.host[index] >= 0).any():
         raise ValueError("the annealer's VMs must be detached from their hosts")
-    vms = list(zip(*(getattr(state, d)[index].tolist()
-                     for d in ("cpu", "ram", "bw", "disk_read", "disk_write"))))
-    loads = list(zip(state.vm_counts().tolist(), state.cpu_sum.tolist(),
-                     state.ram_sum.tolist(), state.bw_sum.tolist(),
-                     state.disk_read_sum.tolist(), state.disk_write_sum.tolist()))
+    vms = list(zip(*state.demand[:, index].tolist()))
+    loads = list(zip(state.vm_counts().tolist(), *state.sums.tolist()))
     for (cpu, ram, bw, read, write), h in zip(vms, solution):
         n, c, r, b, d, w = loads[h]
         loads[h] = (n + 1, c + cpu, r + ram, b + bw, d + read, w + write)

@@ -9,7 +9,6 @@ from pathlib import Path
 
 from .cooling import FixedCooling, VarInletCooling
 from .engine import SimConfig
-from .models import COP_T_MAX_K, COP_T_MIN_K
 
 
 class ConfigError(ValueError):
@@ -40,11 +39,10 @@ def cooling_from_name(name: str):
             setpoint = float(name[5:])
         except ValueError:
             raise ConfigError(f"bad fixed setpoint in {name!r}") from None
-        # the COP curve's range, checked here rather than in the first slot
-        if not COP_T_MIN_K <= setpoint <= COP_T_MAX_K:
-            raise ConfigError(f"fixed setpoint {setpoint} K outside "
-                              f"[{COP_T_MIN_K}, {COP_T_MAX_K}] K")
-        return FixedCooling(setpoint)
+        try:
+            return FixedCooling(setpoint)
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
     raise ConfigError(f"unknown cooling strategy {name!r}")
 
 

@@ -6,7 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import T_INLET_MAX, ThermalModelParams
+from .models import COP_T_MAX_K, COP_T_MIN_K, T_INLET_MAX, ThermalModelParams
+
+
+def _check_setpoint(name: str, value: float) -> None:
+    # the COP curve's range, checked when built rather than in the first slot
+    if not COP_T_MIN_K <= value <= COP_T_MAX_K:
+        raise ValueError(f"{name} {value} K outside [{COP_T_MIN_K}, {COP_T_MAX_K}] K")
 
 
 @dataclass(frozen=True)
@@ -14,6 +20,9 @@ class FixedCooling:
     """Constant CRAC setpoint in Kelvin (291 K and 297 K are the usual choices)."""
 
     setpoint: float
+
+    def __post_init__(self):
+        _check_setpoint("fixed setpoint", self.setpoint)
 
 
 @dataclass(frozen=True)
@@ -29,6 +38,8 @@ class VarInletCooling:
     ceiling: float = 303.15     # K
 
     def __post_init__(self):
+        _check_setpoint("floor", self.floor)
+        _check_setpoint("ceiling", self.ceiling)
         if self.floor > self.ceiling:
             raise ValueError("floor must not exceed ceiling")
 

@@ -3,7 +3,9 @@
 Every host is the one server model whose constants ``models`` holds.
 :class:`DataCenterState` keeps the fleet as numpy arrays: per VM its demand
 and its host, per host the on-mask, the resource sums of its VMs and the
-utilization, DVFS mode and IT power derived from them.
+utilization, DVFS mode and IT power derived from them.  The resources are
+one axis, in the order ``CPU, RAM, BW, READ, WRITE`` this module defines:
+``demand`` is (resources, VMs) and ``sums`` (resources, hosts).
 :meth:`DataCenterState.move`, the one code that changes a VM's host, updates
 the sums VM by VM, :meth:`DataCenterState.set_demand` rebuilds every sum at
 once, and each re-costs the hosts it touched in one call of the array server
@@ -64,33 +66,32 @@ class SlotMetrics:
     setpoint: float = 0.0      # K
 
 
-# per-VM demand arrays; each host array of the same resource is named
-# ``<name>_sum``
-_DEMANDS = ("cpu", "ram", "bw", "disk_read", "disk_write")
-_ARRAYS = (*_DEMANDS, "host", "on", *(f"{d}_sum" for d in _DEMANDS),
-           "u_cpu", "mode", "p_it")
+# the resource axis of ``demand`` and ``sums``: CPU (a fraction of the
+# host), RAM (MB), bandwidth (MB/s), disk read and disk write (KB/s)
+CPU, RAM, BW, READ, WRITE = range(5)
+_ARRAYS = ("demand", "host", "on", "sums", "u_cpu", "mode", "p_it")
 
 
-def within_capacity(ram, bw):
-    """Whether RAM (MB) and bandwidth (MB/s) loads fit a host, as the pair
-    (RAM fits, bandwidth fits): each load at most its capacity plus
-    ``CAPACITY_SLACK``.  Takes floats or arrays, elementwise."""
-    return (ram <= models.RAM_CAPACITY + CAPACITY_SLACK,
-            bw <= models.BW_CAPACITY + CAPACITY_SLACK)
+def within_capacity(sums):
+    """Whether the RAM and bandwidth rows of host sums (resource axis first)
+    fit their hosts, as the pair (RAM fits, bandwidth fits): each load at
+    most its capacity plus ``CAPACITY_SLACK``, elementwise."""
+    return (sums[RAM] <= models.RAM_CAPACITY + CAPACITY_SLACK,
+            sums[BW] <= models.BW_CAPACITY + CAPACITY_SLACK)
 
 
 class DataCenterState:
     """Mutable simulation state: the fleet as per-host and per-VM arrays.
 
-    Per VM, indexed by position (the order of ``vm_ids``): the demands
-    ``cpu``, ``ram``, ``bw``, ``disk_read`` and ``disk_write`` (units as in
-    :class:`VmState`), ``host``, the id of the VM's host or -1 while it has
-    none, and ``rank``, the VM's place in string order of the ids.  Per host,
-    indexed by host id: ``on``, the sums of its VMs' demands (``cpu_sum``
-    and so on; ``cpu_sum`` may exceed 1) and the figures derived from them:
-    ``u_cpu`` (clamped to [0, 1]), ``mode`` (index into
-    ``models.FREQS_GHZ``) and ``p_it`` (W, disk included, 0 when off).  Every
-    host is the server model of ``models`` and shares the inlet
+    Per VM, indexed by position (the order of ``vm_ids``): its ``demand``
+    column (units as in :class:`VmState`), ``host``, the id of the VM's
+    host or -1 while it has none, and ``rank``, the VM's place in string
+    order of the ids.  Per host, indexed by host id: ``on``, its ``sums``
+    column, the sums of its VMs' demands (the CPU sum may exceed 1), and
+    the figures derived from them: ``u_cpu`` (clamped to [0, 1]), ``mode``
+    (index into ``models.FREQS_GHZ``) and ``p_it`` (W, disk included, 0
+    when off).  ``demand`` and ``sums`` have the resource axis first.
+    Every host is the server model of ``models`` and shares the inlet
     ``setpoint``.
     """
 
@@ -113,11 +114,11 @@ class DataCenterState:
         state.index = {vid: i for i, vid in enumerate(state.vm_ids)}
         # inverting the positions sorted by id gives each position's rank
         state.rank = np.argsort(sorted(range(len(records)), key=state.vm_ids.__getitem__))
-        for name, field_ in zip(_DEMANDS, ("cpu_demand", "ram_used", "net_bw",
-                                           "disk_read", "disk_write")):
-            setattr(state, name, np.array([getattr(vm, field_) for vm in records],
-                                          dtype=float))
-            setattr(state, f"{name}_sum", np.zeros(n_hosts))
+        state.demand = np.array(
+            [[getattr(vm, field_) for vm in records] for field_ in
+             ("cpu_demand", "ram_used", "net_bw", "disk_read", "disk_write")],
+            dtype=float)
+        state.sums = np.zeros((5, n_hosts))
         state.host = np.full(len(records), -1, dtype=np.intp)
         state.on = np.zeros(n_hosts, dtype=bool)
         state.u_cpu = np.zeros(n_hosts)
@@ -143,7 +144,7 @@ class DataCenterState:
         """The given VM positions in decreasing CPU demand, ties in VM id
         order: the order in which the placers and the drain check take VMs."""
         positions = np.asarray(positions, dtype=np.intp)
-        return positions[np.lexsort((self.rank[positions], -self.cpu[positions]))]
+        return positions[np.lexsort((self.rank[positions], -self.demand[CPU, positions]))]
 
     def vm_counts(self) -> np.ndarray:
         """Number of VMs on each host."""
@@ -160,8 +161,7 @@ class DataCenterState:
         hosts = np.asarray(hosts, dtype=np.intp)
         on = self.on[hosts]
         u_cpu, mode, _, p_it = models.host_operating_point(
-            self.cpu_sum[hosts], self.ram_sum[hosts], self.disk_read_sum[hosts],
-            self.disk_write_sum[hosts], self.setpoint, self.params)
+            self.sums[:, hosts], self.setpoint, self.params)
         self.u_cpu[hosts] = np.where(on, u_cpu, 0.0)
         self.mode[hosts] = np.where(on, mode, 0)
         self.p_it[hosts] = np.where(on, p_it, 0.0)
@@ -178,14 +178,12 @@ class DataCenterState:
         ``np.bincount`` adds each host's VMs in VM order, starting from 0.0:
         the same additions as moving the VMs on one at a time.
         """
+        self.demand = np.array([cpu, ram, bw, disk_read, disk_write], dtype=float)
         placed = self.host >= 0
         hosts = self.host[placed]
-        for name, values in zip(_DEMANDS, (cpu, ram, bw, disk_read, disk_write)):
-            values = np.array(values, dtype=float)
-            setattr(self, name, values)
-            # an empty input gives integer counts
-            setattr(self, f"{name}_sum", np.bincount(
-                hosts, values[placed], len(self.on)).astype(float, copy=False))
+        # an empty input gives integer counts
+        self.sums = np.array([np.bincount(hosts, row[placed], len(self.on))
+                              for row in self.demand], dtype=float)
         self.refresh(np.arange(len(self.on)))
 
     def move(self, placement: dict[int, int]) -> list[tuple[int, int, int]]:
@@ -199,13 +197,11 @@ class DataCenterState:
             source = self.host.item(i)
             if source == target:
                 continue
-            for name in _DEMANDS:
-                sums, demand = getattr(self, f"{name}_sum"), getattr(self, name)[i]
-                if source >= 0:
-                    sums[source] -= demand
-                if target >= 0:
-                    sums[target] += demand
+            demand = self.demand[:, i]
+            if source >= 0:
+                self.sums[:, source] -= demand
             if target >= 0:
+                self.sums[:, target] += demand
                 self.on[target] = True
             self.host[i] = target
             moves.append((i, source, target))
@@ -241,12 +237,12 @@ def apply_placement(state: DataCenterState, placement: dict[int, int]) -> ApplyR
     moves = new.move(placement)
     targets = sorted({target for _, _, target in moves})
     for host in targets:
-        ram, bw = new.ram_sum.item(host), new.bw_sum.item(host)
-        ram_fits, bw_fits = within_capacity(ram, bw)
+        sums = new.sums[:, host]
+        ram_fits, bw_fits = within_capacity(sums)
         if not ram_fits:
-            raise CapacityError(host, "ram", ram, models.RAM_CAPACITY)
+            raise CapacityError(host, "ram", sums.item(RAM), models.RAM_CAPACITY)
         if not bw_fits:
-            raise CapacityError(host, "bandwidth", bw, models.BW_CAPACITY)
+            raise CapacityError(host, "bandwidth", sums.item(BW), models.BW_CAPACITY)
 
     idle = np.flatnonzero(new.on & (new.vm_counts() == 0))
     if idle.size:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataCenterState, within_capacity
+from .core import CPU, RAM, DataCenterState, within_capacity
 from .models import BW_CAPACITY, left_sum
 
 
@@ -65,9 +65,9 @@ def select_vms_mmt(host: int, threshold: float,
     picks: subtracting can round below the threshold while the sum of the
     VMs that stay is still at it.
     """
-    if state.cpu_sum.item(host) < threshold:
+    if state.sums.item(CPU, host) < threshold:
         return []
-    rank, ram, cpu = state.rank, state.ram, state.cpu
+    rank, ram, cpu = state.rank, state.demand[RAM], state.demand[CPU]
     staying = state.positions_on(host)
     picked = []
     for i in sorted(staying,
@@ -85,19 +85,16 @@ def _fits_elsewhere(host_id: int, state: DataCenterState, thr: np.ndarray,
     # in host-id order.
     targets = targets.copy()
     targets[host_id] = False
-    cpu = state.cpu_sum.copy()
-    ram = state.ram_sum.copy()
-    bw = state.bw_sum.copy()
+    sums = state.sums.copy()
     order = state.by_decreasing_cpu(state.positions_on(host_id))
-    for c, r, b in zip(*(a[order].tolist() for a in (state.cpu, state.ram, state.bw))):
-        ram_fits, bw_fits = within_capacity(ram + r, bw + b)
-        fits = targets & (cpu + c < thr) & ram_fits & bw_fits
-        if not fits.any():
+    for demand in state.demand[:, order].T:
+        after = sums + demand[:, None]
+        ram_fits, bw_fits = within_capacity(after)
+        fits = targets & (after[CPU] < thr) & ram_fits & bw_fits
+        t = fits.argmax()  # the first host that fits, or 0 when none does
+        if not fits[t]:
             return False
-        t = int(fits.argmax())
-        cpu[t] += c
-        ram[t] += r
-        bw[t] += b
+        sums[:, t] = after[:, t]
     return True
 
 

@@ -10,8 +10,8 @@ import numpy as np
 
 from . import annealer, models, policies
 from .cooling import CoolingStrategy, FixedCooling, cooling_setpoint
-from .core import (CapacityError, DataCenterState, SlotMetrics, VmState,
-                   apply_placement)
+from .core import (CPU, RAM, CapacityError, DataCenterState, SlotMetrics,
+                   VmState, apply_placement)
 from .detection import MIGRATION_BW, MadConfig, find_underloaded, \
     overload_threshold, select_vms_mmt
 from .models import KWH_PER_WS, ModelParams, left_sum
@@ -123,7 +123,7 @@ class _Ledger:
 
 def _overloaded(state: DataCenterState, thresholds: np.ndarray) -> list[int]:
     """The hosts that are on with CPU at or above their overload threshold."""
-    return np.flatnonzero(state.on & (state.cpu_sum >= thresholds)).tolist()
+    return np.flatnonzero(state.on & (state.sums[CPU] >= thresholds)).tolist()
 
 
 def _underload_cut(state: DataCenterState) -> float:
@@ -213,8 +213,9 @@ def _apply(cfg: SimConfig, state: DataCenterState, placement: dict[int, int],
     for i, src, dst in applied.moved:
         if src < 0:
             continue
-        duration = min(new.ram.item(i) / MIGRATION_BW, slot_seconds)
-        record.migrations.append(MigrationEvent(i, dst, duration, new.cpu.item(i)))
+        duration = min(new.demand.item(RAM, i) / MIGRATION_BW, slot_seconds)
+        record.migrations.append(MigrationEvent(i, dst, duration,
+                                                new.demand.item(CPU, i)))
     record.power_on_events = applied.power_on_events
     return new, record
 
@@ -291,10 +292,10 @@ def _account(cfg: SimConfig, state: DataCenterState, first: PassRecord,
     totals.e_boot += e_boot
     totals.power_on_events += power_on_events
     totals.migrations += len(migrations)
-    saturated = state.on & (state.cpu_sum >= 1.0 - 1e-12)
+    saturated = state.on & (state.sums[CPU] >= 1.0 - 1e-12)
     ledger.host_active += state.on
     ledger.host_saturated += saturated
-    ledger.vm_req += state.cpu * slot_seconds
+    ledger.vm_req += state.demand[CPU] * slot_seconds
     active = int(np.count_nonzero(state.on))
     otf = int(np.count_nonzero(saturated)) / active if active else 0.0
     return SlotMetrics(
@@ -369,7 +370,7 @@ def migration_cost(events: list[MigrationEvent], state: DataCenterState,
                                      p.power)
         extra_ws += p_dyn * ev.duration
         deg += ev.degradation
-    requested = left_sum(state.cpu.tolist()) * slot_seconds
+    requested = left_sum(state.demand[CPU].tolist()) * slot_seconds
     pdm = deg / requested if requested > 0 else 0.0
     return extra_ws * KWH_PER_WS, pdm
 

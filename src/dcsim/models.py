@@ -105,26 +105,26 @@ def host_power_terms(v_dd, f_op, u_cpu, t_mem, fan_speed,
             + p.c_fan * (fan_speed * fan_speed * fan_speed))
 
 
-def host_operating_point(cpu_sum, ram_sum, disk_read, disk_write, t_inlet,
-                         p: ModelParams):
+def host_operating_point(sums, t_inlet, p: ModelParams):
     """Operating point of powered-on servers from their resource sums.
 
-    The sums are numpy arrays of any one shape (or floats), one element per
-    server.  Returns ``(u_cpu, mode, t_mem, p_it)`` of that shape:
-    utilization clamped to [0, 1] (sums carry float dust), the index into
-    ``FREQS_GHZ`` of the governor's DVFS mode, the lowest frequency that
-    covers u_cpu * f_max, memory temperature (K) and IT power including
-    disk (W).
+    ``sums`` is a numpy array with ``core``'s resource axis first and one
+    element per server on the axes after it.  Returns ``(u_cpu, mode,
+    t_mem, p_it)``, each of the shape of one resource row: utilization
+    clamped to [0, 1] (sums carry float dust), the index into ``FREQS_GHZ``
+    of the governor's DVFS mode, the lowest frequency that covers u_cpu *
+    f_max, memory temperature (K) and IT power including disk (W).
     """
-    u_cpu = np.minimum(1.0, np.maximum(0.0, cpu_sum))
+    from .core import CPU, RAM, READ, WRITE  # core imports this module
+    u_cpu = np.minimum(1.0, np.maximum(0.0, sums[CPU]))
     u_mem = np.minimum(100.0, np.maximum(U_MEM_FLOOR,
-                                         100.0 * ram_sum / RAM_CAPACITY))
+                                         100.0 * sums[RAM] / RAM_CAPACITY))
     mode = np.minimum(np.searchsorted(FREQS_GHZ, u_cpu * FREQS_GHZ[-1] - 1e-12),
                       len(FREQS_GHZ) - 1)
     t_mem = mem_temperature_unchecked(t_inlet, u_mem, p.thermal)
     p_it = (host_power_terms(VOLTS[mode], FREQS_GHZ[mode], u_cpu, t_mem,
                              FAN_SPEED, p.power)
-            + disk_power(disk_read, disk_write, p.disk))
+            + disk_power(sums[READ], sums[WRITE], p.disk))
     return u_cpu, mode, t_mem, p_it
 
 

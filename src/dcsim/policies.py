@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from . import models
-from .core import DataCenterState, within_capacity
+from .core import CPU, DataCenterState, within_capacity
 from .detection import MadConfig
 from .models import KWH_PER_WS
 from .workload import SLOT_SECONDS
@@ -100,11 +100,13 @@ class _Fleet:
     """Tentative placement state of every host, one row per placer of a
     lockstep walk.
 
-    Holds the host sums of the input state and the figures the server model
-    derives from them (``u_cpu``, ``mode`` and ``p_before``, the IT power of
-    a host with VMs and 0 W otherwise) as (rows, hosts) numpy arrays indexed
-    by host id, so one VM's candidates are costed for every row in one call
-    of ``models.host_operating_point``, and each row's fleet-wide IT power
+    Holds the host sums of the input state as ``sums``, of shape
+    (resources, rows, hosts), so row ``k``, ``sums[:, k]``, has the state's
+    own layout, and the figures the server model derives from them
+    (``u_cpu``, ``mode`` and ``p_before``, the IT power of a host with VMs
+    and 0 W otherwise) as (rows, hosts) arrays, all indexed by host id, so
+    one VM's candidates are costed for every row in one call of
+    ``models.host_operating_point``, and each row's fleet-wide IT power
     total for global-energy predictions.  The arrays span every host of the
     state; a host outside ``host_list`` is never feasible.  ``thresholds``
     holds each host's overload threshold, by host id; ``None`` puts every
@@ -120,18 +122,9 @@ class _Fleet:
         busy = state.busy
         p_before = np.where(busy, state.p_it, 0.0)
 
-        def per_row(values):
-            return np.tile(values, (rows, 1))
-
-        self.cpu_sum = per_row(state.cpu_sum)
-        self.ram_sum = per_row(state.ram_sum)
-        self.bw_sum = per_row(state.bw_sum)
-        self.disk_r = per_row(state.disk_read_sum)
-        self.disk_w = per_row(state.disk_write_sum)
-        self.active = per_row(busy)
-        self.u_cpu = per_row(state.u_cpu)
-        self.mode = per_row(state.mode)
-        self.p_before = per_row(p_before)
+        self.sums = np.repeat(state.sums[:, None], rows, axis=1)
+        self.active, self.u_cpu, self.mode, self.p_before = (
+            np.tile(a, (rows, 1)) for a in (busy, state.u_cpu, state.mode, p_before))
         if thresholds is None:
             thresholds = np.full(n, MadConfig().fallback_threshold)
         # a host outside host_list gets a -inf threshold, so no VM fits it
@@ -147,9 +140,7 @@ class _Fleet:
     def place(self, k: int, j: int, tab: dict) -> None:
         """Add the VM of ``tab``, its :meth:`table`, to host ``j`` of row
         ``k``; the host takes the figures of that candidate."""
-        for sums, demand in zip((self.cpu_sum, self.ram_sum, self.bw_sum,
-                                 self.disk_r, self.disk_w), tab["demand"]):
-            sums[k, j] += demand
+        self.sums[:, k, j] += tab["demand"]
         p_it = tab["p_after"][k, j]
         self.total_p[k] += p_it - self.p_before[k, j]
         self.p_before[k, j] = p_it
@@ -160,19 +151,14 @@ class _Fleet:
     def table(self, i: int, source: int = -1) -> dict:
         """Candidate arrays of the VM at position ``i``, shape (rows,
         hosts); the VM's ``source`` host (-1: none) is never feasible."""
-        state = self.state
-        demand = cpu, ram, bw, read, write = [
-            a.item(i) for a in (state.cpu, state.ram, state.bw, state.disk_read,
-                                state.disk_write)]
-        u_raw = self.cpu_sum + cpu
-        ram_after = self.ram_sum + ram
-        ram_fits, bw_fits = within_capacity(ram_after, self.bw_sum + bw)
-        feasible = (u_raw < self.thr) & ram_fits & bw_fits
+        demand = self.state.demand[:, i]
+        after = self.sums + demand[:, None, None]
+        ram_fits, bw_fits = within_capacity(after)
+        feasible = (after[CPU] < self.thr) & ram_fits & bw_fits
         if source >= 0:
             feasible[:, source] = False
         u_after, mode, t_mem, p_after = models.host_operating_point(
-            u_raw, ram_after, self.disk_r + read, self.disk_w + write,
-            self.t_inlet, self.params)
+            after, self.t_inlet, self.params)
         freqs = models.FREQS_GHZ
         dfreq = (freqs[mode] - freqs[self.mode]) / freqs[-1]
         return dict(demand=demand, feasible=feasible, u_after=u_after, mode=mode,
@@ -196,9 +182,7 @@ class _Fleet:
         host[list(placement)] = list(placement.values())
         busy = self.active[k]
         view = state._with(
-            host=host, on=state.on | busy, cpu_sum=self.cpu_sum[k],
-            ram_sum=self.ram_sum[k], bw_sum=self.bw_sum[k],
-            disk_read_sum=self.disk_r[k], disk_write_sum=self.disk_w[k],
+            host=host, on=state.on | busy, sums=self.sums[:, k],
             u_cpu=self.u_cpu[k], mode=self.mode[k],
             # p_before is 0 W on a host without VMs; the state has its power
             p_it=np.where(busy, self.p_before[k], state.p_it))
@@ -369,7 +353,7 @@ def mo_place(kind: str, vm_list, host_list, state: DataCenterState,
         if (valid & fleet.active[0]).any():
             valid = valid & fleet.active[0]
             if prefer_utilization is not None:
-                keep = valid & (fleet.cpu_sum[0] >= prefer_utilization)
+                keep = valid & (fleet.sums[CPU, 0] >= prefer_utilization)
                 if keep.any():
                     valid = keep
         if not valid.any():

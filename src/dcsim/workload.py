@@ -207,10 +207,11 @@ def load_traces(directory, slot_seconds: int | None = SLOT_SECONDS,
     CPU demand is normalized against the server's full capacity at top
     frequency: demand = usage% * provisioned MHz / ``models.CPU_CAPACITY_MHZ``.
     ``fill`` selects the gap policy: "ffill" forward-fills each VM onto the
-    union grid (leading gaps repeat the file's first row); "drop" restricts
-    the grid to slots covered by every VM.  Rows may come in any order: the
-    grid spans every file's earliest to latest timestamp, and of two rows on
-    one slot the later one wins.  ``slot_seconds=None`` takes the grid from
+    union grid (leading gaps repeat the file's earliest row, which also
+    gives the VM's cores); "drop" restricts the grid to slots covered by
+    every VM.  Rows may come in any order: the grid spans every file's
+    earliest to latest timestamp, and of two rows on one slot the later one
+    wins.  ``slot_seconds=None`` takes the grid from
     the timestamps: the smallest step between two distinct timestamps of one
     file.  A given length is the grid, and a directory on a coarser one
     loads with its gaps filled.  A file whose smallest step between two
@@ -260,29 +261,32 @@ def load_traces(directory, slot_seconds: int | None = SLOT_SECONDS,
     # are dropped as soon as it is: at most one copy of the parsed rows
     vm_ids = list(per_vm)
     n = len(vm_ids)
-    cpu, ram, disk_r, disk_w, net = (np.empty((n, n_slots)) for _ in range(5))
+    cpu, ram, read, write, net = (np.empty((n, n_slots)) for _ in range(5))
     cores, ram_prov = np.empty(n, dtype=int), np.empty(n)
     grid = np.arange(n_slots)
     for i, vid in enumerate(vm_ids):
         s = per_vm.pop(vid)
         # the row each slot takes: the last row on that slot, else the row
-        # of the latest filled slot before it, else the file's first row
+        # of the latest filled slot before it, else the file's earliest row
+        # (the first of them in file order), which also gives the cores
+        earliest = np.argmin(s[:, 0]).item()
         slot = np.rint((s[:, 0] - t0) / slot_seconds)
         on_grid = np.flatnonzero((slot >= 0) & (slot < n_slots))
         last = np.full(n_slots, -1, dtype=np.intp)
         np.maximum.at(last, slot[on_grid].astype(np.intp), on_grid)
         latest = np.where(last >= 0, grid, 0)
         np.maximum.accumulate(latest, out=latest)
-        row = np.maximum(last[latest], 0)
+        row = last[latest]
+        row[row < 0] = earliest
         cpu[i] = ((s[:, 4] / 100.0) * s[:, 2] / models.CPU_CAPACITY_MHZ)[row]
         ram[i] = (s[:, 6] / KB_PER_MB)[row]
-        disk_r[i] = s[row, 7]
-        disk_w[i] = s[row, 8]
+        read[i] = s[row, 7]
+        write[i] = s[row, 8]
         net[i] = ((s[:, 9] + s[:, 10]) / KB_PER_MB)[row]
-        cores[i] = max(1, int(s.item(0, 1)))
+        cores[i] = max(1, int(s.item(earliest, 1)))
         # Python's max keeps the first of equal values; np.max may pick -0.0
         ram_prov[i] = max((s[:, 5] / KB_PER_MB).tolist())
-    return Workload(vm_ids, cpu, ram, disk_r, disk_w, net, cores, ram_prov,
+    return Workload(vm_ids, cpu, ram, read, write, net, cores, ram_prov,
                     slot_seconds)
 
 
@@ -373,12 +377,12 @@ def synth_workload(vms: int, slots: int, variability: float, seed: int) -> Workl
     cores = np.clip(np.ceil(x.max(axis=1) * 4.0).astype(int), 1, 4)
     ram = np.repeat(rng.uniform(512.0, 2048.0, size=vms)[:, None], slots, axis=1)
     ram_prov = ram[:, 0] * 1.25
-    disk_r = np.repeat(rng.uniform(0.0, 1500.0, size=vms)[:, None], slots, axis=1)
-    disk_w = np.repeat(rng.uniform(0.0, 1200.0, size=vms)[:, None], slots, axis=1)
+    read = np.repeat(rng.uniform(0.0, 1500.0, size=vms)[:, None], slots, axis=1)
+    write = np.repeat(rng.uniform(0.0, 1200.0, size=vms)[:, None], slots, axis=1)
     net = np.repeat(rng.uniform(0.5, 8.0, size=vms)[:, None], slots, axis=1)
 
     vm_ids = [f"vm{i:04d}" for i in range(vms)]
-    w = Workload(vm_ids, x, ram, disk_r, disk_w, net, cores, ram_prov)
+    w = Workload(vm_ids, x, ram, read, write, net, cores, ram_prov)
 
     if variability > 0 and slots > 1:
         realized = variability_score(w)

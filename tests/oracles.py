@@ -27,7 +27,7 @@ from statistics import median
 import numpy as np
 
 from dcsim import models
-from dcsim.core import DataCenterState, VmState
+from dcsim.core import BW, CPU, RAM, READ, WRITE, DataCenterState, VmState
 from dcsim.models import KWH_PER_WS
 from dcsim.policies import SoKind, SoSaModel, normalize_band, so_sa_combine
 from dcsim.workload import KB_PER_MB, TRACE_COLUMNS, TraceError, Workload
@@ -35,9 +35,10 @@ from dcsim.workload import KB_PER_MB, TRACE_COLUMNS, TraceError, Workload
 
 def vm_record(state: DataCenterState, i: int) -> VmState:
     """The demand of the VM at position ``i``, as a new record."""
-    return VmState(state.vm_ids[i], state.cpu.item(i), state.ram.item(i),
-                   state.disk_read.item(i), state.disk_write.item(i),
-                   state.bw.item(i))
+    demand = state.demand
+    return VmState(state.vm_ids[i], demand.item(CPU, i), demand.item(RAM, i),
+                   demand.item(READ, i), demand.item(WRITE, i),
+                   demand.item(BW, i))
 
 
 def ids_on(state: DataCenterState, host: int) -> list[str]:
@@ -196,10 +197,10 @@ def effective_it_power(state: DataCenterState) -> float:
 def evaluate_candidate(vm: VmState, host: int, state: DataCenterState) -> CandidateView:
     """Predict the post-allocation view of one host for one VM."""
     u_after, mode_after, t_mem_after, p_after = scalar_operating_point(
-        state.cpu_sum.item(host) + vm.cpu_demand,
-        state.ram_sum.item(host) + vm.ram_used,
-        state.disk_read_sum.item(host) + vm.disk_read,
-        state.disk_write_sum.item(host) + vm.disk_write,
+        state.sums.item(CPU, host) + vm.cpu_demand,
+        state.sums.item(RAM, host) + vm.ram_used,
+        state.sums.item(READ, host) + vm.disk_read,
+        state.sums.item(WRITE, host) + vm.disk_write,
         state.setpoint, state.params)
     f_before = DVFS_TABLE[state.mode[host]].f_op
     # frequency increment normalized by the top frequency, so it shares the
@@ -363,8 +364,9 @@ def load_traces_rowwise(directory, slot_seconds: int = 300,
     CPU demand is normalized against the server's full capacity at top
     frequency: demand = usage% * provisioned MHz / host capacity MHz.
     ``fill`` selects the gap policy: "ffill" forward-fills each VM onto the
-    union grid (leading gaps repeat the first sample); "drop" restricts the
-    grid to slots covered by every VM.
+    union grid (leading gaps repeat the earliest sample, the first of them in
+    file order, which also gives the cores); "drop" restricts the grid to
+    slots covered by every VM.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -402,10 +404,12 @@ def load_traces_rowwise(directory, slot_seconds: int = 300,
 
     for i, vid in enumerate(vm_ids):
         samples = per_vm[vid]
-        cores[i] = max(1, samples[0].cpu_cores)
+        # min keeps the first of equal timestamps
+        earliest = min(samples, key=lambda s: s.timestamp)
+        cores[i] = max(1, earliest.cpu_cores)
         ram_prov[i] = max(s.ram_provisioned for s in samples)
         by_slot = {int(round((s.timestamp - t0) / slot_seconds)): s for s in samples}
-        last = samples[0]
+        last = earliest
         for t in range(n_slots):
             s = by_slot.get(t, last)
             last = s

@@ -10,7 +10,7 @@ import pytest
 import dcsim
 from dcsim import models
 from dcsim.annealer import SaConfig, _start, sa_objective, sa_place, sa_solve
-from dcsim.core import DataCenterState, VmState
+from dcsim.core import CPU, RAM, DataCenterState, VmState
 from dcsim.policies import PLAIN_KINDS, dynso_place
 
 VM_IDS = [f"v{i}" for i in range(6)]
@@ -105,9 +105,9 @@ def test_host_power_equals_the_state_to_the_last_bit():
         costs = _start(state, chain, solution, 1e6)[3]
         assert [c[0] for c in costs] == placed.p_it.tolist()
         used = placed.vm_counts() > 0
-        cases = {"cpu > 1": placed.cpu_sum[used] > 1.0,
-                 "no ram": placed.ram_sum[used] == 0.0,
-                 "ram > capacity": placed.ram_sum > models.RAM_CAPACITY}
+        cases = {"cpu > 1": placed.sums[CPU, used] > 1.0,
+                 "no ram": placed.sums[RAM, used] == 0.0,
+                 "ram > capacity": placed.sums[RAM] > models.RAM_CAPACITY}
         seen.update(name for name, hosts in cases.items() if hosts.any())
     assert seen == {"cpu > 1", "no ram", "ram > capacity"}
 

@@ -69,3 +69,15 @@ def test_setpoint_non_increasing_in_utilization():
 def test_floor_and_ceiling_validation():
     with pytest.raises(ValueError):
         VarInletCooling(floor=300.0, ceiling=295.0)
+
+
+@pytest.mark.parametrize("make", [lambda: FixedCooling(400.0),
+                                  lambda: FixedCooling(283.1),
+                                  lambda: VarInletCooling(ceiling=320.0),
+                                  lambda: VarInletCooling(floor=280.0)],
+                         ids=["fixed400", "fixed283.1", "ceiling320", "floor280"])
+def test_a_setpoint_outside_the_cop_range_fails_when_built(make):
+    # the COP curve is defined on [COP_T_MIN_K, COP_T_MAX_K]; a setpoint
+    # outside it fails here, not in the first slot of a run
+    with pytest.raises(ValueError, match="outside"):
+        make()

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from dcsim import core, models
 from dcsim.cooling import VarInletCooling
-from dcsim.core import (_ARRAYS, CapacityError, DataCenterState, VmState,
-                        apply_placement)
+from dcsim.core import (_ARRAYS, CPU, CapacityError, DataCenterState,
+                        VmState, apply_placement)
 from oracles import DVFS_TABLE, ids_on
 
 
@@ -85,7 +85,7 @@ def test_cpu_enforced_only_without_oversubscription():
     state.move({state.index["a"]: 0})
     # CPU is never a hard limit: a sum over 1.0 is allowed, u clamps
     res = apply_placement(state, {state.index["b"]: 0})
-    assert res.state.cpu_sum[0] == pytest.approx(1.4)
+    assert res.state.sums[CPU, 0] == pytest.approx(1.4)
     assert res.state.u_cpu[0] == 1.0
 
 
@@ -131,7 +131,7 @@ def test_host_utilization_is_clamped_demand_sum(assignments):
     res = apply_placement(state, placement)
     for h in range(5):
         expected = sum(d for i, (d, hid) in enumerate(assignments) if hid == h)
-        assert res.state.cpu_sum[h] == pytest.approx(expected, abs=1e-12)
+        assert res.state.sums[CPU, h] == pytest.approx(expected, abs=1e-12)
         assert res.state.u_cpu[h] == pytest.approx(min(1.0, expected), abs=1e-12)
 
 
@@ -167,8 +167,8 @@ def test_state_copy_is_equal_and_independent():
                    disk_read=[0.0, 0.0], disk_write=[0.0, 0.0])
     assert ids_on(state, 0) == ["a"]
     assert state.host.tolist() == [0, 2]
-    assert state.cpu.tolist() == [0.4, 0.2]
-    assert state.cpu_sum.tolist() == [0.4, 0.0, 0.2]
+    assert state.demand[CPU].tolist() == [0.4, 0.2]
+    assert state.sums[CPU].tolist() == [0.4, 0.0, 0.2]
 
 
 def test_positions_on_follows_every_move():
@@ -354,3 +354,28 @@ def test_slot_loop_passes_vm_positions_not_ids():
                           if not any(b.lineno <= line <= b.end_lineno for b in boundary)]
     assert len(boundary) == 2
     assert reads == {"detection.py": [], "policies.py": [], "engine.py": []}
+
+
+def test_the_resource_order_is_written_once():
+    # the resources are one axis of the state's demand and sums, in the order
+    # core assigns to CPU, RAM, BW, READ and WRITE: no module keeps an array
+    # per resource under the old names, and none assigns the order again
+    old = {"cpu_sum", "ram_sum", "bw_sum", "disk_read_sum", "disk_write_sum",
+           "disk_r", "disk_w", "_DEMANDS"}
+    names, orders = [], []
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            # names, attributes, arguments, keywords, imports and strings
+            name = next((getattr(node, field) for field in ("id", "attr", "arg", "name")
+                         if isinstance(getattr(node, field, None), str)),
+                        node.value if isinstance(node, ast.Constant) else None)
+            if name in old:
+                names.append(f"{path.name}:{node.lineno}: {name}")
+            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                    and node.id in ("CPU", "RAM", "BW", "READ", "WRITE")):
+                orders.append((path.name, node.lineno))
+    assert names == []
+    # one statement of core's assigns all five
+    assert len(orders) == 5 and len(set(orders)) == 1, orders
+    assert orders[0][0] == "core.py"
+    assert (core.CPU, core.RAM, core.BW, core.READ, core.WRITE) == tuple(range(5))

@@ -10,7 +10,7 @@ from hypothesis import example, given, strategies as st
 
 import dcsim
 from dcsim import models
-from dcsim.core import DataCenterState, VmState
+from dcsim.core import BW, CPU, RAM, DataCenterState, VmState
 from dcsim.detection import (MadConfig, find_underloaded, overload_threshold,
                              select_vms_mmt)
 from dcsim.policies import SoKind, so_place
@@ -112,7 +112,7 @@ def mmt_state():
 
 def test_mmt_worked_selection():
     state = mmt_state()
-    assert state.cpu_sum[0] == pytest.approx(0.95)
+    assert state.sums[CPU, 0] == pytest.approx(0.95)
     # smallest RAM first: B (0.95 -> 0.93), then C (0.93 -> 0.87 < 0.9)
     assert [state.vm_ids[i] for i in select_vms_mmt(0, 0.9, state)] == ["B", "C"]
 
@@ -144,7 +144,7 @@ def test_mmt_projection_drops_below_threshold(vm_specs):
     picked = [state.vm_ids[i] for i in select_vms_mmt(0, threshold, state)]
     remaining = sum(vm.cpu_demand for vid, vm in vms.items()
                     if vid not in picked)
-    if state.cpu_sum[0] >= threshold:
+    if state.sums[CPU, 0] >= threshold:
         assert remaining < threshold
 
 
@@ -236,8 +236,8 @@ def scalar_underloaded(state, exclude, thresholds):
     for h in sorted((h for h in on if h not in exclude and state.positions_on(h)),
                     key=lambda h: (float(state.u_cpu[h]), h)):
         targets = [t for t in on if t != h and t not in exclude]
-        load = {t: [float(state.cpu_sum[t]), float(state.ram_sum[t]),
-                    float(state.bw_sum[t])] for t in targets}
+        load = {t: [float(state.sums[CPU, t]), float(state.sums[RAM, t]),
+                    float(state.sums[BW, t])] for t in targets}
         fits = True
         for vm in sorted((oracles.vm_record(state, i) for i in state.positions_on(h)),
                          key=lambda vm: (-vm.cpu_demand, vm.id)):
@@ -288,7 +288,7 @@ def test_fit_test_takes_ram_up_to_the_placers_limit():
     state = build_attached(2, [
         (VmState(id="v", cpu_demand=0.1, ram_used=1000.0), 0),
         (VmState(id="fill", cpu_demand=0.5, ram_used=cap - 1000.0 + 5e-10), 1)])
-    assert cap < state.ram_sum[1] + 1000.0 <= cap + 1e-9
+    assert cap < state.sums[RAM, 1] + 1000.0 <= cap + 1e-9
     # "fill" does not fit under host 0's threshold, so host 1 stays
     thresholds = np.array([0.55, 0.9])
     v = state.index["v"]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dcsim import models
+from dcsim.core import CPU, RAM, READ, WRITE
 from oracles import DVFS_TABLE, scalar_operating_point
 
 FREQS = models.FREQS_GHZ
@@ -15,8 +16,9 @@ FREQS = models.FREQS_GHZ
 
 def governor_f_op(u_cpu):
     """The frequency the server model's governor picks for a utilization."""
-    _, mode, _, _ = models.host_operating_point(
-        u_cpu, 0.0, 0.0, 0.0, 291.0, models.ModelParams())
+    sums = np.zeros(5)
+    sums[CPU] = u_cpu
+    _, mode, _, _ = models.host_operating_point(sums, 291.0, models.ModelParams())
     return FREQS[mode]
 
 
@@ -51,8 +53,9 @@ def test_array_model_matches_the_scalar_reference():
     disk_w = rng.uniform(0.0, 5e4, n)
     t_inlet = float(rng.choice([283.15, 291.0, 297.0, 303.15]))
     params = models.ModelParams()
-    u_cpu, mode, t_mem, p_it = models.host_operating_point(
-        cpu, ram, disk_r, disk_w, t_inlet, params)
+    sums = np.zeros((5, n))
+    sums[CPU], sums[RAM], sums[READ], sums[WRITE] = cpu, ram, disk_r, disk_w
+    u_cpu, mode, t_mem, p_it = models.host_operating_point(sums, t_inlet, params)
     refs = [scalar_operating_point(*host, t_inlet, params) for host in
             zip(cpu.tolist(), ram.tolist(), disk_r.tolist(), disk_w.tolist())]
     assert u_cpu.tolist() == [r[0] for r in refs]

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dcsim import models
-from dcsim.core import _ARRAYS, DataCenterState, VmState, apply_placement
+from dcsim.core import (_ARRAYS, BW, CPU, RAM, READ, WRITE, DataCenterState,
+                        VmState, apply_placement)
 from dcsim.engine import SimConfig, _drain_aware_evaluator
 from dcsim.policies import (DEFAULT_DYNSO_LIST, SoKind, SoSaModel, _bfd,
                             _Fleet, _so_pick, dynso_place,
@@ -136,9 +137,9 @@ def greedy_oracle(kind, vm_ids, host_ids, state, thr=0.9):
 
 def fits(state, vm, hid, thr):
     """The placers' feasibility rule for one VM on one host."""
-    return (state.cpu_sum[hid] + vm.cpu_demand < thr
-            and state.ram_sum[hid] + vm.ram_used <= models.RAM_CAPACITY + 1e-9
-            and state.bw_sum[hid] + vm.net_bw <= models.BW_CAPACITY + 1e-9)
+    return (state.sums[CPU, hid] + vm.cpu_demand < thr
+            and state.sums[RAM, hid] + vm.ram_used <= models.RAM_CAPACITY + 1e-9
+            and state.sums[BW, hid] + vm.net_bw <= models.BW_CAPACITY + 1e-9)
 
 
 def toy_instance(seed):
@@ -176,9 +177,9 @@ def test_placements_respect_capacity_for_all_policies():
     results.append(swfdvp_place(vm_ids, [0, 1, 2], state).placement)
     for placement in results:
         placed = apply_placement(state, placement).state
-        assert (placed.ram_sum <= models.RAM_CAPACITY + 1e-9).all()
-        assert (placed.bw_sum <= models.BW_CAPACITY + 1e-9).all()
-        assert (placed.cpu_sum < 0.9 + 1e-9).all()
+        assert (placed.sums[RAM] <= models.RAM_CAPACITY + 1e-9).all()
+        assert (placed.sums[BW] <= models.BW_CAPACITY + 1e-9).all()
+        assert (placed.sums[CPU] < 0.9 + 1e-9).all()
 
 
 def test_so_sa_combine_unit_case():
@@ -441,15 +442,15 @@ def test_dynso_power_matches_recomputation_oracle():
     placed = apply_placement(state, r.placement).state
     p_it = 0.0
     for h in np.flatnonzero(placed.on).tolist():
-        u_cpu = min(1.0, placed.cpu_sum[h])
+        u_cpu = min(1.0, placed.sums[CPU, h])
         mode = governor_frequency(u_cpu)
-        u_mem = max(1.0, 100.0 * placed.ram_sum[h] / models.RAM_CAPACITY)
+        u_mem = max(1.0, 100.0 * placed.sums[RAM, h] / models.RAM_CAPACITY)
         p_it += (models.host_power_terms(
             mode.v_dd, mode.f_op, u_cpu,
             models.mem_temperature(placed.setpoint, u_mem),
             models.FAN_SPEED)
-                 + models.disk_power(placed.disk_read_sum[h],
-                                     placed.disk_write_sum[h]))
+                 + models.disk_power(placed.sums[READ, h],
+                                     placed.sums[WRITE, h]))
     expected = p_it * (1 + 1 / models.cop(state.setpoint))
     assert r.global_power == pytest.approx(expected, rel=1e-9)
 
@@ -674,13 +675,9 @@ def test_fleet_place_equals_attach_and_refresh(seed):
         busy = state.busy
         assert fleet.p_before[0].tolist() == np.where(busy, state.p_it,
                                                       0.0).tolist()
+        assert fleet.sums[:, 0].tolist() == state.sums.tolist()
         for mine, theirs in ((fleet.u_cpu, state.u_cpu),
                              (fleet.mode, state.mode),
-                             (fleet.cpu_sum, state.cpu_sum),
-                             (fleet.ram_sum, state.ram_sum),
-                             (fleet.bw_sum, state.bw_sum),
-                             (fleet.disk_r, state.disk_read_sum),
-                             (fleet.disk_w, state.disk_write_sum),
                              (fleet.active, busy)):
             assert mine[0].tolist() == theirs.tolist()
 

@@ -292,21 +292,38 @@ def test_load_traces_rejects_non_finite_values(tmp_path, token):
 def test_load_traces_row_rules(tmp_path):
     # header on line 1, blank lines, an empty field (reads 0), a 12th column
     # (ignored), out-of-order rows, a duplicate slot (the later row wins)
-    # and a leading gap (repeats the file's first row)
+    # and a leading gap (repeats the file's earliest row, t = 300)
     (tmp_path / "a.csv").write_text(
         "ts;c;p;u;pct;mp;mu;dr;dw;rx;tx\r\n"
         "\n"
         "600; 1 ;2400;0;20;1024;512;;1;1;1;99\n"
         "   \n"
         "300;1;2400;0;10;1024;512;1;1\n"
-        "600;1;2400;0;40;1024;512;1;1\n")
+        "600;1;2400;0;40;1024;512;1;1\n"
+        "900;1;2400;0;30;1024;512;;1;1;1;99\n")
     (tmp_path / "b.csv").write_text("0;1;2400;0;10;1024;512;1;1\n"
                                     "900;1;2400;0;10;1024;512;1;1\n")
     w = load_traces(tmp_path)
     assert w.slot_count == 4
-    assert w.cpu[0].tolist() == [0.05, 0.025, 0.1, 0.1]
-    assert w.disk_read[0].tolist() == [0.0, 1.0, 1.0, 1.0]
-    assert w.net_bw[0].tolist() == [2 / 1024, 0.0, 0.0, 0.0]
+    assert w.cpu[0].tolist() == [0.025, 0.025, 0.1, 0.075]
+    assert w.disk_read[0].tolist() == [1.0, 1.0, 1.0, 0.0]
+    assert w.net_bw[0].tolist() == [0.0, 0.0, 0.0, 2 / 1024]
+
+
+@pytest.mark.parametrize("order", ["file", "time"])
+def test_load_traces_leading_gap_takes_the_earliest_row(tmp_path, order):
+    # a slot before a file's earliest row, and the VM's cores, read that
+    # row, wherever it stands in the file
+    rows = ["600;2;2400;0;20;1024;512;1;1", "300;1;2400;0;10;1024;512;1;1",
+            "900;1;2400;0;40;1024;512;1;1"]
+    if order == "time":
+        rows.sort(key=lambda row: int(row.split(";")[0]))
+    (tmp_path / "a.csv").write_text("\n".join(rows) + "\n")
+    (tmp_path / "b.csv").write_text("0;1;2400;0;10;1024;512;1;1\n"
+                                    "900;1;2400;0;10;1024;512;1;1\n")
+    w = load_traces(tmp_path, slot_seconds=None)
+    assert w.cpu[0].tolist() == [0.025, 0.025, 0.05, 0.1]
+    assert w.cores.tolist() == [1, 1]
 
 
 # -- differential test against the row-by-row reference loader --------------
