@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .policies import SoKind, SoSaModel, so_sa_combine
+from .policies import SoKind, SoSaModel
 
 
 class CollinearFeaturesError(ValueError):
@@ -97,7 +97,3 @@ def fit_sosa(samples: list[TrainingRecord], split: float = 0.8) -> tuple[SoSaMod
     return model, FitReport(train_error_pct=train_err, test_error_pct=test_err,
                             n_train=n_train, n_test=len(samples) - n_train)
 
-
-def predict(model: SoSaModel, samples: list[TrainingRecord]) -> np.ndarray:
-    return np.array([so_sa_combine(s.norm_so3, s.e_so3, s.norm_so6, s.e_so6, model)
-                     for s in samples])

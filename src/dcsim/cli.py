@@ -39,8 +39,7 @@ def _parse_synth(text: str) -> dict:
 
 def _load_workload(args) -> Workload:
     if args.traces:
-        return load_traces(args.traces, slot_seconds=None,
-                           fill=getattr(args, "fill", "ffill"))
+        return load_traces(args.traces, args.fill)
     if args.synth:
         return synth_workload(**_parse_synth(args.synth))
     raise ConfigError("one of --traces or --synth is required")

@@ -128,24 +128,11 @@ def host_operating_point(sums, t_inlet, p: ModelParams):
     return u_cpu, mode, t_mem, p_it
 
 
-def mem_temperature(t_inlet, u_mem, p: ThermalModelParams = ThermalModelParams()):
-    """Memory temperature (K) for an inlet temperature and memory load in percent."""
-    if np.any(u_mem <= 0.0):
-        raise ValueError(f"u_mem must be a percent in (0, 100], got {u_mem}")
-    return mem_temperature_unchecked(t_inlet, u_mem, p)
-
-
 def mem_temperature_unchecked(t_inlet, u_mem, p: ThermalModelParams):
-    """:func:`mem_temperature` for a load already clamped to
-    [U_MEM_FLOOR, 100], without the check that costs more than the formula
-    on one host."""
+    """Memory temperature (K) for an inlet temperature and a memory load in
+    percent already clamped to [U_MEM_FLOOR, 100]: no check on the load,
+    which would cost more than the formula on one host."""
     return p.mem_k1 * t_inlet + p.mem_k2 * np.log(u_mem * u_mem)
-
-
-def cpu_temperature(t_inlet: float, u_cpu: float,
-                    p: ThermalModelParams = ThermalModelParams()) -> float:
-    """CPU temperature (K) for an inlet temperature and utilization fraction."""
-    return p.cpu_k1 * t_inlet + p.cpu_k2 * u_cpu
 
 
 def disk_power(read_kbs, write_kbs, p: DiskModelParams = DiskModelParams()):

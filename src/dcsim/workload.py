@@ -25,7 +25,7 @@ TRACE_COLUMNS = (
 )
 
 KB_PER_MB = 1024.0
-SLOT_SECONDS = 300  # s: synthetic workloads' slot length, the trace loader's default
+SLOT_SECONDS = 300  # s: synthetic slots; the trace grid when no file has two timestamps
 SYNTH_MEAN_DEMAND = 0.13   # synth_workload's mean baseline, a fraction of a host's CPU
 SYNTH_AR_PHI = 0.9         # AR(1) coefficient around the baseline
 SYNTH_AR_SIGMA = 0.16      # AR(1) noise, relative to the baseline
@@ -189,39 +189,25 @@ def _distinct_steps(ts: np.ndarray) -> np.ndarray:
     return steps[steps > 0]
 
 
-def _smallest_step(timestamps) -> int:
-    """The smallest step between two distinct timestamps of one file, in
-    whole seconds; ``SLOT_SECONDS`` when no file has two."""
-    step = min((s.min().item() for s in map(_distinct_steps, timestamps)
-                if s.size), default=SLOT_SECONDS)
-    if not float(step).is_integer():
-        raise TraceError(
-            f"smallest timestamp step {step} s is not a whole number of seconds")
-    return int(step)
-
-
-def load_traces(directory, slot_seconds: int | None = SLOT_SECONDS,
-                fill: str = "ffill") -> Workload:
+def load_traces(directory, fill: str = "ffill") -> Workload:
     """Load one trace file per VM from a directory into a Workload.
 
     CPU demand is normalized against the server's full capacity at top
     frequency: demand = usage% * provisioned MHz / ``models.CPU_CAPACITY_MHZ``.
-    ``fill`` selects the gap policy: "ffill" forward-fills each VM onto the
-    union grid (leading gaps repeat the file's earliest row, which also
-    gives the VM's cores); "drop" restricts the grid to slots covered by
-    every VM.  Rows may come in any order: the grid spans every file's
+    The slot grid comes from the timestamps: the smallest step between two
+    distinct timestamps of one file, in whole seconds (``SLOT_SECONDS`` when
+    no file has two), and every timestamp must sit on it.  A file whose
+    smallest step is at least 999 × ``SLOT_SECONDS`` has its timestamps in
+    milliseconds.  Rows may come in any order: the grid spans every file's
     earliest to latest timestamp, and of two rows on one slot the later one
-    wins.  ``slot_seconds=None`` takes the grid from
-    the timestamps: the smallest step between two distinct timestamps of one
-    file.  A given length is the grid, and a directory on a coarser one
-    loads with its gaps filled.  A file whose smallest step between two
-    distinct timestamps is at least 999 slots (of the given length, else of
-    ``SLOT_SECONDS``) has its timestamps in milliseconds.
+    in the file wins.  ``fill`` selects the gap policy: "ffill"
+    forward-fills each VM onto the union grid (leading gaps repeat the
+    file's earliest row, which also gives the VM's cores); "drop" restricts
+    the grid to slots covered by every VM, and a file with no row on the
+    window's first slot fills it from its latest row before the window.
     """
     if fill not in ("ffill", "drop"):
         raise ValueError(f"unknown fill {fill!r}: expected 'ffill' or 'drop'")
-    if slot_seconds is not None and not slot_seconds > 0:
-        raise ValueError(f"slot_seconds must be positive, got {slot_seconds}")
     directory = Path(directory)
     if not directory.is_dir():
         raise TraceError(f"trace directory not found: {directory}")
@@ -230,23 +216,30 @@ def load_traces(directory, slot_seconds: int | None = SLOT_SECONDS,
     if not files:
         raise TraceError(f"no trace files in {directory}")
 
-    per_vm, unchecked = {}, []
+    # the grid is known once every file is read: every file, even one whose
+    # stem a later file reuses, is checked against it then
+    per_vm, timestamps, step = {}, [], math.inf
     for path in files:
         samples = _parse_trace_file(path)
         ts = samples[:, 0]
         steps = _distinct_steps(ts)
-        if steps.size and steps.min() >= (slot_seconds or SLOT_SECONDS) * 999:
-            ts /= 1000.0  # milliseconds
-        if slot_seconds is None:  # the grid is known once every file is read
-            unchecked.append((path.name, ts))
-        else:
-            _check_aligned(path.name, ts, slot_seconds)
+        if steps.size:
+            smallest = steps.min().item()
+            if smallest >= SLOT_SECONDS * 999:
+                ts /= 1000.0  # milliseconds
+                smallest /= 1000.0
+            step = min(step, smallest)
         per_vm[path.stem] = samples
-    if slot_seconds is None:
-        slot_seconds = _smallest_step(ts for _, ts in unchecked)
-        for name, ts in unchecked:
-            _check_aligned(name, ts, slot_seconds)
-        del unchecked
+        timestamps.append((path.name, ts))
+    if step == math.inf:
+        step = SLOT_SECONDS
+    if not float(step).is_integer():
+        raise TraceError(
+            f"smallest timestamp step {step} s is not a whole number of seconds")
+    slot_seconds = int(step)
+    for name, ts in timestamps:
+        _check_aligned(name, ts, slot_seconds)
+    del timestamps
 
     firsts = [s[:, 0].min().item() for s in per_vm.values()]
     lasts = [s[:, 0].max().item() for s in per_vm.values()]
@@ -266,14 +259,19 @@ def load_traces(directory, slot_seconds: int | None = SLOT_SECONDS,
     grid = np.arange(n_slots)
     for i, vid in enumerate(vm_ids):
         s = per_vm.pop(vid)
-        # the row each slot takes: the last row on that slot, else the row
-        # of the latest filled slot before it, else the file's earliest row
-        # (the first of them in file order), which also gives the cores
+        # the row each slot takes: its last row in file order, else that of
+        # the latest filled slot before it.  In stable slot order, with rows
+        # before a "drop" window on slot 0, that is the last of each run of
+        # one slot.  A leading "ffill" gap takes the file's earliest row
+        # (the first in file order), which also gives the cores
         earliest = np.argmin(s[:, 0]).item()
         slot = np.rint((s[:, 0] - t0) / slot_seconds)
-        on_grid = np.flatnonzero((slot >= 0) & (slot < n_slots))
+        order = np.argsort(slot, kind="stable")
+        slot = slot[order].clip(0)
+        ends = np.flatnonzero(np.diff(slot, append=np.inf) != 0)
+        ends = ends[slot[ends] < n_slots]
         last = np.full(n_slots, -1, dtype=np.intp)
-        np.maximum.at(last, slot[on_grid].astype(np.intp), on_grid)
+        last[slot[ends].astype(np.intp)] = order[ends]
         latest = np.where(last >= 0, grid, 0)
         np.maximum.accumulate(latest, out=latest)
         row = last[latest]

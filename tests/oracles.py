@@ -14,13 +14,15 @@ formats one row at a time from numpy scalars.  ``overload_threshold`` is the
 MAD threshold of one host's utilization history, from ``statistics.median``
 on Python floats, where ``detection.overload_threshold`` takes every host's
 at once.  ``vm_record`` and ``ids_on`` read a state's VMs back by id, as the
-slot loop, which passes VM positions, never does.
+slot loop, which passes VM positions, never does.  ``cpu_temperature``,
+``mem_temperature`` (the checked spelling of the model's memory
+temperature) and ``predict`` are model functions that only tests call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from statistics import median
 
@@ -30,7 +32,8 @@ from dcsim import models
 from dcsim.core import BW, CPU, RAM, READ, WRITE, DataCenterState, VmState
 from dcsim.models import KWH_PER_WS
 from dcsim.policies import SoKind, SoSaModel, normalize_band, so_sa_combine
-from dcsim.workload import KB_PER_MB, TRACE_COLUMNS, TraceError, Workload
+from dcsim.workload import (KB_PER_MB, SLOT_SECONDS, TRACE_COLUMNS, TraceError,
+                            Workload)
 
 
 def vm_record(state: DataCenterState, i: int) -> VmState:
@@ -93,6 +96,30 @@ def scalar_operating_point(cpu_sum: float, ram_sum: float, disk_read: float,
             + pw.c_fan * fan ** 3
             + (p.disk.c_read * disk_read + p.disk.c_write * disk_write))
     return u_cpu, mode, t_mem, p_it
+
+
+def mem_temperature(t_inlet, u_mem,
+                    p: models.ThermalModelParams = models.ThermalModelParams()):
+    """Memory temperature (K) for an inlet temperature and memory load in
+    percent: ``models.mem_temperature_unchecked`` behind a check that the
+    load is positive."""
+    if np.any(u_mem <= 0.0):
+        raise ValueError(f"u_mem must be a percent in (0, 100], got {u_mem}")
+    return models.mem_temperature_unchecked(t_inlet, u_mem, p)
+
+
+def cpu_temperature(t_inlet: float, u_cpu: float,
+                    p: models.ThermalModelParams = models.ThermalModelParams()) -> float:
+    """CPU temperature (K) for an inlet temperature and utilization
+    fraction, the forward model that ``cooling.max_inlet_for_host``
+    inverts."""
+    return p.cpu_k1 * t_inlet + p.cpu_k2 * u_cpu
+
+
+def predict(model: SoSaModel, samples) -> np.ndarray:
+    """The composite value ``model`` gives each ``calibration.TrainingRecord``."""
+    return np.array([so_sa_combine(s.norm_so3, s.e_so3, s.norm_so6, s.e_so6, model)
+                     for s in samples])
 
 
 def mad(values) -> float:
@@ -334,39 +361,43 @@ def _is_number(s: str) -> bool:
         return False
 
 
-def _normalize_timestamps(samples: list[TraceSample], slot_seconds: int,
-                          name: str) -> list[TraceSample]:
-    ts = [s.timestamp for s in samples]
-    distinct = sorted(set(ts))
-    if len(distinct) >= 2 and min(b - a for a, b in zip(distinct, distinct[1:])) \
-            >= slot_seconds * 999:
-        ts = [t / 1000.0 for t in ts]  # milliseconds
-    base = ts[0]
-    out = []
-    for s, t in zip(samples, ts):
-        off = t - base
+def _in_seconds(samples: list[TraceSample]) -> tuple[list[TraceSample], float | None]:
+    """One file's rows with their timestamps in seconds, and the smallest
+    step between two of its distinct timestamps, in seconds (None when it
+    has one distinct timestamp).  A step of at least 999 default slots is
+    one of milliseconds."""
+    distinct = sorted({s.timestamp for s in samples})
+    if len(distinct) < 2:
+        return samples, None
+    step = min(b - a for a, b in zip(distinct, distinct[1:]))
+    if step < SLOT_SECONDS * 999:
+        return samples, step
+    return ([replace(s, timestamp=s.timestamp / 1000.0) for s in samples],
+            step / 1000.0)
+
+
+def _check_aligned(samples: list[TraceSample], slot_seconds: int, name: str) -> None:
+    base = samples[0].timestamp
+    for s in samples:
+        off = s.timestamp - base
         if abs(off / slot_seconds - round(off / slot_seconds)) > 1e-6:
-            raise TraceError(
-                f"{name}: timestamp {t} not aligned to the {slot_seconds} s grid")
-        out.append(TraceSample(timestamp=t, cpu_cores=s.cpu_cores,
-                               cpu_provisioned=s.cpu_provisioned, cpu_usage=s.cpu_usage,
-                               ram_provisioned=s.ram_provisioned, ram_used=s.ram_used,
-                               disk_read=s.disk_read, disk_write=s.disk_write,
-                               net_rx=s.net_rx, net_tx=s.net_tx))
-    return out
+            raise TraceError(f"{name}: timestamp {s.timestamp} not aligned "
+                             f"to the {slot_seconds} s grid")
 
 
-def load_traces_rowwise(directory, slot_seconds: int = 300,
-                        fill: str = "ffill") -> Workload:
+def load_traces_rowwise(directory, fill: str = "ffill") -> Workload:
     """Row-by-row reference for ``workload.load_traces``: one
     ``TraceSample`` per row, the slot grid filled one cell at a time.
 
     CPU demand is normalized against the server's full capacity at top
-    frequency: demand = usage% * provisioned MHz / host capacity MHz.
-    ``fill`` selects the gap policy: "ffill" forward-fills each VM onto the
-    union grid (leading gaps repeat the earliest sample, the first of them in
-    file order, which also gives the cores); "drop" restricts the grid to
-    slots covered by every VM.
+    frequency: demand = usage% * provisioned MHz / host capacity MHz.  The
+    grid is the smallest step between two distinct timestamps of one file
+    (``SLOT_SECONDS`` when no file has two), checked against every file
+    once all are read.  ``fill`` selects the gap policy: "ffill"
+    forward-fills each VM onto the union grid (leading gaps repeat the
+    earliest sample, the first of them in file order, which also gives the
+    cores); "drop" restricts the grid to slots covered by every VM, and the
+    window's first slot takes the latest sample at or before it.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -376,9 +407,16 @@ def load_traces_rowwise(directory, slot_seconds: int = 300,
     if not files:
         raise TraceError(f"no trace files in {directory}")
 
+    parsed = [(path, *_in_seconds(_parse_trace_rows(path))) for path in files]
+    step = min((step for _, _, step in parsed if step is not None),
+               default=SLOT_SECONDS)
+    if not float(step).is_integer():
+        raise TraceError(
+            f"smallest timestamp step {step} s is not a whole number of seconds")
+    slot_seconds = int(step)
     per_vm = {}
-    for path in files:
-        samples = _normalize_timestamps(_parse_trace_rows(path), slot_seconds, path.name)
+    for path, samples, _ in parsed:
+        _check_aligned(samples, slot_seconds, path.name)
         per_vm[path.stem] = samples
 
     # each file's earliest and latest timestamp
@@ -408,7 +446,12 @@ def load_traces_rowwise(directory, slot_seconds: int = 300,
         earliest = min(samples, key=lambda s: s.timestamp)
         cores[i] = max(1, earliest.cpu_cores)
         ram_prov[i] = max(s.ram_provisioned for s in samples)
-        by_slot = {int(round((s.timestamp - t0) / slot_seconds)): s for s in samples}
+        # in slot order, then file order: a slot keeps its last sample,
+        # and slot 0 the last one at or before it
+        by_slot = {}
+        for k, s in sorted(((int(round((s.timestamp - t0) / slot_seconds)), s)
+                            for s in samples), key=lambda pair: pair[0]):
+            by_slot[max(k, 0)] = s
         last = earliest
         for t in range(n_slots):
             s = by_slot.get(t, last)

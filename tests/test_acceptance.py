@@ -17,7 +17,7 @@ import pytest
 
 from dcsim import models
 from dcsim.annealer import SaConfig, sa_objective, sa_solve
-from dcsim.calibration import TrainingRecord, avg_error_pct, fit_sosa, predict
+from dcsim.calibration import TrainingRecord, avg_error_pct, fit_sosa
 from dcsim.cooling import (FixedCooling, VarInletCooling, cooling_setpoint,
                            max_inlet_for_host)
 from dcsim.core import DataCenterState, VmState
@@ -25,7 +25,7 @@ from dcsim.engine import SimConfig, run
 from dcsim.policies import PLAIN_KINDS, SoKind, SoSaModel, dynso_place, pareto_front
 from dcsim.report import slots_csv, summary_csv
 from dcsim.workload import synth_workload
-from oracles import CandidateView, so_value_from_view
+from oracles import CandidateView, cpu_temperature, predict, so_value_from_view
 
 
 def report(criterion, detail):
@@ -89,11 +89,11 @@ def test_criterion_3_worked_example_picks():
 
 
 def test_criterion_4_thermal_cap_consistency():
-    t_cpu = models.cpu_temperature(303.15, 1.0)
+    t_cpu = cpu_temperature(303.15, 1.0)
     assert t_cpu == pytest.approx(338.76, abs=0.01)
     inlet = max_inlet_for_host(1.0, 338.15)
     assert inlet == pytest.approx(302.57, abs=0.01)
-    assert models.cpu_temperature(inlet, 1.0) == pytest.approx(338.15, abs=1e-9)
+    assert cpu_temperature(inlet, 1.0) == pytest.approx(338.15, abs=1e-9)
     report(4, f"t_cpu={t_cpu:.4f} K, max inlet={inlet:.4f} K, inverse exact")
 
 

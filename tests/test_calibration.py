@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from dcsim.calibration import (CollinearFeaturesError, TrainingRecord,
-                               avg_error_pct, collect_training, fit_sosa,
-                               predict)
+                               avg_error_pct, collect_training, fit_sosa)
 from dcsim.policies import SoKind, SoSaModel
+from oracles import predict
 
 PAPER = SoSaModel()  # a3=0.1603, a6=0.7724, c=0.0102
 

@@ -168,7 +168,7 @@ def test_trace_grid_comes_from_the_timestamps(tmp_path, monkeypatch):
     assert still
     for a, b in still:
         assert (float(a[1]), float(a[2])) == (2 * float(b[1]), 2 * float(b[2]))
-    # a 300 s directory reads as on the library's default 300 s grid
+    # the library reads a directory on the grid the run uses
     manifest = json.loads((tmp_path / "runt300" / "manifest.json").read_text())
     assert manifest["workload_hash"] == \
         workload_fingerprint(load_traces(tmp_path / "t300"))

@@ -10,7 +10,8 @@ from dcsim.detection import MadConfig
 from dcsim.engine import MigrationEvent, SimConfig, migration_cost, run
 from dcsim.report import slots_csv, summary_csv
 from dcsim.workload import Workload, synth_workload
-from oracles import governor_frequency, ids_on, overload_threshold as scalar_threshold
+from oracles import (governor_frequency, ids_on, mem_temperature,
+                     overload_threshold as scalar_threshold)
 
 
 def constant_workload(demands, slots, rams=None, slot_seconds=300):
@@ -51,7 +52,7 @@ def test_steady_state_energy_matches_hand_integration():
     u = 0.75
     mode = governor_frequency(u)
     u_mem = max(1.0, 100.0 * (1024.0 + 2048.0) / models.RAM_CAPACITY)
-    t_mem = models.mem_temperature(291.0, u_mem)
+    t_mem = mem_temperature(291.0, u_mem)
     p_host = models.host_power_terms(mode.v_dd, mode.f_op, u, t_mem,
                                      models.FAN_SPEED)
     e_it_slot = p_host * 300.0 / 3.6e6
@@ -68,7 +69,7 @@ def test_slot_length_comes_from_the_workload():
     r600 = run(constant_workload(demands, 6, rams, slot_seconds=600), cfg)
     r300 = run(constant_workload(demands, 6, rams), cfg)
     mode = governor_frequency(0.75)
-    t_mem = models.mem_temperature(291.0, 100.0 * 3072.0 / models.RAM_CAPACITY)
+    t_mem = mem_temperature(291.0, 100.0 * 3072.0 / models.RAM_CAPACITY)
     p_host = models.host_power_terms(mode.v_dd, mode.f_op, 0.75, t_mem,
                                      models.FAN_SPEED)
     assert r600.totals.migrations == 0

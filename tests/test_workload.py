@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import dcsim
+from dcsim import cli
 from dcsim.report import workload_fingerprint
 from dcsim.workload import (TRACE_COLUMNS, TraceError, Workload,
                             _parse_trace_file, load_traces, save_traces,
@@ -86,15 +88,21 @@ def test_load_traces_header_and_comma_delimiter(tmp_path):
 
 
 def test_load_traces_misaligned_grid(tmp_path):
+    # b.csv sets a 300 s grid, on which vm.csv's 450 s does not sit
     (tmp_path / "vm.csv").write_text("0;1;2400;0;10;1024;512;0;0\n"
                                      "450;1;2400;0;10;1024;512;0;0\n")
+    (tmp_path / "b.csv").write_text("0;1;2400;0;10;1024;512;0;0\n"
+                                    "300;1;2400;0;10;1024;512;0;0\n")
     with pytest.raises(TraceError, match="not aligned"):
         load_traces(tmp_path)
 
 
 def test_load_traces_forward_fill(tmp_path):
+    # b.csv sets a 300 s grid, on which a.csv misses slot 1
     (tmp_path / "a.csv").write_text("0;1;2400;0;10;1024;512;1;1\n"
                                     "600;1;2400;0;30;1024;512;1;1\n")
+    (tmp_path / "b.csv").write_text("0;1;2400;0;10;1024;512;1;1\n"
+                                    "300;1;2400;0;10;1024;512;1;1\n")
     w = load_traces(tmp_path)
     assert w.slot_count == 3
     # slot 1 missing: repeats slot 0
@@ -198,13 +206,6 @@ def test_load_traces_rejects_unknown_fill(tmp_path):
         load_traces(tmp_path, fill="bogus")
 
 
-@pytest.mark.parametrize("slot_seconds", [0, -300, 0.0])
-def test_load_traces_rejects_non_positive_slot(tmp_path, slot_seconds):
-    (tmp_path / "a.csv").write_text("0;1;2400;0;10;1024;512;1;1\n")
-    with pytest.raises(ValueError, match="slot_seconds must be positive"):
-        load_traces(tmp_path, slot_seconds=slot_seconds)
-
-
 def _rows(*timestamps):
     return "".join(f"{t};1;2400;0;10;1024;512;1;1\n" for t in timestamps)
 
@@ -214,30 +215,40 @@ def test_load_traces_takes_the_grid_from_the_timestamps(tmp_path):
     save_traces(w, tmp_path / "t300")
     save_traces(replace(w, slot_seconds=600), tmp_path / "t600")
     short = load_traces(tmp_path / "t300")
-    long = load_traces(tmp_path / "t600", slot_seconds=None)
+    long = load_traces(tmp_path / "t600")
     assert (long.slot_seconds, long.slot_count) == (600, 48)
     assert workload_fingerprint(replace(long, slot_seconds=300)) == \
         workload_fingerprint(short)
-    again = load_traces(tmp_path / "t300", slot_seconds=None)
-    assert workload_fingerprint(again) == workload_fingerprint(short)
     # the smallest step of any one file, in milliseconds too
     (tmp_path / "ms").mkdir()
     (tmp_path / "ms" / "a.csv").write_text(_rows(0, 1_200_000))
     (tmp_path / "ms" / "b.csv").write_text(_rows(0, 600_000, 1_800_000))
-    w = load_traces(tmp_path / "ms", slot_seconds=None)
+    w = load_traces(tmp_path / "ms")
     assert (w.slot_seconds, w.slot_count) == (600, 4)
     # no file with two timestamps: the default grid
     (tmp_path / "one").mkdir()
     (tmp_path / "one" / "a.csv").write_text(_rows(0, 0))
     (tmp_path / "one" / "b.csv").write_text(_rows(600))
-    w = load_traces(tmp_path / "one", slot_seconds=None)
+    w = load_traces(tmp_path / "one")
     assert (w.slot_seconds, w.slot_count) == (300, 3)
 
 
-@pytest.mark.parametrize("slot_seconds", [300, None])
+def test_load_traces_has_one_grid_rule(tmp_path, monkeypatch):
+    # the library and `dcsim run` read a 600 s directory on one grid
+    monkeypatch.setenv("DCSIM_THREADS", "1")
+    w = synth_workload(vms=6, slots=48, variability=150.0, seed=2)
+    save_traces(replace(w, slot_seconds=600), tmp_path / "t600")
+    loaded = load_traces(tmp_path / "t600")
+    assert (loaded.slot_seconds, loaded.slot_count) == (600, 48)
+    assert cli.main(["run", "--policy", "pabfd", "--cooling", "fixed291",
+                     "--hosts", "3", "--traces", str(tmp_path / "t600"),
+                     "--out", str(tmp_path / "run")]) == 0
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["workload_hash"] == workload_fingerprint(loaded)
+
+
 @pytest.mark.parametrize("order", ["day five second", "reversed"])
-def test_load_traces_reads_a_week_in_any_row_order(tmp_path, order,
-                                                   slot_seconds):
+def test_load_traces_reads_a_week_in_any_row_order(tmp_path, order):
     # a week on a 300 s grid, its rows out of order: the first two are
     # 345 600 s apart, or the first is the last slot, but the file's
     # smallest step is 300 s and its rows span the week
@@ -251,19 +262,17 @@ def test_load_traces_reads_a_week_in_any_row_order(tmp_path, order,
     for name, times in (("ordered", rows), ("shuffled", week)):
         (tmp_path / name).mkdir()
         (tmp_path / name / "a.csv").write_text("".join(rows[t] for t in times))
-    w = load_traces(tmp_path / "shuffled", slot_seconds=slot_seconds)
+    w = load_traces(tmp_path / "shuffled")
     assert (w.slot_seconds, w.slot_count) == (300, 2016)
     assert workload_fingerprint(w) == \
         workload_fingerprint(load_traces(tmp_path / "ordered"))
 
 
-@pytest.mark.parametrize("slot_seconds", [300, None])
-def test_load_traces_reads_milliseconds_past_a_repeated_slot(tmp_path,
-                                                              slot_seconds):
+def test_load_traces_reads_milliseconds_past_a_repeated_slot(tmp_path):
     # the first two rows share a timestamp; the smallest step between two
     # distinct ones is 300 000, so the file is in milliseconds
     (tmp_path / "a.csv").write_text(_rows(0, 0, 300_000, 600_000))
-    w = load_traces(tmp_path, slot_seconds=slot_seconds)
+    w = load_traces(tmp_path)
     assert (w.slot_seconds, w.slot_count) == (300, 3)
 
 
@@ -277,7 +286,7 @@ def test_load_traces_rejects_a_grid_the_timestamps_do_not_fit(tmp_path,
     (tmp_path / "a.csv").write_text(_rows(*timestamps))
     (tmp_path / "b.csv").write_text(_rows(0, 1200))
     with pytest.raises(TraceError, match=message):
-        load_traces(tmp_path, slot_seconds=None)
+        load_traces(tmp_path)
 
 
 @pytest.mark.parametrize("token", ["nan", "-inf", "Infinity", "1e999"])
@@ -321,9 +330,27 @@ def test_load_traces_leading_gap_takes_the_earliest_row(tmp_path, order):
     (tmp_path / "a.csv").write_text("\n".join(rows) + "\n")
     (tmp_path / "b.csv").write_text("0;1;2400;0;10;1024;512;1;1\n"
                                     "900;1;2400;0;10;1024;512;1;1\n")
-    w = load_traces(tmp_path, slot_seconds=None)
+    w = load_traces(tmp_path)
     assert w.cpu[0].tolist() == [0.025, 0.025, 0.05, 0.1]
     assert w.cores.tolist() == [1, 1]
+
+
+@pytest.mark.parametrize("order", ["file", "shuffled"])
+def test_load_traces_drop_window_starts_from_the_latest_earlier_row(tmp_path,
+                                                                    order):
+    # the common window is 600-900 s; a.csv has no row at 600 s, so the
+    # window's first slot takes its row at 300 s, as a forward fill would
+    rows = ["0;1;2400;0;10;1024;512;1;1", "300;1;2400;0;20;1024;512;1;1",
+            "900;1;2400;0;30;1024;512;1;1"]
+    if order == "shuffled":
+        rows = [rows[2], rows[1], rows[0]]
+    (tmp_path / "a.csv").write_text("\n".join(rows) + "\n")
+    (tmp_path / "b.csv").write_text("600;1;2400;0;50;1024;512;1;1\n"
+                                    "900;1;2400;0;60;1024;512;1;1\n")
+    w = load_traces(tmp_path, fill="drop")
+    assert w.cpu[0].tolist() == [0.05, 0.075]
+    assert w.cpu[1].tolist() == [0.125, 0.15]
+    _assert_same_load(tmp_path, fill="drop")
 
 
 # -- differential test against the row-by-row reference loader --------------
@@ -407,7 +434,6 @@ def _random_trace_dir(rng, directory):
         base = slot * rng.randrange(0, 6) + rng.choice([0] * 5 + [slot // 3])
         bad = error if rng.random() < 0.5 else None
         (directory / name).write_text(_trace_file(rng, slot, base, bad))
-    return slot
 
 
 def _load_or_error(load, directory, **kwargs):
@@ -438,9 +464,9 @@ def test_load_traces_matches_rowwise_reference(tmp_path, chunk):
     for seed in range(chunk * 100, chunk * 100 + 100):
         rng = random.Random(seed)
         directory = tmp_path / f"d{seed}"
-        slot = _random_trace_dir(rng, directory)
+        _random_trace_dir(rng, directory)
         for fill in ("ffill", "drop"):
-            _assert_same_load(directory, slot_seconds=slot, fill=fill)
+            _assert_same_load(directory, fill=fill)
 
 
 def test_load_traces_matches_rowwise_reference_on_a_day(tmp_path):
@@ -550,7 +576,7 @@ def test_load_traces_matches_rowwise_reference_on_odd_fields(tmp_path, chunk):
             (directory / name).write_text(
                 _odd_trace_file(rng, slot, slot * rng.randrange(0, 4)))
         for fill in ("ffill", "drop"):
-            _assert_same_load(directory, slot_seconds=slot, fill=fill)
+            _assert_same_load(directory, fill=fill)
 
 
 def _line_parser_calls(monkeypatch):
