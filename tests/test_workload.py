@@ -247,11 +247,14 @@ def test_load_traces_has_one_grid_rule(tmp_path, monkeypatch):
     assert manifest["workload_hash"] == workload_fingerprint(loaded)
 
 
+@pytest.mark.parametrize("other_step", [300, None])
 @pytest.mark.parametrize("order", ["day five second", "reversed"])
-def test_load_traces_reads_a_week_in_any_row_order(tmp_path, order):
+def test_load_traces_reads_a_week_in_any_row_order(tmp_path, order,
+                                                   other_step):
     # a week on a 300 s grid, its rows out of order: the first two are
     # 345 600 s apart, or the first is the last slot, but the file's
-    # smallest step is 300 s and its rows span the week
+    # smallest step is 300 s and its rows span the week; a second file
+    # stepping 300 s, or none, leaves the grid as it is
     rows = {t * 300: f"{t * 300};2;4800;0;{t % 97};2097152;{t % 89};0;0\n"
             for t in range(2016)}
     week = list(rows)
@@ -262,16 +265,23 @@ def test_load_traces_reads_a_week_in_any_row_order(tmp_path, order):
     for name, times in (("ordered", rows), ("shuffled", week)):
         (tmp_path / name).mkdir()
         (tmp_path / name / "a.csv").write_text("".join(rows[t] for t in times))
+        if other_step is not None:
+            (tmp_path / name / "b.csv").write_text(_rows(0, other_step))
     w = load_traces(tmp_path / "shuffled")
     assert (w.slot_seconds, w.slot_count) == (300, 2016)
     assert workload_fingerprint(w) == \
         workload_fingerprint(load_traces(tmp_path / "ordered"))
 
 
-def test_load_traces_reads_milliseconds_past_a_repeated_slot(tmp_path):
+@pytest.mark.parametrize("other_step", [300, None])
+def test_load_traces_reads_milliseconds_past_a_repeated_slot(tmp_path,
+                                                              other_step):
     # the first two rows share a timestamp; the smallest step between two
-    # distinct ones is 300 000, so the file is in milliseconds
+    # distinct ones is 300 000, so the file is in milliseconds, and it
+    # shares the 300 s grid of a second file in seconds, if there is one
     (tmp_path / "a.csv").write_text(_rows(0, 0, 300_000, 600_000))
+    if other_step is not None:
+        (tmp_path / "b.csv").write_text(_rows(0, other_step))
     w = load_traces(tmp_path)
     assert (w.slot_seconds, w.slot_count) == (300, 3)
 
