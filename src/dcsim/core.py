@@ -5,7 +5,8 @@ Every host is the one server model whose constants ``models`` holds.
 and its host, per host the on-mask, the resource sums of its VMs and the
 utilization, DVFS mode and IT power derived from them.  The resources are
 one axis, in the order ``CPU, RAM, BW, READ, WRITE`` this module defines:
-``demand`` is (resources, VMs) and ``sums`` (resources, hosts).
+``demand`` is (resources, VMs) and ``sums`` (resources, hosts).  Demands
+enter on :func:`on_grid`, so a host's sums are exact in any order.
 :meth:`DataCenterState.move`, the one code that changes a VM's host, updates
 the sums VM by VM, :meth:`DataCenterState.set_demand` rebuilds every sum at
 once, and each re-costs the hosts it touched in one call of the array server
@@ -23,9 +24,6 @@ import numpy as np
 
 from . import models
 from .models import ModelParams
-
-# a host takes RAM and bandwidth up to its capacity plus this much float dust
-CAPACITY_SLACK = 1e-9
 
 
 @dataclass
@@ -72,12 +70,22 @@ CPU, RAM, BW, READ, WRITE = range(5)
 _ARRAYS = ("demand", "host", "on", "sums", "u_cpu", "mode", "p_it")
 
 
+def on_grid(rows) -> np.ndarray:
+    """Resource rows of VM demands rounded to nearest on the finest
+    power-of-two grid on which every sum of a row's entries is exact: step
+    2^(e - 52), where 2^e exceeds the row's largest |demand| times its
+    length, a bound that does not depend on their order.  Partial sums are
+    then multiples of the step below 2^(e + 1), which a double holds, so
+    ``+=``, ``-=`` and ``np.bincount`` give one sum in any order."""
+    rows = np.asarray(rows, dtype=float)
+    e = np.frexp(np.abs(rows).max(axis=-1, initial=0.0) * rows.shape[-1])[1][..., None]
+    return np.ldexp(np.rint(np.ldexp(rows, 52 - e)), e - 52)
+
+
 def within_capacity(sums):
     """Whether the RAM and bandwidth rows of host sums (resource axis first)
-    fit their hosts, as the pair (RAM fits, bandwidth fits): each load at
-    most its capacity plus ``CAPACITY_SLACK``, elementwise."""
-    return (sums[RAM] <= models.RAM_CAPACITY + CAPACITY_SLACK,
-            sums[BW] <= models.BW_CAPACITY + CAPACITY_SLACK)
+    fit their hosts, as the pair (RAM fits, bandwidth fits), elementwise."""
+    return sums[RAM] <= models.RAM_CAPACITY, sums[BW] <= models.BW_CAPACITY
 
 
 class DataCenterState:
@@ -114,10 +122,9 @@ class DataCenterState:
         state.index = {vid: i for i, vid in enumerate(state.vm_ids)}
         # inverting the positions sorted by id gives each position's rank
         state.rank = np.argsort(sorted(range(len(records)), key=state.vm_ids.__getitem__))
-        state.demand = np.array(
+        state.demand = on_grid(
             [[getattr(vm, field_) for vm in records] for field_ in
-             ("cpu_demand", "ram_used", "net_bw", "disk_read", "disk_write")],
-            dtype=float)
+             ("cpu_demand", "ram_used", "net_bw", "disk_read", "disk_write")])
         state.sums = np.zeros((5, n_hosts))
         state.host = np.full(len(records), -1, dtype=np.intp)
         state.on = np.zeros(n_hosts, dtype=bool)
@@ -173,12 +180,8 @@ class DataCenterState:
         self.refresh(np.arange(len(self.on)))
 
     def set_demand(self, cpu, ram, bw, disk_read, disk_write) -> None:
-        """Take new per-VM demands and rebuild every host's sums from them.
-
-        ``np.bincount`` adds each host's VMs in VM order, starting from 0.0:
-        the same additions as moving the VMs on one at a time.
-        """
-        self.demand = np.array([cpu, ram, bw, disk_read, disk_write], dtype=float)
+        """Take new per-VM demands and rebuild every host's sums from them."""
+        self.demand = on_grid([cpu, ram, bw, disk_read, disk_write])
         placed = self.host >= 0
         hosts = self.host[placed]
         # an empty input gives integer counts

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CPU, RAM, DataCenterState, within_capacity
-from .models import BW_CAPACITY, left_sum
+from .models import BW_CAPACITY
 
 
 @dataclass(frozen=True)
@@ -55,27 +55,18 @@ def select_vms_mmt(host: int, threshold: float,
     """Positions of the VMs to migrate off an overloaded host,
     minimum-migration-time first.
 
-    Repeatedly picks the VM with the shortest migration (smallest RAM over a
-    shared migration bandwidth, ties in VM id order) until the projected raw
-    utilization drops below the threshold.  Returns an empty list when the
-    host is not over the threshold.
-
-    The projection is the demand of the VMs that stay, added in VM order
-    from 0.0 as the host's sum is rebuilt, not the running sum minus the
-    picks: subtracting can round below the threshold while the sum of the
-    VMs that stay is still at it.
-    """
-    if state.sums.item(CPU, host) < threshold:
-        return []
+    Picks the VM with the shortest migration (smallest RAM over a shared
+    migration bandwidth, ties in VM id order) while the host's CPU sum less
+    the picks is at or above the threshold: none when it is below."""
+    left = state.sums.item(CPU, host)
     rank, ram, cpu = state.rank, state.demand[RAM], state.demand[CPU]
-    staying = state.positions_on(host)
     picked = []
-    for i in sorted(staying,
+    for i in sorted(state.positions_on(host),
                     key=lambda i: (ram.item(i) / MIGRATION_BW, rank.item(i))):
-        picked.append(i)
-        staying.remove(i)
-        if left_sum(cpu.item(j) for j in staying) < threshold:
+        if left < threshold:
             break
+        picked.append(i)
+        left -= cpu.item(i)
     return picked
 
 

@@ -292,7 +292,7 @@ def _account(cfg: SimConfig, state: DataCenterState, first: PassRecord,
     totals.e_boot += e_boot
     totals.power_on_events += power_on_events
     totals.migrations += len(migrations)
-    saturated = state.on & (state.sums[CPU] >= 1.0 - 1e-12)
+    saturated = state.on & (state.sums[CPU] >= 1.0)
     ledger.host_active += state.on
     ledger.host_saturated += saturated
     ledger.vm_req += state.demand[CPU] * slot_seconds

@@ -111,7 +111,7 @@ def host_operating_point(sums, t_inlet, p: ModelParams):
     ``sums`` is a numpy array with ``core``'s resource axis first and one
     element per server on the axes after it.  Returns ``(u_cpu, mode,
     t_mem, p_it)``, each of the shape of one resource row: utilization
-    clamped to [0, 1] (sums carry float dust), the index into ``FREQS_GHZ``
+    clamped to [0, 1] (a CPU sum may exceed 1), the index into ``FREQS_GHZ``
     of the governor's DVFS mode, the lowest frequency that covers u_cpu *
     f_max, memory temperature (K) and IT power including disk (W).
     """

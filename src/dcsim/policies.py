@@ -152,7 +152,7 @@ class _Fleet:
         """Candidate arrays of the VM at position ``i``, shape (rows,
         hosts); the VM's ``source`` host (-1: none) is never feasible."""
         demand = self.state.demand[:, i]
-        after = self.sums + demand[:, None, None]
+        after = [row + d for row, d in zip(self.sums, demand.tolist())]
         ram_fits, bw_fits = within_capacity(after)
         feasible = (after[CPU] < self.thr) & ram_fits & bw_fits
         if source >= 0:
@@ -366,7 +366,9 @@ def mo_place(kind: str, vm_list, host_list, state: DataCenterState,
             normalized = np.column_stack([normalize_band(raw[:, c])
                                           for c in range(7)])
             score = np.sqrt((normalized[front] ** 2).sum(axis=1))
-        return [int(np.flatnonzero(valid)[front[int(np.argmin(score))]])], [1.5]
+        # scores within rounding noise of the best tie; ties go to the lowest host id
+        best = front[int(np.argmax(score - score.min() <= 1e-9 * abs(score.min())))]
+        return [int(np.flatnonzero(valid)[best])], [1.5]
 
     return _bfd(1, vm_list, host_list, state, thresholds, source, pick)[1][0]
 

@@ -215,9 +215,12 @@ def load_traces(directory, fill: str = "ffill") -> Workload:
                    if p.is_file() and p.suffix.lower() in (".csv", ".txt"))
     if not files:
         raise TraceError(f"no trace files in {directory}")
+    stems = {}  # a VM's id is its file's stem
+    for path in files:
+        if stems.setdefault(path.stem, path.name) != path.name:
+            raise TraceError(f"{stems[path.stem]} and {path.name} both hold VM {path.stem!r}")
 
-    # the grid is known once every file is read: every file, even one whose
-    # stem a later file reuses, is checked against it then
+    # the grid is known once every file is read, and every file is checked then
     per_vm, timestamps, step = {}, [], math.inf
     for path in files:
         samples = _parse_trace_file(path)

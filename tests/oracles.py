@@ -406,6 +406,11 @@ def load_traces_rowwise(directory, fill: str = "ffill") -> Workload:
                    if p.is_file() and p.suffix.lower() in (".csv", ".txt"))
     if not files:
         raise TraceError(f"no trace files in {directory}")
+    # a VM's id is its file's stem, so two files with one stem fail
+    for path in files:
+        first = next(p for p in files if p.stem == path.stem)
+        if first != path:
+            raise TraceError(f"{first.name} and {path.name} both hold VM {path.stem!r}")
 
     parsed = [(path, *_in_seconds(_parse_trace_rows(path))) for path in files]
     step = min((step for _, _, step in parsed if step is not None),

@@ -1,9 +1,11 @@
 import ast
+import math
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dcsim import core, models
 from dcsim.cooling import VarInletCooling
@@ -145,9 +147,10 @@ def test_default_spec_invariants():
 
 
 def test_state_copy_is_equal_and_independent():
-    vms = {"a": VmState(id="a", cpu_demand=0.4, ram_used=1024.0,
+    # dyadic demands, which the state's grid keeps as they are
+    vms = {"a": VmState(id="a", cpu_demand=0.375, ram_used=1024.0,
                         disk_read=3.0, disk_write=4.0, net_bw=2.0),
-           "b": VmState(id="b", cpu_demand=0.2, ram_used=512.0)}
+           "b": VmState(id="b", cpu_demand=0.25, ram_used=512.0)}
     state = make_state(3, vms)
     state.move({state.index["a"]: 0})
     state.move({state.index["b"]: 2})
@@ -167,8 +170,8 @@ def test_state_copy_is_equal_and_independent():
                    disk_read=[0.0, 0.0], disk_write=[0.0, 0.0])
     assert ids_on(state, 0) == ["a"]
     assert state.host.tolist() == [0, 2]
-    assert state.demand[CPU].tolist() == [0.4, 0.2]
-    assert state.sums[CPU].tolist() == [0.4, 0.0, 0.2]
+    assert state.demand[CPU].tolist() == [0.375, 0.25]
+    assert state.sums[CPU].tolist() == [0.375, 0.0, 0.25]
 
 
 def test_positions_on_follows_every_move():
@@ -225,7 +228,7 @@ def random_demands(rng, n):
 @pytest.mark.parametrize("seed", range(20))
 def test_set_demand_equals_attaching_one_at_a_time(seed):
     # the engine's slot update sums each host's VMs with np.bincount; that
-    # must give the very floats that attaching the VMs in VM order gives
+    # must give the very floats that attaching the VMs one at a time gives
     rng = np.random.default_rng(seed)
     n_vms = int(rng.integers(1, 60))
     hosts = rng.integers(-1, 8, n_vms).tolist()
@@ -246,6 +249,37 @@ def test_set_demand_equals_attaching_one_at_a_time(seed):
     for name in _ARRAYS:
         assert getattr(updated, name).tolist() == \
             getattr(attached, name).tolist(), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 40).flatmap(lambda n: st.lists(
+           st.lists(st.floats(-1e6, 1e6, allow_subnormal=False), min_size=n, max_size=n),
+           min_size=1, max_size=5)),
+       st.randoms(use_true_random=False))
+@example(rows=[[0.0, 0.0, 0.0], [-0.4, 0.0, 0.7]], rnd=random.Random(0))
+@example(rows=[[], []], rnd=random.Random(0))
+def test_on_grid_sums_are_exact_in_any_order(rows, rnd):
+    # each row's step is 2^(e - 52) for the 2^e above its largest |value|
+    # times its length; every output is within half a step of its input,
+    # and every sum of a row's outputs, in any order and with terms taken
+    # off again, is the exact sum
+    out = core.on_grid(rows)
+    assert out.shape == np.shape(rows)
+    for row, grid in zip(rows, out.tolist()):
+        bound = max(map(abs, row), default=0.0) * len(row)
+        step = math.ldexp(1.0, math.frexp(bound)[1] - 52)
+        for x, g in zip(row, grid):
+            assert abs(g - x) <= step / 2
+            assert (g / step).is_integer()
+        exact = math.fsum(grid)
+        for _ in range(3):
+            rnd.shuffle(grid)
+            assert models.left_sum(grid) == exact
+        taken = rnd.sample(grid, rnd.randrange(len(grid) + 1))
+        left = models.left_sum(grid)
+        for g in taken:
+            left -= g
+        assert left == math.fsum(grid + [-g for g in taken])
 
 
 def random_state(rng, n_hosts, n_vms):

@@ -281,19 +281,22 @@ def test_fit_test_breaks_demand_ties_by_vm_id():
 
 
 def test_fit_test_takes_ram_up_to_the_placers_limit():
-    # moving "v" puts host 1's RAM sum just past its capacity, inside the
-    # float slack the placers and apply_placement allow: the drain check
-    # must find host 0 drainable exactly when a placer would move "v"
+    # moving "v" puts host 1's RAM sum exactly at its capacity, or one step
+    # of the state's RAM grid past it (2^-37 MB for these two VMs, whose
+    # demands stay as they are): the drain check must find host 0 drainable
+    # exactly when a placer would move "v", which is in the first case only
     cap = models.RAM_CAPACITY
-    state = build_attached(2, [
-        (VmState(id="v", cpu_demand=0.1, ram_used=1000.0), 0),
-        (VmState(id="fill", cpu_demand=0.5, ram_used=cap - 1000.0 + 5e-10), 1)])
-    assert cap < state.sums[RAM, 1] + 1000.0 <= cap + 1e-9
-    # "fill" does not fit under host 0's threshold, so host 1 stays
-    thresholds = np.array([0.55, 0.9])
-    v = state.index["v"]
-    plan = state.copy()
-    plan.move({v: -1})
-    placed = so_place(SoKind.SO1, [v], [1], plan, thresholds, {v: 0})
-    assert placed.placement == {v: 1}
-    assert find_underloaded(state, thresholds) == [0]
+    for excess, fits in ((0.0, True), (2.0 ** -37, False)):
+        state = build_attached(2, [
+            (VmState(id="v", cpu_demand=0.1, ram_used=1000.0), 0),
+            (VmState(id="fill", cpu_demand=0.5, ram_used=cap - 1000.0 + excess), 1)])
+        assert state.demand[RAM].tolist() == [1000.0, cap - 1000.0 + excess]
+        assert state.sums[RAM, 1] + 1000.0 == cap + excess
+        # "fill" does not fit under host 0's threshold, so host 1 stays
+        thresholds = np.array([0.55, 0.9])
+        v = state.index["v"]
+        plan = state.copy()
+        plan.move({v: -1})
+        placed = so_place(SoKind.SO1, [v], [1], plan, thresholds, {v: 0})
+        assert placed.placement == ({v: 1} if fits else {})
+        assert find_underloaded(state, thresholds) == ([0] if fits else [])

@@ -353,3 +353,67 @@ def test_drain_pass_hands_over_each_sources_vms_in_id_order(monkeypatch):
     det = engine.Detection(np.full(3, 0.9), [], [], {})
     engine._drain_pass(SimConfig(hosts=3), state, det, slot=0, slot_seconds=300)
     assert handed == [["b1", "b2", "a1", "a2"]]
+
+
+def _workload_part(w, vms, slots):
+    """The given VM positions of a workload, in that order, ids kept, over
+    its first ``slots`` slots."""
+    return Workload([w.vm_ids[i] for i in vms],
+                    *(getattr(w, name)[vms, :slots] for name in
+                      ("cpu", "ram", "disk_read", "disk_write", "net_bw")),
+                    w.cores[vms], w.ram_provisioned[vms], w.slot_seconds)
+
+
+def test_host_sums_do_not_depend_on_vm_order(monkeypatch):
+    # after every placement the engine applies on the first slots of the
+    # acceptance day, each host's sums equal a rebuild that adds its VMs'
+    # demands in a shuffled order, bit for bit
+    rng = np.random.default_rng(5)
+    checked = []
+
+    def apply_and_check(state, placement):
+        result = engine_apply(state, placement)
+        new = result.state
+        sums = np.zeros_like(new.sums)
+        for i in rng.permutation(len(new.host)).tolist():
+            if new.host[i] >= 0:
+                sums[:, new.host[i]] += new.demand[:, i]
+        assert sums.tobytes() == new.sums.tobytes()
+        checked.append(len(result.moved))
+        return result
+
+    engine_apply = engine.apply_placement
+    monkeypatch.setattr(engine, "apply_placement", apply_and_check)
+    day = synth_workload(vms=120, slots=288, variability=280.0, seed=1)
+    w = _workload_part(day, np.arange(day.vm_count), 48)
+    for policy in ("pabfd", "sosa", "dynso"):
+        run(w, SimConfig(hosts=50, policy=policy))
+    assert len(checked) > 100 and sum(checked) > 1000
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_vm_order_does_not_change_totals(seed):
+    # the same VMs in a permuted order, ids kept: every tie between VMs goes
+    # by id and every host sum is exact, so no total may move.  sa is left
+    # out: its chain draws VMs by their place in the batch
+    w = synth_workload(vms=60, slots=48, variability=280.0 * 48 / 288, seed=seed)
+    permuted = _workload_part(w, np.random.default_rng(0).permutation(w.vm_count),
+                              w.slot_count)
+    for policy in engine.POLICY_NAMES:
+        if policy == "sa":
+            continue
+        cfg = SimConfig(hosts=25, policy=policy)
+        assert run(permuted, cfg).totals == run(w, cfg).totals, policy
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_hosts_the_fleet_never_reaches_do_not_change_totals(seed):
+    # 40 VMs never need 60 hosts, so 140 more change nothing, under either
+    # cooling (swfdvp spreads VMs the most, and 60 hosts are enough for it)
+    w = synth_workload(vms=40, slots=48, variability=280.0 * 48 / 288, seed=seed)
+    for policy in ("pabfd", "so6", "sosa", "dynso", "mo2", "swfdvp"):
+        for cooling in (FixedCooling(291.0), VarInletCooling()):
+            small, large = (run(w, SimConfig(hosts=hosts, policy=policy,
+                                             cooling=cooling)).totals
+                            for hosts in (60, 200))
+            assert small == large, (policy, cooling)

@@ -97,6 +97,16 @@ def test_load_traces_misaligned_grid(tmp_path):
         load_traces(tmp_path)
 
 
+def test_load_traces_rejects_two_files_with_one_vm_id(tmp_path):
+    # a VM's id is its file's stem: a.csv and a.txt would both be VM "a"
+    (tmp_path / "a.csv").write_text("0;1;2400;0;10;1024;512;0;0\n")
+    (tmp_path / "a.txt").write_text("0;1;2400;0;90;1024;512;0;0\n")
+    (tmp_path / "b.csv").write_text("0;1;2400;0;50;1024;512;0;0\n")
+    for load in (load_traces, load_traces_rowwise):
+        with pytest.raises(TraceError, match=r"^a\.csv and a\.txt both hold VM 'a'$"):
+            load(tmp_path)
+
+
 def test_load_traces_forward_fill(tmp_path):
     # b.csv sets a 300 s grid, on which a.csv misses slot 1
     (tmp_path / "a.csv").write_text("0;1;2400;0;10;1024;512;1;1\n"
