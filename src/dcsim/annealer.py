@@ -106,7 +106,7 @@ def _start(state: DataCenterState, vm_ids: list[str], solution, scale: float):
     if (state.host[index] >= 0).any():
         raise ValueError("the annealer's VMs must be detached from their hosts")
     vms = list(zip(*state.demand[:, index].tolist()))
-    loads = list(zip(state.vm_counts().tolist(), *state.sums.tolist()))
+    loads = list(zip(state.count.tolist(), *state.sums.tolist()))
     for (cpu, ram, bw, read, write), h in zip(vms, solution):
         n, c, r, b, d, w = loads[h]
         loads[h] = (n + 1, c + cpu, r + ram, b + bw, d + read, w + write)

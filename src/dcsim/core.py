@@ -2,16 +2,17 @@
 
 Every host is the one server model whose constants ``models`` holds.
 :class:`DataCenterState` keeps the fleet as numpy arrays: per VM its demand
-and its host, per host the on-mask, the resource sums of its VMs and the
-utilization, DVFS mode and IT power derived from them.  The resources are
-one axis, in the order ``CPU, RAM, BW, READ, WRITE`` this module defines:
-``demand`` is (resources, VMs) and ``sums`` (resources, hosts).  Demands
-enter on :func:`on_grid`, so a host's sums are exact in any order.
+and its host, per host the number of its VMs, the resource sums of its VMs
+and the utilization, DVFS mode and IT power derived from them.  A host is on
+exactly while it holds a VM.  The resources are one axis, in the order
+``CPU, RAM, BW, READ, WRITE`` this module defines: ``demand`` is
+(resources, VMs) and ``sums`` (resources, hosts).  Demands enter on
+:func:`on_grid`, so a host's sums are exact in any order.
 :meth:`DataCenterState.move`, the one code that changes a VM's host, updates
-the sums VM by VM, :meth:`DataCenterState.set_demand` rebuilds every sum at
-once, and each re-costs the hosts it touched in one call of the array server
-model ``models.host_operating_point``.  Inside the slot loop a VM
-is its position in the per-VM arrays; its id serves only the workload, the
+the counts and sums VM by VM, :meth:`DataCenterState.set_demand` rebuilds
+every sum at once, and each re-costs the hosts it touched in one call of the
+array server model ``models.host_operating_point``.  Inside the slot loop a
+VM is its position in the per-VM arrays; its id serves only the workload, the
 report and the annealer, and, as ``rank``, every tie between VMs.
 :func:`within_capacity` is the one RAM and bandwidth fit rule.
 """
@@ -67,7 +68,7 @@ class SlotMetrics:
 # the resource axis of ``demand`` and ``sums``: CPU (a fraction of the
 # host), RAM (MB), bandwidth (MB/s), disk read and disk write (KB/s)
 CPU, RAM, BW, READ, WRITE = range(5)
-_ARRAYS = ("demand", "host", "on", "sums", "u_cpu", "mode", "p_it")
+_ARRAYS = ("demand", "host", "count", "sums", "u_cpu", "mode", "p_it")
 
 
 def on_grid(rows) -> np.ndarray:
@@ -94,13 +95,13 @@ class DataCenterState:
     Per VM, indexed by position (the order of ``vm_ids``): its ``demand``
     column (units as in :class:`VmState`), ``host``, the id of the VM's
     host or -1 while it has none, and ``rank``, the VM's place in string
-    order of the ids.  Per host, indexed by host id: ``on``, its ``sums``
-    column, the sums of its VMs' demands (the CPU sum may exceed 1), and
-    the figures derived from them: ``u_cpu`` (clamped to [0, 1]), ``mode``
-    (index into ``models.FREQS_GHZ``) and ``p_it`` (W, disk included, 0
-    when off).  ``demand`` and ``sums`` have the resource axis first.
-    Every host is the server model of ``models`` and shares the inlet
-    ``setpoint``.
+    order of the ids.  Per host, indexed by host id: ``count``, the number
+    of its VMs (``on`` while it is above 0), its ``sums`` column, the sums
+    of its VMs' demands (the CPU sum may exceed 1), and the figures derived
+    from them: ``u_cpu`` (clamped to [0, 1]), ``mode`` (index into
+    ``models.FREQS_GHZ``) and ``p_it`` (W, disk included, 0 when off).
+    ``demand`` and ``sums`` have the resource axis first.  Every host is
+    the server model of ``models`` and shares the inlet ``setpoint``.
     """
 
     params: ModelParams
@@ -127,7 +128,7 @@ class DataCenterState:
              ("cpu_demand", "ram_used", "net_bw", "disk_read", "disk_write")])
         state.sums = np.zeros((5, n_hosts))
         state.host = np.full(len(records), -1, dtype=np.intp)
-        state.on = np.zeros(n_hosts, dtype=bool)
+        state.count = np.zeros(n_hosts, dtype=np.intp)
         state.u_cpu = np.zeros(n_hosts)
         state.mode = np.zeros(n_hosts, dtype=np.intp)
         state.p_it = np.zeros(n_hosts)
@@ -153,20 +154,16 @@ class DataCenterState:
         positions = np.asarray(positions, dtype=np.intp)
         return positions[np.lexsort((self.rank[positions], -self.demand[CPU, positions]))]
 
-    def vm_counts(self) -> np.ndarray:
-        """Number of VMs on each host."""
-        return np.bincount(self.host[self.host >= 0], minlength=len(self.on))
-
     @property
-    def busy(self) -> np.ndarray:
-        """Powered on and running VMs."""
-        return self.on & (self.vm_counts() > 0)
+    def on(self) -> np.ndarray:
+        """Each host's power state: on exactly while it holds a VM."""
+        return self.count > 0
 
     def refresh(self, hosts) -> None:
         """Recompute the derived figures of the given hosts from their sums,
         in one call of the server model."""
         hosts = np.asarray(hosts, dtype=np.intp)
-        on = self.on[hosts]
+        on = self.count[hosts] > 0
         u_cpu, mode, _, p_it = models.host_operating_point(
             self.sums[:, hosts], self.setpoint, self.params)
         self.u_cpu[hosts] = np.where(on, u_cpu, 0.0)
@@ -177,7 +174,7 @@ class DataCenterState:
         if t_inlet_k == self.setpoint:
             return
         self.setpoint = t_inlet_k
-        self.refresh(np.arange(len(self.on)))
+        self.refresh(np.arange(len(self.count)))
 
     def set_demand(self, cpu, ram, bw, disk_read, disk_write) -> None:
         """Take new per-VM demands and rebuild every host's sums from them."""
@@ -185,16 +182,16 @@ class DataCenterState:
         placed = self.host >= 0
         hosts = self.host[placed]
         # an empty input gives integer counts
-        self.sums = np.array([np.bincount(hosts, row[placed], len(self.on))
+        self.sums = np.array([np.bincount(hosts, row[placed], len(self.count))
                               for row in self.demand], dtype=float)
-        self.refresh(np.arange(len(self.on)))
+        self.refresh(np.arange(len(self.count)))
 
     def move(self, placement: dict[int, int]) -> list[tuple[int, int, int]]:
         """Put each VM of a position -> host mapping (-1: no host) on its
-        host, in the mapping's order, powering each target on, then re-cost
-        every host it touched in one call.  The one place a VM changes host.
-        Returns the moves as (VM position, source or -1, target); a VM
-        already on its target is not moved."""
+        host, in the mapping's order, then re-cost every host it touched in
+        one call.  The one place a VM changes host, and so the one place a
+        host powers on or off.  Returns the moves as (VM position, source or
+        -1, target); a VM already on its target is not moved."""
         moves = []
         for i, target in placement.items():
             source = self.host.item(i)
@@ -203,9 +200,10 @@ class DataCenterState:
             demand = self.demand[:, i]
             if source >= 0:
                 self.sums[:, source] -= demand
+                self.count[source] -= 1
             if target >= 0:
                 self.sums[:, target] += demand
-                self.on[target] = True
+                self.count[target] += 1
             self.host[i] = target
             moves.append((i, source, target))
         touched = {h for _, source, target in moves for h in (source, target)} - {-1}
@@ -232,9 +230,10 @@ def apply_placement(state: DataCenterState, placement: dict[int, int]) -> ApplyR
     receive VMs: RAM and bandwidth are hard limits, CPU never is (a host past
     full CPU runs clamped at 1.0 and pays in SLA).  A host that only keeps
     or loses VMs is not checked, so a demand increase alone never makes a
-    placement (or the empty one) fail.  Hosts left without VMs power off;
-    cold targets power on and are counted as power-on events.  Re-applying
-    an already-applied placement is a no-op.
+    placement (or the empty one) fail.  A host is on while it holds a VM,
+    so hosts the moves empty are off; targets that held none before are
+    counted as power-on events.  Re-applying an already-applied placement
+    is a no-op.
     """
     new = state.copy()
     moves = new.move(placement)
@@ -246,10 +245,5 @@ def apply_placement(state: DataCenterState, placement: dict[int, int]) -> ApplyR
             raise CapacityError(host, "ram", sums.item(RAM), models.RAM_CAPACITY)
         if not bw_fits:
             raise CapacityError(host, "bandwidth", sums.item(BW), models.BW_CAPACITY)
-
-    idle = np.flatnonzero(new.on & (new.vm_counts() == 0))
-    if idle.size:
-        new.on[idle] = False
-        new.refresh(idle)
-    power_on = int(np.count_nonzero(~state.on[targets]))
+    power_on = int(np.count_nonzero(state.count[targets] == 0))
     return ApplyResult(state=new, power_on_events=power_on, moved=moves)

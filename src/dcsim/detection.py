@@ -93,7 +93,8 @@ def find_underloaded(state: DataCenterState, thresholds: np.ndarray,
                      exclude: set[int] | None = None,
                      cut: float | None = None,
                      limit: int | None = None) -> list[int]:
-    """Powered-on hosts whose whole VM set could be absorbed elsewhere.
+    """Powered-on hosts, the hosts with VMs, whose whole VM set could be
+    absorbed elsewhere.
 
     A host only qualifies if a greedy fit test places all of its VMs on other
     powered-on hosts, none of them in ``exclude``, without pushing any of
@@ -110,9 +111,9 @@ def find_underloaded(state: DataCenterState, thresholds: np.ndarray,
     """
     exclude = exclude or set()
     u = state.u_cpu
-    on = np.flatnonzero(state.on)
-    busy = state.busy
-    targets = None
+    targets = state.on  # a new mask: the hosts that may take a drained VM
+    on = np.flatnonzero(targets)
+    targets[list(exclude)] = False
     out = []
     for h in on[np.argsort(u[on], kind="stable")].tolist():
         if limit is not None and len(out) >= limit:
@@ -121,11 +122,8 @@ def find_underloaded(state: DataCenterState, thresholds: np.ndarray,
         # host after it is at or above the cut as well
         if cut is not None and u[h] >= cut:
             break
-        if h in exclude or not busy[h]:
+        if h in exclude:
             continue
-        if targets is None:
-            targets = state.on.copy()
-            targets[list(exclude)] = False
         if _fits_elsewhere(h, state, thresholds, targets):
             out.append(h)
     return out

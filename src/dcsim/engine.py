@@ -24,7 +24,7 @@ POLICY_NAMES = ("pabfd", "so1", "so2", "so3", "so4", "so5", "so6", "so7",
 _SO_BY_NAME = {"pabfd": SoKind.SO1, **{kind.value: kind for kind in SoKind}}
 
 # a host is a drain source only when its utilization sits below this
-# fraction of the busy fleet's mean; relative detection keeps the repeat
+# fraction of the powered fleet's mean; relative detection keeps the repeat
 # pass from folding a deliberately spread fleet onto itself
 UNDERLOAD_FRACTION = 0.65
 
@@ -128,9 +128,9 @@ def _overloaded(state: DataCenterState, thresholds: np.ndarray) -> list[int]:
 
 def _underload_cut(state: DataCenterState) -> float:
     """Utilization below which a host may be drained: ``UNDERLOAD_FRACTION``
-    of the mean over the busy hosts, or 0.0 when no host is busy."""
-    busy_u = state.u_cpu[state.busy].tolist()
-    return UNDERLOAD_FRACTION * (left_sum(busy_u) / len(busy_u)) if busy_u else 0.0
+    of the mean over the hosts that are on, or 0.0 when none is."""
+    on_u = state.u_cpu[state.on].tolist()
+    return UNDERLOAD_FRACTION * (left_sum(on_u) / len(on_u)) if on_u else 0.0
 
 
 def _drain_sources(cfg: SimConfig, state: DataCenterState,
@@ -150,12 +150,9 @@ def _drain_aware_evaluator(cfg: SimConfig, thresholds: np.ndarray):
     contract and reads the placed fleet it is given."""
 
     def evaluate(state: DataCenterState) -> float:
-        busy = state.busy
-        power = left_sum(state.p_it[busy].tolist())
-        if busy.any():
-            overloaded = set(_overloaded(state, thresholds))
-            drainable = _drain_sources(cfg, state, thresholds, overloaded)
-            power -= left_sum(state.p_it[drainable].tolist())
+        overloaded = set(_overloaded(state, thresholds))
+        drainable = _drain_sources(cfg, state, thresholds, overloaded)
+        power = state.total_it_power() - left_sum(state.p_it[drainable].tolist())
         return power * models.cooling_factor(state.setpoint, state.params.cooling)
 
     return evaluate
@@ -292,11 +289,12 @@ def _account(cfg: SimConfig, state: DataCenterState, first: PassRecord,
     totals.e_boot += e_boot
     totals.power_on_events += power_on_events
     totals.migrations += len(migrations)
-    saturated = state.on & (state.sums[CPU] >= 1.0)
-    ledger.host_active += state.on
+    on = state.on
+    saturated = on & (state.sums[CPU] >= 1.0)
+    ledger.host_active += on
     ledger.host_saturated += saturated
     ledger.vm_req += state.demand[CPU] * slot_seconds
-    active = int(np.count_nonzero(state.on))
+    active = int(np.count_nonzero(on))
     otf = int(np.count_nonzero(saturated)) / active if active else 0.0
     return SlotMetrics(
         slot=slot, e_it=e_it, e_cooling=e_cooling, e_boot=e_boot,
@@ -340,8 +338,11 @@ def run(workload: Workload, cfg: SimConfig) -> RunReport:
     otf_values = [sat / act for sat, act in zip(ledger.host_saturated.tolist(),
                                                 ledger.host_active.tolist()) if act > 0]
     otf = left_sum(otf_values) / len(otf_values) if otf_values else 0.0
-    pdm_values = [deg / req for deg, req in zip(ledger.vm_deg.tolist(),
-                                                ledger.vm_req.tolist()) if req > 0]
+    # added in VM id order, so the VMs' order in the workload cannot move it
+    by_id = np.argsort(state.rank)
+    pdm_values = [deg / req for deg, req in zip(ledger.vm_deg[by_id].tolist(),
+                                                ledger.vm_req[by_id].tolist())
+                  if req > 0]
     pdm = left_sum(pdm_values) / len(pdm_values) if pdm_values else 0.0
 
     totals = ledger.totals

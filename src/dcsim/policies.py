@@ -102,9 +102,9 @@ class _Fleet:
 
     Holds the host sums of the input state as ``sums``, of shape
     (resources, rows, hosts), so row ``k``, ``sums[:, k]``, has the state's
-    own layout, and the figures the server model derives from them
-    (``u_cpu``, ``mode`` and ``p_before``, the IT power of a host with VMs
-    and 0 W otherwise) as (rows, hosts) arrays, all indexed by host id, so
+    own layout, and the state's other per-host arrays as (rows, hosts)
+    arrays: ``count``, ``u_cpu``, ``mode`` and ``p_before``, the IT power
+    (0 W on a host without VMs, which is off), all indexed by host id, so
     one VM's candidates are costed for every row in one call of
     ``models.host_operating_point``, and each row's fleet-wide IT power
     total for global-energy predictions.  The arrays span every host of the
@@ -116,15 +116,12 @@ class _Fleet:
 
     def __init__(self, state: DataCenterState, rows: int, host_list,
                  thresholds: np.ndarray | None):
-        n = len(state.on)
+        n = len(state.count)
         self.state = state
-        # an empty host is costed like a cold one: the engine powers it off
-        busy = state.busy
-        p_before = np.where(busy, state.p_it, 0.0)
-
         self.sums = np.repeat(state.sums[:, None], rows, axis=1)
-        self.active, self.u_cpu, self.mode, self.p_before = (
-            np.tile(a, (rows, 1)) for a in (busy, state.u_cpu, state.mode, p_before))
+        self.count, self.u_cpu, self.mode, self.p_before = (
+            np.tile(a, (rows, 1)) for a in (state.count, state.u_cpu, state.mode,
+                                             state.p_it))
         if thresholds is None:
             thresholds = np.full(n, MadConfig().fallback_threshold)
         # a host outside host_list gets a -inf threshold, so no VM fits it
@@ -135,7 +132,7 @@ class _Fleet:
         self.t_inlet = state.setpoint
         self.cop = models.cop(self.t_inlet, self.params.cooling)
         self.cooling_factor = models.cooling_factor(self.t_inlet, self.params.cooling)
-        self.total_p = np.full(rows, models.left_sum(p_before.tolist()))
+        self.total_p = np.full(rows, state.total_it_power())
 
     def place(self, k: int, j: int, tab: dict) -> None:
         """Add the VM of ``tab``, its :meth:`table`, to host ``j`` of row
@@ -146,7 +143,7 @@ class _Fleet:
         self.p_before[k, j] = p_it
         self.u_cpu[k, j] = tab["u_after"][k, j]
         self.mode[k, j] = tab["mode"][k, j]
-        self.active[k, j] = True
+        self.count[k, j] += 1
 
     def table(self, i: int, source: int = -1) -> dict:
         """Candidate arrays of the VM at position ``i``, shape (rows,
@@ -175,17 +172,14 @@ class _Fleet:
         """Row ``k`` as the state its placement leads to: ``placement``, then
         every unplaced VM on its ``source`` host when it has one, which
         mirrors how the engine treats them (they stay put).  The view holds
-        row ``k``'s sums, so those VMs are added to the row.  It shares the
+        row ``k``'s arrays, so those VMs are added to the row.  It shares the
         input state's VM demands; read it only."""
         state = self.state
         host = state.host.copy()
         host[list(placement)] = list(placement.values())
-        busy = self.active[k]
-        view = state._with(
-            host=host, on=state.on | busy, sums=self.sums[:, k],
-            u_cpu=self.u_cpu[k], mode=self.mode[k],
-            # p_before is 0 W on a host without VMs; the state has its power
-            p_it=np.where(busy, self.p_before[k], state.p_it))
+        view = state._with(host=host, count=self.count[k], sums=self.sums[:, k],
+                           u_cpu=self.u_cpu[k], mode=self.mode[k],
+                           p_it=self.p_before[k])
         view.move({i: h for i, h in source.items() if i not in placement})
         return view
 
@@ -350,8 +344,9 @@ def mo_place(kind: str, vm_list, host_list, state: DataCenterState,
                                for so in PLAIN_KINDS))
         # a candidate has every objective valid
         valid = np.logical_and.reduce(masks)
-        if (valid & fleet.active[0]).any():
-            valid = valid & fleet.active[0]
+        warm = valid & (fleet.count[0] > 0)
+        if warm.any():
+            valid = warm
             if prefer_utilization is not None:
                 keep = valid & (fleet.sums[CPU, 0] >= prefer_utilization)
                 if keep.any():
@@ -390,9 +385,9 @@ class DynSoResult(PlacementResult):
 
 
 def evaluate_global_power(state: DataCenterState) -> float:
-    """IT + cooling power (W) of a placed fleet; a host without VMs does not
-    count, since the engine powers it off."""
-    return (models.left_sum(state.p_it[state.busy].tolist())
+    """IT + cooling power (W) of a placed fleet; a host without VMs is off
+    and draws nothing."""
+    return (state.total_it_power()
             * models.cooling_factor(state.setpoint, state.params.cooling))
 
 

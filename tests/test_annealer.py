@@ -104,7 +104,7 @@ def test_host_power_equals_the_state_to_the_last_bit():
             placed.move({placed.index[vid]: host})
         costs = _start(state, chain, solution, 1e6)[3]
         assert [c[0] for c in costs] == placed.p_it.tolist()
-        used = placed.vm_counts() > 0
+        used = placed.on
         cases = {"cpu > 1": placed.sums[CPU, used] > 1.0,
                  "no ram": placed.sums[RAM, used] == 0.0,
                  "ram > capacity": placed.sums[RAM] > models.RAM_CAPACITY}

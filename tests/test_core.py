@@ -413,3 +413,38 @@ def test_the_resource_order_is_written_once():
     assert len(orders) == 5 and len(set(orders)) == 1, orders
     assert orders[0][0] == "core.py"
     assert (core.CPU, core.RAM, core.BW, core.READ, core.WRITE) == tuple(range(5))
+
+
+def test_a_host_is_on_exactly_while_it_holds_a_vm():
+    # the state's VM count is the one record of a host's power state: no
+    # module keeps the old readers of a separate on-mask, ``on`` is derived
+    # from the count, and only build and move write the count (the placement
+    # walk's _Fleet keeps its own rows of it)
+    names, writers = [], set()
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            name = next((getattr(node, field) for field in ("id", "attr", "arg", "name")
+                         if isinstance(getattr(node, field, None), str)),
+                        node.value if isinstance(node, ast.Constant) else None)
+            if name in ("busy", "vm_counts") or (
+                    isinstance(node, ast.Attribute) and node.attr == "active"):
+                names.append(f"{path.name}:{node.lineno}: {name}")
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    target = node.value if isinstance(node, ast.Subscript) else node
+                    if (isinstance(getattr(node, "ctx", None), ast.Store)
+                            and isinstance(target, ast.Attribute)
+                            and target.attr == "count"):
+                        writers.add((path.name, func.name))
+    assert names == []
+    assert writers == {("core.py", "build"), ("core.py", "move"),
+                       ("policies.py", "__init__"), ("policies.py", "place")}
+    assert isinstance(DataCenterState.on, property)
+    state = make_state(3, {v: VmState(id=v, cpu_demand=0.1) for v in ("a", "b")})
+    state.move({0: 1, 1: 1})
+    assert state.count.tolist() == [0, 2, 0] and state.on.tolist() == [False, True, False]
+    state.move({0: 2, 1: -1})
+    assert state.count.tolist() == [0, 0, 1] and state.on.tolist() == [False, False, True]
+    assert state.p_it[:2].tolist() == [0.0, 0.0] and state.p_it[2] > 0.0

@@ -1,9 +1,11 @@
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dcsim import engine, models, policies
+from dcsim.annealer import SaConfig
 from dcsim.cooling import FixedCooling, VarInletCooling
 from dcsim.core import DataCenterState, VmState
 from dcsim.detection import MadConfig
@@ -403,7 +405,52 @@ def test_vm_order_does_not_change_totals(seed):
         if policy == "sa":
             continue
         cfg = SimConfig(hosts=25, policy=policy)
-        assert run(permuted, cfg).totals == run(w, cfg).totals, policy
+        got, want = run(permuted, cfg), run(w, cfg)
+        assert (got.totals, got.avg_sla) == (want.totals, want.avg_sla), policy
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_renaming_vms_in_their_order_does_not_change_totals(seed):
+    # new ids that sort as the old ones did, in the same positions: an id
+    # serves only the ties between VMs, by its order, so no total may move,
+    # sa's included
+    w = synth_workload(vms=60, slots=48, variability=280.0 * 48 / 288, seed=seed)
+    renamed = replace(w, vm_ids=[f"host-{vid.removeprefix('vm')}x" for vid in w.vm_ids])
+    assert np.argsort(renamed.vm_ids).tolist() == np.argsort(w.vm_ids).tolist()
+    assert not set(renamed.vm_ids) & set(w.vm_ids)
+    for policy in engine.POLICY_NAMES:
+        cfg = SimConfig(hosts=25, policy=policy, sa=SaConfig(iterations=2000))
+        got, want = run(renamed, cfg), run(w, cfg)
+        assert (got.totals, got.avg_sla) == (want.totals, want.avg_sla), policy
+
+
+def test_dynso_looks_ahead_to_the_drains_the_engine_makes(monkeypatch):
+    # host 0 is past its 0.5 threshold, and the RAM of b and c leaves only
+    # the cold host 3 for its VM a.  Host 0 is then off, so it cannot take
+    # b: the drain-aware evaluator must predict the drain pass's sources
+    # (none), not a drain of host 1 onto the host the slot emptied
+    vms = {"a": VmState("a", cpu_demand=0.60, ram_used=7000.0),
+           "b": VmState("b", cpu_demand=0.10, ram_used=10000.0),
+           "c": VmState("c", cpu_demand=0.50, ram_used=10000.0)}
+    state = DataCenterState.build(4, vms)
+    state.move({0: 0, 1: 1, 2: 2})
+    det = engine.Detection(np.array([0.5, 0.9, 0.9, 0.9]), [0], [0], {0: 0})
+    cfg = SimConfig(hosts=4, policy="dynso")
+    seen = []
+    drain_sources = engine._drain_sources
+
+    def record(cfg, state, thresholds, overloaded):
+        sources = drain_sources(cfg, state, thresholds, overloaded)
+        seen.append((state.host.tolist(), sources))
+        return sources
+
+    monkeypatch.setattr(engine, "_drain_sources", record)
+    placed, first = engine._first_pass(cfg, state, det, 0, 300)
+    assert first.result.placement == {0: 3}
+    predicted = [sources for host, sources in seen if host == placed.host.tolist()]
+    seen.clear()
+    engine._drain_pass(cfg, placed, det, 0, 300)
+    assert predicted == [[]] and seen == [(placed.host.tolist(), [])]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -649,6 +649,7 @@ def random_fleet(seed):
                                   setpoint=float(rng.choice([291.0, 297.0])))
     for i in range(9):
         state.move({state.index[f"bg{i}"]: int(rng.integers(0, 5))})
+    # host 7 held a VM and is off again
     state.move({state.index["bg9"]: 7})
     state.move({state.index["bg9"]: -1})
     return state, rng
@@ -671,13 +672,12 @@ def test_fleet_place_equals_attach_and_refresh(seed):
         assert tab["p_after"][0, hid] == state.p_it[hid]
         total += state.p_it[hid] - old
         assert fleet.total_p[0] == total
-        busy = state.busy
-        assert fleet.p_before[0].tolist() == np.where(busy, state.p_it,
+        assert fleet.p_before[0].tolist() == np.where(state.on, state.p_it,
                                                       0.0).tolist()
         assert fleet.sums[:, 0].tolist() == state.sums.tolist()
         for mine, theirs in ((fleet.u_cpu, state.u_cpu),
                              (fleet.mode, state.mode),
-                             (fleet.active, busy)):
+                             (fleet.count, state.count)):
             assert mine[0].tolist() == theirs.tolist()
 
 
