@@ -32,8 +32,9 @@ class SaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError("k must be positive")
+        # comparisons reject NaN, which would accept every move
+        if not 0.0 < self.k < float("inf"):
+            raise ValueError("k must be a finite number > 0")
 
 
 @dataclass

@@ -4,6 +4,7 @@ to fold them into a simulation config.  CLI flags always win over file values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -46,33 +47,42 @@ def cooling_from_name(name: str):
     raise ConfigError(f"unknown cooling strategy {name!r}")
 
 
-# config key -> (parser of its value, dotted path of the SimConfig field)
+def _finite(value) -> float:
+    """A float that is neither NaN nor infinite."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{number} is not a finite number")
+    return number
+
+
+# config key -> (parser of its value, dotted path of the SimConfig field);
+# only sa.timecap may be infinite: inf means no cap
 _KEYS = {
-    "models.c_dyn": (float, "models.power.c_dyn"),
-    "models.c_mem": (float, "models.power.c_mem"),
-    "models.c_fan": (float, "models.power.c_fan"),
-    "models.mem_k1": (float, "models.thermal.mem_k1"),
-    "models.mem_k2": (float, "models.thermal.mem_k2"),
-    "models.cpu_k1": (float, "models.thermal.cpu_k1"),
-    "models.cpu_k2": (float, "models.thermal.cpu_k2"),
-    "models.cop_a": (float, "models.cooling.cop_a"),
-    "models.cop_b": (float, "models.cooling.cop_b"),
-    "models.cop_c": (float, "models.cooling.cop_c"),
-    "models.c_read": (float, "models.disk.c_read"),
-    "models.c_write": (float, "models.disk.c_write"),
+    "models.c_dyn": (_finite, "models.power.c_dyn"),
+    "models.c_mem": (_finite, "models.power.c_mem"),
+    "models.c_fan": (_finite, "models.power.c_fan"),
+    "models.mem_k1": (_finite, "models.thermal.mem_k1"),
+    "models.mem_k2": (_finite, "models.thermal.mem_k2"),
+    "models.cpu_k1": (_finite, "models.thermal.cpu_k1"),
+    "models.cpu_k2": (_finite, "models.thermal.cpu_k2"),
+    "models.cop_a": (_finite, "models.cooling.cop_a"),
+    "models.cop_b": (_finite, "models.cooling.cop_b"),
+    "models.cop_c": (_finite, "models.cooling.cop_c"),
+    "models.c_read": (_finite, "models.disk.c_read"),
+    "models.c_write": (_finite, "models.disk.c_write"),
     "run.hosts": (int, "hosts"),
     "run.policy": (str, "policy"),
     "run.cooling": (cooling_from_name, "cooling"),
-    "detection.safety": (float, "mad.safety"),
+    "detection.safety": (_finite, "mad.safety"),
     "detection.history_window": (int, "mad.history_window"),
-    "detection.fallback_threshold": (float, "mad.fallback_threshold"),
+    "detection.fallback_threshold": (_finite, "mad.fallback_threshold"),
     "sa.iterations": (int, "sa.iterations"),
-    "sa.k": (float, "sa.k"),
+    "sa.k": (_finite, "sa.k"),
     "sa.seed": (int, "sa.seed"),
     "sa.timecap": (float, "sa.wall_time_cap"),
-    "sosa.a3": (float, "sosa.a3"),
-    "sosa.a6": (float, "sosa.a6"),
-    "sosa.c": (float, "sosa.c"),
+    "sosa.a3": (_finite, "sosa.a3"),
+    "sosa.a6": (_finite, "sosa.a6"),
+    "sosa.c": (_finite, "sosa.c"),
 }
 
 

@@ -232,12 +232,13 @@ def apply_placement(state: DataCenterState, placement: dict[int, int]) -> ApplyR
     or loses VMs is not checked, so a demand increase alone never makes a
     placement (or the empty one) fail.  A host is on while it holds a VM,
     so hosts the moves empty are off; targets that held none before are
-    counted as power-on events.  Re-applying an already-applied placement
-    is a no-op.
+    counted as power-on events.  A -1 target is no host: it is neither
+    checked nor powered on.  Re-applying an already-applied placement is a
+    no-op.
     """
     new = state.copy()
     moves = new.move(placement)
-    targets = sorted({target for _, _, target in moves})
+    targets = sorted({target for _, _, target in moves} - {-1})
     for host in targets:
         sums = new.sums[:, host]
         ram_fits, bw_fits = within_capacity(sums)

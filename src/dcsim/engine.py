@@ -10,8 +10,8 @@ import numpy as np
 
 from . import annealer, models, policies
 from .cooling import CoolingStrategy, FixedCooling, cooling_setpoint
-from .core import (CPU, RAM, CapacityError, DataCenterState, SlotMetrics,
-                   VmState, apply_placement)
+from .core import (CPU, RAM, ApplyResult, CapacityError, DataCenterState,
+                   SlotMetrics, VmState, apply_placement)
 from .detection import MIGRATION_BW, MadConfig, find_underloaded, \
     overload_threshold, select_vms_mmt
 from .models import KWH_PER_WS, ModelParams, left_sum
@@ -55,19 +55,6 @@ class SimConfig:
 
 
 @dataclass
-class MigrationEvent:
-    vm: int          # position in the state's per-VM arrays
-    target: int
-    duration: float  # s, capped at the slot length
-    cpu_demand: float
-    # the VM's performance degradation: 10 % of its demand over the migration
-    degradation: float = field(init=False)
-
-    def __post_init__(self):
-        self.degradation = 0.1 * self.cpu_demand * self.duration
-
-
-@dataclass
 class RunTotals:
     e_it: float = 0.0
     e_cooling: float = 0.0
@@ -100,15 +87,6 @@ class Detection:
     overloaded: list[int]
     to_move: list[int]
     source: dict[int, int]
-
-
-@dataclass
-class PassRecord:
-    """A placement pass: the placer's result (None when it was not called),
-    and the power-on events and migrations of what was applied."""
-    result: policies.PlacementResult | None = None
-    power_on_events: int = 0
-    migrations: list[MigrationEvent] = field(default_factory=list)
 
 
 @dataclass
@@ -197,24 +175,16 @@ def _place(cfg: SimConfig, state: DataCenterState, vms: list[int],
     raise ValueError(f"unknown policy {name!r}")
 
 
-def _apply(cfg: SimConfig, state: DataCenterState, placement: dict[int, int],
-           record: PassRecord, slot_seconds: int) -> tuple[DataCenterState, PassRecord]:
-    """The state after a placement; ``record`` takes its power-on count and
-    migrations (a VM placed for the first time does not migrate).  A
-    placement that breaks a capacity (an annealer edge case) is not applied."""
-    try:
-        applied = apply_placement(state, placement)
-    except CapacityError:
-        return state, record
-    new = applied.state
-    for i, src, dst in applied.moved:
-        if src < 0:
-            continue
-        duration = min(new.demand.item(RAM, i) / MIGRATION_BW, slot_seconds)
-        record.migrations.append(MigrationEvent(i, dst, duration,
-                                                new.demand.item(CPU, i)))
-    record.power_on_events = applied.power_on_events
-    return new, record
+def _apply(state: DataCenterState, placement: dict[int, int]) -> ApplyResult:
+    """What applying a placement did: the new state, its power-on events and
+    its moves.  An empty placement, or one that breaks a capacity (an
+    annealer edge case), is not applied: the result holds ``state`` itself."""
+    if placement:
+        try:
+            return apply_placement(state, placement)
+        except CapacityError:
+            pass
+    return ApplyResult(state, 0, [])
 
 
 def _detect(cfg: SimConfig, state: DataCenterState, history: np.ndarray,
@@ -234,52 +204,54 @@ def _detect(cfg: SimConfig, state: DataCenterState, history: np.ndarray,
     return Detection(thresholds, overloaded, unplaced + list(source), source)
 
 
-def _first_pass(cfg: SimConfig, state: DataCenterState, det: Detection,
-                slot: int, slot_seconds: int) -> tuple[DataCenterState, PassRecord]:
-    """Place the detected VMs on any host.  A VM never goes back to its
-    source, and one that finds no host stays."""
+def _first_pass(cfg: SimConfig, state: DataCenterState, det: Detection, slot: int,
+                slot_seconds: int) -> tuple[policies.PlacementResult | None, ApplyResult]:
+    """Place the detected VMs on any host: the placer's result (None when
+    there was nothing to place) and what applying it did.  A VM never goes
+    back to its source, and one that finds no host stays."""
     if not det.to_move:
-        return state, PassRecord()
+        return None, _apply(state, {})
     result = _place(cfg, state, det.to_move, list(range(cfg.hosts)),
                     det.thresholds, det.source, slot, slot_seconds)
-    return _apply(cfg, state, result.placement, PassRecord(result), slot_seconds)
+    return result, _apply(state, result.placement)
 
 
 def _drain_pass(cfg: SimConfig, state: DataCenterState, det: Detection,
-                slot: int, slot_seconds: int) -> tuple[DataCenterState, PassRecord]:
+                slot: int, slot_seconds: int) -> ApplyResult:
     """Underload repeat pass: one combined placement for the VMs of every
     drain source, with the sources excluded as targets (a host slated for
     power-off cannot receive).  Only hosts whose entire VM set found a new
-    home are drained and powered off.  Each source's VMs go in VM id order."""
+    home are drained and powered off.  Each source's VMs go in VM id order.
+    Returns what applying the drains did."""
     sources = _drain_sources(cfg, state, det.thresholds, set(det.overloaded))
     hosted = {hid: sorted(state.positions_on(hid), key=state.rank.item)
               for hid in sources}
     source = {i: hid for hid in sources for i in hosted[hid]}
     candidates = [h for h in np.flatnonzero(state.on).tolist() if h not in hosted]
     if not (candidates and source):
-        return state, PassRecord()
+        return _apply(state, {})
     result = _place(cfg, state, list(source), candidates, det.thresholds, source,
                     slot, slot_seconds)
     placed: dict[int, list[int]] = {}
     for i in result.placement:
         placed.setdefault(source[i], []).append(i)
     drained = [hid for hid, vms in placed.items() if len(vms) == len(hosted[hid])]
-    moves = {i: result.placement[i] for hid in drained for i in placed[hid]}
-    record = PassRecord(result)
-    return _apply(cfg, state, moves, record, slot_seconds) if moves else (state, record)
+    return _apply(state, {i: result.placement[i] for hid in drained for i in placed[hid]})
 
 
-def _account(cfg: SimConfig, state: DataCenterState, first: PassRecord,
-             drain: PassRecord, slot: int, slot_seconds: int,
-             ledger: _Ledger) -> SlotMetrics:
-    """Set the slot's cooling setpoint, then charge its energy and SLA terms."""
+def _account(cfg: SimConfig, first: ApplyResult, drain: ApplyResult, slot: int,
+             slot_seconds: int, ledger: _Ledger) -> SlotMetrics:
+    """Set the cooling setpoint of the state the drain pass left, then charge
+    the slot's energy and SLA terms.  The slot's migrations are the moves of
+    the first pass, then of the drain pass, of VMs that had a host (a VM
+    placed for the first time does not migrate)."""
+    state = drain.state
     sp = cooling_setpoint(state, cfg.cooling)
     state.set_setpoint(sp)
-    migrations = first.migrations + drain.migrations
+    migrations = [(i, target) for i, source, target in first.moved + drain.moved
+                  if source >= 0]
     power_on_events = first.power_on_events + drain.power_on_events
-    mig_energy, slot_pdm = migration_cost(migrations, state, slot_seconds)
-    for ev in migrations:
-        ledger.vm_deg[ev.vm] += ev.degradation
+    mig_energy, slot_pdm = migration_cost(migrations, state, slot_seconds, ledger.vm_deg)
     e_it = state.total_it_power() * slot_seconds * KWH_PER_WS + mig_energy
     e_cooling = e_it / models.cop(sp, state.params.cooling)
     e_boot = power_on_events * models.E_BOOT
@@ -328,12 +300,13 @@ def run(workload: Workload, cfg: SimConfig) -> RunReport:
         state.set_demand(workload.cpu[:, t], workload.ram[:, t], workload.net_bw[:, t],
                          workload.disk_read[:, t], workload.disk_write[:, t])
         det = _detect(cfg, state, history, filled)
-        state, first = _first_pass(cfg, state, det, t, slot_seconds)
+        result, first = _first_pass(cfg, state, det, t, slot_seconds)
         # a slot that placed nothing logs 1.5, a constant row's band value
-        norms = first.result.chosen_norm_values if first.result else {}
+        norms = result.chosen_norm_values if result else {}
         calib_values.append(left_sum(norms.values()) / len(norms) if norms else 1.5)
-        state, drain = _drain_pass(cfg, state, det, t, slot_seconds)
-        slots.append(_account(cfg, state, first, drain, t, slot_seconds, ledger))
+        drain = _drain_pass(cfg, first.state, det, t, slot_seconds)
+        state = drain.state
+        slots.append(_account(cfg, first, drain, t, slot_seconds, ledger))
 
     otf_values = [sat / act for sat, act in zip(ledger.host_saturated.tolist(),
                                                 ledger.host_active.tolist()) if act > 0]
@@ -352,26 +325,31 @@ def run(workload: Workload, cfg: SimConfig) -> RunReport:
         calib_values=calib_values)
 
 
-def migration_cost(events: list[MigrationEvent], state: DataCenterState,
-                   slot_seconds: float) -> tuple[float, float]:
-    """Energy overhead (kWh) and slot-level degradation of a migration batch.
+def migration_cost(migrations: list[tuple[int, int]], state: DataCenterState,
+                   slot_seconds: float, vm_deg: np.ndarray) -> tuple[float, float]:
+    """Energy overhead (kWh) and slot-level degradation of a slot's
+    migrations, each a (VM position, target host) pair read on ``state``.
 
-    During a migration the VM effectively runs on both sides, so its dynamic
-    power at the target's operating point is charged once more for the
-    migration duration.  Degradation accrues 10 % of the VM's demand over the
-    migration, normalized by the total demand requested this slot.
+    A migration lasts ``min(RAM / MIGRATION_BW, slot_seconds)``.  During it
+    the VM runs on both sides, so its dynamic power at the target's
+    operating point is charged once more.  It degrades the VM by 10 % of its
+    demand over the migration, which is added to ``vm_deg`` at the VM's
+    position; the slot's degradation is normalized by the total demand
+    requested this slot.
     """
     p = state.params
     extra_ws = 0.0
     deg = 0.0
-    for ev in events:
-        mode = state.mode.item(ev.target)
+    for i, target in migrations:
+        cpu = state.demand.item(CPU, i)
+        duration = min(state.demand.item(RAM, i) / MIGRATION_BW, slot_seconds)
+        mode = state.mode.item(target)
         p_dyn = models.dynamic_power(models.VOLTS.item(mode),
-                                     models.FREQS_GHZ.item(mode), ev.cpu_demand,
-                                     p.power)
-        extra_ws += p_dyn * ev.duration
-        deg += ev.degradation
+                                     models.FREQS_GHZ.item(mode), cpu, p.power)
+        extra_ws += p_dyn * duration
+        degradation = 0.1 * cpu * duration
+        vm_deg[i] += degradation
+        deg += degradation
     requested = left_sum(state.demand[CPU].tolist()) * slot_seconds
     pdm = deg / requested if requested > 0 else 0.0
     return extra_ws * KWH_PER_WS, pdm
-

@@ -310,7 +310,8 @@ def test_fixed_cooling_with_a_non_numeric_setpoint_fails_at_parse_time(name):
     ("detection.history_window", "3.5"), ("detection.safety", "2,5"),
     ("models.c_mem", "high"), ("sa.k", "0"), ("run.hosts", "0"),
     ("detection.safety", "nan"), ("detection.fallback_threshold", "nan"),
-    ("detection.fallback_threshold", "0")])
+    ("detection.fallback_threshold", "0"), ("sa.k", "nan"),
+    ("sosa.a3", "inf"), ("models.c_dyn", "nan")])
 def test_config_malformed_value_names_its_key(key, value):
     from dcsim.config import ConfigError, apply_config
     from dcsim.engine import SimConfig
@@ -368,10 +369,13 @@ def test_zero_hosts_flag_exits_2(tmp_path, capsys):
     ([0.1603, 0.7724, 0.0102], "model.json"),
     ({"a3": 0.1603, "a6": None, "c": 0.0102}, "'a6'"),
     ({"a3": 0.1603, "a6": [0.7724], "c": 0.0102}, "sosa.a6"),
+    ({"a3": float("nan"), "a6": 0.7724, "c": 0.0102}, "sosa.a3"),
 ])
 def test_malformed_sosa_model_exits_2(tmp_path, capsys, model, named):
-    # a coefficient file without a coefficient, or not a JSON object at
-    # all, fails like any bad config: exit 2, before the run writes anything
+    # a coefficient file without a coefficient, with one that is not a
+    # finite number (json.dumps writes NaN, and json.loads reads it), or not
+    # a JSON object at all, fails like any bad config: exit 2, before the
+    # run writes anything
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model))
     rc = run_cli("run", "--policy", "sosa", "--sosa-model", str(path),

@@ -349,6 +349,26 @@ def test_two_vms_on_one_cold_host_power_it_on_once():
     assert res.state.on.tolist() == [False, True, False]
 
 
+def test_a_minus_one_target_is_no_host():
+    # detaching a VM neither powers on the last host (off here) nor checks
+    # its capacity (over its RAM here)
+    fat = models.RAM_CAPACITY / 2 + 1.0
+    vms = {"a": VmState(id="a", cpu_demand=0.2, ram_used=64.0),
+           "b": VmState(id="b", cpu_demand=0.1, ram_used=fat),
+           "c": VmState(id="c", cpu_demand=0.1, ram_used=fat)}
+    state = make_state(3, vms)
+    state.move({state.index["a"]: 0})
+    res = apply_placement(state, {state.index["a"]: -1})
+    assert res.power_on_events == 0
+    assert res.moved == [(state.index["a"], 0, -1)]
+    assert res.state.host.tolist() == [-1, -1, -1]
+    state.move({state.index["b"]: 2, state.index["c"]: 2})
+    assert state.sums[core.RAM, 2] > models.RAM_CAPACITY
+    res = apply_placement(state, {state.index["a"]: -1})
+    assert res.power_on_events == 0
+    assert res.state.host.tolist() == [-1, 2, 2]
+
+
 def test_ties_between_vms_go_by_id_in_string_order():
     # positions 0, 1, 2 hold "vm10", "vm9" and "vm2": id order is 0, 2, 1
     state = make_state(2, {v: VmState(id=v, cpu_demand=0.3) for v in ("vm10", "vm9", "vm2")})

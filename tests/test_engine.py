@@ -8,8 +8,8 @@ from dcsim import engine, models, policies
 from dcsim.annealer import SaConfig
 from dcsim.cooling import FixedCooling, VarInletCooling
 from dcsim.core import DataCenterState, VmState
-from dcsim.detection import MadConfig
-from dcsim.engine import MigrationEvent, SimConfig, migration_cost, run
+from dcsim.detection import MIGRATION_BW, MadConfig
+from dcsim.engine import SimConfig, migration_cost, run
 from dcsim.report import slots_csv, summary_csv
 from dcsim.workload import Workload, synth_workload
 from oracles import (governor_frequency, ids_on, mem_temperature,
@@ -160,31 +160,53 @@ def test_vm_that_fits_nowhere_stays_on_its_source(policy):
 def test_migration_cost_no_events():
     state = DataCenterState.build(2, {"v": VmState(id="v", cpu_demand=0.5)})
     state.move({state.index["v"]: 0})
-    assert migration_cost([], state, 300.0) == (0.0, 0.0)
+    vm_deg = np.zeros(1)
+    assert migration_cost([], state, 300.0, vm_deg) == (0.0, 0.0)
+    assert vm_deg.tolist() == [0.0]
+
+
+def migrated(cpu, ram):
+    """A state whose one VM has just moved to host 1, and its migration."""
+    state = DataCenterState.build(2, {"v": VmState(id="v", cpu_demand=cpu,
+                                                   ram_used=ram)})
+    state.move({state.index["v"]: 1})
+    return state, [(state.index["v"], 1)]
 
 
 def test_migration_cost_double_power_charge():
-    vms = {"v": VmState(id="v", cpu_demand=0.5, ram_used=1024.0)}
-    state = DataCenterState.build(2, vms)
-    state.move({state.index["v"]: 1})
-    ev = MigrationEvent(vm=state.index["v"], target=1, duration=60.0,
-                        cpu_demand=0.5)
-    energy, pdm = migration_cost([ev], state, 300.0)
+    # 3750 MB at the migration bandwidth take 60 s
+    state, migrations = migrated(0.5, 60.0 * MIGRATION_BW)
+    vm_deg = np.zeros(1)
+    energy, pdm = migration_cost(migrations, state, 300.0, vm_deg)
     mode = state.mode[1]
     p_dyn = models.dynamic_power(models.VOLTS[mode], models.FREQS_GHZ[mode], 0.5)
     assert energy == pytest.approx(p_dyn * 60.0 / 3.6e6, rel=1e-12)
     # degradation: 10 % of demand over the migration vs requested this slot
     assert pdm == pytest.approx((0.1 * 0.5 * 60.0) / (0.5 * 300.0), rel=1e-12)
+    assert vm_deg.tolist() == [0.1 * 0.5 * 60.0]
 
 
 def test_migration_cost_zero_cpu_vm():
-    vms = {"v": VmState(id="v", cpu_demand=0.0, ram_used=128.0)}
-    state = DataCenterState.build(2, vms)
-    state.move({state.index["v"]: 1})
-    ev = MigrationEvent(vm=state.index["v"], target=1, duration=30.0,
-                        cpu_demand=0.0)
-    _, pdm = migration_cost([ev], state, 300.0)
+    # a 30 s migration
+    state, migrations = migrated(0.0, 30.0 * MIGRATION_BW)
+    vm_deg = np.zeros(1)
+    _, pdm = migration_cost(migrations, state, 300.0, vm_deg)
     assert pdm == 0.0
+    assert vm_deg.tolist() == [0.0]
+
+
+def test_migration_duration_is_capped_at_the_slot():
+    # 8192 MB would take 131 s to move; a 60 s slot charges 60 s of double
+    # dynamic power and of degradation
+    state, migrations = migrated(0.5, 8192.0)
+    assert 8192.0 / MIGRATION_BW > 131.0
+    vm_deg = np.zeros(1)
+    energy, pdm = migration_cost(migrations, state, 60, vm_deg)
+    mode = state.mode[1]
+    p_dyn = models.dynamic_power(models.VOLTS[mode], models.FREQS_GHZ[mode], 0.5)
+    assert energy == pytest.approx(p_dyn * 60.0 / 3.6e6, rel=1e-12)
+    assert pdm == pytest.approx((0.1 * 0.5 * 60.0) / (0.5 * 60.0), rel=1e-12)
+    assert vm_deg.tolist() == [0.1 * 0.5 * 60.0]
 
 
 def test_sla_components_multiply():
@@ -321,17 +343,18 @@ def test_drain_pass_drains_only_hosts_whose_every_vm_was_placed(monkeypatch):
     monkeypatch.setattr(engine, "find_underloaded", lambda *a, **k: [0, 1])
     monkeypatch.setattr(engine, "_place", stub_place)
     det = engine.Detection(np.full(3, 0.9), [], [], {})
-    new, record = engine._drain_pass(SimConfig(hosts=3), state, det, slot=0,
-                                     slot_seconds=300)
+    drain = engine._drain_pass(SimConfig(hosts=3), state, det, slot=0,
+                               slot_seconds=300)
+    new = drain.state
 
     assert placed == [(["a1", "a2", "b1", "b2"], [2])]
     assert ids_on(new, 0) == ["a1", "a2"] and new.on[0]
     assert ids_on(new, 1) == [] and not new.on[1]
     assert ids_on(new, 2) == ["b1", "b2", "c"]
     # each VM's source is its host in the pass's input state
-    assert [(new.vm_ids[ev.vm], state.host.item(ev.vm), ev.target)
-            for ev in record.migrations] == [("b1", 1, 2), ("b2", 1, 2)]
-    assert record.power_on_events == 0
+    assert [(new.vm_ids[i], source, target)
+            for i, source, target in drain.moved] == [("b1", 1, 2), ("b2", 1, 2)]
+    assert drain.power_on_events == 0
     # the pass's input state is left as it was
     assert ids_on(state, 1) == ["b1", "b2"]
 
@@ -445,8 +468,9 @@ def test_dynso_looks_ahead_to_the_drains_the_engine_makes(monkeypatch):
         return sources
 
     monkeypatch.setattr(engine, "_drain_sources", record)
-    placed, first = engine._first_pass(cfg, state, det, 0, 300)
-    assert first.result.placement == {0: 3}
+    result, first = engine._first_pass(cfg, state, det, 0, 300)
+    placed = first.state
+    assert result.placement == {0: 3}
     predicted = [sources for host, sources in seen if host == placed.host.tolist()]
     seen.clear()
     engine._drain_pass(cfg, placed, det, 0, 300)
